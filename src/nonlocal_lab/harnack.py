@@ -3,14 +3,12 @@
 Each experiment solves the Dirichlet problem for a family of exterior
 data on the disconnected domain, measures sup / inf / average over the
 reference balls together with the tail of the negative part, and records
-the empirical constant tying them.  Everything is seeded and the sample
-order is fixed, so reports are reproducible bit for bit; the optional
-thread pool (NONLOCAL_LAB_THREADS) only spreads the solves, never the
-sampling.
+the empirical constant tying them.  An experiment assembles its operator
+once and solves all of its data in one block solve.  Everything is seeded
+and the sample order is fixed, so reports are reproducible bit for bit at
+a fixed BLAS thread setting.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,24 +84,6 @@ class HarnackReport:
 CSV_COLUMNS = ("s", "sample_id", "sup", "inf", "avg", "tail", "C_estimate")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NONLOCAL_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    # sample order is the determinism contract; ex.map preserves it
-    items = list(items)
-    k = min(_thread_count(), len(items))
-    if k <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
-
-
 def _ball_values(u: GridFunction, ball: Ball) -> np.ndarray:
     idx = u.mesh.cells_in(ball)
     if idx.size == 0:
@@ -113,11 +93,25 @@ def _ball_values(u: GridFunction, ball: Ball) -> np.ndarray:
     return u.values[idx]
 
 
+def _negative_tail(u: GridFunction, x0: float, radius: float,
+                   s: float) -> float:
+    """Tail(u_-; x0, radius) of the solution glued to its exterior data.
+
+    Cells inside the cutoff ball add no tail mass, so when the whole mesh
+    lies inside it the exterior data alone carry the tail and the glue is
+    skipped.
+    """
+    mesh = u.mesh
+    inside = (float(mesh.lo.min()) >= x0 - radius
+              and float(mesh.hi.max()) <= x0 + radius)
+    pf = u.exterior if inside else u.as_point_function()
+    return tail(pf.negative_part(), x0, radius, s).value
+
+
 def _tail_of_negative(u: GridFunction, config: DisconnectedConfig,
                       s: float) -> float:
-    pf = u.as_point_function().negative_part()
-    t = tail(pf, 0.0, config.R, s)
-    return (config.r / config.R) ** (2.0 * s) * t.value
+    t = _negative_tail(u, 0.0, config.R, s)
+    return (config.r / config.R) ** (2.0 * s) * t
 
 
 def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
@@ -209,7 +203,7 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
     Families: random-nonneg (seeded cellwise uniform on B_R minus the
     domain), mass-near-x2 (saturation scan over `masses`), far-negative
     (random inside, -1 beyond B_R).  All samples are drawn up front from
-    one generator, so the reports do not depend on the thread count.
+    one generator and solved together on one assembled operator.
     """
     rng = np.random.default_rng(seed)
     if data_family == "random-nonneg":
@@ -222,15 +216,10 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
                 for i in range(samples)]
     else:
         raise ConfigParseError(f"unknown data family {data_family!r}")
-    mesh = mesh_over(config, N)
-
-    def run(item):
-        i, g = item
-        u = solve(assemble(kernel, mesh, g))
-        return harnack_report(u, config, s, kernel_tag=kernel.tag(),
-                              seed=seed, N=N, sample_id=i)
-
-    return _map_ordered(run, enumerate(data))
+    solutions = solve(assemble(kernel, mesh_over(config, N), data))
+    return [harnack_report(u, config, s, kernel_tag=kernel.tag(), seed=seed,
+                           N=N, sample_id=i)
+            for i, u in enumerate(solutions)]
 
 
 def aggregate_c_max(reports) -> float:
@@ -324,8 +313,7 @@ def classical_harnack_check(u: GridFunction, ball: Ball, s: float) -> dict:
     center = float(ball.center[0])
     vals = _ball_values(u, Ball(ball.center, ball.radius / 2.0))
     sup, inf_ = float(vals.max()), float(vals.min())
-    t = tail(u.as_point_function().negative_part(), center, ball.radius,
-             s).value
+    t = _negative_tail(u, center, ball.radius, s)
     den = inf_ + t
     if den > 0.0:
         c_emp = sup / den

@@ -98,7 +98,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     b = float(b)
     if not b > a:
         return 0.0, 0.0
-    pts = [a] + sorted(float(p) for p in breaks if a < p < b) + [b]
+    pts = [a] + sorted({float(p) for p in breaks if a < p < b}) + [b]
     if geometric_from is not None and b - a > 100.0 * geometric_from > 0.0:
         extra = [a + p for p in _geometric_points(geometric_from, b - a)]
         pts = sorted(set(pts) | {p for p in extra if a < p < b})

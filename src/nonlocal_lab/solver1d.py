@@ -23,6 +23,13 @@ The fractional family assembles by closed-form antiderivatives
 every coupling to a one-dimensional overlap integral; general pair
 kernels fall back to tensorized adaptive quadrature and are only meant
 for small meshes.
+
+Assembly has two parts.  The operator part, built once per (kernel,
+mesh), holds the couplings W, the exterior mass E and their assembly
+error; the data part, built once per exterior datum, is the column B.
+assemble() takes one datum or a sequence of them: a sequence builds the
+operator once and gives an m x k right-hand side, which solve() handles
+with one factorization, checking the residual of every column.
 """
 
 from __future__ import annotations
@@ -134,14 +141,16 @@ class LinearSystem:
     A has positive diagonal and nonpositive off-diagonal entries, and every
     row's dominance slack equals the exterior-coupling mass (exterior_mass
     = 2 E_i).  assembly_error bounds the quadrature and truncation error
-    accumulated over all entries; it is zero for the closed-form path.
+    accumulated over the entries of A and of any one column of b; it is
+    zero for the closed-form path.  A block system has an m x k rhs and a
+    tuple of k exterior data, one per column.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     mesh: Mesh1D
     kernel: Kernel
-    exterior: PointFunction
+    exterior: PointFunction | tuple[PointFunction, ...]
     exterior_mass: np.ndarray
     assembly_error: float
 
@@ -377,76 +386,36 @@ def _ti_segment(kernel: Kernel, d0: float, h: float, width: float,
     return v, e, rem
 
 
-def assemble(kernel: Kernel, mesh: Mesh1D, exterior: PointFunction,
-             rhs=0.0, tol: float = ASSEMBLY_TOL) -> LinearSystem:
-    """Build the collocation system for Lu = f on the mesh, u = g outside.
-
-    The exterior data must be tail-integrable against the kernel order;
-    rhs may be a constant, an array over cells, or a PointFunction sampled
-    at cell centers.
-    """
-    if kernel.n != 1:
-        raise UnsupportedDimension("the solver is implemented for n = 1 only")
-    amp_g, pw = exterior.tail_envelope()
-    if pw >= 2.0 * kernel.s:
-        raise NonIntegrableTail(
-            f"{exterior.label}: envelope power {pw} >= 2s = {2 * kernel.s:g}")
-
-    h = float(np.min(mesh.widths))
-    if float(np.max(mesh.widths)) - h > 1e-12 * h:
-        raise ConfigParseError("assembly needs a uniform cell width")
-    gamma = BAND_FRACTION * h
-    centers = mesh.centers
+def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
+               comps, span: float, tol: float,
+               ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Operator part of the system: couplings W, exterior mass E and the
+    error bound accumulated over their entries."""
     m = mesh.ncells
     s = kernel.s
-    comps = _exterior_components(mesh)
-    ivs = mesh.intervals
-    span = ivs[-1][1] - ivs[0][0]
-    bare_callable = (not exterior.pieces and exterior.far_radius is None
-                     and not exterior.is_constant)
-    segs = () if (exterior.is_constant or bare_callable) \
-        else _data_segments(exterior, comps)
-    data_comps, data_breaks = comps, ()
-    if bare_callable:
-        data_breaks = tuple(exterior.breaks or ())
-        if exterior.support is not None:
-            # compactly supported data needs no truncation at all
-            dlo, dhi = exterior.support
-            data_comps = tuple(
-                (max(lo, dlo), min(hi, dhi)) for lo, hi in comps
-                if min(hi, dhi) > max(lo, dlo))
+    centers = mesh.centers
     err_acc = 0.0
     offdiag = ~np.eye(m, dtype=bool)
     W = np.zeros((m, m))
     E = np.zeros(m)
-    B = np.zeros(m)
 
     if kernel.family == "fractional":
         amp = float(kernel.eval_at_distance(1.0))
         gap = np.abs(centers[:, None] - centers[None, :]) - h
         far = (gap >= gamma) & offdiag
         W[far] = _pair_far(amp, s, gap[far], h)
-        for i, j in zip(*np.nonzero((gap < gamma) & offdiag)):
-            if i < j:
-                g0 = max(float(gap[i, j]), 0.0)
-                W[i, j] = W[j, i] = (
-                    _pair_banded(amp, s, g0, h, gamma)
-                    + _pair_curvature(amp, s, g0, h, gamma))
+        # touching pairs share a handful of (clamped) gaps: one scalar
+        # closed form per distinct gap, scattered to every pair that has it
+        touch = np.nonzero((gap < gamma) & offdiag)
+        gaps, which = np.unique(np.maximum(gap[touch], 0.0),
+                                return_inverse=True)
+        pair = np.array([_pair_banded(amp, s, g0, h, gamma)
+                         + _pair_curvature(amp, s, g0, h, gamma)
+                         for g0 in gaps.tolist()])
+        W[touch] = pair[which]
         for lo, hi in comps:
             d0 = _edge_distance(mesh.lo, mesh.hi, lo, hi)
             E += _banded_mass(amp, s, d0, h, hi - lo, gamma)
-        for a, b, v in segs:
-            d0 = _edge_distance(mesh.lo, mesh.hi, a, b)
-            B += v * _banded_mass(amp, s, d0, h, b - a, gamma)
-        if bare_callable:
-            for i in range(m):
-                for comp in data_comps:
-                    v, e, rem = _cell_segment_quadrature(
-                        kernel, float(mesh.lo[i]), h, comp, gamma, span, tol,
-                        data=exterior.fn, data_env=(amp_g, pw),
-                        data_breaks=data_breaks)
-                    B[i] += v
-                    err_acc += e + rem
     elif kernel.family == "translation-invariant":
         for i in range(m):
             for j in range(i + 1, m):
@@ -460,20 +429,6 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior: PointFunction,
                                         tol)
                 E[i] += v
                 err_acc += e + rem
-            for a, b, v in segs:
-                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], a, b))
-                val, e, rem = _ti_segment(kernel, d0, h, b - a, gamma, span,
-                                          tol)
-                B[i] += v * val
-                err_acc += abs(v) * (e + rem)
-            if bare_callable:
-                for comp in data_comps:
-                    v, e, rem = _cell_segment_quadrature(
-                        kernel, float(mesh.lo[i]), h, comp, gamma, span, tol,
-                        data=exterior.fn, data_env=(amp_g, pw),
-                        data_breaks=data_breaks)
-                    B[i] += v
-                    err_acc += e + rem
     else:  # general pair kernels: tensorized adaptive, small meshes only
         for i in range(m):
             p_i = float(mesh.lo[i])
@@ -493,29 +448,101 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior: PointFunction,
                     kernel, p_i, h, comp, gamma, span, tol)
                 E[i] += v
                 err_acc += e + rem
-            if bare_callable:
-                for comp in data_comps:
-                    v, e, rem = _cell_segment_quadrature(
-                        kernel, p_i, h, comp, gamma, span, tol,
-                        data=exterior.fn, data_env=(amp_g, pw),
-                        data_breaks=data_breaks)
-                    B[i] += v
-                    err_acc += e + rem
+    return W, E, err_acc
+
+
+def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
+               E: np.ndarray, h: float, gamma: float, comps, span: float,
+               tol: float) -> tuple[np.ndarray, float]:
+    """Data part of the system: the exterior data mass B of one datum and
+    the error bound accumulated over its entries."""
+    m = mesh.ncells
+    if g.is_constant:
+        return float(g(np.zeros(1))[0]) * E, 0.0
+    B = np.zeros(m)
+    err_acc = 0.0
+    if not g.pieces and g.far_radius is None:  # bare callable
+        data_env = g.tail_envelope()
+        data_comps, data_breaks = comps, tuple(g.breaks or ())
+        if g.support is not None:
+            # compactly supported data needs no truncation at all
+            dlo, dhi = g.support
+            data_comps = tuple(
+                (max(lo, dlo), min(hi, dhi)) for lo, hi in comps
+                if min(hi, dhi) > max(lo, dlo))
+        for i in range(m):
+            for comp in data_comps:
+                v, e, rem = _cell_segment_quadrature(
+                    kernel, float(mesh.lo[i]), h, comp, gamma, span, tol,
+                    data=g.fn, data_env=data_env, data_breaks=data_breaks)
+                B[i] += v
+                err_acc += e + rem
+        return B, err_acc
+
+    segs = _data_segments(g, comps)
+    if kernel.family == "fractional":
+        amp = float(kernel.eval_at_distance(1.0))
+        for a, b, v in segs:
+            d0 = _edge_distance(mesh.lo, mesh.hi, a, b)
+            B += v * _banded_mass(amp, kernel.s, d0, h, b - a, gamma)
+        return B, err_acc
+    for i in range(m):
+        for a, b, v in segs:
+            if kernel.family == "translation-invariant":
+                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], a, b))
+                val, e, rem = _ti_segment(kernel, d0, h, b - a, gamma, span,
+                                          tol)
             else:
-                for a, b, v in segs:
-                    val, e, rem = _cell_segment_quadrature(
-                        kernel, p_i, h, (a, b), gamma, span, tol)
-                    B[i] += v * val
-                    err_acc += abs(v) * (e + rem)
-    if exterior.is_constant:
-        B = float(exterior(np.zeros(1))[0]) * E
+                val, e, rem = _cell_segment_quadrature(
+                    kernel, float(mesh.lo[i]), h, (a, b), gamma, span, tol)
+            B[i] += v * val
+            err_acc += abs(v) * (e + rem)
+    return B, err_acc
+
+
+def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
+             tol: float = ASSEMBLY_TOL) -> LinearSystem:
+    """Build the collocation system for Lu = f on the mesh, u = g outside.
+
+    exterior is one PointFunction, or a sequence of them: the operator is
+    built once and rhs gets one column per datum (m x k), each column
+    equal bit for bit to the single-datum assembly.  Every datum must be
+    tail-integrable against the kernel order; rhs (the source f) may be a
+    constant, an array over cells, or a PointFunction sampled at cell
+    centers, and is shared by all columns.
+    """
+    if kernel.n != 1:
+        raise UnsupportedDimension("the solver is implemented for n = 1 only")
+    block = not isinstance(exterior, PointFunction)
+    data = tuple(exterior) if block else (exterior,)
+    for g in data:
+        _, pw = g.tail_envelope()
+        if pw >= 2.0 * kernel.s:
+            raise NonIntegrableTail(
+                f"{g.label}: envelope power {pw} >= 2s = {2 * kernel.s:g}")
+
+    h = float(np.min(mesh.widths))
+    if float(np.max(mesh.widths)) - h > 1e-12 * h:
+        raise ConfigParseError("assembly needs a uniform cell width")
+    gamma = BAND_FRACTION * h
+    comps = _exterior_components(mesh)
+    ivs = mesh.intervals
+    span = ivs[-1][1] - ivs[0][0]
+    W, E, err_acc = _couplings(kernel, mesh, h, gamma, comps, span, tol)
+    B = np.zeros((mesh.ncells, len(data)))
+    data_err = 0.0
+    for j, g in enumerate(data):
+        B[:, j], e = _data_mass(kernel, mesh, g, E, h, gamma, comps, span,
+                                tol)
+        data_err = max(data_err, e)
 
     A = -2.0 * W
     np.fill_diagonal(A, 2.0 * (W.sum(axis=1) + E))
-    b = _rhs_at_centers(rhs, mesh) * mesh.widths + 2.0 * B
-    return LinearSystem(matrix=A, rhs=b, mesh=mesh, kernel=kernel,
-                        exterior=exterior, exterior_mass=2.0 * E,
-                        assembly_error=err_acc)
+    b = (_rhs_at_centers(rhs, mesh) * mesh.widths)[:, None] + 2.0 * B
+    return LinearSystem(matrix=A, rhs=b if block else b[:, 0], mesh=mesh,
+                        kernel=kernel, exterior=data if block else exterior,
+                        exterior_mass=2.0 * E,
+                        assembly_error=err_acc + data_err)
 
 
 def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,
@@ -543,21 +570,34 @@ def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,
     return integrate(outer, p_i, p_i + h, tol=tol)
 
 
-def solve(system: LinearSystem) -> GridFunction:
-    """Direct dense solve with an explicit residual check."""
+def solve(system: LinearSystem):
+    """Direct dense solve with an explicit residual check per column.
+
+    A one-datum system gives one GridFunction; a block system (m x k rhs)
+    is factored once and gives a list of k GridFunctions, each carrying
+    its own datum as exterior.
+    """
+    a, b = system.matrix, system.rhs
     try:
-        u = np.linalg.solve(system.matrix, system.rhs)
+        u = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    resid = float(np.max(np.abs(system.matrix @ u - system.rhs)))
-    bnorm = float(np.max(np.abs(system.rhs)))
-    if bnorm > 0.0:
-        if resid / bnorm >= 1e-10:
+    resid = np.atleast_1d(np.max(np.abs(a @ u - b), axis=0))
+    bnorm = np.atleast_1d(np.max(np.abs(b), axis=0))
+    for j, (res, bn) in enumerate(zip(resid.tolist(), bnorm.tolist())):
+        where = f" in column {j}" if b.ndim == 2 else ""
+        if bn > 0.0:
+            if res / bn >= 1e-10:
+                raise SingularSystem(
+                    f"relative residual {res / bn:.2e} >= 1e-10{where}")
+        elif res >= 1e-10:
             raise SingularSystem(
-                f"relative residual {resid / bnorm:.2e} >= 1e-10")
-    elif resid >= 1e-10:
-        raise SingularSystem(f"residual {resid:.2e} >= 1e-10 with zero rhs")
-    return GridFunction(mesh=system.mesh, values=u, exterior=system.exterior)
+                f"residual {res:.2e} >= 1e-10 with zero rhs{where}")
+    if b.ndim == 1:
+        return GridFunction(mesh=system.mesh, values=u,
+                            exterior=system.exterior)
+    return [GridFunction(mesh=system.mesh, values=col, exterior=g)
+            for col, g in zip(u.T.copy(), system.exterior)]
 
 
 def discrete_nonhom_mp(kernel: Kernel, mesh: Mesh1D, c0: float) -> dict:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonlocal_lab.errors import ConfigParseError, EmptySample, NoPositiveC0
+from nonlocal_lab import harnack
+from nonlocal_lab.errors import (
+    ConfigParseError,
+    EmptySample,
+    NoPositiveC0,
+    QuadratureFailure,
+)
 from nonlocal_lab.geometry import Ball, make_disconnected_config, \
     mesh_intervals, mesh_over
 from nonlocal_lab.harnack import (
@@ -28,7 +34,7 @@ from nonlocal_lab.harnack import (
     weak_harnack_check,
 )
 from nonlocal_lab.kernel import make_kernel
-from nonlocal_lab.operator import constant
+from nonlocal_lab.operator import constant, tail
 from nonlocal_lab.solver1d import assemble, solve
 
 CFG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
@@ -115,13 +121,32 @@ class TestReportShape:
         assert [r.as_dict() for r in again] \
             == [r.as_dict() for r in random_batch]
 
-    def test_thread_count_does_not_change_reports(self, random_batch,
-                                                  monkeypatch):
-        monkeypatch.setenv("NONLOCAL_LAB_THREADS", "2")
-        threaded = disconnected_harnack_experiment(
-            0.5, frac(0.5), CFG, "random-nonneg", seed=7, N=64, samples=20)
-        assert [r.as_dict() for r in threaded] \
-            == [r.as_dict() for r in random_batch]
+    def test_experiment_assembles_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(harnack, "assemble", counting)
+        reps = disconnected_harnack_experiment(
+            0.5, frac(0.5), CFG, "random-nonneg", seed=7, N=16, samples=5)
+        assert len(calls) == 1
+        assert [r.sample_id for r in reps] == list(range(5))
+
+    def test_negative_tail_skips_glue_bit_for_bit(self):
+        # every cell lies inside B_R, so the exterior data alone carry the
+        # tail; the glued route must give the same float
+        k = frac(0.5)
+        mesh = mesh_over(CFG, 64)
+        data = [far_negative_data(CFG, np.random.default_rng(1)),
+                far_negative_data(CFG, None, magnitude=3.0), constant(-1.0),
+                random_nonneg_data(CFG, np.random.default_rng(2))]
+        for u in solve(assemble(k, mesh, data)):
+            glued = tail(u.as_point_function().negative_part(), 0.0, CFG.R,
+                         0.5).value
+            rep = harnack_report(u, CFG, 0.5)
+            assert rep.tail_term == (CFG.r / CFG.R) ** 1.0 * glued
 
     def test_report_outside_mesh_raises(self):
         u = solve(assemble(frac(0.5), mesh_intervals([(10.0, 12.0)], 8),
@@ -230,6 +255,23 @@ class TestBarrierCombination:
     def test_order_mismatch_raises(self):
         with pytest.raises(ConfigParseError):
             barrier_combination_check(frac(0.25), CFG, s=0.5, grid=21)
+
+
+# A known defect: on the reference configuration shifted by this offset,
+# the adaptive quadrature of L w2 at s = 0.9 (grid point x = -1.1794...)
+# exhausts its panel budget on (0.00175735, 1).  Strict, so a fix shows up
+# as an XPASS to acknowledge.
+BARRIER_FAILING_SHIFT = 0.3205848747771507
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureFailure,
+                   reason="L w2 quadrature fails to converge at s = 0.9 on "
+                          "the translated reference configuration")
+def test_barrier_translated_s09_quadrature_failure():
+    d = BARRIER_FAILING_SHIFT
+    cfg = make_disconnected_config(n=1, x1=-2.0 + d, x2=2.0 + d, r=1.0,
+                                   R=16.0)
+    barrier_combination_check(frac(0.9), cfg)
 
 
 @pytest.fixture(scope="module")

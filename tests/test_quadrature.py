@@ -30,6 +30,11 @@ class TestAdaptive:
         val, _ = integrate(f, 0.0, 1.0, tol=1e-12, breaks=[1.0 / 3.0])
         assert val == pytest.approx(5.0 / 18.0, rel=1e-12)
 
+    def test_repeated_break_opens_no_empty_panel(self):
+        f = lambda x: np.abs(x - 0.5)
+        val, _ = integrate(f, 0.0, 1.0, tol=1e-12, breaks=[0.5, 0.5])
+        assert val == pytest.approx(0.25, rel=1e-12)
+
     def test_long_decaying_tail_with_geometric_seed(self):
         # integral of x^(-3/2) from 1 to 1e12
         val, _ = integrate(lambda x: x ** -1.5, 1.0, 1e12,

@@ -39,6 +39,9 @@ from nonlocal_lab.operator import (
 from nonlocal_lab.poisson import PoissonKernelBall, poisson_extend
 from nonlocal_lab.solver1d import (
     BAND_FRACTION,
+    LinearSystem,
+    _pair_banded,
+    _pair_curvature,
     assemble,
     discrete_nonhom_mp,
     solve,
@@ -180,6 +183,28 @@ class TestStructure:
         off = a - np.diag(np.diag(a))
         assert np.all(off <= 0)
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+    def test_touching_pairs_match_scalar_loop(self, s):
+        # the vectorized touching-pair couplings against the pairwise loop
+        # they replaced: same scalar closed forms, so equal bit for bit
+        k = fractional_kernel(1, s)
+        cfg = make_disconnected_config(n=1, x1=0.3, x2=4.3, r=1.0, R=40.0)
+        mesh = mesh_over(cfg, 16)
+        w = -assemble(k, mesh, G13).matrix / 2.0
+        amp = float(k.eval_at_distance(1.0))
+        h = float(np.min(mesh.widths))
+        gamma = BAND_FRACTION * h
+        c = mesh.centers
+        gap = np.abs(c[:, None] - c[None, :]) - h
+        pairs = [(i, j) for i in range(mesh.ncells)
+                 for j in range(i + 1, mesh.ncells) if gap[i, j] < gamma]
+        assert len(pairs) == mesh.ncells - 1  # the junction pair included
+        for i, j in pairs:
+            g0 = max(float(gap[i, j]), 0.0)
+            want = (_pair_banded(amp, s, g0, h, gamma)
+                    + _pair_curvature(amp, s, g0, h, gamma))
+            assert w[i, j] == want and w[j, i] == want
+
     def test_disconnected_touching_junction(self):
         # x2 - x1 = 4r makes the meshed balls touch; the junction pair is
         # banded like any interior neighbor and stays finite
@@ -253,6 +278,73 @@ class TestStructure:
         broken = dataclasses.replace(system, matrix=np.zeros((4, 4)))
         with pytest.raises(SingularSystem):
             solve(broken)
+
+
+def block_data():
+    """Constant, piecewise, far-valued and bare-callable exterior data."""
+    return [
+        constant(2.0),
+        G13,
+        piecewise_constant([(1.5, 2.0, 0.7)], far_value=-1.0,
+                           far_radius=5.0, label="far"),
+        from_callable(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
+                      envelope=(1.0, 0.0), label="exp"),
+    ]
+
+
+class TestBlock:
+    """One operator, many data: the block path against single assembles."""
+
+    @pytest.mark.parametrize("kernel", [fractional_kernel(1, 0.6),
+                                        ti_demo_kernel(0.5)],
+                             ids=["frac", "ti"])
+    def test_block_assemble_matches_single_bit_for_bit(self, kernel):
+        data = block_data()
+        block = assemble(kernel, unit_mesh(), data, rhs=0.5, tol=1e-6)
+        assert block.rhs.shape == (4, len(data))
+        assert block.exterior == tuple(data)
+        for j, g in enumerate(data):
+            single = assemble(kernel, unit_mesh(), g, rhs=0.5, tol=1e-6)
+            assert np.array_equal(block.matrix, single.matrix)
+            assert np.array_equal(block.exterior_mass, single.exterior_mass)
+            assert np.array_equal(block.rhs[:, j], single.rhs)
+            assert block.assembly_error >= single.assembly_error
+
+    def test_block_solve_matches_single_solves(self):
+        k = fractional_kernel(1, 0.6)
+        mesh = mesh_over(make_disconnected_config(n=1, x1=-2.0, x2=2.0,
+                                                  r=1.0, R=16.0), 32)
+        data = block_data()[:3]
+        us = solve(assemble(k, mesh, data))
+        assert len(us) == len(data)
+        for u, g in zip(us, data):
+            ref = solve(assemble(k, mesh, g))
+            assert u.exterior is g
+            np.testing.assert_allclose(u.values, ref.values, rtol=1e-13,
+                                       atol=0.0)
+
+    def test_empty_block(self):
+        system = assemble(fractional_kernel(1, 0.5), unit_mesh(), [])
+        assert system.rhs.shape == (4, 0)
+        assert solve(system) == []
+
+    def test_residual_checked_per_column(self):
+        # the leading block has cond ~ 1e16: column 0 leaves a residual as
+        # large as its own norm, which a norm taken over the whole block
+        # (6e12, from column 1) would scale below the 1e-10 threshold
+        a = np.eye(4)
+        a[:2, :2] = [[0.3, 0.7], [0.6, 1.4000000000000001]]
+        b = np.zeros((4, 2))
+        b[:2] = [[1.0, 3e12], [0.5, 6e12]]
+        system = LinearSystem(matrix=a, rhs=b, mesh=unit_mesh(),
+                              kernel=fractional_kernel(1, 0.5),
+                              exterior=(G13, G13), exterior_mass=np.ones(4),
+                              assembly_error=0.0)
+        with pytest.raises(SingularSystem, match="column 0"):
+            solve(system)
+        (u,) = solve(dataclasses.replace(system, rhs=b[:, 1:],
+                                         exterior=(G13,)))
+        assert u.values == pytest.approx([1e13, 0.0, 0.0, 0.0])
 
 
 @pytest.fixture(scope="module")
