@@ -10,7 +10,6 @@ assertion failure, 2 usage, 3 config, 4 numeric failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ConfigParseError, LabError
 from .geometry import config_from_text, make_disconnected_config, mesh_intervals
@@ -42,14 +41,6 @@ from .solver1d import assemble, solve
 
 FAMILIES = {"random": "random-nonneg", "mass": "mass-near-x2",
             "farneg": "far-negative"}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One parsed invocation; everything execute() needs."""
-
-    subcommand: str
-    args: argparse.Namespace = field(repr=False, default=None)
 
 
 # -- emission -----------------------------------------------------------------
@@ -270,7 +261,7 @@ def _cmd_selftest(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def parse_args(argv=None) -> RunSpec:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="nonlocal-lab",
         description="numerical experiments for nonlocal Dirichlet problems")
@@ -284,6 +275,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_evalL)
 
     p = sub.add_parser("poisson", help="kernel values, extensions, bounds")
     p.add_argument("action", choices=("eval", "extend", "bounds"))
@@ -297,6 +289,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--z-samples", default="2,3,8")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_poisson)
 
     p = sub.add_parser("solve1d", help="assemble and solve on intervals")
     _add_kernel(p)
@@ -309,6 +302,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--dump-matrix", action="store_true")
+    p.set_defaults(func=_cmd_solve1d)
 
     ph = sub.add_parser("harnack", help="experiment harness")
     hsub = ph.add_subparsers(dest="action", required=True)
@@ -323,6 +317,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--masses", default="1,10,100,1000")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--N", type=int, default=None)
+    p.set_defaults(func=_cmd_harnack_run)
 
     p = hsub.add_parser("sweep", help="order sweep of the constants")
     _add_kernel(p)
@@ -334,6 +329,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--grid", type=int, default=101)
+    p.set_defaults(func=_cmd_harnack_sweep)
 
     p = hsub.add_parser("mp", help="localized maximum principle run")
     _add_kernel(p)
@@ -342,6 +338,7 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--magnitude", type=float, default=1.0)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_harnack_mp)
 
     p = hsub.add_parser("barrier", help="barrier combination search")
     _add_kernel(p)
@@ -349,33 +346,20 @@ def parse_args(argv=None) -> RunSpec:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_harnack_barrier)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_selftest)
 
-    args = parser.parse_args(argv)
-    return RunSpec(subcommand=args.subcommand, args=args)
-
-
-def execute(spec: RunSpec) -> int:
-    args = spec.args
-    if spec.subcommand == "evalL":
-        return _cmd_evalL(args)
-    if spec.subcommand == "poisson":
-        return _cmd_poisson(args)
-    if spec.subcommand == "solve1d":
-        return _cmd_solve1d(args)
-    if spec.subcommand == "harnack":
-        return {"run": _cmd_harnack_run, "sweep": _cmd_harnack_sweep,
-                "mp": _cmd_harnack_mp,
-                "barrier": _cmd_harnack_barrier}[args.action](args)
-    return _cmd_selftest(args)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
-        return execute(parse_args(argv))
+        return args.func(args)
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,9 +17,6 @@ from .errors import (
     UnsupportedDimension,
 )
 
-CONFIG_KEYS = ("n", "x1", "x2", "r", "R", "N")
-
-
 def _point(x, n: int) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.shape != (n,):
@@ -39,9 +36,6 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0:
             raise ConfigParseError(f"ball radius must be positive, got {self.radius}")
-
-    def contains(self, x) -> bool:
-        return bool(np.linalg.norm(np.atleast_1d(x) - self.center) < self.radius)
 
 
 @dataclass(frozen=True)
@@ -77,18 +71,6 @@ class DisconnectedConfig:
 
     def ball2(self, scale: float = 1.0) -> Ball:
         return Ball(self.x2, scale * self.r)
-
-    def as_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "x1": self.x1.tolist() if self.n > 1 else float(self.x1[0]),
-            "x2": self.x2.tolist() if self.n > 1 else float(self.x2[0]),
-            "r": self.r,
-            "R": self.R,
-        }
-        if not self.checked:
-            d["unsafe"] = True
-        return d
 
 
 def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> DisconnectedConfig:
@@ -128,8 +110,7 @@ class Mesh1D:
     """Uniform cell partitions of a union of disjoint open intervals.
 
     centers/widths/lo/hi are flat arrays over all cells, interval by
-    interval in ascending order; `interval_of` maps a cell index to its
-    interval index.
+    interval in ascending order.
     """
 
     intervals: tuple
@@ -137,7 +118,6 @@ class Mesh1D:
     widths: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    interval_of: np.ndarray
 
     @property
     def ncells(self) -> int:
@@ -160,12 +140,11 @@ def mesh_intervals(intervals, N: int) -> Mesh1D:
     for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
         if a1 < b0:
             raise ConfigParseError(f"overlapping intervals ({a0},{b0}) and ({a1},{b1})")
-    lo, hi, owner = [], [], []
-    for k, (a, b) in enumerate(ivs):
+    lo, hi = [], []
+    for a, b in ivs:
         edges = np.linspace(a, b, N + 1)
         lo.append(edges[:-1])
         hi.append(edges[1:])
-        owner.append(np.full(N, k))
     lo = np.concatenate(lo)
     hi = np.concatenate(hi)
     return Mesh1D(
@@ -174,7 +153,6 @@ def mesh_intervals(intervals, N: int) -> Mesh1D:
         widths=hi - lo,
         lo=lo,
         hi=hi,
-        interval_of=np.concatenate(owner),
     )
 
 
@@ -185,21 +163,6 @@ def mesh_over(config: DisconnectedConfig, N: int) -> Mesh1D:
     a1, a2 = float(config.x1[0]), float(config.x2[0])
     r2 = 2.0 * config.r
     return mesh_intervals([(a1 - r2, a1 + r2), (a2 - r2, a2 + r2)], N)
-
-
-def config_to_text(config: DisconnectedConfig, N: int | None = None) -> str:
-    """Serialize to the flat key=value format (keys n, x1, x2, r, R, N)."""
-    lines = [f"n = {config.n}"]
-    for key, val in (("x1", config.x1), ("x2", config.x2)):
-        flat = ",".join(repr(float(v)) for v in val)
-        lines.append(f"{key} = {flat}")
-    lines.append(f"r = {config.r!r}")
-    lines.append(f"R = {config.R!r}")
-    if N is not None:
-        lines.append(f"N = {int(N)}")
-    if not config.checked:
-        lines.append("unsafe = true")
-    return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> tuple[DisconnectedConfig, int | None]:

@@ -7,12 +7,12 @@ one-minus-s normalization multiplies the kernel by (1 - s); it keeps the
 operator meaningful as s -> 1 and is what the robustness sweeps use.
 
 Kernel values are absolute (not relative to the power envelope); ellipticity
-is checked as k(x,y) * |x-y|^(n+2s) / norm_factor against [1/lam, lam].
+means k(x,y) * |x-y|^(n+2s) / norm_factor lies in [1/lam, lam].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -76,7 +76,7 @@ class Kernel:
             return pref * d ** (-self.power)
         if self.family == "translation-invariant":
             return pref * self.profile(d)
-        raise DiagonalEvaluation("general kernels are not radial; use eval_kernel")
+        raise DiagonalEvaluation("general kernels are not radial; use eval_pairs")
 
     def eval_pairs(self, x, y):
         """Vectorized k(x, y) for coordinate arrays (n = 1)."""
@@ -96,47 +96,6 @@ class Kernel:
     def tag(self) -> str:
         norm = "" if self.normalization == "plain" else ",1-s"
         return f"{self.family}(s={self.s:g},lam={self.lam:g}{norm})"
-
-
-def eval_kernel(kernel: Kernel, x, y):
-    """k(x, y) for points x != y (arrays of shape (n,) or scalars for n=1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = float(np.linalg.norm(x - y))
-    if d == 0.0:
-        raise DiagonalEvaluation("kernel evaluated on the diagonal x = y")
-    if kernel.family == "general":
-        if kernel.n != 1:
-            raise ConfigParseError("general pair kernels implemented for n = 1")
-        return float(kernel.norm_factor * kernel.scale * kernel.pair_fn(float(x[0]), float(y[0])))
-    return float(kernel.eval_at_distance(d))
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_ratio: float
-    max_ratio: float
-    passed: bool
-    lam: float
-    samples: int
-
-
-def check_ellipticity(kernel: Kernel, pairs) -> EllipticityReport:
-    """Ratios k(x,y)|x-y|^(n+2s)/norm_factor over sample pairs vs [1/lam, lam].
-
-    pairs: iterable of (x, y) points with x != y.
-    """
-    ratios = []
-    for x, y in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        d = float(np.linalg.norm(x - y))
-        ratios.append(eval_kernel(kernel, x, y) * d ** kernel.power / kernel.norm_factor)
-    ratios = np.asarray(ratios)
-    lo, hi = float(ratios.min()), float(ratios.max())
-    tol = 1e-12
-    passed = (lo >= 1.0 / kernel.lam - tol) and (hi <= kernel.lam + tol)
-    return EllipticityReport(min_ratio=lo, max_ratio=hi, passed=passed, lam=kernel.lam, samples=len(ratios))
 
 
 def fractional_kernel(n: int, s: float, lam: float = 1.0, one_minus_s: bool = False) -> Kernel:

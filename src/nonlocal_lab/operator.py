@@ -19,7 +19,7 @@ the growth envelope |u(y)| <= A (1 + |y|)^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -229,17 +229,6 @@ def piecewise_constant(pieces, far_value: float = 0.0,
         fn=fn, sup_bound=max(vals), support=support, pieces=pieces,
         far_value=float(far_value), far_radius=far_radius,
         breaks=tuple(brk), label=label,
-    )
-
-
-def from_callable(fn, growth: str = "bounded", sup_bound: float | None = None,
-                  envelope: tuple | None = None, support: tuple | None = None,
-                  breaks=(), hess_bound: float | None = None,
-                  smooth: bool = False, label: str = "u") -> PointFunction:
-    return PointFunction(
-        fn=fn, growth=growth, sup_bound=sup_bound, envelope=envelope,
-        support=support, breaks=tuple(breaks), hess_bound=hess_bound,
-        smooth=smooth, label=label,
     )
 
 

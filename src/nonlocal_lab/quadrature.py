@@ -135,14 +135,3 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
             )
     return total, total_err
 
-
-def fixed_panels(f, edges) -> tuple[float, float]:
-    """Non-adaptive pass over a preplanned panel ladder (vectorizable in f)."""
-    edges = np.asarray(edges, dtype=float)
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = gk_panel(f, lo, hi)
-        total += v
-        err += e
-    return total, err

@@ -44,7 +44,7 @@ from .errors import (
     SingularSystem,
     UnsupportedDimension,
 )
-from .geometry import Ball, Mesh1D
+from .geometry import Mesh1D
 from .kernel import Kernel
 from .operator import PointFunction, _tail_remainder, piecewise_constant
 from .quadrature import integrate
@@ -69,18 +69,13 @@ def _xi(t, s: float):
     return t ** (1.0 - 2.0 * s) / (2.0 * s * (1.0 - 2.0 * s))
 
 
-def _psi(t, s: float):
-    """Second antiderivative of t^(-1-2s); equals -_xi exactly."""
-    t = np.asarray(t, dtype=float)
-    if abs(s - 0.5) < 1e-12:
-        return -np.log(t)
-    return t ** (1.0 - 2.0 * s) / (2.0 * s * (2.0 * s - 1.0))
-
-
 def _pair_far(amp: float, s: float, gap, h: float):
-    """W for same-width cells with gap >= gamma: tent weight, no band cut."""
-    return amp * (_psi(gap, s) + _psi(gap + 2.0 * h, s)
-                  - 2.0 * _psi(gap + h, s))
+    """W for same-width cells with gap >= gamma: tent weight, no band cut.
+
+    The second antiderivative of t^(-1-2s) is -_xi, so the tent weight is
+    minus the second difference of _xi."""
+    return -amp * (_xi(gap, s) + _xi(gap + 2.0 * h, s)
+                   - 2.0 * _xi(gap + h, s))
 
 
 def _pair_banded(amp: float, s: float, gap: float, h: float,
@@ -171,10 +166,6 @@ class GridFunction:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise SingularSystem("solution contains non-finite values")
-
-    def in_ball(self, ball: Ball) -> np.ndarray:
-        """Values at cells whose centers fall in the open ball."""
-        return self.values[self.mesh.cells_in(ball)]
 
     def as_point_function(self) -> PointFunction:
         """Solution glued to its exterior data as one piecewise function."""
@@ -397,7 +388,6 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
     err_acc = 0.0
     offdiag = ~np.eye(m, dtype=bool)
     W = np.zeros((m, m))
-    E = np.zeros(m)
 
     if kernel.family == "fractional":
         amp = float(kernel.eval_at_distance(1.0))
@@ -413,9 +403,6 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
                          + _pair_curvature(amp, s, g0, h, gamma)
                          for g0 in gaps.tolist()])
         W[touch] = pair[which]
-        for lo, hi in comps:
-            d0 = _edge_distance(mesh.lo, mesh.hi, lo, hi)
-            E += _banded_mass(amp, s, d0, h, hi - lo, gamma)
     elif kernel.family == "translation-invariant":
         for i in range(m):
             for j in range(i + 1, m):
@@ -423,12 +410,6 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
                 v, e = _ti_pair(kernel, g0, h, gamma, tol)
                 W[i, j] = W[j, i] = v
                 err_acc += e
-            for lo, hi in comps:
-                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], lo, hi))
-                v, e, rem = _ti_segment(kernel, d0, h, hi - lo, gamma, span,
-                                        tol)
-                E[i] += v
-                err_acc += e + rem
     else:  # general pair kernels: tensorized adaptive, small meshes only
         for i in range(m):
             p_i = float(mesh.lo[i])
@@ -443,12 +424,36 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
                     e += e2
                 W[i, j] = W[j, i] = v
                 err_acc += e
-            for comp in comps:
-                v, e, rem = _cell_segment_quadrature(
-                    kernel, p_i, h, comp, gamma, span, tol)
-                E[i] += v
-                err_acc += e + rem
-    return W, E, err_acc
+    E, e = _segment_mass(kernel, mesh, [(lo, hi, 1.0) for lo, hi in comps],
+                         h, gamma, span, tol)
+    return W, E, err_acc + e
+
+
+def _segment_mass(kernel: Kernel, mesh: Mesh1D, segs, h: float, gamma: float,
+                  span: float, tol: float) -> tuple[np.ndarray, float]:
+    """Banded kernel mass of v-weighted exterior segments (a, b, v) per
+    cell, and the error bound accumulated over its entries; the exterior
+    mass E is the case v = 1 on every exterior component."""
+    M = np.zeros(mesh.ncells)
+    err_acc = 0.0
+    if kernel.family == "fractional":
+        amp = float(kernel.eval_at_distance(1.0))
+        for a, b, v in segs:
+            d0 = _edge_distance(mesh.lo, mesh.hi, a, b)
+            M += v * _banded_mass(amp, kernel.s, d0, h, b - a, gamma)
+        return M, err_acc
+    for i in range(mesh.ncells):
+        for a, b, v in segs:
+            if kernel.family == "translation-invariant":
+                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], a, b))
+                val, e, rem = _ti_segment(kernel, d0, h, b - a, gamma, span,
+                                          tol)
+            else:
+                val, e, rem = _cell_segment_quadrature(
+                    kernel, float(mesh.lo[i]), h, (a, b), gamma, span, tol)
+            M[i] += v * val
+            err_acc += abs(v) * (e + rem)
+    return M, err_acc
 
 
 def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
@@ -478,26 +483,8 @@ def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
                 B[i] += v
                 err_acc += e + rem
         return B, err_acc
-
-    segs = _data_segments(g, comps)
-    if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
-        for a, b, v in segs:
-            d0 = _edge_distance(mesh.lo, mesh.hi, a, b)
-            B += v * _banded_mass(amp, kernel.s, d0, h, b - a, gamma)
-        return B, err_acc
-    for i in range(m):
-        for a, b, v in segs:
-            if kernel.family == "translation-invariant":
-                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], a, b))
-                val, e, rem = _ti_segment(kernel, d0, h, b - a, gamma, span,
-                                          tol)
-            else:
-                val, e, rem = _cell_segment_quadrature(
-                    kernel, float(mesh.lo[i]), h, (a, b), gamma, span, tol)
-            B[i] += v * val
-            err_acc += abs(v) * (e + rem)
-    return B, err_acc
+    return _segment_mass(kernel, mesh, _data_segments(g, comps), h, gamma,
+                         span, tol)
 
 
 def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,

@@ -1,6 +1,8 @@
 """CLI surface tests: parsing, exit codes, file output determinism."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -9,18 +11,29 @@ from nonlocal_lab.errors import EmptySample
 from nonlocal_lab.harnack import CSV_COLUMNS
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_main(argv):
     return cli.main(argv)
 
 
+def readme_commands():
+    """argv of every nonlocal-lab line in the README's fenced blocks, with
+    backslash continuations joined."""
+    fenced = "\n".join(README.read_text(encoding="utf-8").split("```")[1::2])
+    lines = fenced.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines
+            if ln.startswith("nonlocal-lab ")]
+
+
 class TestParsing:
     def test_harnack_run_flags(self):
-        spec = cli.parse_args(
+        a = cli.parse_args(
             "harnack run --x1 -2 --x2 2 --r 1 --R 16 --s 0.5 "
             "--data random --samples 20 --seed 7".split())
-        assert spec.subcommand == "harnack"
-        a = spec.args
-        assert a.action == "run"
+        assert a.subcommand == "harnack" and a.action == "run"
+        assert a.func is cli._cmd_harnack_run
         assert (a.x1, a.x2, a.r, a.R) == (-2.0, 2.0, 1.0, 16.0)
         assert a.s == 0.5 and a.data == "random"
         assert a.samples == 20 and a.seed == 7
@@ -36,11 +49,21 @@ class TestParsing:
         assert err.value.code == 2
 
     def test_sweep_grid_flag(self):
-        spec = cli.parse_args(
+        a = cli.parse_args(
             "harnack sweep --s-grid 0.5,0.7,0.9,0.95 --normalize-1ms"
             .split())
-        assert spec.args.s_grid == "0.5,0.7,0.9,0.95"
-        assert spec.args.normalize_1ms
+        assert a.s_grid == "0.5,0.7,0.9,0.95"
+        assert a.normalize_1ms
+
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 10
+        for argv in commands:
+            try:
+                args = cli.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
+            assert callable(args.func)
 
     def test_data_spec_grammar(self):
         assert cli.parse_data("const:2.5")(0.0) == 2.5
@@ -66,9 +89,9 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
-        def boom(spec):
+        def boom(args):
             raise EmptySample("nothing to aggregate")
-        monkeypatch.setattr(cli, "execute", boom)
+        monkeypatch.setattr(cli, "_cmd_selftest", boom)
         assert run_main(["selftest"]) == 1
         assert "nothing to aggregate" in capsys.readouterr().err
 
@@ -156,12 +179,19 @@ class TestHarnackCommands:
         run_main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_mp_payload(self, tmp_path):
+    @pytest.mark.parametrize("flags,ratio,magnitude", [
+        ([], 16.0, 1.0),
+        (["--R", "8"], 8.0, 1.0),
+        (["--R", "32"], 32.0, 1.0),
+        (["--magnitude", "2"], 16.0, 2.0),
+    ], ids=["default", "R8", "R32", "magnitude2"])
+    def test_mp_payload(self, tmp_path, flags, ratio, magnitude):
         out = tmp_path / "mp.json"
-        code = run_main("harnack mp --s 0.25 --N 64".split()
+        code = run_main("harnack mp --s 0.25 --N 64".split() + flags
                         + ["--out", str(out)])
         assert code == 0
         d = json.loads(out.read_text())
+        assert d["R_over_r"] == ratio and d["magnitude"] == magnitude
         assert d["min_u"] < 0.0 < d["tail_term"]
         assert d["C_empirical"] == pytest.approx(
             -d["min_u"] / d["tail_term"])

@@ -15,12 +15,12 @@ from nonlocal_lab.kernel import (
     ti_demo_kernel,
 )
 from nonlocal_lab.operator import (
+    PointFunction,
     affine,
     barrier_w1,
     barrier_w2,
     constant,
     eval_L,
-    from_callable,
     indicator,
     piecewise_constant,
     tail,
@@ -110,7 +110,7 @@ class TestEvalErrors:
             eval_L(fractional_kernel(1, 0.5), barrier_w1(CONFIG), 1.0)
 
     def test_undeclared_structure_rejected(self):
-        u = from_callable(lambda y: np.abs(y), sup_bound=None, envelope=(1.0, 1.0))
+        u = PointFunction(lambda y: np.abs(y), sup_bound=None, envelope=(1.0, 1.0))
         with pytest.raises(DomainViolation):
             eval_L(fractional_kernel(1, 0.9), u, 0.5)
 
@@ -140,7 +140,7 @@ class TestTail:
         assert res.value == 0.0 and res.remainder_bound == 0.0
 
     def test_callable_route_brackets_constant_tail(self):
-        u = from_callable(lambda y: np.ones_like(y), sup_bound=1.0)
+        u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
         res = tail(u, x0=0.0, r=1.0, s=0.25)
         assert res.value <= 4.0 <= res.value + res.remainder_bound + 1e-8
         assert res.value == pytest.approx(4.0, rel=1e-5)
@@ -148,14 +148,14 @@ class TestTail:
     def test_piecewise_matches_callable_quadrature(self):
         pieces = [(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)]
         pw = piecewise_constant(pieces)
-        cb = from_callable(pw.fn, sup_bound=2.0, breaks=pw.breaks)
+        cb = PointFunction(pw.fn, sup_bound=2.0, breaks=pw.breaks)
         a = tail(pw, x0=0.25, r=1.0, s=0.4)
         b = tail(cb, x0=0.25, r=1.0, s=0.4)
         assert a.remainder_bound == 0.0
         assert b.value == pytest.approx(a.value, rel=1e-9)
 
     def test_value_monotone_remainder_antitone_in_truncation(self):
-        u = from_callable(lambda y: np.ones_like(y), sup_bound=1.0)
+        u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
         res = [tail(u, 0.0, 1.0, s=0.3, truncation=T) for T in (1e2, 1e4, 1e6)]
         vals = [t.value for t in res]
         rems = [t.remainder_bound for t in res]

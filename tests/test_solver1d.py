@@ -18,7 +18,6 @@ from nonlocal_lab.errors import (
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import (
-    Ball,
     make_disconnected_config,
     mesh_intervals,
     mesh_over,
@@ -30,9 +29,9 @@ from nonlocal_lab.kernel import (
     ti_demo_kernel,
 )
 from nonlocal_lab.operator import (
+    PointFunction,
     affine,
     constant,
-    from_callable,
     indicator,
     piecewise_constant,
 )
@@ -287,7 +286,7 @@ def block_data():
         G13,
         piecewise_constant([(1.5, 2.0, 0.7)], far_value=-1.0,
                            far_radius=5.0, label="far"),
-        from_callable(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
+        PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
                       envelope=(1.0, 0.0), label="exp"),
     ]
 
@@ -309,6 +308,17 @@ class TestBlock:
             assert np.array_equal(block.exterior_mass, single.exterior_mass)
             assert np.array_equal(block.rhs[:, j], single.rhs)
             assert block.assembly_error >= single.assembly_error
+
+    @pytest.mark.parametrize("kernel,n_cells",
+                             [(fractional_kernel(1, 0.6), 64),
+                              (ti_demo_kernel(0.5), 8)], ids=["frac", "ti"])
+    def test_unit_far_datum_rhs_is_exterior_mass(self, kernel, n_cells):
+        # far:1,0.5 is 1 on every exterior component of (-1, 1), so its
+        # data mass B and the exterior mass E come from the same segments
+        # through the same routine and must agree bit for bit
+        g = piecewise_constant([], far_value=1.0, far_radius=0.5)
+        system = assemble(kernel, unit_mesh(n_cells), g)
+        assert np.array_equal(system.rhs, system.exterior_mass)
 
     def test_block_solve_matches_single_solves(self):
         k = fractional_kernel(1, 0.6)
@@ -397,7 +407,7 @@ class TestDualRoutes:
 
 class TestCallableData:
     def test_decaying_callable_data(self):
-        g = from_callable(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
+        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
                           envelope=(1.0, 0.0), label="exp")
         system = assemble(fractional_kernel(1, 0.6), unit_mesh(8), g,
                           tol=1e-8)
@@ -420,7 +430,7 @@ class TestCallableData:
                 out[(y > lo) & (y < hi)] = v
             return out
 
-        gcall = from_callable(fn, sup_bound=0.8, envelope=(0.8, 0.0),
+        gcall = PointFunction(fn, sup_bound=0.8, envelope=(0.8, 0.0),
                               breaks=(1.2, 1.7, 2.0, 2.5), label="steps-fn")
         k = fractional_kernel(1, 0.5)
         s1 = assemble(k, unit_mesh(), gpw)
@@ -502,20 +512,12 @@ class TestGlue:
         assert np.all(pf(np.array([-50.0, 1.7, 30.0])) == 5.0)
 
     def test_bare_callable_glue_rejected(self):
-        g = from_callable(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
+        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
                           envelope=(1.0, 0.0))
         u = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(), g,
                            tol=1e-6))
         with pytest.raises(ConfigParseError):
             u.as_point_function()
-
-    def test_in_ball_restriction(self):
-        # cells_in picks cells by center membership: four centers of the
-        # N = 8 mesh lie in (0, 1)
-        u = solve(assemble(fractional_kernel(1, 0.5), unit_mesh(8), G13))
-        vals = u.in_ball(Ball(center=0.5, radius=0.5))
-        assert vals.size == 4
-        assert np.array_equal(vals, u.values[4:])
 
 
 @given(
