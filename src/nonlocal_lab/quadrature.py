@@ -4,6 +4,11 @@ One nested G7/K15 rule per panel; a worst-panel-first heap drives dyadic
 subdivision, which concentrates panels toward endpoint singularities.
 Integrands must accept and return numpy arrays.  All tolerances are
 absolute; callers rescale when they need relative control.
+
+An integrand may be vector-valued: given the 15 nodes of a panel it
+returns one column per component, shape (15, k).  All components share
+the panels, and a panel's error is the largest of its components'
+estimates (as in scipy.integrate.quad_vec with the max norm).
 """
 
 from __future__ import annotations
@@ -53,11 +58,16 @@ DEFAULT_TOL = 1e-9
 MAX_PANELS = 4000
 
 
-def gk_panel(f, a: float, b: float) -> tuple[float, float]:
-    """Integrate one panel; returns (K15 value, error estimate)."""
+def gk_panel(f, a: float, b: float):
+    """Integrate one panel; returns (K15 value, error estimate).
+
+    The value is a float, or an array of k components when f returns
+    shape (15, k); the error is then the largest component estimate."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * NODES), dtype=float)
+    if fx.ndim == 2:
+        return _gk_panel_vec(fx, half, b - a)
     k15 = half * float(fx @ _WK)
     g7 = half * float(fx @ _WG)
     raw = abs(k15 - g7)
@@ -68,6 +78,18 @@ def gk_panel(f, a: float, b: float) -> tuple[float, float]:
     if resasc > 0.0 and raw > 0.0:
         return k15, resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
     return k15, raw
+
+
+def _gk_panel_vec(fx: np.ndarray, half: float, width: float):
+    """gk_panel's rule and damped estimate applied to every column of fx."""
+    k15 = half * (_WK @ fx)
+    raw = np.abs(k15 - half * (_WG @ fx))
+    resasc = half * (_WK @ np.abs(fx - k15 / width))
+    # raw == 0 damps to 0 == raw, so resasc > 0 alone selects the damping
+    pos = resasc > 0.0
+    ratio = np.divide(200.0 * raw, resasc, out=np.zeros_like(raw), where=pos)
+    err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), raw)
+    return k15, float(err.max(initial=0.0))
 
 
 def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
@@ -83,16 +105,20 @@ def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
 
 def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
               breaks=(), geometric_from: float | None = None,
-              max_panels: int = MAX_PANELS) -> tuple[float, float]:
-    """Adaptive integral of f over (a, b).
+              max_panels: int = MAX_PANELS,
+              ) -> tuple[float | np.ndarray, float]:
+    """Adaptive integral of f over (a, b), scalar or vector-valued.
 
     breaks: interior points where panels must not straddle (kinks,
     support edges).  geometric_from: seed log-spaced panels starting at
     this positive offset from a (for integrands decaying over many
     decades); ignored when the span is small.
 
-    Returns (value, error_estimate); raises QuadratureFailure when the
-    panel budget is exhausted with the estimate still above tolerance.
+    Returns (value, error_estimate), the value an array of components
+    for a vector-valued f (the estimate bounds each of them); raises
+    QuadratureFailure when the panel budget is exhausted with the
+    estimate still above tolerance.  An empty interval gives (0.0, 0.0)
+    without calling f.
     """
     a = float(a)
     b = float(b)
@@ -127,8 +153,10 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
         heapq.heappush(heap, (-e1, next(tie), lo, mid, v1))
         heapq.heappush(heap, (-e2, next(tie), mid, hi, v2))
         npanels += 1
-    if total_err > tol and not total_err <= 1e-12 * max(1.0, abs(total)):
-        if npanels >= max_panels:
+    if total_err > tol and npanels >= max_panels:
+        # the largest absolute component scales the relative floor
+        scale = float(np.max(np.abs(total), initial=0.0))
+        if not total_err <= 1e-12 * max(1.0, scale):
             raise QuadratureFailure(
                 f"no convergence on ({a:g}, {b:g}): error {total_err:.2e} > tol {tol:.2e} "
                 f"after {npanels} panels"

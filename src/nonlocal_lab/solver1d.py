@@ -19,10 +19,14 @@ is applied to W, E and B alike, which keeps the row-sum identity and the
 M-matrix structure exact at any band width.
 
 The fractional family assembles by closed-form antiderivatives
-(vectorized, no quadrature error); translation-invariant profiles reduce
-every coupling to a one-dimensional overlap integral; general pair
-kernels fall back to tensorized adaptive quadrature and are only meant
-for small meshes.
+(vectorized in row blocks, no quadrature error); translation-invariant
+profiles reduce every coupling to a one-dimensional overlap integral,
+computed once per distinct gap; general pair kernels take a nested
+adaptive quadrature whose inner cell mass is one vector-valued integral
+over all nodes of an outer panel, so their cost grows with the number of
+cell pairs and they suit small meshes.  The dense matrix may take at
+most MATRIX_BUDGET_BYTES; a larger mesh fails with ConfigError before
+anything is allocated.
 
 Assembly has two parts.  The operator part, built once per (kernel,
 mesh), holds the couplings W, the exterior mass E and their assembly
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConfigParseError,
     NonIntegrableTail,
     SingularSystem,
@@ -52,6 +57,13 @@ from .quadrature import integrate
 BAND_FRACTION = 0.25
 EXTERIOR_TRUNCATION_FACTOR = 1e4
 ASSEMBLY_TOL = 1e-10
+# rows per block of the fractional couplings' gap temporaries
+ROW_BLOCK = 256
+# largest dense m x m float64 matrix assemble() may allocate: 1 GiB, so
+# m <= 11585 cells.  Assembly plus solve peak at about 2.3 matrices (a
+# 4096-cell system, 128 MiB of matrix, peaks near 300 MB); a larger mesh
+# fails with ConfigError instead of exhausting memory
+MATRIX_BUDGET_BYTES = 1 << 30
 
 
 # -- closed-form antiderivatives for K(t) = A t^(-1-2s) ----------------------
@@ -148,11 +160,6 @@ class LinearSystem:
     exterior: PointFunction | tuple[PointFunction, ...]
     exterior_mass: np.ndarray
     assembly_error: float
-
-    def dominance_slack(self) -> np.ndarray:
-        """diag - sum of |off-diagonal| per row; equals exterior_mass."""
-        a = self.matrix
-        return np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
 
 
 @dataclass(frozen=True)
@@ -254,8 +261,9 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
 
     The outer integral runs over the segment, where data oscillation and
     the truncation live; the inner cell mass at fixed exterior point is
-    closed-form for radial kernels and one cheap smooth quadrature for
-    general ones, so the cost scales with the segment's difficulty alone.
+    closed-form for radial kernels and, for general ones, one smooth
+    vector-valued quadrature over all nodes of an outer panel, so the
+    cost scales with the segment's difficulty alone.
     """
     lo, hi = seg
     if hi <= p:  # mirror left segments so the segment sits to the right
@@ -280,7 +288,6 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     # far below it buys nothing and oscillating tails exhaust the panel
     # budget; a quarter of the remainder keeps the total bound's order
     tol = max(tol, 0.25 * rem)
-    amp = None if kernel.family == "general" else 1.0
     inner_tol = max(0.1 * tol / max(1.0, hi - z0), 1e-14)
 
     def cell_mass(zi: float) -> float:
@@ -288,19 +295,26 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
         x_hi = min(p + h, zi - gamma)
         if x_hi <= p:
             return 0.0
-        if amp is not None:
-            return float(_xi_mass(kernel, zi - x_hi, zi - p))
+        return float(_xi_mass(kernel, zi - x_hi, zi - p))
 
-        def inner(x):
-            x = np.asarray(x, dtype=float)
-            return kernel.eval_pairs(x, np.full_like(x, zi))
+    def cell_masses(z):
+        # the same cell mass at every outer node at once, as one
+        # vector-valued integral over x = p + w t, t in (0, 1)
+        w = np.maximum(np.minimum(p + h, z - gamma) - p, 0.0)
 
-        v, _ = integrate(inner, p, x_hi, tol=inner_tol)
+        def inner(t):
+            x = p + w * t[:, None]
+            return w * kernel.eval_pairs(x, np.broadcast_to(z, x.shape))
+
+        v, _ = integrate(inner, 0.0, 1.0, tol=inner_tol)
         return v
 
     def outer(z):
         z = np.asarray(z, dtype=float)
-        out = np.array([cell_mass(zi) for zi in z])
+        if kernel.family == "general":
+            out = cell_masses(z)
+        else:
+            out = np.array([cell_mass(zi) for zi in z])
         return out if data is None else out * data(z)
 
     breaks = [p + h + gamma] if z0 < p + h + gamma < hi else []
@@ -386,31 +400,39 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
     s = kernel.s
     centers = mesh.centers
     err_acc = 0.0
-    offdiag = ~np.eye(m, dtype=bool)
     W = np.zeros((m, m))
 
     if kernel.family == "fractional":
         amp = float(kernel.eval_at_distance(1.0))
-        gap = np.abs(centers[:, None] - centers[None, :]) - h
-        far = (gap >= gamma) & offdiag
-        W[far] = _pair_far(amp, s, gap[far], h)
-        # touching pairs share a handful of (clamped) gaps: one scalar
-        # closed form per distinct gap, scattered to every pair that has it
-        touch = np.nonzero((gap < gamma) & offdiag)
-        gaps, which = np.unique(np.maximum(gap[touch], 0.0),
-                                return_inverse=True)
-        pair = np.array([_pair_banded(amp, s, g0, h, gamma)
-                         + _pair_curvature(amp, s, g0, h, gamma)
-                         for g0 in gaps.tolist()])
-        W[touch] = pair[which]
+        # row blocks keep the gap temporaries at ROW_BLOCK x m
+        for r0 in range(0, m, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, m)
+            gap = np.abs(centers[r0:r1, None] - centers[None, :]) - h
+            offdiag = np.arange(r0, r1)[:, None] != np.arange(m)
+            far = (gap >= gamma) & offdiag
+            W[r0:r1][far] = _pair_far(amp, s, gap[far], h)
+            # touching pairs share a handful of (clamped) gaps: one scalar
+            # closed form per distinct gap, scattered to every pair with it
+            i, j = np.nonzero((gap < gamma) & offdiag)
+            gaps, which = np.unique(np.maximum(gap[i, j], 0.0),
+                                    return_inverse=True)
+            pair = np.array([_pair_banded(amp, s, g0, h, gamma)
+                             + _pair_curvature(amp, s, g0, h, gamma)
+                             for g0 in gaps.tolist()])
+            W[i + r0, j] = pair[which]
     elif kernel.family == "translation-invariant":
-        for i in range(m):
-            for j in range(i + 1, m):
-                g0 = max(abs(centers[i] - centers[j]) - h, 0.0)
-                v, e = _ti_pair(kernel, g0, h, gamma, tol)
-                W[i, j] = W[j, i] = v
-                err_acc += e
-    else:  # general pair kernels: tensorized adaptive, small meshes only
+        # W_ij depends on the pair through its (clamped) gap alone: one
+        # quadrature per distinct gap, scattered to every pair that has it
+        iu, ju = np.triu_indices(m, 1)
+        gaps, which = np.unique(
+            np.maximum(np.abs(centers[iu] - centers[ju]) - h, 0.0),
+            return_inverse=True)
+        vals, errs = np.array([_ti_pair(kernel, g0, h, gamma, tol)
+                               for g0 in gaps.tolist()]).T
+        W[iu, ju] = W[ju, iu] = vals[which]
+        for e in errs[which].tolist():  # summed in the i < j pair order
+            err_acc += e
+    else:  # general pair kernels: nested adaptive, small meshes only
         for i in range(m):
             p_i = float(mesh.lo[i])
             for j in range(i + 1, m):
@@ -508,6 +530,11 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
             raise NonIntegrableTail(
                 f"{g.label}: envelope power {pw} >= 2s = {2 * kernel.s:g}")
 
+    m = mesh.ncells
+    if 8 * m * m > MATRIX_BUDGET_BYTES:
+        raise ConfigError(
+            f"{m} cells need a {8 * m * m / 2**20:.0f} MiB dense matrix, "
+            f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
     h = float(np.min(mesh.widths))
     if float(np.max(mesh.widths)) - h > 1e-12 * h:
         raise ConfigParseError("assembly needs a uniform cell width")
@@ -516,17 +543,19 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     ivs = mesh.intervals
     span = ivs[-1][1] - ivs[0][0]
     W, E, err_acc = _couplings(kernel, mesh, h, gamma, comps, span, tol)
-    B = np.zeros((mesh.ncells, len(data)))
+    B = np.zeros((m, len(data)))
     data_err = 0.0
     for j, g in enumerate(data):
         B[:, j], e = _data_mass(kernel, mesh, g, E, h, gamma, comps, span,
                                 tol)
         data_err = max(data_err, e)
 
-    A = -2.0 * W
-    np.fill_diagonal(A, 2.0 * (W.sum(axis=1) + E))
+    # A = -2 W off the diagonal, formed in place in W (its diagonal is 0)
+    diag = 2.0 * (W.sum(axis=1) + E)
+    W *= -2.0
+    np.fill_diagonal(W, diag)
     b = (_rhs_at_centers(rhs, mesh) * mesh.widths)[:, None] + 2.0 * B
-    return LinearSystem(matrix=A, rhs=b if block else b[:, 0], mesh=mesh,
+    return LinearSystem(matrix=W, rhs=b if block else b[:, 0], mesh=mesh,
                         kernel=kernel, exterior=data if block else exterior,
                         exterior_mass=2.0 * E,
                         assembly_error=err_acc + data_err)

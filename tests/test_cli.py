@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from nonlocal_lab import cli
+from nonlocal_lab import cli, solver1d
 from nonlocal_lab.errors import EmptySample
 from nonlocal_lab.harnack import CSV_COLUMNS
 
@@ -87,6 +87,13 @@ class TestExitCodes:
                         "--N 16 --samples 2".split())
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_memory_budget_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", 8 * 16 * 16)
+        code = run_main(["solve1d", "--s", "0.5", "--N", "32",
+                         "--domain=-1,1", "--data", "indicator:1,3"])
+        assert code == 3
+        assert "budget" in capsys.readouterr().err
 
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
         def boom(args):

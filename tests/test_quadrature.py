@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from nonlocal_lab.errors import QuadratureFailure
 from nonlocal_lab.quadrature import gk_panel, integrate
@@ -60,3 +60,50 @@ class TestAdaptive:
 
     def test_empty_interval_is_zero(self):
         assert integrate(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
+
+
+def smooth3(x):
+    return np.stack([np.cos(7.0 * x) * np.exp(x / 3.0),
+                     1.0 / (1.0 + x ** 2), x ** 3], axis=1)
+
+
+def singular3(x):
+    return np.stack([1.0 / np.sqrt(x), x ** 0.3 * np.log(x), np.exp(-x)],
+                    axis=1)
+
+
+class TestVectorValued:
+    """Shared panels for integrands returning one column per component."""
+
+    @pytest.mark.parametrize("f,a,b", [(smooth3, -2.0, 3.0),
+                                       (singular3, 0.0, 1.0)],
+                             ids=["smooth", "endpoint-singular"])
+    def test_against_quad_vec(self, f, a, b):
+        ours, err = integrate(f, a, b, tol=1e-11)
+        assert ours.shape == (3,)
+        ref, _ = quad_vec(lambda x: f(np.array([x]))[0], a, b,
+                          epsabs=1e-12, epsrel=0.0, norm="max", limit=2000)
+        np.testing.assert_allclose(ours, ref, rtol=0.0, atol=5e-9)
+        assert err <= 1e-11
+
+    @pytest.mark.parametrize("f,a,b", [(smooth3, -2.0, 3.0),
+                                       (singular3, 0.0, 1.0)],
+                             ids=["smooth", "endpoint-singular"])
+    def test_components_match_scalar_integrate(self, f, a, b):
+        tol = 1e-10
+        ours, _ = integrate(f, a, b, tol=tol)
+        for c in range(3):
+            scalar, _ = integrate(lambda x: f(x)[:, c], a, b, tol=tol)
+            assert abs(ours[c] - scalar) <= tol
+
+    def test_panel_error_is_largest_component(self):
+        val, err = gk_panel(smooth3, 0.0, 2.0)
+        parts = [gk_panel(lambda x: smooth3(x)[:, c], 0.0, 2.0)
+                 for c in range(3)]
+        np.testing.assert_allclose(val, [v for v, _ in parts], rtol=1e-14)
+        assert err == pytest.approx(max(e for _, e in parts), rel=1e-12)
+
+    def test_empty_component_set(self):
+        val, err = integrate(lambda x: np.empty((len(x), 0)), 0.0, 1.0)
+        assert val.shape == (0,)
+        assert err == 0.0

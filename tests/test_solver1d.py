@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from nonlocal_lab import solver1d
 from nonlocal_lab.errors import (
+    ConfigError,
     ConfigParseError,
     NonIntegrableTail,
     SingularSystem,
@@ -37,10 +39,17 @@ from nonlocal_lab.operator import (
 )
 from nonlocal_lab.poisson import PoissonKernelBall, poisson_extend
 from nonlocal_lab.solver1d import (
+    ASSEMBLY_TOL,
     BAND_FRACTION,
+    ROW_BLOCK,
     LinearSystem,
+    _couplings,
+    _exterior_components,
     _pair_banded,
     _pair_curvature,
+    _pair_far,
+    _segment_mass,
+    _ti_pair,
     assemble,
     discrete_nonhom_mp,
     solve,
@@ -171,7 +180,9 @@ class TestStructure:
         system = assemble(fractional_kernel(1, s), unit_mesh(16), G13)
         rows = system.matrix.sum(axis=1)
         assert np.allclose(rows, system.exterior_mass, rtol=1e-12, atol=1e-13)
-        assert np.allclose(system.dominance_slack(), system.exterior_mass,
+        a = system.matrix
+        slack = np.diag(a) - (np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
+        assert np.allclose(slack, system.exterior_mass,
                            rtol=1e-12, atol=1e-13)
 
     def test_matrix_is_symmetric_m_matrix(self):
@@ -203,6 +214,64 @@ class TestStructure:
             want = (_pair_banded(amp, s, g0, h, gamma)
                     + _pair_curvature(amp, s, g0, h, gamma))
             assert w[i, j] == want and w[j, i] == want
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+    def test_blocked_couplings_match_full_matrix(self, s):
+        # the row-blocked fractional couplings against the full-matrix
+        # formula they replaced, with a partial last block: same
+        # elementwise closed forms, so equal bit for bit
+        m = 300
+        assert m > ROW_BLOCK and m % ROW_BLOCK
+        k = fractional_kernel(1, s)
+        mesh = unit_mesh(m)
+        system = assemble(k, mesh, G13)
+        amp = float(k.eval_at_distance(1.0))
+        h = float(np.min(mesh.widths))
+        gamma = BAND_FRACTION * h
+        c = mesh.centers
+        gap = np.abs(c[:, None] - c[None, :]) - h
+        offdiag = ~np.eye(m, dtype=bool)
+        w = np.zeros((m, m))
+        far = (gap >= gamma) & offdiag
+        w[far] = _pair_far(amp, s, gap[far], h)
+        for i, j in zip(*np.nonzero((gap < gamma) & offdiag)):
+            g0 = max(float(gap[i, j]), 0.0)
+            w[i, j] = (_pair_banded(amp, s, g0, h, gamma)
+                       + _pair_curvature(amp, s, g0, h, gamma))
+        want = -2.0 * w
+        np.fill_diagonal(want, 2.0 * (w.sum(axis=1)
+                                      + system.exterior_mass / 2.0))
+        assert np.array_equal(system.matrix, want)
+
+    @pytest.mark.parametrize("intervals,n_cells",
+                             [([(-1.0, 1.0)], 16),
+                              ([(-3.0, -1.0), (1.0, 3.0)], 8)],
+                             ids=["one", "two"])
+    def test_ti_per_gap_matches_pair_loop(self, intervals, n_cells):
+        # one quadrature per distinct gap against the loop over all
+        # i < j pairs: same W bit for bit, error summed in the same order
+        k = ti_demo_kernel(0.5)
+        mesh = mesh_intervals(intervals, n_cells)
+        m = mesh.ncells
+        assert m == 16
+        h = float(np.min(mesh.widths))
+        gamma = BAND_FRACTION * h
+        comps = _exterior_components(mesh)
+        span = mesh.intervals[-1][1] - mesh.intervals[0][0]
+        w, _, err = _couplings(k, mesh, h, gamma, comps, span, ASSEMBLY_TOL)
+        c = mesh.centers
+        want = np.zeros((m, m))
+        err_want = 0.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                g0 = max(abs(c[i] - c[j]) - h, 0.0)
+                v, e = _ti_pair(k, g0, h, gamma, ASSEMBLY_TOL)
+                want[i, j] = want[j, i] = v
+                err_want += e
+        _, err_ext = _segment_mass(k, mesh, [(lo, hi, 1.0) for lo, hi in comps],
+                                   h, gamma, span, ASSEMBLY_TOL)
+        assert np.array_equal(w, want)
+        assert err == err_want + err_ext
 
     def test_disconnected_touching_junction(self):
         # x2 - x1 = 4r makes the meshed balls touch; the junction pair is
@@ -271,6 +340,20 @@ class TestStructure:
     def test_growing_data_rejected(self):
         with pytest.raises(NonIntegrableTail):
             assemble(fractional_kernel(1, 0.25), unit_mesh(), affine(0.0, 1.0))
+
+    def test_memory_budget_guard(self, monkeypatch):
+        # the default budget holds a 4096-cell matrix; past a budget,
+        # assemble fails before it builds any m x m array
+        assert 8 * 4096 ** 2 <= solver1d.MATRIX_BUDGET_BYTES
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", 8 * 8 * 8)
+        assemble(fractional_kernel(1, 0.5), unit_mesh(8), G13)
+
+        def no_couplings(*args):
+            raise AssertionError("couplings built past the budget")
+
+        monkeypatch.setattr(solver1d, "_couplings", no_couplings)
+        with pytest.raises(ConfigError, match="budget"):
+            assemble(fractional_kernel(1, 0.5), unit_mesh(16), G13)
 
     def test_singular_matrix_raises(self):
         system = assemble(fractional_kernel(1, 0.5), unit_mesh(), G13)
@@ -374,6 +457,20 @@ class TestDualRoutes:
         s1 = assemble(kf, unit_mesh(8), G13)
         s2 = assemble(kt, unit_mesh(8), G13)
         assert s2.assembly_error < 1e-4
+        assert np.max(np.abs(s1.matrix - s2.matrix)) <= s2.assembly_error
+        assert np.max(np.abs(s1.rhs - s2.rhs)) <= s2.assembly_error
+
+    def test_power_pair_kernel_reproduces_closed_forms(self):
+        # the power kernel entered as a general pair kernel: the nested
+        # vector-valued quadrature against the closed forms
+        s = 0.6
+        kf = fractional_kernel(1, s)
+        amp = float(kf.eval_at_distance(1.0))
+        kg = Kernel(n=1, s=s, lam=1.0, family="general",
+                    pair_fn=lambda x, y: amp * np.abs(x - y) ** (-1.0 - 2.0 * s))
+        s1 = assemble(kf, unit_mesh(), G13)
+        s2 = assemble(kg, unit_mesh(), G13)
+        assert s2.assembly_error < 1e-3
         assert np.max(np.abs(s1.matrix - s2.matrix)) <= s2.assembly_error
         assert np.max(np.abs(s1.rhs - s2.rhs)) <= s2.assembly_error
 
