@@ -231,19 +231,6 @@ def aggregate_c_max(reports) -> float:
     return float(max(vals))
 
 
-def weak_harnack_check(u: GridFunction, config: DisconnectedConfig,
-                       s: float) -> dict:
-    """Cell average over B_r(x2) against inf over B_r(x1) plus tail."""
-    lhs_avg = float(_ball_values(u, config.ball2()).mean())
-    rhs = float(_ball_values(u, config.ball1()).min()) \
-        + _tail_of_negative(u, config, s)
-    if rhs > 0.0:
-        constant, ok = lhs_avg / rhs, True
-    else:
-        constant, ok = (0.0, True) if lhs_avg <= 0.0 else (np.inf, False)
-    return {"lhs_avg": lhs_avg, "rhs": rhs, "constant": constant, "pass": ok}
-
-
 def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
                        far_data: PointFunction, N: int = 256) -> dict:
     """Solve on B_r(x1) alone and bound the dip by the negative tail."""

@@ -12,7 +12,7 @@ means k(x,y) * |x-y|^(n+2s) / norm_factor lies in [1/lam, lam].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,10 +88,6 @@ class Kernel:
         if self.family == "general":
             return self.norm_factor * self.scale * self.pair_fn(x, y)
         return self.eval_at_distance(d)
-
-    def with_scale(self, c: float) -> "Kernel":
-        """The kernel c * k; used by scaling-invariance checks."""
-        return replace(self, scale=self.scale * float(c))
 
     def tag(self) -> str:
         norm = "" if self.normalization == "plain" else ",1-s"

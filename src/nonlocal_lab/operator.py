@@ -414,7 +414,10 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
         tau_budget = (noise * kernel.upper_envelope() * alpha
                       / (expo * 0.25 * tol)) ** (1.0 / expo)
         z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
-        zbreaks = sorted({abs(b - x) for b in u.breaks if 0.0 < abs(b - x) < rho})
+        # a break within a few ulps of x is x's own join; flooring z_lo at
+        # it would push the Richardson stencils into the cancellation noise
+        near_join = 16.0 * np.finfo(float).eps * max(1.0, abs(x))
+        zbreaks = sorted({abs(b - x) for b in u.breaks if near_join < abs(b - x) < rho})
         if zbreaks:
             # keep both Richardson stencils inside one C^2 piece
             z_lo = min(z_lo, zbreaks[0] / 4.0)

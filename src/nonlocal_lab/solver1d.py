@@ -19,14 +19,18 @@ is applied to W, E and B alike, which keeps the row-sum identity and the
 M-matrix structure exact at any band width.
 
 The fractional family assembles by closed-form antiderivatives
-(vectorized in row blocks, no quadrature error); translation-invariant
-profiles reduce every coupling to a one-dimensional overlap integral,
-computed once per distinct gap; general pair kernels take a nested
-adaptive quadrature whose inner cell mass is one vector-valued integral
-over all nodes of an outer panel, so their cost grows with the number of
-cell pairs and they suit small meshes.  The dense matrix may take at
-most MATRIX_BUDGET_BYTES; a larger mesh fails with ConfigError before
-anything is allocated.
+(vectorized in row blocks, no quadrature error).  A translation-invariant
+profile reduces every coupling to a one-dimensional integral against the
+trapezoid overlap weight of two intervals, taken as one vector-valued
+integral over all distinct gaps for W and over all cells for the mass of
+an exterior segment (E, and B for piecewise data).  The cells share the
+segment's panels and error estimate e, so a segment adds m e plus its
+cells' truncation remainders to the assembly error.  General pair kernels,
+and bare-callable data under every family, take a nested adaptive
+quadrature per cell and segment whose inner cell mass is one
+vector-valued integral over all nodes of an outer panel; they suit small
+meshes.  The dense matrix may take at most MATRIX_BUDGET_BYTES; a larger
+mesh fails with ConfigError before anything is allocated.
 
 Assembly has two parts.  The operator part, built once per (kernel,
 mesh), holds the couplings W, the exterior mass E and their assembly
@@ -38,7 +42,7 @@ with one factorization, checking the residual of every column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,15 +132,6 @@ def _banded_mass(amp: float, s: float, d0, h: float, width: float,
     far = d0 + width
     return amp * (near - (_xi(far + h, s) - _xi(np.maximum(far, gamma), s)
                           + (gamma - np.minimum(far, gamma)) * _phi(gamma, s)))
-
-
-def _edge_distance(cell_lo, cell_hi, a: float, b: float):
-    """Distance between cells [cell_lo, cell_hi] and a segment (a, b).
-
-    Zero for touching geometry; a or b may be infinite.  Vectorized over
-    cells.
-    """
-    return np.maximum(0.0, np.maximum(a - cell_hi, cell_lo - b))
 
 
 # -- assembled system --------------------------------------------------------
@@ -254,19 +249,22 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
                              data_breaks=(),
                              ) -> tuple[float, float, float]:
     """(mass, quadrature error, truncation remainder) for one cell-segment
-    pair under any kernel family; the workhorse of the non-closed-form
-    paths.  The segment must lie on one side of the cell (a or b may be
-    infinite); data, when given, is a vectorized exterior factor with
-    growth envelope data_env.
+    pair under any kernel family; the workhorse of the general family and
+    of bare-callable data.  The segment must lie on one side of the cell
+    (a or b may be infinite); data, when given, is a vectorized exterior
+    factor with growth envelope data_env.
 
     The outer integral runs over the segment, where data oscillation and
-    the truncation live; the inner cell mass at fixed exterior point is
-    closed-form for radial kernels and, for general ones, one smooth
-    vector-valued quadrature over all nodes of an outer panel, so the
-    cost scales with the segment's difficulty alone.
+    the truncation live; the inner cell mass of all nodes of an outer
+    panel at once is the closed form for the fractional family and one
+    smooth vector-valued quadrature for the others, so the cost scales
+    with the segment's difficulty alone.
     """
     lo, hi = seg
     if hi <= p:  # mirror left segments so the segment sits to the right
+        if kernel.family == "general":  # k(x, z) seen from the mirror
+            pair = kernel.pair_fn
+            kernel = replace(kernel, pair_fn=lambda x, z: pair(-x, -z))
         mirrored = None if data is None else (lambda z: data(-z))
         return _cell_segment_quadrature(
             kernel, -(p + h), h, (-hi, -lo), gamma, span, tol,
@@ -289,32 +287,19 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     # budget; a quarter of the remainder keeps the total bound's order
     tol = max(tol, 0.25 * rem)
     inner_tol = max(0.1 * tol / max(1.0, hi - z0), 1e-14)
-
-    def cell_mass(zi: float) -> float:
-        # int over the cell of k(x, zi) with x <= zi - gamma
-        x_hi = min(p + h, zi - gamma)
-        if x_hi <= p:
-            return 0.0
-        return float(_xi_mass(kernel, zi - x_hi, zi - p))
-
-    def cell_masses(z):
-        # the same cell mass at every outer node at once, as one
-        # vector-valued integral over x = p + w t, t in (0, 1)
-        w = np.maximum(np.minimum(p + h, z - gamma) - p, 0.0)
-
-        def inner(t):
-            x = p + w * t[:, None]
-            return w * kernel.eval_pairs(x, np.broadcast_to(z, x.shape))
-
-        v, _ = integrate(inner, 0.0, 1.0, tol=inner_tol)
-        return v
+    if kernel.family == "fractional":
+        amp = float(kernel.eval_at_distance(1.0))
 
     def outer(z):
         z = np.asarray(z, dtype=float)
-        if kernel.family == "general":
-            out = cell_masses(z)
+        # the cell mass at each node z: x runs over (p, x_hi), the band
+        # keeping x <= z - gamma
+        x_hi = np.minimum(p + h, z - gamma)
+        if kernel.family == "fractional":
+            out = amp * (_phi(z - x_hi, kernel.s) - _phi(z - p, kernel.s))
         else:
-            out = np.array([cell_mass(zi) for zi in z])
+            out = _inner_mass(kernel, p, np.maximum(x_hi - p, 0.0), z,
+                              inner_tol)
         return out if data is None else out * data(z)
 
     breaks = [p + h + gamma] if z0 < p + h + gamma < hi else []
@@ -324,71 +309,74 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     return val, err, rem
 
 
-def _xi_mass(kernel: Kernel, t_lo: float, t_hi: float) -> float:
-    """Kernel mass over separations (t_lo, t_hi) for radial families."""
-    if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
-        return amp * float(_phi(t_lo, kernel.s) - _phi(t_hi, kernel.s))
-    v, _ = integrate(
-        lambda t: kernel.eval_at_distance(np.asarray(t, dtype=float)),
-        t_lo, t_hi, tol=1e-13, geometric_from=t_lo)
-    return v
+def _inner_mass(kernel: Kernel, lo, w, y, tol: float,
+                moment: bool = False) -> np.ndarray:
+    """int over x in (lo, lo + w) of k(x, y), times (x - y)^2 with moment,
+    for an array of nodes y (lo and w scalars or arrays like y): one
+    vector-valued integral over x = lo + w t, t in (0, 1), with one
+    component per node."""
+
+    def inner(t):
+        x = lo + w * t[:, None]
+        yy = np.broadcast_to(y, x.shape)
+        k = kernel.eval_pairs(x, yy)
+        return w * (k * (x - yy) ** 2 if moment else k)
+
+    return integrate(inner, 0.0, 1.0, tol=tol)[0]
 
 
-def _ti_pair(kernel: Kernel, gap: float, h: float, gamma: float,
-             tol: float) -> tuple[float, float]:
-    """Cell-pair coupling for a translation-invariant kernel via the
-    one-dimensional overlap (tent) weight, banded below gamma, plus the
-    curvature coupling when the band cuts into the pair."""
-
-    def kfun(t):
-        return kernel.eval_at_distance(np.asarray(t, dtype=float))
-
-    def tent(t):
-        t = np.asarray(t, dtype=float)
-        return kfun(t) * np.maximum(h - np.abs(t - (gap + h)), 0.0)
-
-    v, e = integrate(tent, max(gap, gamma), gap + 2.0 * h, tol=tol,
-                     breaks=[gap + h])
-    if gap < gamma:
-        def band_m2(t):
-            t = np.asarray(t, dtype=float)
-            return kfun(t) * (t - gap) * t * t
-
-        c, e2 = integrate(band_m2, gap, gamma, tol=tol)
-        v += c / (h * h)
-        e += e2
-    return v, e
-
-
-def _ti_segment(kernel: Kernel, d0: float, h: float, width: float,
-                gamma: float, span: float, tol: float,
-                ) -> tuple[float, float, float]:
-    """Banded cell-segment mass for a translation-invariant kernel via the
-    trapezoid overlap weight; width may be inf (truncated, remainder
-    reported)."""
-    rem = 0.0
+def _ti_overlap(kernel: Kernel, d0, h: float, width: float, gamma: float,
+                span: float, tol: float,
+                ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Banded mass between a width-h cell and a segment of the given width
+    whose near edge sits d0 from it, for a translation-invariant kernel:
+    the kernel against the trapezoid overlap weight of the two intervals,
+    cut at gamma, in u = t - d0, as one vector-valued integral with one
+    component per entry of the array d0.  width may be inf (truncated, one
+    remainder per component).  Returns (masses, the error estimate all
+    components share, remainders)."""
+    d0 = np.asarray(d0, dtype=float)
+    rem = np.zeros_like(d0)
     if not np.isfinite(width):
         width = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), 2.0 * span)
-        rem = (h * kernel.upper_envelope()
-               * float(_phi(d0 + width, kernel.s)))
-        tol = max(tol, 0.25 * rem)
-
-    def kfun(t):
-        return kernel.eval_at_distance(np.asarray(t, dtype=float))
-
+        rem = h * kernel.upper_envelope() * _phi(d0 + width, kernel.s)
+        tol = max(tol, 0.25 * float(rem.min()))
     plateau = min(h, width)
+    top = h + width
 
-    def trap(t):
-        t = np.asarray(t, dtype=float)
-        return kfun(t) * np.minimum(
-            np.minimum(t - d0, plateau),
-            np.maximum(d0 + h + width - t, 0.0))
+    def trap(u):
+        t = d0 + u[:, None]
+        weight = np.minimum(np.minimum(u, plateau), top - u)[:, None]
+        return (kernel.eval_at_distance(np.maximum(t, gamma))
+                * (weight * (t > gamma)))
 
-    v, e = integrate(trap, max(d0, gamma), d0 + h + width, tol=tol,
-                     breaks=[d0 + plateau, d0 + max(h, width)],
+    breaks = [plateau, max(h, width), *(gamma - d0[d0 < gamma]).tolist()]
+    v, e = integrate(trap, 0.0, top, tol=tol, breaks=breaks,
                      geometric_from=h)
     return v, e, rem
+
+
+def _ti_gap_couplings(kernel: Kernel, gaps, h: float, gamma: float,
+                      span: float, tol: float,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """W of translation-invariant cell pairs at an array of clamped gaps,
+    with the error bound of each: one overlap (tent) integral over all
+    gaps, plus the band second moment / h^2 (as in _pair_curvature) of
+    the gaps below gamma as one more vector-valued integral."""
+    vals, e, _ = _ti_overlap(kernel, gaps, h, h, gamma, span, tol)
+    near = gaps < gamma
+
+    def band_m2(t):
+        t = t[:, None]
+        return (kernel.eval_at_distance(t) * np.maximum(t - gaps[near], 0.0)
+                * t * t)
+
+    c, e2 = integrate(band_m2, 0.0, gamma, tol=tol,
+                      breaks=gaps[near].tolist())
+    vals[near] += c / (h * h)
+    errs = np.full(gaps.shape, e)
+    errs[near] += e2
+    return vals, errs
 
 
 def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
@@ -421,17 +409,15 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
                              for g0 in gaps.tolist()])
             W[i + r0, j] = pair[which]
     elif kernel.family == "translation-invariant":
-        # W_ij depends on the pair through its (clamped) gap alone: one
-        # quadrature per distinct gap, scattered to every pair that has it
+        # W_ij depends on the pair through its (clamped) gap alone: the
+        # couplings of the distinct gaps, scattered to every pair
         iu, ju = np.triu_indices(m, 1)
         gaps, which = np.unique(
             np.maximum(np.abs(centers[iu] - centers[ju]) - h, 0.0),
             return_inverse=True)
-        vals, errs = np.array([_ti_pair(kernel, g0, h, gamma, tol)
-                               for g0 in gaps.tolist()]).T
+        vals, errs = _ti_gap_couplings(kernel, gaps, h, gamma, span, tol)
         W[iu, ju] = W[ju, iu] = vals[which]
-        for e in errs[which].tolist():  # summed in the i < j pair order
-            err_acc += e
+        err_acc = float(errs[which].sum())
     else:  # general pair kernels: nested adaptive, small meshes only
         for i in range(m):
             p_i = float(mesh.lo[i])
@@ -455,26 +441,29 @@ def _segment_mass(kernel: Kernel, mesh: Mesh1D, segs, h: float, gamma: float,
                   span: float, tol: float) -> tuple[np.ndarray, float]:
     """Banded kernel mass of v-weighted exterior segments (a, b, v) per
     cell, and the error bound accumulated over its entries; the exterior
-    mass E is the case v = 1 on every exterior component."""
+    mass E is the case v = 1 on every exterior component.  A
+    translation-invariant segment is one overlap integral over all cells,
+    each cell charged the shared estimate."""
     M = np.zeros(mesh.ncells)
     err_acc = 0.0
     if kernel.family == "fractional":
         amp = float(kernel.eval_at_distance(1.0))
-        for a, b, v in segs:
-            d0 = _edge_distance(mesh.lo, mesh.hi, a, b)
-            M += v * _banded_mass(amp, kernel.s, d0, h, b - a, gamma)
-        return M, err_acc
-    for i in range(mesh.ncells):
-        for a, b, v in segs:
-            if kernel.family == "translation-invariant":
-                d0 = float(_edge_distance(mesh.lo[i], mesh.hi[i], a, b))
-                val, e, rem = _ti_segment(kernel, d0, h, b - a, gamma, span,
-                                          tol)
-            else:
-                val, e, rem = _cell_segment_quadrature(
-                    kernel, float(mesh.lo[i]), h, (a, b), gamma, span, tol)
-            M[i] += v * val
-            err_acc += abs(v) * (e + rem)
+    for a, b, v in segs:
+        # edge distance of every cell to the segment, 0 when they touch
+        d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
+        if kernel.family == "fractional":
+            val, e = _banded_mass(amp, kernel.s, d0, h, b - a, gamma), 0.0
+        elif kernel.family == "translation-invariant":
+            val, e, rem = _ti_overlap(kernel, d0, h, b - a, gamma, span, tol)
+            e = mesh.ncells * e + float(np.sum(rem))
+        else:
+            val, e, rem = np.array([
+                _cell_segment_quadrature(kernel, lo, h, (a, b), gamma, span,
+                                         tol)
+                for lo in mesh.lo.tolist()]).T
+            e = float(np.sum(e + rem))
+        M += v * val
+        err_acc += abs(v) * e
     return M, err_acc
 
 
@@ -563,25 +552,15 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
 
 def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,
                      tol: float) -> tuple[float, float]:
-    """Second band moment between touching cells for a general pair kernel."""
+    """Second band moment between touching cells for a general pair kernel:
+    at each outer node x in cell i, z runs over cell j within gamma of x."""
     j_lo, j_hi = cell_j
 
     def outer(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for ii, xi in enumerate(x):
-            zlo, zhi = max(j_lo, xi), min(j_hi, xi + gamma)
-            if zhi <= zlo:
-                out[ii] = 0.0
-                continue
-
-            def inner(z):
-                z = np.asarray(z, dtype=float)
-                d = z - xi
-                return kernel.eval_pairs(np.full_like(z, xi), z) * d * d
-
-            out[ii], _ = integrate(inner, zlo, zhi, tol=1e-2 * tol)
-        return out
+        z_lo = np.maximum(j_lo, x)
+        w = np.maximum(np.minimum(j_hi, x + gamma) - z_lo, 0.0)
+        return _inner_mass(kernel, z_lo, w, x, 1e-2 * tol, moment=True)
 
     return integrate(outer, p_i, p_i + h, tol=tol)
 
@@ -615,26 +594,3 @@ def solve(system: LinearSystem):
     return [GridFunction(mesh=system.mesh, values=col, exterior=g)
             for col, g in zip(u.T.copy(), system.exterior)]
 
-
-def discrete_nonhom_mp(kernel: Kernel, mesh: Mesh1D, c0: float) -> dict:
-    """Solve Lu = -c0 with zero exterior data; report the dip constant.
-
-    Returns the minimum over cells and the empirical constant
-    c_hat = -min_u / (c0 r^(2s)) for comparison against the localized
-    maximum principle threshold.
-    """
-    c0 = float(c0)
-    if c0 < 0.0:
-        raise ConfigParseError(f"c0 must be >= 0, got {c0}")
-    if len(mesh.intervals) != 1:
-        raise ConfigParseError("the dip experiment runs on a single interval")
-    from .operator import constant
-
-    u = solve(assemble(kernel, mesh, constant(0.0), rhs=-c0))
-    min_u = float(np.min(u.values))
-    a, b = mesh.intervals[0]
-    r = 0.5 * (b - a)
-    if c0 == 0.0:
-        return {"min_u": min_u, "bound_constant": 0.0}
-    return {"min_u": min_u,
-            "bound_constant": -min_u / (c0 * r ** (2.0 * kernel.s))}

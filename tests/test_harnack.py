@@ -15,7 +15,6 @@ from nonlocal_lab.errors import (
     ConfigParseError,
     EmptySample,
     NoPositiveC0,
-    QuadratureFailure,
 )
 from nonlocal_lab.geometry import Ball, make_disconnected_config, \
     mesh_intervals, mesh_over
@@ -31,7 +30,6 @@ from nonlocal_lab.harnack import (
     mass_near_x2_data,
     random_nonneg_data,
     s_sweep,
-    weak_harnack_check,
 )
 from nonlocal_lab.kernel import make_kernel
 from nonlocal_lab.operator import constant, tail
@@ -198,19 +196,24 @@ class TestDataFamilies:
 
 
 class TestWeakCheck:
+    """The weak form: cell average over B_r(x2) against inf over B_r(x1)
+    plus the tail term, from the fields of one report."""
+
     def test_weak_constant_below_strong(self, random_batch):
         u = solve(assemble(frac(0.5), mesh_over(CFG, 64),
                            random_nonneg_data(CFG,
                                               np.random.default_rng(7))))
-        res = weak_harnack_check(u, CFG, 0.5)
-        assert res["pass"]
-        assert 0.0 < res["constant"] <= random_batch[0].C_estimate
+        rep = harnack_report(u, CFG, 0.5)
+        den = rep.inf + rep.tail_term
+        assert den > 0.0
+        assert 0.0 < rep.avg / den <= random_batch[0].C_estimate
 
     def test_nonpositive_solution_passes_trivially(self):
+        # avg <= 0 and inf + tail <= 0: the weak inequality holds at C = 0
         g = far_negative_data(CFG, None, magnitude=1.0)
         u = solve(assemble(frac(0.5), mesh_over(CFG, 32), g))
-        res = weak_harnack_check(u, CFG, 0.5)
-        assert res["pass"] and res["constant"] == 0.0
+        rep = harnack_report(u, CFG, 0.5)
+        assert rep.avg <= 0.0 and rep.inf + rep.tail_term <= 0.0
 
 
 class TestLocalizedMP:
@@ -257,21 +260,20 @@ class TestBarrierCombination:
             barrier_combination_check(frac(0.25), CFG, s=0.5, grid=21)
 
 
-# A known defect: on the reference configuration shifted by this offset,
-# the adaptive quadrature of L w2 at s = 0.9 (grid point x = -1.1794...)
-# exhausts its panel budget on (0.00175735, 1).  Strict, so a fix shows up
-# as an XPASS to acknowledge.
-BARRIER_FAILING_SHIFT = 0.3205848747771507
+# On the reference configuration shifted by this offset, the grid point
+# x = -1.1794... lies one ulp from the w2 join x1 + r/2; flooring the
+# Richardson scale at that join once made L w2 at s = 0.9 exhaust its
+# panel budget.  w2 is C^2 there, so the shifted scan must give the
+# unshifted constant.
+BARRIER_NEAR_JOIN_SHIFT = 0.3205848747771507
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureFailure,
-                   reason="L w2 quadrature fails to converge at s = 0.9 on "
-                          "the translated reference configuration")
-def test_barrier_translated_s09_quadrature_failure():
-    d = BARRIER_FAILING_SHIFT
+def test_barrier_translated_s09_matches_untranslated():
+    d = BARRIER_NEAR_JOIN_SHIFT
     cfg = make_disconnected_config(n=1, x1=-2.0 + d, x2=2.0 + d, r=1.0,
                                    R=16.0)
-    barrier_combination_check(frac(0.9), cfg)
+    shifted = barrier_combination_check(frac(0.9), cfg)["c0_max"]
+    assert shifted == barrier_combination_check(frac(0.9), CFG)["c0_max"]
 
 
 @pytest.fixture(scope="module")
@@ -347,5 +349,5 @@ def test_report_invariants_on_random_draws(seed, s):
     if rep.inf > 0.0:
         # sup and inf live on different balls, so no lower bound of 1 here
         assert rep.C_estimate == pytest.approx(rep.sup / rep.inf)
-    weak = weak_harnack_check(u, CFG, s)
-    assert weak["pass"]
+    # the weak form holds: a positive average needs a positive denominator
+    assert rep.avg <= 0.0 or rep.inf + rep.tail_term > 0.0

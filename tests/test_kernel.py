@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +119,6 @@ class TestConstruction:
         with pytest.raises(ConfigParseError):
             make_kernel("zeta", 1, 0.5)
 
-    def test_with_scale_multiplies_values(self):
+    def test_scale_multiplies_values(self):
         k = fractional_kernel(1, 0.5)
-        assert k_at(k.with_scale(3.0), 0.0, 2.0) == pytest.approx(0.75)
+        assert k_at(replace(k, scale=3.0), 0.0, 2.0) == pytest.approx(0.75)

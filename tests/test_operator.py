@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -58,7 +60,7 @@ class TestEvalBasics:
         assert abs(res.value - W1_SPOT_S025) < 1e-7 + res.error_bound
 
     def test_w1_spot_value_under_scaled_kernel(self):
-        k = fractional_kernel(1, 0.25).with_scale(0.75)
+        k = replace(fractional_kernel(1, 0.25), scale=0.75)
         res = eval_L(k, barrier_w1(CONFIG), -2.0)
         assert res.value == pytest.approx(0.75 * W1_SPOT_S025, rel=1e-9)
 
@@ -81,7 +83,7 @@ class TestEvalBasics:
         s = 0.6
         k = ti_demo_kernel(s)
         base = eval_L(k, u, -2.3)
-        scaled = eval_L(k.with_scale(1.0 - s), u, -2.3)
+        scaled = eval_L(replace(k, scale=1.0 - s), u, -2.3)
         assert scaled.value == pytest.approx((1.0 - s) * base.value, rel=1e-12)
 
     def test_smooth_path_matches_library_quadrature(self):

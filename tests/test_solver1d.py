@@ -38,6 +38,7 @@ from nonlocal_lab.operator import (
     piecewise_constant,
 )
 from nonlocal_lab.poisson import PoissonKernelBall, poisson_extend
+from nonlocal_lab.quadrature import integrate
 from nonlocal_lab.solver1d import (
     ASSEMBLY_TOL,
     BAND_FRACTION,
@@ -49,9 +50,8 @@ from nonlocal_lab.solver1d import (
     _pair_curvature,
     _pair_far,
     _segment_mass,
-    _ti_pair,
+    _ti_gap_couplings,
     assemble,
-    discrete_nonhom_mp,
     solve,
 )
 
@@ -173,6 +173,71 @@ class TestCouplingOracle:
         w01 = -system.matrix[0, 1] / 2.0
         assert w01 == pytest.approx(banded + curv / 0.25, rel=1e-8)
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_ti_entries_match_double_integrals(self, s):
+        # W01 (touching, with its curvature coupling), W02, E0 and B3 of
+        # the translation-invariant demo kernel against nested quadrature
+        def K(d):
+            return (1.0 + 0.5 * d * d / (1.0 + d * d)) * d ** (-1.0 - 2.0 * s)
+
+        system = assemble(ti_demo_kernel(s), unit_mesh(), G13)
+        h = 0.5
+        gamma = BAND_FRACTION * h
+
+        def right_mass(x_lo, x_hi, y_lo, y_hi):
+            # cell (x_lo, x_hi) against (y_lo, y_hi) to its right, banded
+            def inner(x):
+                return quad(lambda y: K(y - x), max(y_lo, x + gamma), y_hi)[0]
+
+            return quad(inner, x_lo, x_hi, limit=200)[0]
+
+        curv, _ = quad(lambda t: K(t) * t ** 3, 0.0, gamma)
+        w01 = right_mass(-1.0, -0.5, -0.5, 0.0) + curv / h ** 2
+        assert -system.matrix[0, 1] / 2.0 == pytest.approx(w01, rel=1e-9)
+        w02 = right_mass(-1.0, -0.5, 0.0, 0.5)
+        assert -system.matrix[0, 2] / 2.0 == pytest.approx(w02, rel=1e-9)
+        b3 = right_mass(0.5, 1.0, 1.0, 3.0)
+        assert system.rhs[3] / 2.0 == pytest.approx(b3, rel=1e-9)
+
+        # a bare-callable datum takes the inner cell mass route
+        def gfun(y):
+            return np.exp(-np.abs(y))
+
+        g = PointFunction(gfun, sup_bound=1.0, support=(-3.0, 3.0))
+        bare = assemble(ti_demo_kernel(s), unit_mesh(), g)
+
+        def inner_g(x):
+            return (quad(lambda y: K(y - x) * gfun(y), max(1.0, x + gamma),
+                         3.0)[0]
+                    + quad(lambda y: K(x - y) * gfun(y), -3.0, -1.0)[0])
+
+        b3g, _ = quad(inner_g, 0.5, 1.0, limit=200)
+        assert bare.rhs[3] / 2.0 == pytest.approx(b3g, rel=1e-9)
+
+        def outside(x):
+            # both exterior components seen from x in cell 0
+            return (quad(K, max(x + 1.0, gamma), np.inf)[0]
+                    + quad(K, 1.0 - x, np.inf)[0])
+
+        e0, _ = quad(outside, -1.0, -0.5)
+        assert abs(system.exterior_mass[0] / 2.0 - e0) \
+            <= system.assembly_error
+
+    @pytest.mark.parametrize("lo,hi,cell", [(-3.0, -1.5, 1), (1.5, 3.0, 2)],
+                             ids=["left", "right"])
+    def test_asymmetric_pair_kernel_data_mass(self, lo, hi, cell):
+        # k(-x, -y) != k(x, y): a data segment left of its cell must take
+        # the mass of k itself, not of its mirror image
+        def kfun(x, y):
+            return (1.0 + 0.4 * np.tanh(x + y)) * np.abs(x - y) ** -2.0
+
+        k = Kernel(n=1, s=0.5, lam=2.0, family="general", pair_fn=kfun)
+        mesh = unit_mesh()
+        system = assemble(k, mesh, indicator(lo, hi))
+        ref, _ = quad(lambda x: quad(lambda y: kfun(x, y), lo, hi)[0],
+                      mesh.lo[cell], mesh.hi[cell])
+        assert system.rhs[cell] / 2.0 == pytest.approx(ref, rel=1e-9)
+
 
 class TestStructure:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -248,8 +313,9 @@ class TestStructure:
                               ([(-3.0, -1.0), (1.0, 3.0)], 8)],
                              ids=["one", "two"])
     def test_ti_per_gap_matches_pair_loop(self, intervals, n_cells):
-        # one quadrature per distinct gap against the loop over all
-        # i < j pairs: same W bit for bit, error summed in the same order
+        # W_ij depends on the pair through its clamped gap alone: every pair
+        # gets its gap's coupling bit for bit, and the error is charged
+        # pair by pair, summed in the i < j order
         k = ti_demo_kernel(0.5)
         mesh = mesh_intervals(intervals, n_cells)
         m = mesh.ncells
@@ -260,18 +326,38 @@ class TestStructure:
         span = mesh.intervals[-1][1] - mesh.intervals[0][0]
         w, _, err = _couplings(k, mesh, h, gamma, comps, span, ASSEMBLY_TOL)
         c = mesh.centers
+        gap = np.maximum(np.abs(c[:, None] - c[None, :]) - h, 0.0)
+        gaps = np.unique(gap[np.triu_indices(m, 1)])
+        vals, errs = _ti_gap_couplings(k, gaps, h, gamma, span, ASSEMBLY_TOL)
         want = np.zeros((m, m))
-        err_want = 0.0
+        err_want = []
         for i in range(m):
             for j in range(i + 1, m):
-                g0 = max(abs(c[i] - c[j]) - h, 0.0)
-                v, e = _ti_pair(k, g0, h, gamma, ASSEMBLY_TOL)
-                want[i, j] = want[j, i] = v
-                err_want += e
+                g = np.searchsorted(gaps, gap[i, j])
+                want[i, j] = want[j, i] = vals[g]
+                err_want.append(errs[g])
         _, err_ext = _segment_mass(k, mesh, [(lo, hi, 1.0) for lo, hi in comps],
                                    h, gamma, span, ASSEMBLY_TOL)
         assert np.array_equal(w, want)
-        assert err == err_want + err_ext
+        assert err == float(np.sum(err_want)) + err_ext
+
+    def test_ti_integrate_calls_do_not_grow_with_cells(self, monkeypatch):
+        # W is one overlap integral over the distinct gaps plus one band
+        # moment, and each exterior segment one integral over all cells
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(solver1d, "integrate", counting)
+        k = ti_demo_kernel(0.5)
+        counts = []
+        for n_cells in (64, 256):
+            calls.clear()
+            assemble(k, unit_mesh(n_cells), G13)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 5
 
     def test_disconnected_touching_junction(self):
         # x2 - x1 = 4r makes the meshed balls touch; the junction pair is
@@ -299,7 +385,8 @@ class TestStructure:
     def test_kernel_scaling_leaves_solution_invariant(self):
         k = fractional_kernel(1, 0.6)
         u1 = solve(assemble(k, unit_mesh(8), G13))
-        u3 = solve(assemble(k.with_scale(3.0), unit_mesh(8), G13))
+        u3 = solve(assemble(dataclasses.replace(k, scale=3.0), unit_mesh(8),
+                            G13))
         assert np.max(np.abs(u1.values - u3.values)) < 1e-10
 
     def test_solution_linear_in_data(self):
@@ -554,42 +641,31 @@ class TestAgainstExtension:
         assert errs[1] < 0.03
 
 
+def dip_min(kernel, mesh, c0):
+    """min u for Lu = -c0 on the mesh with zero exterior data."""
+    return float(np.min(solve(assemble(kernel, mesh, constant(0.0),
+                                       rhs=-c0)).values))
+
+
 class TestDip:
+    """The dip constant -min u / (c0 r^(2s)) of the unit-load problem."""
+
     def test_dip_constant_regression(self):
-        rep = discrete_nonhom_mp(fractional_kernel(1, 0.5),
-                                 unit_mesh(64), 1.0)
-        assert rep["bound_constant"] == pytest.approx(DIP_CHAT_S05_N64,
-                                                      rel=1e-10)
-        assert rep["min_u"] == pytest.approx(-DIP_CHAT_S05_N64, rel=1e-10)
+        # r = 1 and c0 = 1, so the constant is -min u
+        min_u = dip_min(fractional_kernel(1, 0.5), unit_mesh(64), 1.0)
+        assert min_u == pytest.approx(-DIP_CHAT_S05_N64, rel=1e-10)
 
     def test_dip_translation_invariant(self):
         mesh = mesh_intervals([(1.0, 3.0)], 64)
-        rep = discrete_nonhom_mp(fractional_kernel(1, 0.5), mesh, 1.0)
-        assert rep["bound_constant"] == pytest.approx(DIP_CHAT_S05_N64,
-                                                      rel=1e-10)
+        min_u = dip_min(fractional_kernel(1, 0.5), mesh, 1.0)
+        assert -min_u == pytest.approx(DIP_CHAT_S05_N64, rel=1e-10)
 
     def test_dip_linear_in_load(self):
         k = fractional_kernel(1, 0.75)
         mesh = unit_mesh(32)
-        r1 = discrete_nonhom_mp(k, mesh, 1.0)
-        r10 = discrete_nonhom_mp(k, mesh, 10.0)
-        assert r10["min_u"] == pytest.approx(10.0 * r1["min_u"], rel=1e-12)
-        assert r10["bound_constant"] == pytest.approx(r1["bound_constant"],
-                                                      rel=1e-12)
-
-    def test_dip_zero_load(self):
-        rep = discrete_nonhom_mp(fractional_kernel(1, 0.5), unit_mesh(8), 0.0)
-        assert rep == {"min_u": 0.0, "bound_constant": 0.0}
-
-    def test_dip_rejects_negative_load(self):
-        with pytest.raises(ConfigParseError):
-            discrete_nonhom_mp(fractional_kernel(1, 0.5), unit_mesh(8), -1.0)
-
-    def test_dip_rejects_disconnected_mesh(self):
-        cfg = make_disconnected_config(n=1, x1=0.0, x2=6.0, r=1.0, R=40.0)
-        with pytest.raises(ConfigParseError):
-            discrete_nonhom_mp(fractional_kernel(1, 0.5),
-                               mesh_over(cfg, 8), 1.0)
+        m1 = dip_min(k, mesh, 1.0)
+        m10 = dip_min(k, mesh, 10.0)
+        assert m10 == pytest.approx(10.0 * m1, rel=1e-12)
 
 
 class TestGlue:
