@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigParseError, LabError
+from .errors import ConfigParseError, LabError, UnsupportedDimension
 from .geometry import config_from_text, make_disconnected_config, mesh_intervals
 from .harnack import (
     CSV_COLUMNS,
@@ -94,6 +94,9 @@ def _build_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg, file_N = config_from_text(fh.read())
+        if cfg.n != 1:
+            raise UnsupportedDimension(
+                f"config file has n = {cfg.n}; the experiments run for n = 1 only")
         base = {"n": cfg.n, "x1": float(cfg.x1[0]), "x2": float(cfg.x2[0]),
                 "r": cfg.r, "R": cfg.R}
     for key in ("x1", "x2", "r", "R"):

@@ -54,7 +54,7 @@ class NumericError(LabError):
 
 
 class NonIntegrableTail(NumericError):
-    """Declared growth class makes the tail integral infinite."""
+    """Growth envelope A (1 + |y|)^p with p >= 2s: the tail integral is infinite."""
 
 
 class QuadratureFailure(NumericError):

@@ -8,13 +8,14 @@ invariant kernels the principal value is computed in symmetrized form,
 
 which is absolutely convergent for C^2 functions (|D2| <= |u''| z^2).  The
 far field is integrated directly and the truncation tail beyond T is
-bounded analytically from the declared growth class and the kernel's
+bounded analytically from the declared growth envelope and the kernel's
 ellipticity envelope; the bound is reported, never dropped.
 
 PointFunction carries the structural facts the quadrature needs: breaks
 (panels never straddle them), an optional piecewise-constant description
-(makes tails exact), a global bound on u'' for the cancellation guard, and
-the growth envelope |u(y)| <= A (1 + |y|)^p.
+(makes tails exact), hess_bound, which declares u to be C^2 and bounds
+|u''| for the cancellation guard, and the growth envelope
+|u(y)| <= A (1 + |y|)^p.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import DisconnectedConfig
 from .kernel import Kernel
 from .quadrature import DEFAULT_TOL, integrate
 
-GROWTH_CLASSES = ("bounded", "tail-integrable")
+MAX_TRUNCATION = 1e150  # float-safe cap of every truncation radius search
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class PointFunction:
     """
 
     fn: Callable
-    growth: str = "bounded"
     sup_bound: float | None = None
     envelope: tuple | None = None  # (A, p): |u(y)| <= A (1 + |y|)^p
     support: tuple | None = None  # (lo, hi), u vanishes outside
@@ -51,15 +51,10 @@ class PointFunction:
     far_value: float = 0.0
     far_radius: float | None = None  # None: no far part (far_value must be 0)
     breaks: tuple = ()
-    hess_bound: float | None = None  # global sup |u''| where defined
-    d2_zero: bool = False  # second difference vanishes identically
-    smooth: bool = False  # C^2 on all of R
-    parts: tuple = ()  # ((coef, PointFunction), ...) for linear combos
+    hess_bound: float | None = None  # u is C^2 on R with sup |u''| <= this
     label: str = "u"
 
     def __post_init__(self):
-        if self.growth not in GROWTH_CLASSES:
-            raise DomainViolation(f"unknown growth class {self.growth!r}")
         if self.far_radius is None and self.far_value != 0.0:
             raise DomainViolation("far_value without far_radius")
 
@@ -80,11 +75,6 @@ class PointFunction:
             return float(self.envelope[0]), float(self.envelope[1])
         if self.sup_bound is not None:
             return float(self.sup_bound), 0.0
-        if self.parts:
-            amps, pows = zip(*(pf.tail_envelope() for _, pf in self.parts))
-            coefs = [abs(c) for c, _ in self.parts]
-            p = max(pows)
-            return sum(c * a for c, a in zip(coefs, amps)), p
         raise NonIntegrableTail(f"{self.label}: no growth envelope declared")
 
     def dist_to_break(self, x: float) -> float:
@@ -100,7 +90,7 @@ class PointFunction:
 
     def negative_part(self) -> "PointFunction":
         """u_- = max(-u, 0), preserving structure."""
-        if self.piecewise and not self.parts:
+        if self.piecewise:
             return piecewise_constant(
                 [(lo, hi, max(-v, 0.0)) for lo, hi, v in self.pieces],
                 far_value=max(-self.far_value, 0.0),
@@ -114,62 +104,10 @@ class PointFunction:
 
         amp, p = self.tail_envelope()
         return PointFunction(
-            fn=neg, growth=self.growth, sup_bound=self.sup_bound,
+            fn=neg, sup_bound=self.sup_bound,
             envelope=(amp, p), support=self.support, breaks=self.breaks,
             label=f"({self.label})_-",
         )
-
-    def __add__(self, other: "PointFunction") -> "PointFunction":
-        return combine([(1.0, self), (1.0, other)])
-
-    def __rmul__(self, c: float) -> "PointFunction":
-        return combine([(float(c), self)])
-
-    __mul__ = __rmul__
-
-
-def combine(terms) -> "PointFunction":
-    """Linear combination sum(c_i * u_i) as a PointFunction."""
-    terms = tuple((float(c), u) for c, u in terms)
-    flat = []
-    for c, u in terms:
-        if u.parts:
-            flat.extend((c * ci, ui) for ci, ui in u.parts)
-        else:
-            flat.append((c, u))
-    flat = tuple(flat)
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for c, u in flat:
-            out += c * u.fn(y)
-        return out
-
-    sup = None
-    if all(u.sup_bound is not None for _, u in flat):
-        sup = sum(abs(c) * u.sup_bound for c, u in flat)
-    breaks = tuple(sorted({b for _, u in flat for b in u.breaks}
-                          | {e for _, u in flat if u.support for e in u.support}))
-    hess = None
-    if all(u.hess_bound is not None for _, u in flat):
-        hess = sum(abs(c) * u.hess_bound for c, u in flat)
-    supports = [u.support for _, u in flat]
-    support = None
-    if all(sp is not None for sp in supports):
-        support = (min(sp[0] for sp in supports), max(sp[1] for sp in supports))
-    return PointFunction(
-        fn=fn,
-        growth="bounded" if all(u.growth == "bounded" for _, u in flat) else "tail-integrable",
-        sup_bound=sup,
-        support=support,
-        breaks=breaks,
-        hess_bound=hess,
-        d2_zero=all(u.d2_zero for _, u in flat),
-        smooth=all(u.smooth for _, u in flat),
-        parts=flat,
-        label=" + ".join(f"{c:g}*{u.label}" for c, u in flat),
-    )
 
 
 def constant(c: float) -> PointFunction:
@@ -177,7 +115,7 @@ def constant(c: float) -> PointFunction:
     return PointFunction(
         fn=lambda y: np.full_like(np.asarray(y, dtype=float), c),
         sup_bound=abs(c), far_value=c, far_radius=0.0,
-        hess_bound=0.0, d2_zero=True, smooth=True, label=f"const({c:g})",
+        hess_bound=0.0, label=f"const({c:g})",
     )
 
 
@@ -232,20 +170,6 @@ def piecewise_constant(pieces, far_value: float = 0.0,
     )
 
 
-def affine(a: float, b: float) -> PointFunction:
-    a, b = float(a), float(b)
-
-    def fn(y):
-        return a + b * np.asarray(y, dtype=float)
-
-    return PointFunction(
-        fn=fn, growth="tail-integrable" if b != 0.0 else "bounded",
-        sup_bound=abs(a) if b == 0.0 else None,
-        envelope=(abs(a) + abs(b), 1.0 if b != 0.0 else 0.0),
-        hess_bound=0.0, d2_zero=True, smooth=True, label=f"{a:g}+{b:g}x",
-    )
-
-
 # -- barriers ---------------------------------------------------------------
 
 def barrier_w1(config: DisconnectedConfig) -> PointFunction:
@@ -273,7 +197,7 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
     return PointFunction(
         fn=fn, sup_bound=1.0, support=(x1 - r, x1 + r),
         breaks=(x1 - r, x1 - r / 2.0, x1 + r / 2.0, x1 + r),
-        hess_bound=W2_HESS_CONSTANT / (r * r), smooth=True, label="w2",
+        hess_bound=W2_HESS_CONSTANT / (r * r), label="w2",
     )
 
 
@@ -297,45 +221,61 @@ class TailResult:
     truncation_radius: float
 
 
+def integrable_envelope(u: PointFunction, s: float) -> tuple[float, float]:
+    """u's growth envelope (A, p); NonIntegrableTail unless p < 2s, the
+    condition for the tail of u against an order-2s kernel to be finite."""
+    amp, p = u.tail_envelope()
+    if p >= 2.0 * s:
+        raise NonIntegrableTail(f"{u.label}: envelope power {p} >= 2s = {2 * s:g}")
+    return amp, p
+
+
 def _tail_remainder(amp: float, p: float, s: float, center: float, T: float) -> float:
-    """Bound on integral of A(1+|y|)^p |y-c|^(-1-2s) over |y-c| > T."""
+    """Bound on integral of A(1+|y|)^p |y-c|^(-1-2s) over |y-c| > T (p < 2s)."""
     if amp == 0.0:
         return 0.0
-    if p >= 2.0 * s:
-        return np.inf
-    # (1+|y|) <= rho * (1 + (1+|c|)/T) for rho = |y-c| >= T >= 1
-    fudge = (1.0 + (1.0 + abs(center)) / max(T, 1.0)) ** p if p > 0 else 1.0
+    # (1+|y|) <= rho * (1 + (1+|c|)/T) for rho = |y-c| >= T > 0
+    fudge = (1.0 + (1.0 + abs(center)) / T) ** p if p > 0 else 1.0
     return amp * fudge * 2.0 * T ** (p - 2.0 * s) / (2.0 * s - p)
 
 
-def _far_remainder(kernel: Kernel, u: PointFunction, x: float, T: float) -> float:
-    """Analytic bound on |2 int_{|y-x|>T} (u(x) - u(y)) k dy|."""
-    amp, p = u.tail_envelope()
-    env = kernel.upper_envelope()
-    ux = abs(float(u(np.array([x]))[0]))
-    return 2.0 * env * (ux * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-                        + _tail_remainder(amp, p, kernel.s, x, T))
-
-
-def _far_truncation(kernel: Kernel, u: PointFunction, x: float,
-                    tol: float) -> tuple[float, float]:
-    """Truncation radius making the analytic far remainder of Lu small."""
-    amp, p = u.tail_envelope()
-    if p >= 2.0 * kernel.s:
-        raise NonIntegrableTail(
-            f"{u.label}: envelope power {p} >= 2s = {2 * kernel.s:g}"
-        )
-    T = 1e4 * max(1.0, abs(x))
-    while True:
-        rem = _far_remainder(kernel, u, x, T)
-        if rem <= tol or T > 1e150:
-            return T, rem
+def truncation_radius(remainder: Callable[[float], float], T0: float,
+                      tol: float) -> tuple[float, float]:
+    """First T = T0 * 10^k with remainder(T) <= tol, capped at
+    MAX_TRUNCATION, together with remainder(T)."""
+    T = T0
+    rem = remainder(T)
+    while rem > tol and T < MAX_TRUNCATION:
         T *= 10.0
+        rem = remainder(T)
+    return T, rem
+
+
+def _two_sided(f: Callable, x: float, rho: float, T: float, breaks,
+               tol: float) -> tuple[float, float]:
+    """Integral of f(y, |y - x|) over rho < |y - x| < T and its error.
+
+    The right side runs in y, the left side in the distance, each on
+    geometric panels from rho; panels never straddle a break.
+    """
+    def right(y):
+        y = np.asarray(y, dtype=float)
+        return f(y, y - x)
+
+    def left(d):
+        d = np.asarray(d, dtype=float)
+        return f(x - d, d)
+
+    r, er = integrate(right, x + rho, x + T, tol=tol,
+                      breaks=[b for b in breaks if x + rho < b < x + T],
+                      geometric_from=rho)
+    l, el = integrate(left, rho, T, tol=tol,
+                      breaks=[x - b for b in breaks if x - T < b < x - rho],
+                      geometric_from=rho)
+    return l + r, el + er
 
 
 def eval_L(kernel: Kernel, u: PointFunction, x: float,
-           near_radius: float | None = None,
-           far_radius: float | None = None,
            tol: float = DEFAULT_TOL) -> LEvalResult:
     """Lu(x) with error estimate and analytic truncation remainder.
 
@@ -343,34 +283,22 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
     C^2 functions and exactly zero where u is locally constant); general
     kernels require u locally constant near x.  Raises UnsupportedKernel
     when no valid path exists and NonIntegrableTail when the declared
-    growth cannot pair with the kernel order.
+    growth envelope cannot pair with the kernel order.
     """
     x = float(x)
-    if u.parts:
-        vals = [(c, eval_L(kernel, ui, x, near_radius, far_radius, tol))
-                for c, ui in u.parts]
-        return LEvalResult(
-            value=sum(c * r.value for c, r in vals),
-            error_bound=sum(abs(c) * r.error_bound for c, r in vals),
-            remainder_bound=sum(abs(c) * r.remainder_bound for c, r in vals),
-            truncation_radius=max(r.truncation_radius for _, r in vals),
-        )
     if u.is_constant:
-        return LEvalResult(0.0, 0.0, 0.0, np.inf)
-    if u.d2_zero and kernel.translation_invariant:
-        # symmetrized principal value of an affine function vanishes
         return LEvalResult(0.0, 0.0, 0.0, np.inf)
 
     ux = float(u(np.array([x]))[0])
-    if far_radius is not None:
-        amp, p = u.tail_envelope()
-        if p >= 2.0 * kernel.s:
-            raise NonIntegrableTail(
-                f"{u.label}: envelope power {p} >= 2s = {2 * kernel.s:g}")
-        T = float(far_radius)
-        remainder = _far_remainder(kernel, u, x, T)
-    else:
-        T, remainder = _far_truncation(kernel, u, x, tol)
+    amp, p = integrable_envelope(u, kernel.s)
+    env = kernel.upper_envelope()
+
+    def far_remainder(T):
+        # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
+        return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
+                            + _tail_remainder(amp, p, kernel.s, x, T))
+
+    T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
 
     # near field on (0, rho)
     if u.piecewise:
@@ -379,19 +307,12 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
         if dbreak == 0.0:
             raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
         rho = 0.5 * dbreak
-        if near_radius is not None:
-            if near_radius > dbreak:
-                raise DomainViolation(
-                    f"near_radius {near_radius:g} reaches a break of {u.label}")
-            rho = float(near_radius)
         near_val, near_err = 0.0, 0.0
-    elif u.smooth:
+    elif u.hess_bound is not None:
         if not kernel.translation_invariant:
             raise UnsupportedKernel(
                 "the symmetrized near field needs a translation-invariant kernel")
-        if u.hess_bound is None:
-            raise UnsupportedKernel(f"{u.label}: smooth path needs hess_bound")
-        rho = float(near_radius) if near_radius is not None else 1.0
+        rho = 1.0
         m2 = u.hess_bound
         alpha = 1.0 / (2.0 - 2.0 * kernel.s)
 
@@ -411,8 +332,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
         # its integral beyond the cut under tol/4, and keep the cut itself
         # where signal/noise >= 1e4
         expo = 2.0 * alpha - 1.0
-        tau_budget = (noise * kernel.upper_envelope() * alpha
-                      / (expo * 0.25 * tol)) ** (1.0 / expo)
+        tau_budget = (noise * env * alpha / (expo * 0.25 * tol)) ** (1.0 / expo)
         z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
         # a break within a few ulps of x is x's own join; flooring z_lo at
         # it would push the Richardson stencils into the cancellation noise
@@ -426,7 +346,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
         a2 = float(d2_at(np.array([2.0 * z_lo]))[0]) / (4.0 * z_lo * z_lo)
         c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
         if kernel.family == "fractional":
-            mass2 = kernel.upper_envelope() / kernel.lam \
+            mass2 = env / kernel.lam \
                 * z_lo ** (2.0 - 2.0 * kernel.s) / (2.0 - 2.0 * kernel.s)
             mass2_err = 0.0
         else:
@@ -453,29 +373,16 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
         near_err = 2.0 * (tail_err + abs(c2) * mass2_err + model_slack)
     else:
         raise DomainViolation(
-            f"{u.label} is neither piecewise constant nor declared smooth near x")
+            f"{u.label} is neither piecewise constant nor declared C^2 (hess_bound)")
 
     # far field 2 int_{rho < |y-x| < T} (u(x) - u(y)) k(x, y) dy
-    def far_right(y):
-        y = np.asarray(y, dtype=float)
+    def far(y, d):
         return (ux - u.fn(y)) * kernel.eval_pairs(np.full_like(y, x), y)
 
-    def far_left(rho_arr):
-        y = x - np.asarray(rho_arr, dtype=float)
-        return (ux - u.fn(y)) * kernel.eval_pairs(np.full_like(y, x), y)
-
-    brk = [b for b in u.breaks]
-    right, er = integrate(far_right, x + rho, x + T, tol=tol,
-                          breaks=[b for b in brk if x + rho < b < x + T],
-                          geometric_from=rho)
-    left, el = integrate(far_left, rho, T, tol=tol,
-                         breaks=[x - b for b in brk if x - T < b < x - rho],
-                         geometric_from=rho)
-    far_val = 2.0 * (left + right)
-    far_err = 2.0 * (el + er)
+    far_val, far_err = _two_sided(far, x, rho, T, u.breaks, tol)
     return LEvalResult(
-        value=near_val + far_val,
-        error_bound=near_err + far_err + remainder,
+        value=near_val + 2.0 * far_val,
+        error_bound=near_err + 2.0 * far_err + remainder,
         remainder_bound=remainder,
         truncation_radius=T,
     )
@@ -519,36 +426,25 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
     r = float(r)
     if not r > 0:
         raise DomainViolation(f"tail needs r > 0, got {r}")
-    amp, p = u.tail_envelope()
-    if p >= 2.0 * s:
-        raise NonIntegrableTail(f"{u.label}: envelope power {p} >= 2s = {2 * s:g}")
-    if u.piecewise and not u.parts:
+    amp, p = integrable_envelope(u, s)
+    if u.piecewise:
         return TailResult(value=_piecewise_tail(u, x0, r, s),
                           remainder_bound=0.0, truncation_radius=np.inf)
 
-    T = float(truncation) if truncation is not None else 1e4 * r
+    def remainder(T):
+        return r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T)
+
     if truncation is None:
-        # grow until the envelope remainder respects the tolerance
-        while r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T) > tol and T < 1e150:
-            T *= 10.0
-    if T <= r:
-        raise DomainViolation(f"truncation {T:g} must exceed r = {r:g}")
+        T, rem = truncation_radius(remainder, 1e4 * r, tol)
+    else:
+        T = float(truncation)
+        if T <= r:
+            raise DomainViolation(f"truncation {T:g} must exceed r = {r:g}")
+        rem = remainder(T)
 
-    def right_integrand(y):
-        y = np.asarray(y, dtype=float)
-        return np.abs(u.fn(y)) * np.abs(y - x0) ** (-1.0 - 2.0 * s)
+    def weighted(y, d):
+        return np.abs(u.fn(y)) * d ** (-1.0 - 2.0 * s)
 
-    def left_integrand(rho_arr):
-        rho_arr = np.asarray(rho_arr, dtype=float)
-        return np.abs(u.fn(x0 - rho_arr)) * rho_arr ** (-1.0 - 2.0 * s)
-
-    brk = [b for b in u.breaks]
-    right, er = integrate(right_integrand, x0 + r, x0 + T, tol=tol,
-                          breaks=[b for b in brk if x0 + r < b < x0 + T],
-                          geometric_from=r)
-    left, el = integrate(left_integrand, r, T, tol=tol,
-                         breaks=[x0 - b for b in brk if x0 - T < b < x0 - r],
-                         geometric_from=r)
-    value = r ** (2.0 * s) * (left + right)
-    rem = r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T) + er + el
-    return TailResult(value=value, remainder_bound=rem, truncation_radius=T)
+    val, err = _two_sided(weighted, x0, r, T, u.breaks, tol)
+    return TailResult(value=r ** (2.0 * s) * val, remainder_bound=rem + err,
+                      truncation_radius=T)

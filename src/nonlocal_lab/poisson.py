@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError, DomainViolation, NonIntegrableTail, UnsupportedDimension
-from .operator import PointFunction, _tail_remainder
+from .errors import ConfigParseError, DomainViolation, UnsupportedDimension
+from .operator import PointFunction, _tail_remainder, integrable_envelope, truncation_radius
 from .quadrature import DEFAULT_TOL, integrate
 
 TRUNCATION_FACTOR = 1e4
-MAX_TRUNCATION = 1e150
 
 
 def poisson_constant(n: int, s: float) -> float:
@@ -110,30 +109,6 @@ def _line_kernel(pk: PoissonKernelBall, x: float):
     return pline
 
 
-def _truncation(pk: PoissonKernelBall, g: PointFunction, x: float,
-                tol: float) -> tuple[float, float]:
-    """Truncation radius T (distance from center) and its remainder bound.
-
-    Beyond T >= 2r the kernel is bounded by (4/3)^s * 2 * amp * rho^(-1-2s)
-    in the center distance rho, so the data's growth envelope gives an
-    explicit tail bound; T grows geometrically until that bound fits the
-    tolerance or the float-safe cap is reached.
-    """
-    amp_g, p = g.tail_envelope()
-    if p >= 2.0 * pk.s:
-        raise NonIntegrableTail(
-            f"{g.label}: envelope power {p} >= 2s = {2.0 * pk.s:g}")
-    c = float(pk._center()[0])
-    amp_x = pk.constant * pk.inside_gap(x) ** pk.s
-    weight = amp_x * (4.0 / 3.0) ** pk.s * 2.0
-    T = TRUNCATION_FACTOR * pk.r
-    while True:
-        rem = weight * _tail_remainder(amp_g, p, pk.s, c, T)
-        if rem <= 0.5 * tol or T >= MAX_TRUNCATION:
-            return T, rem
-        T *= 10.0
-
-
 def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                    tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Representation integral of exterior data g at a point x inside.
@@ -142,7 +117,10 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     the ball uses z = center +- r cosh(t), which absorbs the boundary
     singularity into a sinh(t)^(1-2s) factor with an integrable endpoint;
     the far band integrates in z over geometric panels up to a truncation
-    radius with an analytic remainder from g's growth envelope.
+    radius T, searched from TRUNCATION_FACTOR * r up by decades until the
+    analytic remainder from g's growth envelope fits half the tolerance.
+    Beyond T >= 2r the kernel is at most (4/3)^s * 2 * amp_x * rho^(-1-2s)
+    in the center distance rho, which is what the remainder integrates.
     """
     if pk.n != 1:
         raise UnsupportedDimension(
@@ -154,7 +132,11 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     r, s = pk.r, pk.s
     pline = _line_kernel(pk, x)
     amp_x = pk.constant * pk.inside_gap(x) ** s
-    T, remainder = _truncation(pk, g, x, tol)
+    amp_g, p = integrable_envelope(g, s)
+    weight = amp_x * (4.0 / 3.0) ** s * 2.0
+    T, remainder = truncation_radius(
+        lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
+        TRUNCATION_FACTOR * r, 0.5 * tol)
     t_cut = math.acosh(2.0)
 
     total = 0.0

@@ -49,13 +49,13 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConfigParseError,
-    NonIntegrableTail,
     SingularSystem,
     UnsupportedDimension,
 )
 from .geometry import Mesh1D
 from .kernel import Kernel
-from .operator import PointFunction, _tail_remainder, piecewise_constant
+from .operator import (PointFunction, _tail_remainder, integrable_envelope,
+                       piecewise_constant)
 from .quadrature import integrate
 
 BAND_FRACTION = 0.25
@@ -514,10 +514,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     block = not isinstance(exterior, PointFunction)
     data = tuple(exterior) if block else (exterior,)
     for g in data:
-        _, pw = g.tail_envelope()
-        if pw >= 2.0 * kernel.s:
-            raise NonIntegrableTail(
-                f"{g.label}: envelope power {pw} >= 2s = {2 * kernel.s:g}")
+        integrable_envelope(g, kernel.s)
 
     m = mesh.ncells
     if 8 * m * m > MATRIX_BUDGET_BYTES:

@@ -234,3 +234,12 @@ class TestConfigFile:
         d = json.loads(out.read_text())
         assert d["reports"][0]["config"]["R"] == 32.0
         assert d["reports"][0]["N"] == 8
+
+    def test_dimension_other_than_one_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 2\nx1 = -2, 0\nx2 = 2, 0\nr = 1\nR = 16\n")
+        code = run_main(["harnack", "run", "--config", str(cfg), "--s", "0.5",
+                         "--samples", "2", "--N", "8"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "n = 2" in err and "does not have dimension" not in err

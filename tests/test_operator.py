@@ -18,7 +18,6 @@ from nonlocal_lab.kernel import (
 )
 from nonlocal_lab.operator import (
     PointFunction,
-    affine,
     barrier_w1,
     barrier_w2,
     constant,
@@ -33,6 +32,9 @@ CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 # closed form for L(chi_(1,3))(-2) at s = 1/4:
 # -2 * int_1^3 (y+2)^(-3/2) dy = 4 (5^(-1/2) - 3^(-1/2))
 W1_SPOT_S025 = 4.0 * (5.0 ** -0.5 - 3.0 ** -0.5)
+
+# u(y) = y: growth power 1, tail-integrable only for 2s > 1
+LINEAR = PointFunction(lambda y: y, envelope=(1.0, 1.0))
 
 
 def ball1_grid(npts=101):
@@ -49,10 +51,6 @@ class TestEvalBasics:
         res = eval_L(kernel, constant(7.0), 0.3)
         assert res.value == 0.0
         assert res.error_bound == 0.0
-
-    def test_affine_vanishes_for_symmetric_ti(self):
-        res = eval_L(ti_demo_kernel(0.75), affine(1.0, 2.0), 0.7)
-        assert res.value == 0.0
 
     def test_w1_spot_value_against_antiderivative(self):
         res = eval_L(fractional_kernel(1, 0.25), barrier_w1(CONFIG), -2.0)
@@ -72,10 +70,10 @@ class TestEvalBasics:
 
     def test_linearity_of_combinations(self):
         k = fractional_kernel(1, 0.5)
-        u = barrier_w1(CONFIG)
-        v = barrier_w2(CONFIG)
-        lhs = eval_L(k, 2.0 * u + (-3.0) * v, -1.7)
-        rhs = 2.0 * eval_L(k, u, -1.7).value - 3.0 * eval_L(k, v, -1.7).value
+        combo = piecewise_constant([(1.0, 3.0, 2.0), (-6.0, -4.0, -3.0)])
+        lhs = eval_L(k, combo, -1.7)
+        rhs = (2.0 * eval_L(k, indicator(1.0, 3.0), -1.7).value
+               - 3.0 * eval_L(k, indicator(-6.0, -4.0), -1.7).value)
         assert lhs.value == pytest.approx(rhs, abs=1e-8)
 
     def test_kernel_scaling_is_exact(self):
@@ -126,7 +124,7 @@ class TestEvalErrors:
 
     def test_growth_incompatible_with_order(self):
         with pytest.raises(NonIntegrableTail):
-            eval_L(general_demo_kernel(0.25), affine(0.0, 1.0), 0.5)
+            eval_L(general_demo_kernel(0.25), LINEAR, 0.5)
 
 
 class TestTail:
@@ -147,14 +145,27 @@ class TestTail:
         assert res.value <= 4.0 <= res.value + res.remainder_bound + 1e-8
         assert res.value == pytest.approx(4.0, rel=1e-5)
 
-    def test_piecewise_matches_callable_quadrature(self):
+    @given(st.floats(-5.0, 5.0), st.floats(0.15, 0.85))
+    def test_piecewise_matches_callable_quadrature(self, x0, s):
         pieces = [(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)]
         pw = piecewise_constant(pieces)
         cb = PointFunction(pw.fn, sup_bound=2.0, breaks=pw.breaks)
-        a = tail(pw, x0=0.25, r=1.0, s=0.4)
-        b = tail(cb, x0=0.25, r=1.0, s=0.4)
+        a = tail(pw, x0=x0, r=1.0, s=s)
+        b = tail(cb, x0=x0, r=1.0, s=s)
         assert a.remainder_bound == 0.0
-        assert b.value == pytest.approx(a.value, rel=1e-9)
+        assert abs(b.value - a.value) <= b.remainder_bound
+
+    @pytest.mark.parametrize("T", [0.06, 0.1])
+    def test_growing_data_bracket_below_unit_truncation(self, T):
+        # |u| <= (1 + |y|)^(1/2) with the truncation radius T < 1: the
+        # envelope remainder must still bound what lies beyond T
+        s, r = 0.4, 0.05
+        u = PointFunction(lambda y: np.sqrt(1.0 + np.abs(y)), envelope=(1.0, 0.5))
+        res = tail(u, 0.0, r, s, truncation=T)
+        one_side = sum(quad(lambda y: np.sqrt(1.0 + y) * y ** (-1.0 - 2.0 * s), a, b)[0]
+                       for a, b in [(r, 1.0), (1.0, np.inf)])
+        exact = r ** (2.0 * s) * 2.0 * one_side
+        assert res.value <= exact <= res.value + res.remainder_bound
 
     def test_value_monotone_remainder_antitone_in_truncation(self):
         u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
@@ -173,7 +184,7 @@ class TestTail:
 
     def test_growth_guard(self):
         with pytest.raises(NonIntegrableTail):
-            tail(affine(0.0, 1.0), 0.0, 1.0, s=0.25)
+            tail(LINEAR, 0.0, 1.0, s=0.25)
 
 
 class TestBarriers:
@@ -237,3 +248,4 @@ def test_w1_eval_matches_closed_form_any_s(s):
     res = eval_L(k, barrier_w1(CONFIG), -2.0)
     exact = -2.0 * (3.0 ** (-2.0 * s) - 5.0 ** (-2.0 * s)) / (2.0 * s)
     assert res.value == pytest.approx(exact, rel=1e-8)
+    assert abs(res.value - exact) <= res.error_bound

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from nonlocal_lab.errors import (
     ConfigParseError,
@@ -14,7 +15,7 @@ from nonlocal_lab.errors import (
     NonIntegrableTail,
     UnsupportedDimension,
 )
-from nonlocal_lab.operator import affine, constant, indicator, piecewise_constant
+from nonlocal_lab.operator import PointFunction, constant, indicator, piecewise_constant
 from nonlocal_lab.poisson import (
     PoissonKernelBall,
     bound_ratio,
@@ -114,6 +115,20 @@ class TestExtend:
         ref, _ = quad(f, 1.0, 3.0, limit=400)
         assert res.value == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_right_exit_probability_within_error_bound(self, s, r):
+        # g = 1 on (r, inf): the extension is the probability that the
+        # symmetric 2s-stable process started at x leaves (-r, r) to the
+        # right, I_{(1 + x/r)/2}(s, s) (Blumenthal, Getoor & Ray 1961)
+        pk = PoissonKernelBall(n=1, s=s, r=r)
+        g = PointFunction(lambda y: (y > r).astype(float), sup_bound=1.0,
+                          breaks=(r,))
+        for x in np.linspace(-0.9 * r, 0.9 * r, 7):
+            res = poisson_extend(pk, g, x)
+            want = betainc(s, s, 0.5 * (1.0 + x / r))
+            assert abs(res.value - want) <= res.error_bound
+
     def test_two_sided_data_against_library_quadrature(self):
         pk = PoissonKernelBall(n=1, s=0.4, r=1.0)
         g = piecewise_constant([(-6.0, -2.0, 2.0), (1.5, 2.5, -1.0)])
@@ -130,7 +145,7 @@ class TestExtend:
 
     def test_monotone_in_the_data(self):
         lo = indicator(1.0, 2.0)
-        hi = indicator(1.0, 2.0) + indicator(-3.0, -1.5)
+        hi = piecewise_constant([(1.0, 2.0, 1.0), (-3.0, -1.5, 1.0)])
         for x in (-0.5, 0.0, 0.5):
             assert (poisson_extend(UNIT, lo, x).value
                     <= poisson_extend(UNIT, hi, x).value)
@@ -138,7 +153,7 @@ class TestExtend:
     def test_linear_in_the_data(self):
         g1 = indicator(1.0, 2.0)
         g2 = indicator(-5.0, -3.0)
-        combo = 2.0 * g1 + (-3.0) * g2
+        combo = piecewise_constant([(1.0, 2.0, 2.0), (-5.0, -3.0, -3.0)])
         got = poisson_extend(UNIT, combo, 0.25)
         want = (2.0 * poisson_extend(UNIT, g1, 0.25).value
                 - 3.0 * poisson_extend(UNIT, g2, 0.25).value)
@@ -147,7 +162,7 @@ class TestExtend:
     def test_growth_must_pair_with_the_order(self):
         pk = PoissonKernelBall(n=1, s=0.25, r=1.0)
         with pytest.raises(NonIntegrableTail):
-            poisson_extend(pk, affine(0.0, 1.0), 0.0)
+            poisson_extend(pk, PointFunction(lambda y: y, envelope=(1.0, 1.0)), 0.0)
 
     def test_quadrature_only_on_the_line(self):
         pk = PoissonKernelBall(n=2, s=0.5, r=1.0, center=(0.0, 0.0))

@@ -32,7 +32,6 @@ from nonlocal_lab.kernel import (
 )
 from nonlocal_lab.operator import (
     PointFunction,
-    affine,
     constant,
     indicator,
     piecewise_constant,
@@ -397,11 +396,13 @@ class TestStructure:
         assert np.max(np.abs(u10.values - 10.0 * u1.values)) < 1e-10
 
     def test_scaled_data_takes_quadrature_route(self):
-        # 10 * chi(1,3) drops the piece list, so assembly integrates the
+        # 10 * chi(1,3) without a piece list, so assembly integrates the
         # callable directly; support clipping keeps that route sharp too
         k = fractional_kernel(1, 0.4)
         u1 = solve(assemble(k, unit_mesh(8), G13))
-        s10 = assemble(k, unit_mesh(8), 10.0 * G13)
+        g10 = PointFunction(lambda y: 10.0 * G13.fn(y), sup_bound=10.0,
+                            support=G13.support, breaks=G13.breaks)
+        s10 = assemble(k, unit_mesh(8), g10)
         u10 = solve(s10)
         gap = np.max(np.abs(u10.values - 10.0 * u1.values))
         assert gap < 1e-6 + s10.assembly_error
@@ -426,7 +427,8 @@ class TestStructure:
 
     def test_growing_data_rejected(self):
         with pytest.raises(NonIntegrableTail):
-            assemble(fractional_kernel(1, 0.25), unit_mesh(), affine(0.0, 1.0))
+            assemble(fractional_kernel(1, 0.25), unit_mesh(),
+                     PointFunction(lambda y: y, envelope=(1.0, 1.0)))
 
     def test_memory_budget_guard(self, monkeypatch):
         # the default budget holds a 4096-cell matrix; past a budget,
