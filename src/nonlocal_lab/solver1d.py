@@ -18,14 +18,19 @@ restores the mass a smooth solution would have put there.  The exclusion
 is applied to W, E and B alike, which keeps the row-sum identity and the
 M-matrix structure exact at any band width.
 
-The fractional family assembles by closed-form antiderivatives
-(vectorized in row blocks, no quadrature error).  A translation-invariant
-profile reduces every coupling to a one-dimensional integral against the
-trapezoid overlap weight of two intervals, taken as one vector-valued
-integral over all distinct gaps for W and over all cells for the mass of
-an exterior segment (E, and B for piecewise data).  The cells share the
-segment's panels and error estimate e, so a segment adds m e plus its
-cells' truncation remainders to the assembly error.  General pair kernels,
+The two translation-invariant families (fractional and a profile K(|x-y|))
+share one path through two primitives: _overlap_mass, the banded mass of
+a width-h cell against a segment at edge distance d0, and _band_moment,
+the band's second moment at a gap.  Each is a closed form for the
+fractional family (no quadrature error) and one vector-valued integral
+over all its inputs otherwise, against the trapezoid overlap weight of the
+two intervals.  W_ij depends on the pair through its gap alone, so it is
+the overlap mass of two cells plus the curvature coupling, computed once
+per distinct gap; every block of cells from intervals p <= q is Toeplitz
+and is filled from the values at its index offsets.  An exterior segment
+(E, and B for piecewise data) is one overlap mass over all cells, which
+share its error estimate e, so a segment adds m e plus its cells'
+truncation remainders to the assembly error.  General pair kernels,
 and bare-callable data under every family, take a nested adaptive
 quadrature per cell and segment whose inner cell mass is one
 vector-valued integral over all nodes of an outer panel; they suit small
@@ -61,8 +66,6 @@ from .quadrature import integrate
 BAND_FRACTION = 0.25
 EXTERIOR_TRUNCATION_FACTOR = 1e4
 ASSEMBLY_TOL = 1e-10
-# rows per block of the fractional couplings' gap temporaries
-ROW_BLOCK = 256
 # largest dense m x m float64 matrix assemble() may allocate: 1 GiB, so
 # m <= 11585 cells.  Assembly plus solve peak at about 2.3 matrices (a
 # 4096-cell system, 128 MiB of matrix, peaks near 300 MB); a larger mesh
@@ -83,37 +86,6 @@ def _xi(t, s: float):
     if abs(s - 0.5) < 1e-12:
         return np.log(t)
     return t ** (1.0 - 2.0 * s) / (2.0 * s * (1.0 - 2.0 * s))
-
-
-def _pair_far(amp: float, s: float, gap, h: float):
-    """W for same-width cells with gap >= gamma: tent weight, no band cut.
-
-    The second antiderivative of t^(-1-2s) is -_xi, so the tent weight is
-    minus the second difference of _xi."""
-    return -amp * (_xi(gap, s) + _xi(gap + 2.0 * h, s)
-                   - 2.0 * _xi(gap + h, s))
-
-
-def _pair_banded(amp: float, s: float, gap: float, h: float,
-                 gamma: float) -> float:
-    """W for a touching pair (gap < gamma) with |x-y| < gamma excluded."""
-    val = ((gamma - gap) * _phi(gamma, s) + 2.0 * _xi(gap + h, s)
-           - _xi(gamma, s) - _xi(gap + 2.0 * h, s))
-    return amp * float(val)
-
-
-def _pair_curvature(amp: float, s: float, gap: float, h: float,
-                    gamma: float) -> float:
-    """Band second moment / h^2: the curvature coupling of a touching pair.
-
-    int_gap^gamma (z - gap) z^2 K(z) dz / h^2; a smooth solution carries
-    D2(z) ~ u'' z^2 mass in the band, and routing it through the
-    nearest-neighbor coupling reproduces exactly that.
-    """
-    a = (gamma ** (3.0 - 2.0 * s) - gap ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
-    b = gap * (gamma ** (2.0 - 2.0 * s)
-               - gap ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
-    return amp * (a - b) / (h * h)
 
 
 def _banded_mass(amp: float, s: float, d0, h: float, width: float,
@@ -325,18 +297,24 @@ def _inner_mass(kernel: Kernel, lo, w, y, tol: float,
     return integrate(inner, 0.0, 1.0, tol=tol)[0]
 
 
-def _ti_overlap(kernel: Kernel, d0, h: float, width: float, gamma: float,
-                span: float, tol: float,
-                ) -> tuple[np.ndarray, float, np.ndarray]:
+def _overlap_mass(kernel: Kernel, d0, h: float, width: float, gamma: float,
+                  span: float, tol: float,
+                  ) -> tuple[np.ndarray, float, np.ndarray]:
     """Banded mass between a width-h cell and a segment of the given width
-    whose near edge sits d0 from it, for a translation-invariant kernel:
-    the kernel against the trapezoid overlap weight of the two intervals,
-    cut at gamma, in u = t - d0, as one vector-valued integral with one
-    component per entry of the array d0.  width may be inf (truncated, one
-    remainder per component).  Returns (masses, the error estimate all
-    components share, remainders)."""
+    whose near edge sits d0 from it, for a translation-invariant kernel,
+    vectorized in d0; width may be inf.  Returns (masses, the error
+    estimate all entries share, truncation remainders).
+
+    The fractional family takes the closed form (no error, no truncation).
+    Otherwise it is the kernel against the trapezoid overlap weight of the
+    two intervals, cut at gamma, in u = t - d0, as one vector-valued
+    integral with one component per entry of d0; an infinite segment is
+    truncated with one remainder per entry."""
     d0 = np.asarray(d0, dtype=float)
     rem = np.zeros_like(d0)
+    if kernel.family == "fractional":
+        amp = float(kernel.eval_at_distance(1.0))
+        return _banded_mass(amp, kernel.s, d0, h, width, gamma), 0.0, rem
     if not np.isfinite(width):
         width = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), 2.0 * span)
         rem = h * kernel.upper_envelope() * _phi(d0 + width, kernel.s)
@@ -356,27 +334,54 @@ def _ti_overlap(kernel: Kernel, d0, h: float, width: float, gamma: float,
     return v, e, rem
 
 
-def _ti_gap_couplings(kernel: Kernel, gaps, h: float, gamma: float,
-                      span: float, tol: float,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """W of translation-invariant cell pairs at an array of clamped gaps,
-    with the error bound of each: one overlap (tent) integral over all
-    gaps, plus the band second moment / h^2 (as in _pair_curvature) of
-    the gaps below gamma as one more vector-valued integral."""
-    vals, e, _ = _ti_overlap(kernel, gaps, h, h, gamma, span, tol)
-    near = gaps < gamma
+def _band_moment(kernel: Kernel, gaps, gamma: float,
+                 tol: float) -> tuple[np.ndarray, float]:
+    """Band second moment int_gap^gamma (z - gap) z^2 K(z) dz of a
+    translation-invariant kernel at an array of gaps below gamma, with
+    the error estimate all entries share.
+
+    Divided by h^2 it is the curvature coupling of a touching pair: a
+    smooth solution carries D2(z) ~ u'' z^2 mass in the band, and routing
+    it through the nearest-neighbor coupling reproduces exactly that.
+    Closed form for the fractional family, one vector-valued integral
+    otherwise."""
+    gaps = np.asarray(gaps, dtype=float)
+    s = kernel.s
+    if kernel.family == "fractional":
+        amp = float(kernel.eval_at_distance(1.0))
+        a = (gamma ** (3.0 - 2.0 * s) - gaps ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
+        b = gaps * (gamma ** (2.0 - 2.0 * s)
+                    - gaps ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
+        return amp * (a - b), 0.0
 
     def band_m2(t):
         t = t[:, None]
-        return (kernel.eval_at_distance(t) * np.maximum(t - gaps[near], 0.0)
-                * t * t)
+        return kernel.eval_at_distance(t) * np.maximum(t - gaps, 0.0) * t * t
 
-    c, e2 = integrate(band_m2, 0.0, gamma, tol=tol,
-                      breaks=gaps[near].tolist())
-    vals[near] += c / (h * h)
-    errs = np.full(gaps.shape, e)
-    errs[near] += e2
-    return vals, errs
+    return integrate(band_m2, 0.0, gamma, tol=tol, breaks=gaps.tolist())
+
+
+def _toeplitz_gaps(mesh: Mesh1D, h: float):
+    """The interval blocks of the cells and the gaps that determine them.
+
+    W_ij depends on the pair through its gap alone, and on a uniform mesh
+    the gap of cells i in interval p and j in interval q >= p depends on
+    j - i alone: every block is Toeplitz, one gap per index offset, read
+    off its first column (bottom up) and first row.  A diagonal block is
+    symmetric and keeps the offsets j - i >= 1 only.  Yields
+    (rows, cols, gaps) per block p <= q."""
+    c = mesh.centers
+    bounds = [*np.searchsorted(c, [lo for lo, _ in mesh.intervals]).tolist(),
+              mesh.ncells]
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    for p, (p0, p1) in enumerate(spans):
+        for q0, q1 in spans[p:]:
+            if q0 == p0:
+                gaps = np.abs(c[p0 + 1:p1] - c[p0]) - h
+            else:
+                gaps = np.concatenate([np.abs(c[q0] - c[p1 - 1:p0:-1]),
+                                       np.abs(c[q0:q1] - c[p0])]) - h
+            yield slice(p0, p1), slice(q0, q1), gaps
 
 
 def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
@@ -385,39 +390,37 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
     """Operator part of the system: couplings W, exterior mass E and the
     error bound accumulated over their entries."""
     m = mesh.ncells
-    s = kernel.s
-    centers = mesh.centers
     err_acc = 0.0
     W = np.zeros((m, m))
 
-    if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
-        # row blocks keep the gap temporaries at ROW_BLOCK x m
-        for r0 in range(0, m, ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, m)
-            gap = np.abs(centers[r0:r1, None] - centers[None, :]) - h
-            offdiag = np.arange(r0, r1)[:, None] != np.arange(m)
-            far = (gap >= gamma) & offdiag
-            W[r0:r1][far] = _pair_far(amp, s, gap[far], h)
-            # touching pairs share a handful of (clamped) gaps: one scalar
-            # closed form per distinct gap, scattered to every pair with it
-            i, j = np.nonzero((gap < gamma) & offdiag)
-            gaps, which = np.unique(np.maximum(gap[i, j], 0.0),
-                                    return_inverse=True)
-            pair = np.array([_pair_banded(amp, s, g0, h, gamma)
-                             + _pair_curvature(amp, s, g0, h, gamma)
-                             for g0 in gaps.tolist()])
-            W[i + r0, j] = pair[which]
-    elif kernel.family == "translation-invariant":
-        # W_ij depends on the pair through its (clamped) gap alone: the
-        # couplings of the distinct gaps, scattered to every pair
-        iu, ju = np.triu_indices(m, 1)
+    if kernel.family != "general":
+        # W(gap) = overlap mass of two cells + band moment / h^2 below
+        # gamma, on the distinct (clamped) gaps of all blocks at once
+        blocks = list(_toeplitz_gaps(mesh, h))
         gaps, which = np.unique(
-            np.maximum(np.abs(centers[iu] - centers[ju]) - h, 0.0),
+            np.maximum(np.concatenate([g for _, _, g in blocks]), 0.0),
             return_inverse=True)
-        vals, errs = _ti_gap_couplings(kernel, gaps, h, gamma, span, tol)
-        W[iu, ju] = W[ju, iu] = vals[which]
-        err_acc = float(errs[which].sum())
+        vals, e, _ = _overlap_mass(kernel, gaps, h, h, gamma, span, tol)
+        near = gaps < gamma
+        c, e2 = _band_moment(kernel, gaps[near], gamma, tol)
+        vals[near] += c / (h * h)
+        errs = np.full(gaps.shape, e)
+        errs[near] += e2
+        ends = np.cumsum([g.size for _, _, g in blocks])
+        for (rows, cols, _), idx in zip(blocks, np.split(which, ends[:-1])):
+            n_p, n_q = rows.stop - rows.start, cols.stop - cols.start
+            v = vals[idx]
+            if rows == cols:  # offsets 1..n - 1, mirrored, zero diagonal
+                v = np.concatenate([v[::-1], [0.0], v])
+                pairs = np.arange(n_p - 1, 0, -1)
+            else:  # offsets 1 - n_p..n_q - 1
+                k = np.arange(1 - n_p, n_q)
+                pairs = np.minimum(n_p, n_q - k) - np.maximum(0, -k)
+            err_acc += float(pairs @ errs[idx])
+            block = np.lib.stride_tricks.sliding_window_view(v, n_q)[::-1]
+            W[rows, cols] = block
+            if rows != cols:
+                W[cols, rows] = block.T
     else:  # general pair kernels: nested adaptive, small meshes only
         for i in range(m):
             p_i = float(mesh.lo[i])
@@ -446,15 +449,12 @@ def _segment_mass(kernel: Kernel, mesh: Mesh1D, segs, h: float, gamma: float,
     each cell charged the shared estimate."""
     M = np.zeros(mesh.ncells)
     err_acc = 0.0
-    if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
     for a, b, v in segs:
         # edge distance of every cell to the segment, 0 when they touch
         d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
-        if kernel.family == "fractional":
-            val, e = _banded_mass(amp, kernel.s, d0, h, b - a, gamma), 0.0
-        elif kernel.family == "translation-invariant":
-            val, e, rem = _ti_overlap(kernel, d0, h, b - a, gamma, span, tol)
+        if kernel.family != "general":
+            val, e, rem = _overlap_mass(kernel, d0, h, b - a, gamma, span,
+                                        tol)
             e = mesh.ncells * e + float(np.sum(rem))
         else:
             val, e, rem = np.array([

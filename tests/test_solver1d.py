@@ -41,15 +41,12 @@ from nonlocal_lab.quadrature import integrate
 from nonlocal_lab.solver1d import (
     ASSEMBLY_TOL,
     BAND_FRACTION,
-    ROW_BLOCK,
     LinearSystem,
+    _band_moment,
     _couplings,
     _exterior_components,
-    _pair_banded,
-    _pair_curvature,
-    _pair_far,
+    _overlap_mass,
     _segment_mass,
-    _ti_gap_couplings,
     assemble,
     solve,
 )
@@ -257,88 +254,64 @@ class TestStructure:
         off = a - np.diag(np.diag(a))
         assert np.all(off <= 0)
 
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
-    def test_touching_pairs_match_scalar_loop(self, s):
-        # the vectorized touching-pair couplings against the pairwise loop
-        # they replaced: same scalar closed forms, so equal bit for bit
-        k = fractional_kernel(1, s)
-        cfg = make_disconnected_config(n=1, x1=0.3, x2=4.3, r=1.0, R=40.0)
-        mesh = mesh_over(cfg, 16)
-        w = -assemble(k, mesh, G13).matrix / 2.0
-        amp = float(k.eval_at_distance(1.0))
-        h = float(np.min(mesh.widths))
-        gamma = BAND_FRACTION * h
-        c = mesh.centers
-        gap = np.abs(c[:, None] - c[None, :]) - h
-        pairs = [(i, j) for i in range(mesh.ncells)
-                 for j in range(i + 1, mesh.ncells) if gap[i, j] < gamma]
-        assert len(pairs) == mesh.ncells - 1  # the junction pair included
-        for i, j in pairs:
-            g0 = max(float(gap[i, j]), 0.0)
-            want = (_pair_banded(amp, s, g0, h, gamma)
-                    + _pair_curvature(amp, s, g0, h, gamma))
-            assert w[i, j] == want and w[j, i] == want
-
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
-    def test_blocked_couplings_match_full_matrix(self, s):
-        # the row-blocked fractional couplings against the full-matrix
-        # formula they replaced, with a partial last block: same
-        # elementwise closed forms, so equal bit for bit
-        m = 300
-        assert m > ROW_BLOCK and m % ROW_BLOCK
-        k = fractional_kernel(1, s)
-        mesh = unit_mesh(m)
-        system = assemble(k, mesh, G13)
-        amp = float(k.eval_at_distance(1.0))
-        h = float(np.min(mesh.widths))
-        gamma = BAND_FRACTION * h
-        c = mesh.centers
-        gap = np.abs(c[:, None] - c[None, :]) - h
-        offdiag = ~np.eye(m, dtype=bool)
-        w = np.zeros((m, m))
-        far = (gap >= gamma) & offdiag
-        w[far] = _pair_far(amp, s, gap[far], h)
-        for i, j in zip(*np.nonzero((gap < gamma) & offdiag)):
-            g0 = max(float(gap[i, j]), 0.0)
-            w[i, j] = (_pair_banded(amp, s, g0, h, gamma)
-                       + _pair_curvature(amp, s, g0, h, gamma))
-        want = -2.0 * w
-        np.fill_diagonal(want, 2.0 * (w.sum(axis=1)
-                                      + system.exterior_mass / 2.0))
-        assert np.array_equal(system.matrix, want)
-
-    @pytest.mark.parametrize("intervals,n_cells",
-                             [([(-1.0, 1.0)], 16),
-                              ([(-3.0, -1.0), (1.0, 3.0)], 8)],
-                             ids=["one", "two"])
-    def test_ti_per_gap_matches_pair_loop(self, intervals, n_cells):
-        # W_ij depends on the pair through its clamped gap alone: every pair
-        # gets its gap's coupling bit for bit, and the error is charged
-        # pair by pair, summed in the i < j order
-        k = ti_demo_kernel(0.5)
+    @pytest.mark.parametrize("family", ["frac", "ti"])
+    @pytest.mark.parametrize("intervals,n_cells", [
+        ([(-1.0, 1.0)], 16),
+        ([(-4.0, 0.0), (0.0, 4.0)], 8),
+        ([(-3.0, -1.0), (1.0, 3.0)], 8),
+        ([(-5.0, -3.0), (-1.0, 1.0), (3.0, 5.0)], 8),
+        ([(-1.0, 1.0)], 100),
+    ], ids=["one", "touching", "separated", "three", "non-dyadic"])
+    def test_couplings_are_functions_of_the_gap(self, family, intervals,
+                                                n_cells, monkeypatch):
+        # W_ij depends on the pair through its clamped gap alone: W is
+        # symmetric with a zero diagonal, every entry is the coupling of
+        # its own pair's gap, and each pair is charged its gap's estimate
+        s = 0.6
+        k = fractional_kernel(1, s) if family == "frac" else ti_demo_kernel(s)
         mesh = mesh_intervals(intervals, n_cells)
         m = mesh.ncells
-        assert m == 16
         h = float(np.min(mesh.widths))
         gamma = BAND_FRACTION * h
         comps = _exterior_components(mesh)
         span = mesh.intervals[-1][1] - mesh.intervals[0][0]
+        estimates = []
+
+        def recording(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                estimates.append(out[1])
+                return out
+            return wrapped
+
+        monkeypatch.setattr(solver1d, "_overlap_mass",
+                            recording(_overlap_mass))
+        monkeypatch.setattr(solver1d, "_band_moment", recording(_band_moment))
         w, _, err = _couplings(k, mesh, h, gamma, comps, span, ASSEMBLY_TOL)
+        e_w, e_band = estimates[:2]  # W's two calls come first
+        monkeypatch.undo()
+        assert np.array_equal(w, w.T) and not np.any(np.diag(w))
+
         c = mesh.centers
-        gap = np.maximum(np.abs(c[:, None] - c[None, :]) - h, 0.0)
-        gaps = np.unique(gap[np.triu_indices(m, 1)])
-        vals, errs = _ti_gap_couplings(k, gaps, h, gamma, span, ASSEMBLY_TOL)
-        want = np.zeros((m, m))
-        err_want = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                g = np.searchsorted(gaps, gap[i, j])
-                want[i, j] = want[j, i] = vals[g]
-                err_want.append(errs[g])
+        iu, ju = np.triu_indices(m, 1)
+        gaps, which = np.unique(np.maximum(np.abs(c[iu] - c[ju]) - h, 0.0),
+                                return_inverse=True)
+        near = gaps < gamma
+        want, _, _ = _overlap_mass(k, gaps, h, h, gamma, span, ASSEMBLY_TOL)
+        want[near] += _band_moment(k, gaps[near], gamma,
+                                   ASSEMBLY_TOL)[0] / (h * h)
+        np.testing.assert_allclose(w[iu, ju], want[which], rtol=1e-11,
+                                   atol=0.0)
+
         _, err_ext = _segment_mass(k, mesh, [(lo, hi, 1.0) for lo, hi in comps],
                                    h, gamma, span, ASSEMBLY_TOL)
-        assert np.array_equal(w, want)
-        assert err == float(np.sum(err_want)) + err_ext
+        per_pair = e_w + e_band * near[which]
+        assert err == pytest.approx(float(per_pair.sum()) + err_ext,
+                                    rel=1e-12, abs=0.0)
+        if family == "frac":
+            assert err == 0.0
+        else:
+            assert e_w > 0.0
 
     def test_ti_integrate_calls_do_not_grow_with_cells(self, monkeypatch):
         # W is one overlap integral over the distinct gaps plus one band
@@ -543,11 +516,14 @@ class TestDualRoutes:
         amp = float(kf.eval_at_distance(1.0))
         kt = Kernel(n=1, s=s, lam=1.0, family="translation-invariant",
                     profile=lambda d: amp * np.asarray(d) ** (-1.0 - 2.0 * s))
-        s1 = assemble(kf, unit_mesh(8), G13)
-        s2 = assemble(kt, unit_mesh(8), G13)
-        assert s2.assembly_error < 1e-4
-        assert np.max(np.abs(s1.matrix - s2.matrix)) <= s2.assembly_error
-        assert np.max(np.abs(s1.rhs - s2.rhs)) <= s2.assembly_error
+        # a non-dyadic mesh has fewer distinct gaps than cell pairs, so the
+        # shared error estimate is charged from a smaller overlap integral
+        for mesh in (unit_mesh(8), unit_mesh(100)):
+            s1 = assemble(kf, mesh, G13)
+            s2 = assemble(kt, mesh, G13)
+            assert s2.assembly_error < 1e-4
+            assert np.max(np.abs(s1.matrix - s2.matrix)) <= s2.assembly_error
+            assert np.max(np.abs(s1.rhs - s2.rhs)) <= s2.assembly_error
 
     def test_power_pair_kernel_reproduces_closed_forms(self):
         # the power kernel entered as a general pair kernel: the nested
