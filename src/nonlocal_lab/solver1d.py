@@ -73,19 +73,27 @@ ASSEMBLY_TOL = 1e-10
 MATRIX_BUDGET_BYTES = 1 << 30
 
 
-# -- closed-form antiderivatives for K(t) = A t^(-1-2s) ----------------------
+# -- closed forms for K(t) = A t^(-1-2s) -------------------------------------
 
 def _phi(t, s: float):
     """Kernel tail mass: integral of t^(-1-2s) over (t, inf) = t^(-2s)/(2s)."""
     return np.asarray(t, dtype=float) ** (-2.0 * s) / (2.0 * s)
 
 
-def _xi(t, s: float):
-    """Antiderivative of _phi."""
-    t = np.asarray(t, dtype=float)
-    if abs(s - 0.5) < 1e-12:
-        return np.log(t)
-    return t ** (1.0 - 2.0 * s) / (2.0 * s * (1.0 - 2.0 * s))
+def _phi_mass(lo, width, s: float):
+    """int_lo^(lo + width) _phi(t) dt for lo > 0, continuous in s through
+    1/2.
+
+    With L = log(1 + width/lo) and x = (1 - 2s) L it is
+    lo^(1-2s) L expm1(x)/x / (2s), the ratio taken as 1 at x = 0, so
+    s = 1/2 needs no branch (the integral is L there), no two
+    antiderivative values cancel, and the width enters exactly rather
+    than as a difference of rounded end points."""
+    lo = np.asarray(lo, dtype=float)
+    L = np.log1p(width / lo)
+    x = np.asarray((1.0 - 2.0 * s) * L)
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    return lo ** (1.0 - 2.0 * s) * L * ratio / (2.0 * s)
 
 
 def _banded_mass(amp: float, s: float, d0, h: float, width: float,
@@ -96,14 +104,14 @@ def _banded_mass(amp: float, s: float, d0, h: float, width: float,
     given width (may be inf) whose near edge sits d0 from the cell edge;
     vectorized in d0.
     """
+    def beyond(d):  # the cell against everything from d past its edge on
+        lo = np.maximum(d, gamma)
+        return _phi_mass(lo, h - (lo - d), s) + (lo - d) * _phi(gamma, s)
+
     d0 = np.asarray(d0, dtype=float)
-    near = (_xi(d0 + h, s) - _xi(np.maximum(d0, gamma), s)
-            + (gamma - np.minimum(d0, gamma)) * _phi(gamma, s))
     if not np.isfinite(width):
-        return amp * near
-    far = d0 + width
-    return amp * (near - (_xi(far + h, s) - _xi(np.maximum(far, gamma), s)
-                          + (gamma - np.minimum(far, gamma)) * _phi(gamma, s)))
+        return amp * beyond(d0)
+    return amp * (beyond(d0) - beyond(d0 + width))
 
 
 # -- assembled system --------------------------------------------------------

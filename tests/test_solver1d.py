@@ -300,7 +300,7 @@ class TestStructure:
         want, _, _ = _overlap_mass(k, gaps, h, h, gamma, span, ASSEMBLY_TOL)
         want[near] += _band_moment(k, gaps[near], gamma,
                                    ASSEMBLY_TOL)[0] / (h * h)
-        np.testing.assert_allclose(w[iu, ju], want[which], rtol=1e-11,
+        np.testing.assert_allclose(w[iu, ju], want[which], rtol=1e-13,
                                    atol=0.0)
 
         _, err_ext = _segment_mass(k, mesh, [(lo, hi, 1.0) for lo, hi in comps],
@@ -388,6 +388,15 @@ class TestStructure:
         u2 = solve(assemble(k, unit_mesh(8), g2))
         assert np.all(u1.values < 0)
         assert np.max(np.abs(u2.values - 2.0 * u1.values)) < 1e-12
+
+    @pytest.mark.parametrize("ds", [1e-9, -1e-9, 1e-11, -1e-11])
+    def test_continuous_in_s_through_one_half(self, ds):
+        # the closed forms have no branch at s = 1/2: the solution moves by
+        # about 0.7 |s - 1/2| there, with nothing lost to cancellation
+        mesh = unit_mesh(128)
+        u_half = solve(assemble(fractional_kernel(1, 0.5), mesh, G13)).values
+        u = solve(assemble(fractional_kernel(1, 0.5 + ds), mesh, G13)).values
+        assert np.max(np.abs(u - u_half)) <= 2.0 * abs(ds)
 
     def test_nonuniform_mesh_rejected(self):
         mesh = mesh_intervals([(0.0, 1.0), (2.0, 4.0)], 8)
