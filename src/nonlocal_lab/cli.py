@@ -98,7 +98,7 @@ def _build_config(args):
             raise UnsupportedDimension(
                 f"config file has n = {cfg.n}; the experiments run for n = 1 only")
         base = {"n": cfg.n, "x1": float(cfg.x1[0]), "x2": float(cfg.x2[0]),
-                "r": cfg.r, "R": cfg.R}
+                "r": cfg.r, "R": cfg.R, "unsafe": not cfg.checked}
     for key in ("x1", "x2", "r", "R"):
         val = getattr(args, key)
         if val is not None:

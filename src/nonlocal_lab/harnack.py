@@ -288,22 +288,3 @@ def s_sweep(kernel_family: str, config: DisconnectedConfig, s_grid,
                       "c0_max": c0})
         reports[s] = reps
     return {"table": table, "reports": reports}
-
-
-def classical_harnack_check(u: GridFunction, ball: Ball, s: float) -> dict:
-    """Single-ball baseline: sup and inf over the half-radius window.
-
-    The comparison window is the concentric half-radius ball and the tail
-    cutoff is the full solved ball, so everything outside the known-sign
-    region counts as tail.
-    """
-    center = float(ball.center[0])
-    vals = _ball_values(u, Ball(ball.center, ball.radius / 2.0))
-    sup, inf_ = float(vals.max()), float(vals.min())
-    t = _negative_tail(u, center, ball.radius, s)
-    den = inf_ + t
-    if den > 0.0:
-        c_emp = sup / den
-    else:
-        c_emp = 0.0 if sup <= 0.0 else np.inf
-    return {"sup": sup, "inf": inf_, "tail": t, "C_empirical": c_emp}

@@ -109,9 +109,8 @@ def _banded_mass(amp: float, s: float, d0, h: float, width: float,
         return _phi_mass(lo, h - (lo - d), s) + (lo - d) * _phi(gamma, s)
 
     d0 = np.asarray(d0, dtype=float)
-    if not np.isfinite(width):
-        return amp * beyond(d0)
-    return amp * (beyond(d0) - beyond(d0 + width))
+    far = beyond(d0 + width) if np.isfinite(width) else 0.0
+    return amp * (beyond(d0) - far)
 
 
 # -- assembled system --------------------------------------------------------

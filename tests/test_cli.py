@@ -1,8 +1,11 @@
 """CLI surface tests: parsing, exit codes, file output determinism."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +14,8 @@ from nonlocal_lab.errors import EmptySample
 from nonlocal_lab.harnack import CSV_COLUMNS
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_main(argv):
@@ -186,6 +190,34 @@ class TestHarnackCommands:
         run_main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_blas_threads_move_only_last_digits(self):
+        # the determinism contract: byte-identical at a fixed BLAS thread
+        # setting, and another thread count moves only the last digits
+        def run(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run(
+                [sys.executable, "-m", "nonlocal_lab.cli", "harnack", "run",
+                 "--s", "0.5", "--N", "64"],
+                env=env, capture_output=True, text=True, check=True).stdout
+            return json.loads(out)
+
+        def close(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(close(a[k], b[k])
+                                                    for k in a)
+            if isinstance(a, list):
+                return len(a) == len(b) and all(map(close, a, b))
+            if isinstance(a, float):
+                return a == pytest.approx(b, rel=1e-12, abs=0.0)
+            return a == b
+
+        one, two = run(1), run(2)
+        assert one["reports"]
+        assert close(one, two)
+
     @pytest.mark.parametrize("flags,ratio,magnitude", [
         ([], 16.0, 1.0),
         (["--R", "8"], 8.0, 1.0),
@@ -234,6 +266,25 @@ class TestConfigFile:
         d = json.loads(out.read_text())
         assert d["reports"][0]["config"]["R"] == 32.0
         assert d["reports"][0]["N"] == 8
+
+    @pytest.mark.parametrize("unsafe", [True, False])
+    def test_unsafe_flag_is_carried(self, tmp_path, capsys, unsafe):
+        # |x1 - x2| = 9r is outside [4r, 8r]: only an unsafe file runs,
+        # and every report carries the stamp
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 1\nx1 = -4.5\nx2 = 4.5\nr = 1\nR = 40\n"
+                       + ("unsafe = true\n" if unsafe else ""))
+        out = tmp_path / "h.json"
+        code = run_main(["harnack", "run", "--config", str(cfg), "--s", "0.5",
+                         "--samples", "2", "--N", "8", "--out", str(out)])
+        if not unsafe:
+            assert code == 3
+            assert "outside [4r, 8r]" in capsys.readouterr().err
+            return
+        assert code == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert reports
+        assert all(rep["config"]["checked"] is False for rep in reports)
 
     def test_dimension_other_than_one_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -16,13 +16,12 @@ from nonlocal_lab.errors import (
     EmptySample,
     NoPositiveC0,
 )
-from nonlocal_lab.geometry import Ball, make_disconnected_config, \
+from nonlocal_lab.geometry import make_disconnected_config, \
     mesh_intervals, mesh_over
 from nonlocal_lab.harnack import (
     CSV_COLUMNS,
     aggregate_c_max,
     barrier_combination_check,
-    classical_harnack_check,
     disconnected_harnack_experiment,
     far_negative_data,
     harnack_report,
@@ -310,30 +309,6 @@ class TestSweep:
                         if row["s"] == prow["s"])
             assert prow["C_max"] == pytest.approx(nrow["C_max"], rel=1e-9)
             assert prow["c0_max"] == pytest.approx(nrow["c0_max"], rel=1e-9)
-
-
-class TestClassicalBaseline:
-    def test_constant_solution_has_unit_constant(self):
-        mesh = mesh_intervals([(-1.0, 1.0)], 32)
-        u = solve(assemble(frac(0.5), mesh, constant(1.0)))
-        res = classical_harnack_check(u, Ball((0.0,), 1.0), 0.5)
-        assert res["tail"] == 0.0
-        assert res["C_empirical"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonneg_data_reduces_to_sup_over_inf(self):
-        mesh = mesh_intervals([(-1.0, 1.0)], 32)
-        g = random_nonneg_data(CFG, np.random.default_rng(5))
-        u = solve(assemble(frac(0.5), mesh, g))
-        res = classical_harnack_check(u, Ball((0.0,), 1.0), 0.5)
-        assert res["tail"] == 0.0
-        assert res["C_empirical"] == pytest.approx(res["sup"] / res["inf"])
-        assert res["C_empirical"] >= 1.0
-
-    def test_window_outside_mesh_raises(self):
-        u = solve(assemble(frac(0.5), mesh_intervals([(-1.0, 1.0)], 16),
-                           constant(1.0)))
-        with pytest.raises(EmptySample):
-            classical_harnack_check(u, Ball((10.0,), 1.0), 0.5)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
