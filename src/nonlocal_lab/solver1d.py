@@ -356,7 +356,8 @@ def _band_moment(kernel: Kernel, gaps, gamma: float,
     s = kernel.s
     if kernel.family == "fractional":
         amp = float(kernel.eval_at_distance(1.0))
-        a = (gamma ** (3.0 - 2.0 * s) - gaps ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
+        a = (gamma ** (3.0 - 2.0 * s)
+             - gaps ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
         b = gaps * (gamma ** (2.0 - 2.0 * s)
                     - gaps ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
         return amp * (a - b), 0.0

@@ -194,10 +194,10 @@ class TestHarnackCommands:
         # the determinism contract: byte-identical at a fixed BLAS thread
         # setting, and another thread count moves only the last digits
         def run(threads):
+            path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                        OMP_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(
-                           [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
             out = subprocess.run(
                 [sys.executable, "-m", "nonlocal_lab.cli", "harnack", "run",
                  "--s", "0.5", "--N", "64"],
