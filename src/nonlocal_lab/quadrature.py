@@ -56,13 +56,17 @@ _WG[1:15:2] = np.concatenate([_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]])
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 4000
+# QUADPACK's qk15 floors each panel estimate at 50 eps times the integral
+# of |f|; resasc + |k15| bounds that integral from above, at no extra cost
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 def gk_panel(f, a: float, b: float):
     """Integrate one panel; returns (K15 value, error estimate).
 
     The value is a float, or an array of k components when f returns
-    shape (15, k); the error is then the largest component estimate."""
+    shape (15, k); the error is then the largest component estimate.
+    No estimate falls below the rounding floor of the rule itself."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * NODES), dtype=float)
@@ -75,9 +79,10 @@ def gk_panel(f, a: float, b: float):
     # on the raw difference; otherwise self-similar singular panels report
     # vanishing error and subdivision stops too early
     resasc = half * float(np.abs(fx - k15 / (b - a)) @ _WK)
+    floor = _ROUNDING * (resasc + abs(k15))
     if resasc > 0.0 and raw > 0.0:
-        return k15, resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    return k15, raw
+        return k15, max(resasc * min(1.0, (200.0 * raw / resasc) ** 1.5), floor)
+    return k15, max(raw, floor)
 
 
 def _gk_panel_vec(fx: np.ndarray, half: float, width: float):
@@ -89,6 +94,7 @@ def _gk_panel_vec(fx: np.ndarray, half: float, width: float):
     pos = resasc > 0.0
     ratio = np.divide(200.0 * raw, resasc, out=np.zeros_like(raw), where=pos)
     err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), raw)
+    err = np.maximum(err, _ROUNDING * (resasc + np.abs(k15)))
     return k15, float(err.max(initial=0.0))
 
 

@@ -61,6 +61,16 @@ class TestAdaptive:
     def test_empty_interval_is_zero(self):
         assert integrate(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("shift", [2.98, 0.5, 10.0])
+    def test_estimate_covers_rounding(self, shift):
+        # a smooth integrand the rule resolves to the last bit: the damped
+        # estimate alone (2.8e-17 at shift 2.98) undercuts the rounding
+        # error of the sum (6.1e-16); the 50 eps floor of qk15 covers it
+        val, err = integrate(lambda y: (y + shift) ** -1.5, 1.0, 3.0)
+        exact = 2.0 * ((1.0 + shift) ** -0.5 - (3.0 + shift) ** -0.5)
+        assert abs(val - exact) <= err
+        assert err >= 50.0 * np.finfo(float).eps * exact
+
 
 def smooth3(x):
     return np.stack([np.cos(7.0 * x) * np.exp(x / 3.0),
@@ -102,6 +112,18 @@ class TestVectorValued:
                  for c in range(3)]
         np.testing.assert_allclose(val, [v for v, _ in parts], rtol=1e-14)
         assert err == pytest.approx(max(e for _, e in parts), rel=1e-12)
+
+    def test_rounding_floor_per_component(self):
+        # a tiny component next to a large one keeps its own floor, and
+        # the panel estimate is the largest of them
+        def f(x):
+            return np.stack([1e-6 * (x + 2.98) ** -1.5,
+                             (x + 2.98) ** -1.5], axis=1)
+
+        val, err = gk_panel(f, 1.0, 3.0)
+        _, err_big = gk_panel(lambda x: f(x)[:, 1], 1.0, 3.0)
+        assert err == err_big
+        assert err >= 50.0 * np.finfo(float).eps * val[1]
 
     def test_empty_component_set(self):
         val, err = integrate(lambda x: np.empty((len(x), 0)), 0.0, 1.0)
