@@ -239,6 +239,15 @@ def _tail_remainder(amp: float, p: float, s: float, center: float, T: float) -> 
     return amp * fudge * 2.0 * T ** (p - 2.0 * s) / (2.0 * s - p)
 
 
+def _reach(u: PointFunction, x: float) -> float | None:
+    """Distance from x beyond which u vanishes, max(|lo - x|, |hi - x|)
+    over its declared support (lo, hi); None without compact support."""
+    if u.support is None:
+        return None
+    lo, hi = u.support
+    return max(abs(lo - x), abs(hi - x))
+
+
 def truncation_radius(remainder: Callable[[float], float], T0: float,
                       tol: float) -> tuple[float, float]:
     """First T = T0 * 10^k with remainder(T) <= tol, capped at
@@ -292,13 +301,6 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
     ux = float(u(np.array([x]))[0])
     amp, p = integrable_envelope(u, kernel.s)
     env = kernel.upper_envelope()
-
-    def far_remainder(T):
-        # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
-        return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-                            + _tail_remainder(amp, p, kernel.s, x, T))
-
-    T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
 
     # near field on (0, rho)
     if u.piecewise:
@@ -376,12 +378,27 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
             f"{u.label} is neither piecewise constant nor declared C^2 (hess_bound)")
 
     # far field 2 int_{rho < |y-x| < T} (u(x) - u(y)) k(x, y) dy
+    reach = _reach(u, x)
+    if reach is not None and (ux == 0.0 or kernel.family == "fractional"):
+        # beyond the reach only u(x) k is left, zero or a power mass
+        T, remainder = max(reach, rho), 0.0
+        beyond = ux * 2.0 * kernel.norm_factor * kernel.scale \
+            * _power_mass(T, np.inf, kernel.s)
+    else:
+        def far_remainder(T):
+            # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
+            return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
+                                + _tail_remainder(amp, p, kernel.s, x, T))
+
+        T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
+        beyond = 0.0
+
     def far(y, d):
         return (ux - u.fn(y)) * kernel.eval_pairs(np.full_like(y, x), y)
 
     far_val, far_err = _two_sided(far, x, rho, T, u.breaks, tol)
     return LEvalResult(
-        value=near_val + 2.0 * far_val,
+        value=near_val + 2.0 * (far_val + beyond),
         error_bound=near_err + 2.0 * far_err + remainder,
         remainder_bound=remainder,
         truncation_radius=T,
@@ -434,7 +451,10 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
     def remainder(T):
         return r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T)
 
-    if truncation is None:
+    reach = _reach(u, x0)
+    if truncation is None and reach is not None:
+        T, rem = max(reach, r), 0.0
+    elif truncation is None:
         T, rem = truncation_radius(remainder, 1e4 * r, tol)
     else:
         T = float(truncation)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigParseError, DomainViolation, UnsupportedDimension
-from .operator import PointFunction, _tail_remainder, integrable_envelope, truncation_radius
+from .operator import (
+    PointFunction,
+    _reach,
+    _tail_remainder,
+    integrable_envelope,
+    truncation_radius,
+)
 from .quadrature import DEFAULT_TOL, integrate
 
 TRUNCATION_FACTOR = 1e4
@@ -133,10 +139,14 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     pline = _line_kernel(pk, x)
     amp_x = pk.constant * pk.inside_gap(x) ** s
     amp_g, p = integrable_envelope(g, s)
-    weight = amp_x * (4.0 / 3.0) ** s * 2.0
-    T, remainder = truncation_radius(
-        lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
-        TRUNCATION_FACTOR * r, 0.5 * tol)
+    reach = _reach(g, c)
+    if reach is not None:
+        T, remainder = max(reach, 2.0 * r), 0.0
+    else:
+        weight = amp_x * (4.0 / 3.0) ** s * 2.0
+        T, remainder = truncation_radius(
+            lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
+            TRUNCATION_FACTOR * r, 0.5 * tol)
     t_cut = math.acosh(2.0)
 
     total = 0.0
