@@ -206,9 +206,9 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
 @dataclass(frozen=True)
 class LEvalResult:
     value: float
-    error_bound: float  # quadrature estimate + truncation remainder
-    remainder_bound: float
-    truncation_radius: float
+    error_bound: float  # quadrature estimate + remainder_bound
+    remainder_bound: float  # envelope bound beyond T; 0 when T ends u's reach
+    truncation_radius: float  # T, the distance |y - x| integrated to
 
     def __float__(self):
         return self.value

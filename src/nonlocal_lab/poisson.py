@@ -94,9 +94,9 @@ class ExtensionResult:
     """Value of the representation integral with quadrature and truncation slack."""
 
     value: float
-    error_bound: float
-    remainder_bound: float
-    truncation_radius: float
+    error_bound: float  # quadrature estimate + remainder_bound
+    remainder_bound: float  # envelope bound beyond T; 0 for compact data
+    truncation_radius: float  # T, the center distance integrated to
 
     def __float__(self) -> float:
         return float(self.value)
@@ -119,14 +119,22 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                    tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Representation integral of exterior data g at a point x inside.
 
-    Each side of the exterior splits at center distance 2r: the band next to
-    the ball uses z = center +- r cosh(t), which absorbs the boundary
-    singularity into a sinh(t)^(1-2s) factor with an integrable endpoint;
-    the far band integrates in z over geometric panels up to a truncation
-    radius T, searched from TRUNCATION_FACTOR * r up by decades until the
-    analytic remainder from g's growth envelope fits half the tolerance.
-    Beyond T >= 2r the kernel is at most (4/3)^s * 2 * amp_x * rho^(-1-2s)
-    in the center distance rho, which is what the remainder integrates.
+    Each side of the exterior splits at center distance 2r.  The band next
+    to the ball uses z = center +- r cosh(t), which turns the boundary
+    singularity into a factor sinh(t)^(1-2s), and integrates in
+    tau = t^(2-2s) (the substitution of eval_L's near field): there
+    sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau, alpha = 1/(2-2s),
+    which is smooth down to tau = 0.  The far band integrates in z over
+    geometric panels up to a radius T:
+
+    - data with a declared support (lo, hi) vanish beyond the reach
+      max(|lo - center|, |hi - center|), so T = max(reach, 2r) and no
+      remainder is left;
+    - otherwise T is searched from TRUNCATION_FACTOR * r up by decades
+      until the analytic remainder from g's growth envelope fits half the
+      tolerance.  Beyond T >= 2r the kernel is at most
+      (4/3)^s * 2 * amp_x * rho^(-1-2s) in the center distance rho, which
+      is what the remainder integrates.
     """
     if pk.n != 1:
         raise UnsupportedDimension(
@@ -147,13 +155,14 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
         T, remainder = truncation_radius(
             lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
             TRUNCATION_FACTOR * r, 0.5 * tol)
-    t_cut = math.acosh(2.0)
+    expo = 2.0 - 2.0 * s
+    alpha = 1.0 / expo
 
     total = 0.0
     err = 0.0
     for side in (1.0, -1.0):
-        def band(t):
-            t = np.asarray(t, dtype=float)
+        def band(tau):
+            t = np.asarray(tau, dtype=float) ** alpha
             # z itself collapses onto the boundary for t < sqrt(eps), which
             # would feed g the wrong one-sided value right where the
             # singular mass sits; keep the boundary offset exact and floor
@@ -162,13 +171,15 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
             off = 2.0 * r * np.sinh(0.5 * t) ** 2
             zg = c + side * (r + np.maximum(off, 1e-9 * r))
             dist = np.abs(c + side * r * np.cosh(t) - x)
-            # dz = r sinh dt against (r sinh)^(-2s) from the kernel
-            return (g.fn(zg) * amp_x * r ** (1.0 - 2.0 * s)
-                    * np.sinh(t) ** (1.0 - 2.0 * s) / dist)
+            # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
+            # sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau
+            return (g.fn(zg) * amp_x * r ** (1.0 - 2.0 * s) * alpha
+                    * (np.sinh(t) / t) ** (1.0 - 2.0 * s) / dist)
 
-        tb = [math.acosh(side * (b - c) / r) for b in g.breaks
+        tb = [math.acosh(side * (b - c) / r) ** expo for b in g.breaks
               if r < side * (b - c) < 2.0 * r]
-        val, e = integrate(band, 0.0, t_cut, tol=tol, breaks=tb)
+        val, e = integrate(band, 0.0, math.acosh(2.0) ** expo, tol=tol,
+                           breaks=tb)
         total += val
         err += e
 
