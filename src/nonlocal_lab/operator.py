@@ -7,9 +7,16 @@ invariant kernels the principal value is computed in symmetrized form,
     D2(z) = 2u(x) - u(x+z) - u(x-z),
 
 which is absolutely convergent for C^2 functions (|D2| <= |u''| z^2).  The
-far field is integrated directly and the truncation tail beyond T is
-bounded analytically from the declared growth envelope and the kernel's
-ellipticity envelope; the bound is reported, never dropped.
+far field is integrated directly out to a radius T:
+
+- a function with a declared support (lo, hi) vanishes beyond its reach
+  max(|lo - x|, |hi - x|).  When u(x) = 0 or the kernel is fractional,
+  T = max(reach, rho) and what lies beyond T is u(x) times the kernel
+  mass, zero or a closed form; no remainder is charged.  `tail` and
+  `poisson_extend` end at the reach in the same way;
+- otherwise T is searched by decades, and the truncation tail beyond T is
+  bounded analytically from the declared growth envelope and the kernel's
+  ellipticity envelope; the bound is reported, never dropped.
 
 PointFunction carries the structural facts the quadrature needs: breaks
 (panels never straddle them), an optional piecewise-constant description

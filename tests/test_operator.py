@@ -249,3 +249,147 @@ def test_w1_eval_matches_closed_form_any_s(s):
     exact = -2.0 * (3.0 ** (-2.0 * s) - 5.0 ** (-2.0 * s)) / (2.0 * s)
     assert res.value == pytest.approx(exact, rel=1e-8)
     assert abs(res.value - exact) <= res.error_bound
+
+
+# the r = 0.5 barrier: w2's reach |x - x1| + r falls below the near-field
+# radius rho = 1 on B_r(x1), so the far field is empty there
+HALF = make_disconnected_config(n=1, x1=-1.0, x2=1.0, r=0.5, R=8.0)
+
+
+def without_support(u):
+    """The same function without a declared support: the truncated route."""
+    return replace(u, support=None)
+
+
+class TestClosedFormBounds:
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
+    def test_w1_on_the_barrier_grid(self, s):
+        # L chi_(1,3)(x) = -2 int_1^3 (y - x)^(-1-2s) dy for x in B_1(-2)
+        k = fractional_kernel(1, s)
+        w1 = barrier_w1(CONFIG)
+        for x in ball1_grid():
+            res = eval_L(k, w1, x, tol=1e-8)
+            exact = -((1.0 - x) ** (-2.0 * s) - (3.0 - x) ** (-2.0 * s)) / s
+            assert abs(res.value - exact) <= res.error_bound
+
+
+class TestCompactRoute:
+    """Declared support ends the far field; stripping it must not matter."""
+
+    @pytest.mark.parametrize("kernel", [
+        fractional_kernel(1, 0.3),
+        fractional_kernel(1, 0.8),
+        ti_demo_kernel(0.4),
+        general_demo_kernel(0.6),
+    ], ids=["frac0.3", "frac0.8", "ti0.4", "general0.6"])
+    @pytest.mark.parametrize("x", [-2.6, -2.0, -1.2, 0.5, 6.0])
+    def test_w1_agrees_with_truncated_route(self, kernel, x):
+        w1 = barrier_w1(CONFIG)
+        a = eval_L(kernel, w1, x)
+        b = eval_L(kernel, without_support(w1), x)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    @pytest.mark.parametrize("kernel", [
+        fractional_kernel(1, 0.3),
+        fractional_kernel(1, 0.8),
+        ti_demo_kernel(0.4),
+    ], ids=["frac0.3", "frac0.8", "ti0.4"])
+    @pytest.mark.parametrize("x", [1.4, 2.4])
+    def test_w1_inside_its_support(self, kernel, x):
+        # u(x) = 1: the fractional kernel adds the mass beyond the reach in
+        # closed form, the TI kernel keeps the truncation search
+        w1 = barrier_w1(CONFIG)
+        a = eval_L(kernel, w1, x)
+        b = eval_L(kernel, without_support(w1), x)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    @pytest.mark.parametrize("kernel", [
+        fractional_kernel(1, 0.3),
+        fractional_kernel(1, 0.8),
+        ti_demo_kernel(0.4),
+    ], ids=["frac0.3", "frac0.8", "ti0.4"])
+    @pytest.mark.parametrize("config,x", [
+        (CONFIG, -2.3), (CONFIG, -1.2), (CONFIG, 0.5), (CONFIG, 3.5),
+        (HALF, -1.2), (HALF, -0.9), (HALF, -0.3), (HALF, 0.2),
+    ])
+    def test_w2_agrees_with_truncated_route(self, kernel, config, x):
+        w2 = barrier_w2(config)
+        a = eval_L(kernel, w2, x)
+        b = eval_L(kernel, without_support(w2), x)
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    def test_reach_below_the_near_field_radius(self):
+        # T clamps at rho: the shell (reach, rho) belongs to the near field
+        # and only the kernel mass beyond rho is added in closed form
+        k = fractional_kernel(1, 0.5)
+        w2 = barrier_w2(HALF)
+        res = eval_L(k, w2, -1.1)
+        assert res.truncation_radius == 1.0
+        assert res.remainder_bound == 0.0
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("x0", [-4.0, -2.0, 0.0, 2.5, 7.0])
+    def test_tail_agrees_with_truncated_route(self, s, x0):
+        pw = piecewise_constant([(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)])
+        u = PointFunction(pw.fn, sup_bound=2.0, breaks=pw.breaks,
+                          support=pw.support)
+        a = tail(u, x0, 1.0, s)
+        b = tail(without_support(u), x0, 1.0, s)
+        assert abs(a.value - b.value) <= a.remainder_bound + b.remainder_bound
+        # the piecewise closed form is the third route
+        exact = tail(pw, x0, 1.0, s).value
+        assert abs(a.value - exact) <= a.remainder_bound
+
+
+def recording(u, seen):
+    """u whose fn appends every evaluation point to seen."""
+    def fn(y):
+        seen.append(np.array(y, dtype=float, copy=True).ravel())
+        return u.fn(y)
+
+    return replace(u, fn=fn)
+
+
+def farthest(seen, center):
+    return float(np.max(np.abs(np.concatenate(seen) - center)))
+
+
+class TestCompactWork:
+    """No evaluation beyond the reach, no remainder, T is what ran."""
+
+    @pytest.mark.parametrize("kernel", [
+        fractional_kernel(1, 0.25),
+        ti_demo_kernel(0.5),
+        general_demo_kernel(0.75),
+    ], ids=["frac", "ti", "general"])
+    @pytest.mark.parametrize("x", [-2.5, -1.5])
+    def test_eval_L_w1(self, kernel, x):
+        seen = []
+        w1 = barrier_w1(CONFIG)
+        res = eval_L(kernel, recording(w1, seen), x)
+        reach = 3.0 - x
+        assert res.truncation_radius == reach
+        assert res.remainder_bound == 0.0
+        assert farthest(seen, x) <= reach
+
+    @pytest.mark.parametrize("x", [-2.9, -2.3, -1.6])
+    def test_eval_L_w2_fractional(self, x):
+        seen = []
+        w2 = barrier_w2(CONFIG)
+        res = eval_L(fractional_kernel(1, 0.75), recording(w2, seen), x)
+        reach = abs(x + 2.0) + 1.0
+        assert res.truncation_radius == reach
+        assert res.remainder_bound == 0.0
+        assert farthest(seen, x) <= reach
+
+    @pytest.mark.parametrize("x0", [-5.0, 0.0, 2.0])
+    def test_tail(self, x0):
+        seen = []
+        u = PointFunction(lambda y: np.exp(-y * y), sup_bound=1.0,
+                          support=(-1.0, 3.0), breaks=(-1.0, 3.0))
+        res = tail(recording(u, seen), x0, 0.5, 0.4)
+        reach = max(abs(-1.0 - x0), abs(3.0 - x0))
+        assert res.truncation_radius == reach
+        assert farthest(seen, x0) <= reach
+        # no truncation remainder: what is left is the quadrature estimate
+        assert res.remainder_bound < 1e-9

@@ -1,6 +1,7 @@
 """Ball kernel: closed-form values, extension quadrature, two-sided bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,63 @@ class TestExtend:
     def test_evaluation_point_must_be_inside(self):
         with pytest.raises(DomainViolation):
             poisson_extend(UNIT, constant(1.0), 1.0)
+
+
+class TestClosedFormBounds:
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 10.0])
+    def test_indicator_at_the_center(self, s, b):
+        # from the center the Poisson measure of (r, b) is
+        # 1/2 I_{1 - r^2/b^2}(1 - s, s) (Blumenthal, Getoor & Ray 1961)
+        pk = PoissonKernelBall(n=1, s=s, r=1.0)
+        res = poisson_extend(pk, indicator(1.0, b), 0.0)
+        want = 0.5 * betainc(1.0 - s, s, 1.0 - 1.0 / b ** 2)
+        assert abs(res.value - want) <= res.error_bound
+
+    @pytest.mark.parametrize("x", [-0.9, -0.5, 0.0, 0.3, 0.8])
+    def test_arccos_form_at_one_half(self, x):
+        # at s = 1/2, P(x, z) dz on z > 1 integrates to
+        # arccos((1 - x z)/(z - x))/pi; pieces on the left by mirror image
+        g = piecewise_constant([(-4.0, -1.5, 2.0), (1.0, 3.0, 1.0)])
+        res = poisson_extend(UNIT, g, x)
+
+        def mass(y, a, b):
+            return (math.acos((1.0 - y * b) / (b - y))
+                    - math.acos((1.0 - y * a) / (a - y))) / math.pi
+
+        want = 2.0 * mass(-x, 1.5, 4.0) + mass(x, 1.0, 3.0)
+        assert abs(res.value - want) <= res.error_bound
+
+
+class TestCompactData:
+    """A declared support ends the far band at the data's reach."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("x", [-0.3, 0.5, 1.2])
+    def test_agrees_with_truncated_route(self, s, x):
+        pk = PoissonKernelBall(n=1, s=s, r=1.0, center=0.5)
+        g = piecewise_constant([(-6.0, -2.0, 2.0), (1.7, 2.5, -1.0)])
+        a = poisson_extend(pk, g, x)
+        b = poisson_extend(pk, replace(g, support=None), x)
+        assert b.remainder_bound > 0.0
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    @pytest.mark.parametrize("support,T", [((-6.0, 2.5), 5.5), ((0.6, 1.2), 2.0)])
+    def test_no_evaluation_beyond_the_reach(self, support, T):
+        # T = max(reach, 2r): the band itself reaches 2r from the center
+        seen = []
+        g = PointFunction(lambda y: np.cos(y), sup_bound=1.0,
+                          support=support, breaks=support)
+
+        def fn(y):
+            seen.append(np.array(y, dtype=float, copy=True).ravel())
+            return g.fn(y)
+
+        pk = PoissonKernelBall(n=1, s=0.4, r=1.0, center=-0.5)
+        res = poisson_extend(pk, replace(g, fn=fn), -0.2)
+        assert res.truncation_radius == T
+        assert res.remainder_bound == 0.0
+        assert float(np.max(np.abs(np.concatenate(seen) + 0.5))) <= T
 
 
 @given(st.floats(0.15, 0.85), st.floats(-0.8, 0.8))
