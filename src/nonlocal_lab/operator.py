@@ -444,7 +444,8 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
 
     Piecewise-constant functions integrate in closed form (zero remainder);
     callables integrate adaptively to the truncation radius with the
-    envelope remainder reported.
+    envelope remainder reported.  Without an explicit truncation, a
+    declared support ends the integral at max(reach, r), no remainder.
     """
     x0 = float(x0)
     r = float(r)
@@ -459,15 +460,15 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
         return r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T)
 
     reach = _reach(u, x0)
-    if truncation is None and reach is not None:
-        T, rem = max(reach, r), 0.0
-    elif truncation is None:
-        T, rem = truncation_radius(remainder, 1e4 * r, tol)
-    else:
+    if truncation is not None:
         T = float(truncation)
         if T <= r:
             raise DomainViolation(f"truncation {T:g} must exceed r = {r:g}")
         rem = remainder(T)
+    elif reach is not None:
+        T, rem = max(reach, r), 0.0
+    else:
+        T, rem = truncation_radius(remainder, 1e4 * r, tol)
 
     def weighted(y, d):
         return np.abs(u.fn(y)) * d ** (-1.0 - 2.0 * s)
