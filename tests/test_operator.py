@@ -273,49 +273,41 @@ class TestClosedFormBounds:
             assert abs(res.value - exact) <= res.error_bound
 
 
+ROUTE_KERNELS = {
+    "frac0.3": fractional_kernel(1, 0.3),
+    "frac0.8": fractional_kernel(1, 0.8),
+    "ti0.4": ti_demo_kernel(0.4),
+    "general0.6": general_demo_kernel(0.6),
+}
+LOCAL = ("frac0.3", "frac0.8", "ti0.4")
+# w1 vanishes at the first five points; at 1.4 and 2.4 it is 1, where the
+# fractional kernel adds the mass beyond the reach in closed form and the
+# TI kernel keeps the truncation search (the general kernel runs only
+# where u(x) = 0, and w2 is not locally constant)
+ROUTE_CASES = (
+    [(k, "w1", CONFIG, x) for k in ROUTE_KERNELS
+     for x in (-2.6, -2.0, -1.2, 0.5, 6.0)]
+    + [(k, "w1", CONFIG, x) for k in LOCAL for x in (1.4, 2.4)]
+    + [(k, "w2", cfg, x) for k in LOCAL
+       for cfg, x in [(CONFIG, -2.3), (CONFIG, -1.2), (CONFIG, 0.5),
+                      (CONFIG, 3.5), (HALF, -1.2), (HALF, -0.9),
+                      (HALF, -0.3), (HALF, 0.2)]]
+)
+BARRIERS = {"w1": barrier_w1, "w2": barrier_w2}
+
+
 class TestCompactRoute:
     """Declared support ends the far field; stripping it must not matter."""
 
-    @pytest.mark.parametrize("kernel", [
-        fractional_kernel(1, 0.3),
-        fractional_kernel(1, 0.8),
-        ti_demo_kernel(0.4),
-        general_demo_kernel(0.6),
-    ], ids=["frac0.3", "frac0.8", "ti0.4", "general0.6"])
-    @pytest.mark.parametrize("x", [-2.6, -2.0, -1.2, 0.5, 6.0])
-    def test_w1_agrees_with_truncated_route(self, kernel, x):
-        w1 = barrier_w1(CONFIG)
-        a = eval_L(kernel, w1, x)
-        b = eval_L(kernel, without_support(w1), x)
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-    @pytest.mark.parametrize("kernel", [
-        fractional_kernel(1, 0.3),
-        fractional_kernel(1, 0.8),
-        ti_demo_kernel(0.4),
-    ], ids=["frac0.3", "frac0.8", "ti0.4"])
-    @pytest.mark.parametrize("x", [1.4, 2.4])
-    def test_w1_inside_its_support(self, kernel, x):
-        # u(x) = 1: the fractional kernel adds the mass beyond the reach in
-        # closed form, the TI kernel keeps the truncation search
-        w1 = barrier_w1(CONFIG)
-        a = eval_L(kernel, w1, x)
-        b = eval_L(kernel, without_support(w1), x)
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-    @pytest.mark.parametrize("kernel", [
-        fractional_kernel(1, 0.3),
-        fractional_kernel(1, 0.8),
-        ti_demo_kernel(0.4),
-    ], ids=["frac0.3", "frac0.8", "ti0.4"])
-    @pytest.mark.parametrize("config,x", [
-        (CONFIG, -2.3), (CONFIG, -1.2), (CONFIG, 0.5), (CONFIG, 3.5),
-        (HALF, -1.2), (HALF, -0.9), (HALF, -0.3), (HALF, 0.2),
-    ])
-    def test_w2_agrees_with_truncated_route(self, kernel, config, x):
-        w2 = barrier_w2(config)
-        a = eval_L(kernel, w2, x)
-        b = eval_L(kernel, without_support(w2), x)
+    @pytest.mark.parametrize(
+        "kname,barrier,config,x", ROUTE_CASES,
+        ids=[f"{b}-{k}-r{c.r:g}-x{x:g}" for k, b, c, x in ROUTE_CASES])
+    def test_eval_L_agrees_with_truncated_route(self, kname, barrier,
+                                                config, x):
+        kernel = ROUTE_KERNELS[kname]
+        u = BARRIERS[barrier](config)
+        a = eval_L(kernel, u, x)
+        b = eval_L(kernel, without_support(u), x)
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
     def test_reach_below_the_near_field_radius(self):
