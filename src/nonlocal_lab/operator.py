@@ -150,6 +150,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
             raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
     if far_value != 0.0 and far_radius is None:
         raise DomainViolation("far_value needs far_radius")
+    if not pieces and far_radius is None:
+        far_radius = 0.0  # the zero datum, in constant(0.0)'s form
     if far_radius is not None and far_radius > 0:
         for lo, hi, _ in pieces:
             if lo < -far_radius - 1e-12 or hi > far_radius + 1e-12:

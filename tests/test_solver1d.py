@@ -33,6 +33,7 @@ from nonlocal_lab.kernel import (
 from nonlocal_lab.operator import (
     PointFunction,
     constant,
+    eval_L,
     indicator,
     piecewise_constant,
 )
@@ -388,6 +389,28 @@ class TestStructure:
         u2 = solve(assemble(k, unit_mesh(8), g2))
         assert np.all(u1.values < 0)
         assert np.max(np.abs(u2.values - 2.0 * u1.values)) < 1e-12
+
+    def test_zero_datum_is_the_zero_constant(self, monkeypatch):
+        # pieces: with no pieces is constant(0.0), not a bare callable
+        # whose data mass takes a nested quadrature per cell
+        g = piecewise_constant([])
+        assert g.piecewise and g.is_constant
+
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("the zero datum's mass was integrated")
+
+        data_mass = solver1d._data_mass
+
+        def guarded(*args):
+            with monkeypatch.context() as m:
+                m.setattr(solver1d, "integrate", no_integrate)
+                return data_mass(*args)
+
+        monkeypatch.setattr(solver1d, "_data_mass", guarded)
+        system = assemble(ti_demo_kernel(0.5), unit_mesh(8), g)
+        assert not system.rhs.any()
+        res = eval_L(fractional_kernel(1, 0.5), g, 0.3)
+        assert res.value == 0.0 and res.error_bound == 0.0
 
     @pytest.mark.parametrize("ds", [1e-9, -1e-9, 1e-11, -1e-11])
     def test_continuous_in_s_through_one_half(self, ds):
