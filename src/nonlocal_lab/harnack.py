@@ -3,7 +3,9 @@
 Each experiment solves the Dirichlet problem for a family of exterior
 data on the disconnected domain, measures sup / inf / average over the
 reference balls together with the tail of the negative part, and records
-the empirical constant tying them.  An experiment assembles its operator
+the empirical constant tying them.  The tail is a closed form over the
+segments of the solution on R, its cells and then its data, so cells
+outside B_R(0) count as well.  An experiment assembles its operator
 once and solves all of its data in one block solve.  Everything is seeded
 and the sample order is fixed, so reports are reproducible bit for bit at
 a fixed BLAS thread setting.
@@ -22,7 +24,7 @@ from .operator import (
     barrier_w2,
     eval_L,
     piecewise_constant,
-    tail,
+    segment_tail,
 )
 from .solver1d import GridFunction, assemble, solve
 
@@ -93,25 +95,13 @@ def _ball_values(u: GridFunction, ball: Ball) -> np.ndarray:
     return u.values[idx]
 
 
-def _negative_tail(u: GridFunction, x0: float, radius: float,
-                   s: float) -> float:
-    """Tail(u_-; x0, radius) of the solution glued to its exterior data.
-
-    Cells inside the cutoff ball add no tail mass, so when the whole mesh
-    lies inside it the exterior data alone carry the tail and the glue is
-    skipped.
-    """
-    mesh = u.mesh
-    inside = (float(mesh.lo.min()) >= x0 - radius
-              and float(mesh.hi.max()) <= x0 + radius)
-    pf = u.exterior if inside else u.as_point_function()
-    return tail(pf.negative_part(), x0, radius, s).value
-
-
 def _tail_of_negative(u: GridFunction, config: DisconnectedConfig,
                       s: float) -> float:
-    t = _negative_tail(u, 0.0, config.R, s)
-    return (config.r / config.R) ** (2.0 * s) * t
+    """(r/R)^(2s) Tail(u_-; 0, R) of the solution on R: its cells and its
+    exterior data, as segments."""
+    neg = [(lo, hi, -v) for lo, hi, v in u.segments() if v < 0.0]
+    return (config.r / config.R) ** (2.0 * s) \
+        * segment_tail(neg, 0.0, config.R, s)
 
 
 def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,

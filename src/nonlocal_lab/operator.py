@@ -46,7 +46,8 @@ class PointFunction:
 
     Exactly one evaluation semantic: `fn` (vectorized).  pieces/far_value
     describe piecewise-constant functions exactly: value v on each open
-    (lo, hi), far_value for |y| >= far_radius, zero elsewhere.  Functions
+    (lo, hi), far_value for |y| >= far_radius, zero elsewhere; segments()
+    lists them as the (lo, hi, v) segments the numerics read.  Functions
     that are not piecewise constant leave pieces empty and far_radius None.
     """
 
@@ -85,36 +86,21 @@ class PointFunction:
         raise NonIntegrableTail(f"{self.label}: no growth envelope declared")
 
     def dist_to_break(self, x: float) -> float:
-        """Distance from x to the nearest structural break (inf if none)."""
-        pts = list(self.breaks)
-        if self.support is not None:
-            pts += list(self.support)
-        if self.far_radius:
-            pts += [-self.far_radius, self.far_radius]
-        if not pts:
-            return np.inf
-        return float(np.min(np.abs(np.asarray(pts) - x)))
+        """Distance from x to the nearest structural break (inf if none);
+        a piecewise-constant function lists all its edges as breaks."""
+        return min((abs(b - x) for b in self.breaks), default=np.inf)
 
-    def negative_part(self) -> "PointFunction":
-        """u_- = max(-u, 0), preserving structure."""
-        if self.piecewise:
-            return piecewise_constant(
-                [(lo, hi, max(-v, 0.0)) for lo, hi, v in self.pieces],
-                far_value=max(-self.far_value, 0.0),
-                far_radius=self.far_radius,
-                label=f"({self.label})_-",
-            )
-        base = self
-
-        def neg(y):
-            return np.maximum(-base.fn(np.asarray(y, dtype=float)), 0.0)
-
-        amp, p = self.tail_envelope()
-        return PointFunction(
-            fn=neg, sup_bound=self.sup_bound,
-            envelope=(amp, p), support=self.support, breaks=self.breaks,
-            label=f"({self.label})_-",
-        )
+    def segments(self) -> list[tuple[float, float, float]]:
+        """The pieces, then the far part as (-inf, -far_radius, v) and
+        (far_radius, inf, v): the (lo, hi, v) segments on which a
+        piecewise-constant function takes the value v."""
+        if not self.piecewise:
+            raise DomainViolation(f"{self.label} is not piecewise constant")
+        segs = list(self.pieces)
+        if self.far_value != 0.0:
+            fr, v = self.far_radius, self.far_value
+            segs += [(-np.inf, -fr, v), (fr, np.inf, v)]
+        return segs
 
 
 def constant(c: float) -> PointFunction:
@@ -426,16 +412,14 @@ def _power_mass(a: float, b: float, s: float) -> float:
     return out
 
 
-def _piecewise_tail(u: PointFunction, x0: float, r: float, s: float) -> float:
+def segment_tail(segments, x0: float, r: float, s: float) -> float:
+    """Tail(u; x0, r) in closed form for u = v on each (lo, hi) of the
+    (lo, hi, v) segments (disjoint, ends may be infinite), zero elsewhere."""
     total = 0.0
-    for lo, hi, v in u.pieces:
+    for lo, hi, v in segments:
         right = _power_mass(max(lo - x0, r), max(hi - x0, r), s)
         left = _power_mass(max(x0 - hi, r), max(x0 - lo, r), s)
         total += abs(v) * (right + left)
-    if u.far_radius is not None and u.far_value != 0.0:
-        fr = u.far_radius
-        total += abs(u.far_value) * (_power_mass(max(fr - x0, r), np.inf, s)
-                                     + _power_mass(max(x0 + fr, r), np.inf, s))
     return r ** (2.0 * s) * total
 
 
@@ -455,7 +439,7 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
         raise DomainViolation(f"tail needs r > 0, got {r}")
     amp, p = integrable_envelope(u, s)
     if u.piecewise:
-        return TailResult(value=_piecewise_tail(u, x0, r, s),
+        return TailResult(value=segment_tail(u.segments(), x0, r, s),
                           remainder_bound=0.0, truncation_radius=np.inf)
 
     def remainder(T):

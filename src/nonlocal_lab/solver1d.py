@@ -28,9 +28,11 @@ two intervals.  W_ij depends on the pair through its gap alone, so it is
 the overlap mass of two cells plus the curvature coupling, computed once
 per distinct gap; every block of cells from intervals p <= q is Toeplitz
 and is filled from the values at its index offsets.  An exterior segment
-(E, and B for piecewise data) is one overlap mass over all cells, which
-share its error estimate e, so a segment adds m e plus its cells'
-truncation remainders to the assembly error.  General pair kernels,
+(E, and B for piecewise data, whose segments are clipped to the exterior
+components) is one overlap mass over all cells, which share its error
+estimate e, so a segment adds m e plus its cells' truncation remainders
+to the assembly error.  A solution's segments are its cells followed by
+those clipped data segments.  General pair kernels,
 and bare-callable data under every family, take a nested adaptive
 quadrature per cell and segment whose inner cell mass is one
 vector-valued integral over all nodes of an outer panel; they suit small
@@ -59,8 +61,7 @@ from .errors import (
 )
 from .geometry import Mesh1D
 from .kernel import Kernel
-from .operator import (PointFunction, _tail_remainder, integrable_envelope,
-                       piecewise_constant)
+from .operator import PointFunction, _tail_remainder, integrable_envelope
 from .quadrature import integrate
 
 BAND_FRACTION = 0.25
@@ -148,38 +149,16 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise SingularSystem("solution contains non-finite values")
 
-    def as_point_function(self) -> PointFunction:
-        """Solution glued to its exterior data as one piecewise function."""
-        g = self.exterior
-        cells = [(float(lo), float(hi), float(v)) for lo, hi, v in
-                 zip(self.mesh.lo, self.mesh.hi, self.values)]
-        ivs = self.mesh.intervals
-        span = max(abs(ivs[0][0]), abs(ivs[-1][1]))
-        label = f"solve({g.label})"
-        if g.is_constant:
-            c = float(g(np.zeros(1))[0])
-            if c == 0.0:
-                return piecewise_constant(cells, label=label)
-            # fill the exterior gaps explicitly so the glue is exact
-            fill = []
-            for lo, hi in _exterior_components(self.mesh):
-                a, b = max(lo, -2.0 * span), min(hi, 2.0 * span)
-                if b > a:
-                    fill.append((a, b, c))
-            return piecewise_constant(cells + fill, far_value=c,
-                                      far_radius=2.0 * span, label=label)
-        if not g.pieces and g.far_radius is None:
+    def segments(self) -> list[tuple[float, float, float]]:
+        """The cells, then the exterior data clipped to the exterior
+        components, as (lo, hi, v) segments of the solution on R."""
+        if not self.exterior.piecewise:
             raise ConfigParseError(
-                "gluing needs piecewise exterior data, got a bare callable")
-        ext = list(g.pieces or ())
-        if g.far_value and g.far_radius is not None:
-            far_v, far_r = float(g.far_value), float(g.far_radius)
-        else:
-            bounds = [abs(e) for lo, hi, _ in ext for e in (lo, hi)]
-            far_v = 0.0
-            far_r = max([span, g.far_radius or 0.0, *bounds])
-        return piecewise_constant(cells + ext, far_value=far_v,
-                                  far_radius=far_r, label=label)
+                "segments need piecewise exterior data, got a bare callable")
+        cells = zip(self.mesh.lo.tolist(), self.mesh.hi.tolist(),
+                    self.values.tolist())
+        return [*cells, *_data_segments(self.exterior,
+                                        _exterior_components(self.mesh))]
 
 
 def _exterior_components(mesh: Mesh1D) -> list[tuple[float, float]]:
@@ -194,19 +173,11 @@ def _exterior_components(mesh: Mesh1D) -> list[tuple[float, float]]:
 
 
 def _data_segments(g: PointFunction, comps) -> list[tuple[float, float, float]]:
-    """Exterior data as constant-value segments clipped to the components."""
-    segs = []
-    for lo, hi in comps:
-        for plo, phi_, v in g.pieces or ():
-            a, b = max(lo, plo), min(hi, phi_)
-            if b > a and v != 0.0:
-                segs.append((a, b, v))
-        if g.far_value and g.far_radius is not None:
-            fr = g.far_radius
-            for a, b in ((lo, min(hi, -fr)), (max(lo, fr), hi)):
-                if b > a:
-                    segs.append((a, b, g.far_value))
-    return segs
+    """g's nonzero segments clipped to the exterior components, component
+    by component."""
+    return [(max(lo, a), min(hi, b), v) for lo, hi in comps
+            for a, b, v in g.segments()
+            if v != 0.0 and min(hi, b) > max(lo, a)]
 
 
 def _rhs_at_centers(rhs, mesh: Mesh1D) -> np.ndarray:
@@ -485,7 +456,7 @@ def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
         return float(g(np.zeros(1))[0]) * E, 0.0
     B = np.zeros(m)
     err_acc = 0.0
-    if not g.pieces and g.far_radius is None:  # bare callable
+    if not g.piecewise:  # bare callable
         data_env = g.tail_envelope()
         data_comps, data_breaks = comps, tuple(g.breaks or ())
         if g.support is not None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from nonlocal_lab import harnack
 from nonlocal_lab.errors import (
@@ -31,7 +32,7 @@ from nonlocal_lab.harnack import (
     s_sweep,
 )
 from nonlocal_lab.kernel import make_kernel
-from nonlocal_lab.operator import constant, tail
+from nonlocal_lab.operator import constant
 from nonlocal_lab.solver1d import assemble, solve
 
 CFG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
@@ -131,19 +132,28 @@ class TestReportShape:
         assert len(calls) == 1
         assert [r.sample_id for r in reps] == list(range(5))
 
-    def test_negative_tail_skips_glue_bit_for_bit(self):
-        # every cell lies inside B_R, so the exterior data alone carry the
-        # tail; the glued route must give the same float
-        k = frac(0.5)
-        mesh = mesh_over(CFG, 64)
-        data = [far_negative_data(CFG, np.random.default_rng(1)),
-                far_negative_data(CFG, None, magnitude=3.0), constant(-1.0),
-                random_nonneg_data(CFG, np.random.default_rng(2))]
-        for u in solve(assemble(k, mesh, data)):
-            glued = tail(u.as_point_function().negative_part(), 0.0, CFG.R,
-                         0.5).value
-            rep = harnack_report(u, CFG, 0.5)
-            assert rep.tail_term == (CFG.r / CFG.R) ** 1.0 * glued
+    @staticmethod
+    def _tail_terms(data, s=0.5):
+        solutions = solve(assemble(frac(s), mesh_over(CFG, 64), data))
+        return [harnack_report(u, CFG, s).tail_term for u in solutions]
+
+    def test_far_negative_tail_is_the_closed_form(self):
+        # every cell lies inside B_R, so only the far part -m beyond B_R
+        # counts: (r/R)^(2s) m / s
+        data = [(far_negative_data(CFG, np.random.default_rng(1)), 1.0),
+                (far_negative_data(CFG, None, magnitude=3.0), 3.0),
+                (constant(-1.0), 1.0)]
+        for s in (0.25, 0.5):
+            got = self._tail_terms([g for g, _ in data], s)
+            for t, (_, m) in zip(got, data):
+                assert t == pytest.approx((CFG.r / CFG.R) ** (2.0 * s) * m / s,
+                                          rel=1e-14)
+
+    def test_nonnegative_data_have_no_tail(self):
+        rng = np.random.default_rng(2)
+        data = [random_nonneg_data(CFG, rng), mass_near_x2_data(CFG, 10.0),
+                constant(1.0)]
+        assert self._tail_terms(data) == [0.0, 0.0, 0.0]
 
     def test_report_outside_mesh_raises(self):
         u = solve(assemble(frac(0.5), mesh_intervals([(10.0, 12.0)], 8),
@@ -238,6 +248,68 @@ class TestLocalizedMP:
     def test_zero_far_data_gives_zeros(self):
         out = localized_mp_check(frac(0.25), CFG, 0.25, constant(0.0), N=16)
         assert out == {"min_u": 0.0, "tail_term": 0.0, "C_empirical": 0.0}
+
+
+def glued_negative_tail(u, config, s):
+    """(r/R)^(2s) Tail(u_-; 0, R) by scipy quadrature of the solution
+    glued to its data: the cell value on the mesh, the datum elsewhere."""
+    mesh, g = u.mesh, u.exterior
+
+    def u_minus(y):
+        cell = np.flatnonzero((mesh.lo < y) & (y < mesh.hi))
+        v = u.values[cell[0]] if cell.size else float(g(np.array([y]))[0])
+        return max(-v, 0.0)
+
+    R = config.R
+    edges = np.abs(np.concatenate([mesh.lo, mesh.hi, g.breaks]))
+    d = sorted({R, *edges[edges > R].tolist()})
+    total = 0.0
+    for side in (1.0, -1.0):
+        for a, b in zip(d, d[1:] + [np.inf]):
+            total += quad(lambda t: u_minus(side * t) * t ** (-1.0 - 2.0 * s),
+                          a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return config.r ** (2.0 * s) * total
+
+
+# unsafe configurations whose mesh leaves B_R(0): the cells beyond R count
+# in the tail term.  At x = +-2 with R = 3 the data gaps are empty, so the
+# random datum is zero; the shifted pair keeps a gap (3, 3.5).
+UNSAFE = {
+    "touching-R3": make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0,
+                                            R=3.0, unsafe=True),
+    "shifted-R3.5": make_disconnected_config(n=1, x1=-3.0, x2=1.0, r=1.0,
+                                             R=3.5, unsafe=True),
+}
+
+
+class TestTailOutsideCutoff:
+    @pytest.mark.parametrize("family", ["random-nonneg", "mass-near-x2",
+                                        "far-negative"])
+    @pytest.mark.parametrize("name", sorted(UNSAFE))
+    def test_families_match_glued_quadrature(self, name, family):
+        cfg, s = UNSAFE[name], 0.5
+        rng = np.random.default_rng(5)
+        g = {"random-nonneg": lambda: random_nonneg_data(cfg, rng),
+             "mass-near-x2": lambda: mass_near_x2_data(cfg, 10.0),
+             "far-negative": lambda: far_negative_data(cfg, rng)}[family]()
+        u = solve(assemble(frac(s), mesh_over(cfg, 32), g))
+        assert max(-u.mesh.lo.min(), u.mesh.hi.max()) > cfg.R
+        rep = harnack_report(u, cfg, s)
+        assert rep.tail_term == pytest.approx(glued_negative_tail(u, cfg, s),
+                                              rel=1e-12, abs=0.0)
+        assert (rep.tail_term > 0.0) == (family == "far-negative")
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_localized_mp_matches_glued_quadrature(self, s):
+        cfg = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=2.5,
+                                       unsafe=True)
+        far = far_negative_data(cfg, None)
+        out = localized_mp_check(frac(s), cfg, s, far, N=64)
+        x1, r = float(cfg.x1[0]), cfg.r
+        u = solve(assemble(frac(s), mesh_intervals([(x1 - r, x1 + r)], 64),
+                           far))
+        assert out["tail_term"] == pytest.approx(
+            glued_negative_tail(u, cfg, s), rel=1e-12, abs=0.0)
 
 
 class TestBarrierCombination:

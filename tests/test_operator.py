@@ -24,6 +24,7 @@ from nonlocal_lab.operator import (
     eval_L,
     indicator,
     piecewise_constant,
+    segment_tail,
     tail,
 )
 
@@ -175,12 +176,35 @@ class TestTail:
         assert vals == sorted(vals)
         assert rems == sorted(rems, reverse=True)
 
-    def test_negative_part_piecewise(self):
+    def test_segments_list_pieces_then_far_halves(self):
         u = piecewise_constant([(-2.0, -1.0, -3.0), (1.0, 2.0, 5.0)],
                                far_value=-1.0, far_radius=8.0)
-        um = u.negative_part()
-        y = np.array([-1.5, 1.5, 9.0, 0.0])
-        assert np.allclose(um(y), [3.0, 0.0, 1.0, 0.0])
+        assert u.segments() == [(-2.0, -1.0, -3.0), (1.0, 2.0, 5.0),
+                                (-np.inf, -8.0, -1.0), (8.0, np.inf, -1.0)]
+        assert piecewise_constant([]).segments() == []
+        with pytest.raises(DomainViolation):
+            LINEAR.segments()
+
+    @given(st.floats(-8.0, 8.0), st.floats(0.15, 0.85))
+    def test_segment_tail_with_infinite_ends_matches_quadrature(self, x0, s):
+        segs = [(-np.inf, -5.0, -0.4), (-3.0, -1.0, 2.0), (1.5, 4.0, -0.5),
+                (6.0, np.inf, 1.5)]
+
+        def value(y):
+            return sum(v for lo, hi, v in segs if lo < y < hi)
+
+        # each side in the distance t = |y - x0| > r, split at the edges
+        r, total = 1.0, 0.0
+        edges = [e for lo, hi, _ in segs for e in (lo, hi) if np.isfinite(e)]
+        for side in (1.0, -1.0):
+            d = sorted({r, *(side * (e - x0) for e in edges
+                             if side * (e - x0) > r)})
+            for a, b in zip(d, d[1:] + [np.inf]):
+                total += quad(lambda t: abs(value(x0 + side * t))
+                              * t ** (-1.0 - 2.0 * s), a, b,
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert segment_tail(segs, x0, r, s) == pytest.approx(
+            r ** (2.0 * s) * total, rel=1e-12)
 
     def test_growth_guard(self):
         with pytest.raises(NonIntegrableTail):

@@ -678,29 +678,26 @@ class TestDip:
         assert m10 == pytest.approx(10.0 * m1, rel=1e-12)
 
 
-class TestGlue:
-    def test_piecewise_glue(self):
-        u = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(8), G13))
-        pf = u.as_point_function()
-        inside = pf(np.array([-0.9, 0.3]))
-        assert inside[0] == pytest.approx(u.values[0])
-        assert pf(np.array([0.99999]))[0] > 0
-        assert np.all(pf(np.array([1.5, 2.9])) == 1.0)
-        assert np.all(pf(np.array([5.0, -3.0])) == 0.0)
+class TestSegments:
+    def test_cells_then_data_clipped_to_the_exterior(self):
+        mesh = mesh_intervals([(-1.0, 0.0), (0.5, 1.5)], 4)
+        u = solve(assemble(fractional_kernel(1, 0.6), mesh,
+                           piecewise_constant([(-2.0, 2.5, 0.5)],
+                                              far_value=-1.0,
+                                              far_radius=3.0)))
+        cells = list(zip(mesh.lo.tolist(), mesh.hi.tolist(),
+                         u.values.tolist()))
+        assert u.segments() == cells + [
+            (-2.0, -1.0, 0.5), (-np.inf, -3.0, -1.0), (0.0, 0.5, 0.5),
+            (1.5, 2.5, 0.5), (3.0, np.inf, -1.0)]
 
-    def test_constant_glue_covers_gaps(self):
-        u = solve(assemble(fractional_kernel(1, 0.5), unit_mesh(8),
-                           constant(5.0)))
-        pf = u.as_point_function()
-        assert np.all(pf(np.array([-50.0, 1.7, 30.0])) == 5.0)
-
-    def test_bare_callable_glue_rejected(self):
+    def test_bare_callable_data_rejected(self):
         g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
                           envelope=(1.0, 0.0))
         u = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(), g,
                            tol=1e-6))
         with pytest.raises(ConfigParseError):
-            u.as_point_function()
+            u.segments()
 
 
 @given(
