@@ -66,11 +66,11 @@ class DisconnectedConfig:
     def separation(self) -> float:
         return float(np.linalg.norm(self.x1 - self.x2))
 
-    def ball1(self, scale: float = 1.0) -> Ball:
-        return Ball(self.x1, scale * self.r)
+    def ball1(self) -> Ball:
+        return Ball(self.x1, self.r)
 
-    def ball2(self, scale: float = 1.0) -> Ball:
-        return Ball(self.x2, scale * self.r)
+    def ball2(self) -> Ball:
+        return Ball(self.x2, self.r)
 
 
 def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> DisconnectedConfig:

@@ -64,7 +64,7 @@ def test_valid_configs_have_disjoint_2r_balls(x1, r, sep_frac):
     x2 = x1 + sep
     R = 4.0 * (max(abs(x1), abs(x2)) + 2.0 * r) + 1.0
     cfg = make_disconnected_config(n=1, x1=x1, x2=x2, r=r, R=R)
-    b1, b2 = cfg.ball1(2.0), cfg.ball2(2.0)
+    b1, b2 = Ball(cfg.x1, 2 * cfg.r), Ball(cfg.x2, 2 * cfg.r)
     # open 2r-balls must not intersect (touching allowed)
     assert b1.center[0] + b1.radius <= b2.center[0] - b2.radius + 1e-12
 
