@@ -286,6 +286,26 @@ class TestConfigFile:
         assert reports
         assert all(rep["config"]["checked"] is False for rep in reports)
 
+    def test_unsafe_mesh_beyond_cutoff_runs(self, tmp_path):
+        # both meshes reach past B_R(0) = (-3.5, 3.5): run covers (-5, 3)
+        # and mp B_r(x1) = (-4, -2); their cells count in the tail term
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 1\nx1 = -3\nx2 = 1\nr = 1\nR = 3.5\n"
+                       "unsafe = true\n")
+        base = ["--config", str(cfg), "--s", "0.25", "--N", "16"]
+        for data in ("random", "mass", "farneg"):
+            out = tmp_path / f"{data}.json"
+            code = run_main(["harnack", "run", *base, "--data", data,
+                             "--samples", "2", "--out", str(out)])
+            assert code == 0
+            reports = json.loads(out.read_text())["reports"]
+            assert all(rep["config"]["checked"] is False for rep in reports)
+            assert all((rep["tail_term"] > 0.0) == (data == "farneg")
+                       for rep in reports)
+        out = tmp_path / "mp.json"
+        assert run_main(["harnack", "mp", *base, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tail_term"] > 0.0
+
     def test_dimension_other_than_one_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n = 2\nx1 = -2, 0\nx2 = 2, 0\nr = 1\nR = 16\n")
