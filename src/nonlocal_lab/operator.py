@@ -32,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, NonIntegrableTail, UnsupportedKernel
+from .errors import (ConfigParseError, DomainViolation, NonIntegrableTail,
+                     UnsupportedKernel)
 from .geometry import DisconnectedConfig
 from .kernel import Kernel
 from .quadrature import DEFAULT_TOL, integrate
@@ -95,7 +96,8 @@ class PointFunction:
         (far_radius, inf, v): the (lo, hi, v) segments on which a
         piecewise-constant function takes the value v."""
         if not self.piecewise:
-            raise DomainViolation(f"{self.label} is not piecewise constant")
+            raise ConfigParseError(
+                f"{self.label} is a bare callable, not piecewise data")
         segs = list(self.pieces)
         if self.far_value != 0.0:
             fr, v = self.far_radius, self.far_value

@@ -152,9 +152,6 @@ class GridFunction:
     def segments(self) -> list[tuple[float, float, float]]:
         """The cells, then the exterior data clipped to the exterior
         components, as (lo, hi, v) segments of the solution on R."""
-        if not self.exterior.piecewise:
-            raise ConfigParseError(
-                "segments need piecewise exterior data, got a bare callable")
         cells = zip(self.mesh.lo.tolist(), self.mesh.hi.tolist(),
                     self.values.tolist())
         return [*cells, *_data_segments(self.exterior,

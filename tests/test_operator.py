@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from nonlocal_lab.errors import (
+    ConfigParseError,
     DomainViolation,
     NonIntegrableTail,
     UnsupportedKernel,
@@ -182,7 +183,7 @@ class TestTail:
         assert u.segments() == [(-2.0, -1.0, -3.0), (1.0, 2.0, 5.0),
                                 (-np.inf, -8.0, -1.0), (8.0, np.inf, -1.0)]
         assert piecewise_constant([]).segments() == []
-        with pytest.raises(DomainViolation):
+        with pytest.raises(ConfigParseError):
             LINEAR.segments()
 
     @given(st.floats(-8.0, 8.0), st.floats(0.15, 0.85))
