@@ -248,7 +248,7 @@ def _cmd_harnack_mp(args) -> int:
 def _cmd_harnack_barrier(args) -> int:
     config, _ = _build_config(args)
     kernel = _build_kernel(args, args.s)
-    res = barrier_combination_check(kernel, config, s=args.s, grid=args.grid)
+    res = barrier_combination_check(kernel, config, grid=args.grid)
     _emit(json_text({"s": args.s, "kernel": kernel.tag(),
                      "c0_max": res["c0_max"],
                      "grid_points": int(args.grid),

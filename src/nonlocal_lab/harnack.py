@@ -26,12 +26,14 @@ from .operator import (
     piecewise_constant,
     segment_tail,
 )
-from .solver1d import GridFunction, assemble, solve
+from .solver1d import (GridFunction, _data_segments, _exterior_components,
+                       assemble, solve)
 
 DEFAULT_SAMPLES = 20
 DEFAULT_MASSES = (1.0, 10.0, 100.0, 1000.0)
 SUBCELLS_PER_GAP = 8  # resolution of the random piecewise data
 C0_GRID = np.geomspace(1e-4, 10.0, 81)
+BARRIER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,17 @@ def _ball_values(u: GridFunction, ball: Ball) -> np.ndarray:
 
 def _tail_of_negative(u: GridFunction, config: DisconnectedConfig,
                       s: float) -> float:
-    """(r/R)^(2s) Tail(u_-; 0, R) of the solution on R: its cells and its
-    exterior data, as segments."""
-    neg = [(lo, hi, -v) for lo, hi, v in u.segments() if v < 0.0]
-    return (config.r / config.R) ** (2.0 * s) \
-        * segment_tail(neg, 0.0, config.R, s)
+    """(r/R)^(2s) Tail(u_-; 0, R) of the solution on R, over its negative
+    cells reaching past R (the others add exactly +0.0) and then its
+    exterior data clipped to the exterior components, as segments."""
+    mesh, R = u.mesh, config.R
+    keep = (u.values < 0.0) & ((mesh.lo < -R) | (mesh.hi > R))
+    cells = zip(mesh.lo[keep].tolist(), mesh.hi[keep].tolist(),
+                (-u.values[keep]).tolist())
+    data = [(lo, hi, -v) for lo, hi, v in
+            _data_segments(u.exterior, _exterior_components(mesh)) if v < 0.0]
+    return (config.r / R) ** (2.0 * s) \
+        * segment_tail([*cells, *data], 0.0, R, s)
 
 
 def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
@@ -234,27 +242,25 @@ def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
 
 
 def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
-                              s: float | None = None, grid: int = 101,
-                              c0_grid=None, tol: float = 1e-8) -> dict:
-    """Largest c0 on a log grid keeping L(w1 + c0 w2) <= 0 on B_r(x1).
+                              grid: int = 101) -> dict:
+    """Largest c0 of C0_GRID keeping L(w1 + c0 w2) <= 0 on B_r(x1), with
+    the operator evaluated at tolerance BARRIER_TOL.
 
     Both operator profiles are evaluated once per grid point; linearity
     then turns the scan over c0 into a vector comparison.
     """
-    if s is not None and abs(float(s) - kernel.s) > 1e-12:
-        raise ConfigParseError(
-            f"s = {s:g} does not match the kernel order {kernel.s:g}")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     w1 = barrier_w1(config)
     w2 = barrier_w2(config)
-    lw1 = np.array([eval_L(kernel, w1, float(x), tol=tol).value for x in xs])
-    lw2 = np.array([eval_L(kernel, w2, float(x), tol=tol).value for x in xs])
-    c0s = C0_GRID if c0_grid is None else np.asarray(c0_grid, dtype=float)
-    feasible = [float(c0) for c0 in c0s if np.max(lw1 + c0 * lw2) <= 0.0]
+    lw1 = np.array([eval_L(kernel, w1, float(x), tol=BARRIER_TOL).value
+                    for x in xs])
+    lw2 = np.array([eval_L(kernel, w2, float(x), tol=BARRIER_TOL).value
+                    for x in xs])
+    feasible = [float(c0) for c0 in C0_GRID if np.max(lw1 + c0 * lw2) <= 0.0]
     if not feasible:
         raise NoPositiveC0(
-            f"no c0 in [{c0s.min():g}, {c0s.max():g}] keeps the "
+            f"no c0 in [{C0_GRID.min():g}, {C0_GRID.max():g}] keeps the "
             f"combination a subsolution on the grid")
     c0_max = max(feasible)
     return {"c0_max": c0_max, "grid": xs,

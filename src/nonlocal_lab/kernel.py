@@ -31,7 +31,6 @@ class Kernel:
     normalization: str = "plain"
     profile: Callable | None = None  # |z| -> K(|z|), translation-invariant family
     pair_fn: Callable | None = None  # (x, y) -> k(x, y), general family
-    scale: float = 1.0  # extra positive factor, for scaling tests
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -46,12 +45,15 @@ class Kernel:
             raise ConfigParseError("translation-invariant family needs a profile")
         if self.family == "general" and self.pair_fn is None:
             raise ConfigParseError("general family needs a pair callable")
-        if not self.scale > 0:
-            raise ConfigParseError(f"scale must be positive, got {self.scale}")
 
     @property
     def norm_factor(self) -> float:
         return 1.0 - self.s if self.normalization == "one-minus-s" else 1.0
+
+    @property
+    def scale(self) -> float:
+        """Always 1.0: perfbench/tracing.py keys assemble calls on it."""
+        return 1.0
 
     @property
     def translation_invariant(self) -> bool:
@@ -64,18 +66,17 @@ class Kernel:
 
     def upper_envelope(self) -> float:
         """Constant A with k(x,y) <= A * |x-y|^(-n-2s), from ellipticity."""
-        return self.lam * self.norm_factor * self.scale
+        return self.lam * self.norm_factor
 
     def eval_at_distance(self, d):
         """Kernel value at separation |x - y| = d (radial families only)."""
         d = np.asarray(d, dtype=float)
         if np.any(d <= 0):
             raise DiagonalEvaluation("kernel evaluated at zero separation")
-        pref = self.norm_factor * self.scale
         if self.family == "fractional":
-            return pref * d ** (-self.power)
+            return self.norm_factor * d ** (-self.power)
         if self.family == "translation-invariant":
-            return pref * self.profile(d)
+            return self.norm_factor * self.profile(d)
         raise DiagonalEvaluation("general kernels are not radial; use eval_pairs")
 
     def eval_pairs(self, x, y):
@@ -86,7 +87,7 @@ class Kernel:
         if np.any(d == 0):
             raise DiagonalEvaluation("kernel evaluated on the diagonal x = y")
         if self.family == "general":
-            return self.norm_factor * self.scale * self.pair_fn(x, y)
+            return self.norm_factor * self.pair_fn(x, y)
         return self.eval_at_distance(d)
 
     def tag(self) -> str:

@@ -140,7 +140,10 @@ def piecewise_constant(pieces, far_value: float = 0.0,
         raise DomainViolation("far_value needs far_radius")
     if not pieces and far_radius is None:
         far_radius = 0.0  # the zero datum, in constant(0.0)'s form
-    if far_radius is not None and far_radius > 0:
+    if far_radius is not None:
+        # the far halves must not overlap each other or any piece
+        if far_radius < 0:
+            raise DomainViolation(f"far_radius {far_radius:g} is negative")
         for lo, hi, _ in pieces:
             if lo < -far_radius - 1e-12 or hi > far_radius + 1e-12:
                 raise DomainViolation("pieces must lie inside the far radius")
@@ -379,7 +382,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
     if reach is not None and (ux == 0.0 or kernel.family == "fractional"):
         # beyond the reach only u(x) k is left, zero or a power mass
         T, remainder = max(reach, rho), 0.0
-        beyond = ux * 2.0 * kernel.norm_factor * kernel.scale \
+        beyond = ux * 2.0 * kernel.norm_factor \
             * _power_mass(T, np.inf, kernel.s)
     else:
         def far_remainder(T):

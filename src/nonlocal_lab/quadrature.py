@@ -111,7 +111,6 @@ def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
 
 def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
               breaks=(), geometric_from: float | None = None,
-              max_panels: int = MAX_PANELS,
               ) -> tuple[float | np.ndarray, float]:
     """Adaptive integral of f over (a, b), scalar or vector-valued.
 
@@ -123,8 +122,8 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     Returns (value, error_estimate), the value an array of components
     for a vector-valued f (the estimate bounds each of them); raises
     QuadratureFailure when the panel budget is exhausted with the
-    estimate still above tolerance.  An empty interval gives (0.0, 0.0)
-    without calling f.
+    estimate still above tolerance after MAX_PANELS panels.  An empty
+    interval gives (0.0, 0.0) without calling f.
     """
     a = float(a)
     b = float(b)
@@ -144,7 +143,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
         total_err += err
         heapq.heappush(heap, (-err, next(tie), lo, hi, val))
     npanels = len(heap)
-    while total_err > tol and npanels < max_panels:
+    while total_err > tol and npanels < MAX_PANELS:
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -159,7 +158,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
         heapq.heappush(heap, (-e1, next(tie), lo, mid, v1))
         heapq.heappush(heap, (-e2, next(tie), mid, hi, v2))
         npanels += 1
-    if total_err > tol and npanels >= max_panels:
+    if total_err > tol and npanels >= MAX_PANELS:
         # the largest absolute component scales the relative floor
         scale = float(np.max(np.abs(total), initial=0.0))
         if not total_err <= 1e-12 * max(1.0, scale):

@@ -28,20 +28,19 @@ two intervals.  W_ij depends on the pair through its gap alone, so it is
 the overlap mass of two cells plus the curvature coupling, computed once
 per distinct gap; every block of cells from intervals p <= q is Toeplitz
 and is filled from the values at its index offsets.  An exterior segment
-(E, and B for piecewise data, whose segments are clipped to the exterior
-components) is one overlap mass over all cells, which share its error
-estimate e, so a segment adds m e plus its cells' truncation remainders
-to the assembly error.  A solution's segments are its cells followed by
-those clipped data segments.  General pair kernels,
-and bare-callable data under every family, take a nested adaptive
-quadrature per cell and segment whose inner cell mass is one
-vector-valued integral over all nodes of an outer panel; they suit small
-meshes.  The dense matrix may take at most MATRIX_BUDGET_BYTES; a larger
-mesh fails with ConfigError before anything is allocated.
+(E, and B, whose data segments are clipped to the exterior components)
+is one overlap mass over all cells, which share its error estimate e, so
+a segment adds m e plus its cells' truncation remainders to the assembly
+error.  General pair kernels take a nested adaptive quadrature per cell
+and segment whose inner cell mass is one vector-valued integral over all
+nodes of an outer panel; they suit small meshes.  The dense matrix may
+take at most MATRIX_BUDGET_BYTES; a larger mesh fails with ConfigError
+before anything is allocated.
 
 Assembly has two parts.  The operator part, built once per (kernel,
 mesh), holds the couplings W, the exterior mass E and their assembly
 error; the data part, built once per exterior datum, is the column B.
+Exterior data must be piecewise constant and the source f one constant.
 assemble() takes one datum or a sequence of them: a sequence builds the
 operator once and gives an m x k right-hand side, which solve() handles
 with one factorization, checking the residual of every column.
@@ -61,7 +60,7 @@ from .errors import (
 )
 from .geometry import Mesh1D
 from .kernel import Kernel
-from .operator import PointFunction, _tail_remainder, integrable_envelope
+from .operator import PointFunction
 from .quadrature import integrate
 
 BAND_FRACTION = 0.25
@@ -149,14 +148,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise SingularSystem("solution contains non-finite values")
 
-    def segments(self) -> list[tuple[float, float, float]]:
-        """The cells, then the exterior data clipped to the exterior
-        components, as (lo, hi, v) segments of the solution on R."""
-        cells = zip(self.mesh.lo.tolist(), self.mesh.hi.tolist(),
-                    self.values.tolist())
-        return [*cells, *_data_segments(self.exterior,
-                                        _exterior_components(self.mesh))]
-
 
 def _exterior_components(mesh: Mesh1D) -> list[tuple[float, float]]:
     ivs = sorted(mesh.intervals)
@@ -177,55 +168,31 @@ def _data_segments(g: PointFunction, comps) -> list[tuple[float, float, float]]:
             if v != 0.0 and min(hi, b) > max(lo, a)]
 
 
-def _rhs_at_centers(rhs, mesh: Mesh1D) -> np.ndarray:
-    if isinstance(rhs, PointFunction):
-        return np.asarray(rhs(mesh.centers), dtype=float)
-    arr = np.asarray(rhs, dtype=float)
-    if arr.ndim == 0:
-        return np.full(mesh.ncells, float(arr))
-    if arr.shape != (mesh.ncells,):
-        raise ConfigParseError(
-            f"rhs has shape {arr.shape}, mesh has {mesh.ncells} cells")
-    return arr
-
-
 def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
                              seg: tuple[float, float], gamma: float,
-                             span: float, tol: float, data=None,
-                             data_env: tuple[float, float] = (1.0, 0.0),
-                             data_breaks=(),
+                             span: float, tol: float,
                              ) -> tuple[float, float, float]:
     """(mass, quadrature error, truncation remainder) for one cell-segment
-    pair under any kernel family; the workhorse of the general family and
-    of bare-callable data.  The segment must lie on one side of the cell
-    (a or b may be infinite); data, when given, is a vectorized exterior
-    factor with growth envelope data_env.
+    pair under any kernel family; the workhorse of the general family.
+    The segment must lie on one side of the cell (a or b may be infinite).
 
-    The outer integral runs over the segment, where data oscillation and
-    the truncation live; the inner cell mass of all nodes of an outer
-    panel at once is the closed form for the fractional family and one
-    smooth vector-valued quadrature for the others, so the cost scales
-    with the segment's difficulty alone.
+    The outer integral runs over the segment, where the truncation lives;
+    the inner cell mass of all nodes of an outer panel at once is the
+    closed form for the fractional family and one smooth vector-valued
+    quadrature for the others, so the cost scales with the segment's
+    difficulty alone.
     """
     lo, hi = seg
     if hi <= p:  # mirror left segments so the segment sits to the right
         if kernel.family == "general":  # k(x, z) seen from the mirror
             pair = kernel.pair_fn
             kernel = replace(kernel, pair_fn=lambda x, z: pair(-x, -z))
-        mirrored = None if data is None else (lambda z: data(-z))
         return _cell_segment_quadrature(
-            kernel, -(p + h), h, (-hi, -lo), gamma, span, tol,
-            data=mirrored, data_env=data_env,
-            data_breaks=tuple(-b for b in data_breaks))
+            kernel, -(p + h), h, (-hi, -lo), gamma, span, tol)
     rem = 0.0
     if not np.isfinite(hi):
         hi = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), lo + span)
-        env = kernel.upper_envelope() * h
-        if data is None:
-            rem = env * float(_phi(hi - (p + h), kernel.s))
-        else:
-            rem = env * _tail_remainder(data_env[0], data_env[1], kernel.s,
-                                        p + 0.5 * h, hi - (p + h))
+        rem = kernel.upper_envelope() * h * float(_phi(hi - (p + h), kernel.s))
     z0 = max(lo, p + gamma)  # the band removes x <= z - gamma entirely below
     if hi <= z0:
         return 0.0, 0.0, rem
@@ -243,14 +210,11 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
         # keeping x <= z - gamma
         x_hi = np.minimum(p + h, z - gamma)
         if kernel.family == "fractional":
-            out = amp * (_phi(z - x_hi, kernel.s) - _phi(z - p, kernel.s))
-        else:
-            out = _inner_mass(kernel, p, np.maximum(x_hi - p, 0.0), z,
-                              inner_tol)
-        return out if data is None else out * data(z)
+            return amp * (_phi(z - x_hi, kernel.s) - _phi(z - p, kernel.s))
+        return _inner_mass(kernel, p, np.maximum(x_hi - p, 0.0), z,
+                           inner_tol)
 
     breaks = [p + h + gamma] if z0 < p + h + gamma < hi else []
-    breaks.extend(data_breaks)
     val, err = integrate(outer, z0, hi, tol=tol, breaks=breaks,
                          geometric_from=max(z0 - (p + h), gamma))
     return val, err, rem
@@ -448,28 +412,8 @@ def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
                tol: float) -> tuple[np.ndarray, float]:
     """Data part of the system: the exterior data mass B of one datum and
     the error bound accumulated over its entries."""
-    m = mesh.ncells
     if g.is_constant:
         return float(g(np.zeros(1))[0]) * E, 0.0
-    B = np.zeros(m)
-    err_acc = 0.0
-    if not g.piecewise:  # bare callable
-        data_env = g.tail_envelope()
-        data_comps, data_breaks = comps, tuple(g.breaks or ())
-        if g.support is not None:
-            # compactly supported data needs no truncation at all
-            dlo, dhi = g.support
-            data_comps = tuple(
-                (max(lo, dlo), min(hi, dhi)) for lo, hi in comps
-                if min(hi, dhi) > max(lo, dlo))
-        for i in range(m):
-            for comp in data_comps:
-                v, e, rem = _cell_segment_quadrature(
-                    kernel, float(mesh.lo[i]), h, comp, gamma, span, tol,
-                    data=g.fn, data_env=data_env, data_breaks=data_breaks)
-                B[i] += v
-                err_acc += e + rem
-        return B, err_acc
     return _segment_mass(kernel, mesh, _data_segments(g, comps), h, gamma,
                          span, tol)
 
@@ -478,19 +422,22 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
              tol: float = ASSEMBLY_TOL) -> LinearSystem:
     """Build the collocation system for Lu = f on the mesh, u = g outside.
 
-    exterior is one PointFunction, or a sequence of them: the operator is
-    built once and rhs gets one column per datum (m x k), each column
-    equal bit for bit to the single-datum assembly.  Every datum must be
-    tail-integrable against the kernel order; rhs (the source f) may be a
-    constant, an array over cells, or a PointFunction sampled at cell
-    centers, and is shared by all columns.
+    exterior is one piecewise-constant PointFunction, or a sequence of
+    them: the operator is built once and rhs gets one column per datum
+    (m x k), each column equal bit for bit to the single-datum assembly.
+    A datum that is not piecewise constant raises ConfigParseError before
+    any coupling is computed.  rhs, the source f, is one constant shared
+    by all columns.
     """
     if kernel.n != 1:
         raise UnsupportedDimension("the solver is implemented for n = 1 only")
     block = not isinstance(exterior, PointFunction)
     data = tuple(exterior) if block else (exterior,)
     for g in data:
-        integrable_envelope(g, kernel.s)
+        if not g.piecewise:
+            raise ConfigParseError(
+                f"{g.label} is a bare callable; assembly needs "
+                f"piecewise-constant exterior data")
 
     m = mesh.ncells
     if 8 * m * m > MATRIX_BUDGET_BYTES:
@@ -516,7 +463,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     diag = 2.0 * (W.sum(axis=1) + E)
     W *= -2.0
     np.fill_diagonal(W, diag)
-    b = (_rhs_at_centers(rhs, mesh) * mesh.widths)[:, None] + 2.0 * B
+    b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B
     return LinearSystem(matrix=W, rhs=b if block else b[:, 0], mesh=mesh,
                         kernel=kernel, exterior=data if block else exterior,
                         exterior_mass=2.0 * E,

@@ -99,6 +99,21 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,code", [("far:1,-1", 3), ("far:1,0", 0),
+                                           ("const:1", 0)])
+    def test_far_data_radius(self, capsys, tmp_path, data, code):
+        # a negative far radius overlaps the far halves; a radius of 0 is
+        # the constant datum, which the scheme reproduces exactly
+        out = tmp_path / "u.json"
+        assert run_main(["solve1d", "--s", "0.5", "--N", "8",
+                         "--domain=-3,-2", "--data", data,
+                         "--out", str(out)]) == code
+        if code == 3:
+            assert "far_radius" in capsys.readouterr().err
+        else:
+            values = json.loads(out.read_text())["values"]
+            assert max(abs(v - 1.0) for v in values) < 1e-12
+
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
         def boom(args):
             raise EmptySample("nothing to aggregate")

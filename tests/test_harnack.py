@@ -314,21 +314,17 @@ class TestTailOutsideCutoff:
 
 class TestBarrierCombination:
     def test_c0_regression(self):
-        res = barrier_combination_check(frac(0.25), CFG, s=0.25, grid=41)
+        res = barrier_combination_check(frac(0.25), CFG, grid=41)
         assert res["c0_max"] == pytest.approx(C0MAX_S025, rel=1e-12)
         # feasibility at the reported constant, from the returned profiles
         assert np.max(res["Lw1"] + res["c0_max"] * res["Lw2"]) <= 0.0
         # w1 vanishes on the scanned ball, so v is c0 w2 with peak c0
         assert np.max(res["v_profile"]) == pytest.approx(res["c0_max"])
 
-    def test_no_feasible_c0_raises(self):
+    def test_no_feasible_c0_raises(self, monkeypatch):
+        monkeypatch.setattr(harnack, "C0_GRID", np.array([1e6]))
         with pytest.raises(NoPositiveC0):
-            barrier_combination_check(frac(0.25), CFG, grid=21,
-                                      c0_grid=[1e6])
-
-    def test_order_mismatch_raises(self):
-        with pytest.raises(ConfigParseError):
-            barrier_combination_check(frac(0.25), CFG, s=0.5, grid=21)
+            barrier_combination_check(frac(0.25), CFG, grid=21)
 
 
 # On the reference configuration shifted by this offset, the grid point

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -120,5 +118,7 @@ class TestConstruction:
             make_kernel("zeta", 1, 0.5)
 
     def test_scale_multiplies_values(self):
-        k = fractional_kernel(1, 0.5)
-        assert k_at(replace(k, scale=3.0), 0.0, 2.0) == pytest.approx(0.75)
+        # the (1 - s) factor is exactly 0.75 at s = 0.25, on pair kernels too
+        k = general_demo_kernel(0.25)
+        k1ms = general_demo_kernel(0.25, one_minus_s=True)
+        assert k_at(k1ms, 0.3, 2.0) == 0.75 * k_at(k, 0.3, 2.0)

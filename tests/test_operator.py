@@ -60,7 +60,8 @@ class TestEvalBasics:
         assert abs(res.value - W1_SPOT_S025) < 1e-7 + res.error_bound
 
     def test_w1_spot_value_under_scaled_kernel(self):
-        k = replace(fractional_kernel(1, 0.25), scale=0.75)
+        # the (1 - s) normalization scales the kernel by exactly 0.75
+        k = fractional_kernel(1, 0.25, one_minus_s=True)
         res = eval_L(k, barrier_w1(CONFIG), -2.0)
         assert res.value == pytest.approx(0.75 * W1_SPOT_S025, rel=1e-9)
 
@@ -83,7 +84,7 @@ class TestEvalBasics:
         s = 0.6
         k = ti_demo_kernel(s)
         base = eval_L(k, u, -2.3)
-        scaled = eval_L(replace(k, scale=1.0 - s), u, -2.3)
+        scaled = eval_L(ti_demo_kernel(s, one_minus_s=True), u, -2.3)
         assert scaled.value == pytest.approx((1.0 - s) * base.value, rel=1e-12)
 
     def test_smooth_path_matches_library_quadrature(self):
@@ -185,6 +186,19 @@ class TestTail:
         assert piecewise_constant([]).segments() == []
         with pytest.raises(ConfigParseError):
             LINEAR.segments()
+
+    @pytest.mark.parametrize("pieces,far_radius", [([], -1.0),
+                                                   ([(1.0, 2.0, 1.0)], 0.0)],
+                             ids=["negative-radius", "pieces-radius-0"])
+    def test_far_part_overlapping_pieces_rejected(self, pieces, far_radius):
+        # the far halves would overlap each other or the pieces, and every
+        # reader of segments() would count the overlap twice
+        with pytest.raises(DomainViolation):
+            piecewise_constant(pieces, far_value=1.0, far_radius=far_radius)
+        # far:v,0 without pieces is the constant, tail 1/s
+        far0 = piecewise_constant([], far_value=1.0, far_radius=0.0)
+        assert tail(far0, 0.0, 0.5, 0.5).value == pytest.approx(2.0,
+                                                                rel=1e-15)
 
     @given(st.floats(-8.0, 8.0), st.floats(0.15, 0.85))
     def test_segment_tail_with_infinite_ends_matches_quadrature(self, x0, s):

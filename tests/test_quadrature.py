@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
 
+from nonlocal_lab import quadrature
 from nonlocal_lab.errors import QuadratureFailure
 from nonlocal_lab.quadrature import gk_panel, integrate
 
@@ -43,10 +44,11 @@ class TestAdaptive:
                            tol=1e-10, geometric_from=1.0)
         assert val == pytest.approx(2.0 * (1.0 - 1e-6), rel=1e-9)
 
-    def test_panel_budget_exhaustion_raises(self):
+    def test_panel_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
         with pytest.raises(QuadratureFailure):
             integrate(lambda x: 1.0 / np.sqrt(np.abs(x)), 0.0, 1.0,
-                      tol=1e-14, max_panels=4)
+                      tol=1e-14)
 
     @pytest.mark.parametrize("f,a,b", [
         (lambda x: np.cos(7.0 * x) * np.exp(x / 3.0), -2.0, 3.0),

@@ -15,7 +15,6 @@ from nonlocal_lab import solver1d
 from nonlocal_lab.errors import (
     ConfigError,
     ConfigParseError,
-    NonIntegrableTail,
     SingularSystem,
     UnsupportedDimension,
 )
@@ -45,6 +44,7 @@ from nonlocal_lab.solver1d import (
     LinearSystem,
     _band_moment,
     _couplings,
+    _data_segments,
     _exterior_components,
     _overlap_mass,
     _segment_mass,
@@ -58,6 +58,17 @@ from nonlocal_lab.solver1d import (
 DIP_CHAT_S05_N64 = 0.158452761189276
 
 G13 = indicator(1.0, 3.0)
+# pieces on both sides of (-1, 1), one crossing into it, and a far part
+MULTI = piecewise_constant([(-4.0, -1.5, 0.4), (-1.3, -0.6, -0.7),
+                            (1.2, 1.7, 0.8), (2.0, 2.5, 0.3)],
+                           far_value=-0.6, far_radius=6.0, label="multi")
+# the exterior segments of each datum against (-1, 1), written out
+EXTERIOR_SEGMENTS = {
+    "chi": (G13, [(1.0, 3.0, 1.0)]),
+    "multi": (MULTI, [(-np.inf, -6.0, -0.6), (-4.0, -1.5, 0.4),
+                      (-1.3, -1.0, -0.7), (1.2, 1.7, 0.8), (2.0, 2.5, 0.3),
+                      (6.0, np.inf, -0.6)]),
+}
 
 
 def unit_mesh(N=4):
@@ -117,21 +128,40 @@ class TestCouplingOracle:
         ref, _ = quad(inner, -1.0, -0.5)
         assert system.exterior_mass[0] / 2.0 == pytest.approx(ref, rel=1e-11)
 
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    def test_data_mass_matches_double_integral(self, s):
+    @pytest.mark.parametrize("s,name", [
+        (0.25, "chi"), (0.5, "chi"), (0.75, "chi"),
+        (0.25, "multi"), (0.5, "multi"), (0.75, "multi"),
+    ], ids=["0.25", "0.5", "0.75", "multi-0.25", "multi-0.5", "multi-0.75"])
+    def test_data_mass_matches_double_integral(self, s, name):
+        # B of every cell against nested quadrature over the exterior
+        # segments, each banded at gamma from the cell's points
+        g, segs = EXTERIOR_SEGMENTS[name]
         k = fractional_kernel(1, s)
         amp = float(k.eval_at_distance(1.0))
-        system = assemble(k, unit_mesh(), G13)
+        mesh = unit_mesh()
+        system = assemble(k, mesh, g)
         gamma = BAND_FRACTION * 0.5
 
         def inner(x):
-            val, _ = quad(lambda y: amp * (y - x) ** (-1 - 2 * s),
-                          max(1.0, x + gamma), 3.0)
-            return val
+            def k_x(y):
+                return amp * abs(y - x) ** (-1 - 2 * s)
 
-        ref, _ = quad(inner, 0.5, 1.0)
+            total = 0.0
+            for a, b, v in segs:
+                if a >= 1.0:
+                    lo, hi = max(a, x + gamma), b
+                else:
+                    lo, hi = a, min(b, x - gamma)
+                if lo < hi:
+                    total += v * quad(k_x, lo, hi, epsabs=0.0,
+                                      epsrel=1e-12)[0]
+            return total
+
+        ref = [quad(inner, lo, hi, points=[lo + gamma, hi - gamma],
+                    epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(mesh.lo, mesh.hi)]
         # rhs = f h + 2 B with f = 0 here
-        assert system.rhs[3] / 2.0 == pytest.approx(ref, rel=1e-11)
+        np.testing.assert_allclose(system.rhs / 2.0, ref, rtol=1e-11, atol=0.0)
 
     def test_interior_data_is_ignored(self):
         # only the exterior restriction of the data enters the system
@@ -195,21 +225,6 @@ class TestCouplingOracle:
         assert -system.matrix[0, 2] / 2.0 == pytest.approx(w02, rel=1e-9)
         b3 = right_mass(0.5, 1.0, 1.0, 3.0)
         assert system.rhs[3] / 2.0 == pytest.approx(b3, rel=1e-9)
-
-        # a bare-callable datum takes the inner cell mass route
-        def gfun(y):
-            return np.exp(-np.abs(y))
-
-        g = PointFunction(gfun, sup_bound=1.0, support=(-3.0, 3.0))
-        bare = assemble(ti_demo_kernel(s), unit_mesh(), g)
-
-        def inner_g(x):
-            return (quad(lambda y: K(y - x) * gfun(y), max(1.0, x + gamma),
-                         3.0)[0]
-                    + quad(lambda y: K(x - y) * gfun(y), -3.0, -1.0)[0])
-
-        b3g, _ = quad(inner_g, 0.5, 1.0, limit=200)
-        assert bare.rhs[3] / 2.0 == pytest.approx(b3g, rel=1e-9)
 
         def outside(x):
             # both exterior components seen from x in cell 0
@@ -356,11 +371,11 @@ class TestStructure:
         assert np.array_equal(u.values, np.zeros(8))
 
     def test_kernel_scaling_leaves_solution_invariant(self):
-        k = fractional_kernel(1, 0.6)
-        u1 = solve(assemble(k, unit_mesh(8), G13))
-        u3 = solve(assemble(dataclasses.replace(k, scale=3.0), unit_mesh(8),
-                            G13))
-        assert np.max(np.abs(u1.values - u3.values)) < 1e-10
+        # the (1 - s) normalization scales the kernel by 0.4 here
+        u1 = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(8), G13))
+        u2 = solve(assemble(fractional_kernel(1, 0.6, one_minus_s=True),
+                            unit_mesh(8), G13))
+        assert np.max(np.abs(u1.values - u2.values)) < 1e-10
 
     def test_solution_linear_in_data(self):
         k = fractional_kernel(1, 0.4)
@@ -368,18 +383,6 @@ class TestStructure:
         g10 = piecewise_constant([(1.0, 3.0, 10.0)], label="10chi")
         u10 = solve(assemble(k, unit_mesh(8), g10))
         assert np.max(np.abs(u10.values - 10.0 * u1.values)) < 1e-10
-
-    def test_scaled_data_takes_quadrature_route(self):
-        # 10 * chi(1,3) without a piece list, so assembly integrates the
-        # callable directly; support clipping keeps that route sharp too
-        k = fractional_kernel(1, 0.4)
-        u1 = solve(assemble(k, unit_mesh(8), G13))
-        g10 = PointFunction(lambda y: 10.0 * G13.fn(y), sup_bound=10.0,
-                            support=G13.support, breaks=G13.breaks)
-        s10 = assemble(k, unit_mesh(8), g10)
-        u10 = solve(s10)
-        gap = np.max(np.abs(u10.values - 10.0 * u1.values))
-        assert gap < 1e-6 + s10.assembly_error
 
     def test_far_data_scales_exactly(self):
         k = fractional_kernel(1, 0.25)
@@ -431,9 +434,10 @@ class TestStructure:
             assemble(fractional_kernel(2, 0.5), unit_mesh(), G13)
 
     def test_growing_data_rejected(self):
-        with pytest.raises(NonIntegrableTail):
+        # a growing datum is a bare callable, rejected in a block as well
+        with pytest.raises(ConfigParseError, match="bare callable"):
             assemble(fractional_kernel(1, 0.25), unit_mesh(),
-                     PointFunction(lambda y: y, envelope=(1.0, 1.0)))
+                     [G13, PointFunction(lambda y: y, envelope=(1.0, 1.0))])
 
     def test_memory_budget_guard(self, monkeypatch):
         # the default budget holds a 4096-cell matrix; past a budget,
@@ -457,14 +461,13 @@ class TestStructure:
 
 
 def block_data():
-    """Constant, piecewise, far-valued and bare-callable exterior data."""
+    """Constant, indicator, far-valued and multi-piece exterior data."""
     return [
         constant(2.0),
         G13,
         piecewise_constant([(1.5, 2.0, 0.7)], far_value=-1.0,
                            far_radius=5.0, label="far"),
-        PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
-                      envelope=(1.0, 0.0), label="exp"),
+        MULTI,
     ]
 
 
@@ -501,7 +504,7 @@ class TestBlock:
         k = fractional_kernel(1, 0.6)
         mesh = mesh_over(make_disconnected_config(n=1, x1=-2.0, x2=2.0,
                                                   r=1.0, R=16.0), 32)
-        data = block_data()[:3]
+        data = block_data()
         us = solve(assemble(k, mesh, data))
         assert len(us) == len(data)
         for u, g in zip(us, data):
@@ -599,39 +602,6 @@ class TestDualRoutes:
         assert np.max(np.abs(u.values - 1.0)) < 1e-12
 
 
-class TestCallableData:
-    def test_decaying_callable_data(self):
-        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
-                          envelope=(1.0, 0.0), label="exp")
-        system = assemble(fractional_kernel(1, 0.6), unit_mesh(8), g,
-                          tol=1e-8)
-        u = solve(system)
-        # bounded by the data sup over the exterior (max principle)
-        assert np.all(u.values > 0)
-        assert np.all(u.values < np.exp(-1.0))
-        assert system.assembly_error < 1e-3
-
-    def test_callable_agrees_with_piecewise_route(self):
-        # a cellwise-constant profile entered as a bare callable must land
-        # on the piecewise closed-form system (dual route for B)
-        vals = [(1.2, 1.7, 0.8), (2.0, 2.5, 0.3)]
-        gpw = piecewise_constant(vals, label="steps")
-
-        def fn(y):
-            y = np.asarray(y, dtype=float)
-            out = np.zeros_like(y)
-            for lo, hi, v in vals:
-                out[(y > lo) & (y < hi)] = v
-            return out
-
-        gcall = PointFunction(fn, sup_bound=0.8, envelope=(0.8, 0.0),
-                              breaks=(1.2, 1.7, 2.0, 2.5), label="steps-fn")
-        k = fractional_kernel(1, 0.5)
-        s1 = assemble(k, unit_mesh(), gpw)
-        s2 = assemble(k, unit_mesh(), gcall, tol=1e-9)
-        assert np.max(np.abs(s1.rhs - s2.rhs)) < 1e-7 + s2.assembly_error
-
-
 class TestAgainstExtension:
     def test_solution_converges_to_representation(self):
         # the ball solution with exterior indicator data has the Poisson
@@ -679,25 +649,24 @@ class TestDip:
 
 
 class TestSegments:
-    def test_cells_then_data_clipped_to_the_exterior(self):
+    def test_data_clipped_to_the_exterior(self):
         mesh = mesh_intervals([(-1.0, 0.0), (0.5, 1.5)], 4)
-        u = solve(assemble(fractional_kernel(1, 0.6), mesh,
-                           piecewise_constant([(-2.0, 2.5, 0.5)],
-                                              far_value=-1.0,
-                                              far_radius=3.0)))
-        cells = list(zip(mesh.lo.tolist(), mesh.hi.tolist(),
-                         u.values.tolist()))
-        assert u.segments() == cells + [
+        g = piecewise_constant([(-2.0, 2.5, 0.5)], far_value=-1.0,
+                               far_radius=3.0)
+        assert _data_segments(g, _exterior_components(mesh)) == [
             (-2.0, -1.0, 0.5), (-np.inf, -3.0, -1.0), (0.0, 0.5, 0.5),
             (1.5, 2.5, 0.5), (3.0, np.inf, -1.0)]
 
-    def test_bare_callable_data_rejected(self):
+    def test_bare_callable_data_rejected(self, monkeypatch):
+        # a datum without segments fails before any coupling is computed
+        def no_couplings(*args):
+            raise AssertionError("couplings built for a bare callable")
+
+        monkeypatch.setattr(solver1d, "_couplings", no_couplings)
         g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
                           envelope=(1.0, 0.0))
-        u = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(), g,
-                           tol=1e-6))
-        with pytest.raises(ConfigParseError):
-            u.segments()
+        with pytest.raises(ConfigParseError, match="bare callable"):
+            assemble(fractional_kernel(1, 0.6), unit_mesh(), g)
 
 
 @given(
