@@ -99,6 +99,25 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_dump_matrix_past_the_budget_is_three(self, capsys,
+                                                   monkeypatch, tmp_path):
+        # a Toeplitz system solves in O(m); only its dense view is refused
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", 8 * 256 * 256 - 1)
+        argv = ["solve1d", "--s", "0.5", "--N", "256", "--domain=-1,1",
+                "--out", str(tmp_path / "u.json")]
+        assert run_main(argv) == 0
+        assert run_main(argv + ["--dump-matrix"]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_fifty_thousand_cells(self, tmp_path):
+        out = tmp_path / "u.json"
+        assert run_main(["solve1d", "--s", "0.5", "--N", "50000",
+                         "--out", str(out)]) == 0
+        values = json.loads(out.read_text())["values"]
+        assert len(values) == 50000
+        assert 0.0 < min(values) and max(values) < 1.0
+
     @pytest.mark.parametrize("data,code", [("far:1,-1", 3), ("far:1,0", 0),
                                            ("const:1", 0)])
     def test_far_data_radius(self, capsys, tmp_path, data, code):
@@ -207,15 +226,15 @@ class TestHarnackCommands:
 
     def test_blas_threads_move_only_last_digits(self):
         # the determinism contract: byte-identical at a fixed BLAS thread
-        # setting, and another thread count moves only the last digits
-        def run(threads):
+        # setting, and another thread count moves only the last digits;
+        # the solve1d run (2048 cells) takes conjugate gradients
+        def run(threads, argv):
             path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                        OMP_NUM_THREADS=str(threads),
                        PYTHONPATH=os.pathsep.join(filter(None, path)))
             out = subprocess.run(
-                [sys.executable, "-m", "nonlocal_lab.cli", "harnack", "run",
-                 "--s", "0.5", "--N", "64"],
+                [sys.executable, "-m", "nonlocal_lab.cli", *argv.split()],
                 env=env, capture_output=True, text=True, check=True).stdout
             return json.loads(out)
 
@@ -229,9 +248,10 @@ class TestHarnackCommands:
                 return a == pytest.approx(b, rel=1e-12, abs=0.0)
             return a == b
 
-        one, two = run(1), run(2)
-        assert one["reports"]
-        assert close(one, two)
+        for argv in ("harnack run --s 0.5 --N 64", "solve1d --s 0.5 --N 2048"):
+            one, two = run(1, argv), run(2, argv)
+            assert one.get("reports", one.get("values"))
+            assert close(one, two)
 
     @pytest.mark.parametrize("flags,ratio,magnitude", [
         ([], 16.0, 1.0),

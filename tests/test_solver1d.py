@@ -5,6 +5,7 @@ first; everything else (structure, principles, convergence) builds on them.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,9 +304,11 @@ class TestStructure:
         monkeypatch.setattr(solver1d, "_overlap_mass",
                             recording(_overlap_mass))
         monkeypatch.setattr(solver1d, "_band_moment", recording(_band_moment))
-        w, _, err = _couplings(k, mesh, h, gamma, comps, span, ASSEMBLY_TOL)
+        blocks, _, err = _couplings(k, mesh, h, gamma, comps, span,
+                                    ASSEMBLY_TOL)
         e_w, e_band = estimates[:2]  # W's two calls come first
         monkeypatch.undo()
+        w = solver1d._toeplitz_fill(blocks, m)
         assert np.array_equal(w, w.T) and not np.any(np.diag(w))
 
         c = mesh.centers
@@ -455,7 +458,7 @@ class TestStructure:
 
     def test_singular_matrix_raises(self):
         system = assemble(fractional_kernel(1, 0.5), unit_mesh(), G13)
-        broken = dataclasses.replace(system, matrix=np.zeros((4, 4)))
+        broken = dataclasses.replace(system, operator=np.zeros((4, 4)))
         with pytest.raises(SingularSystem):
             solve(broken)
 
@@ -526,7 +529,7 @@ class TestBlock:
         a[:2, :2] = [[0.3, 0.7], [0.6, 1.4000000000000001]]
         b = np.zeros((4, 2))
         b[:2] = [[1.0, 3e12], [0.5, 6e12]]
-        system = LinearSystem(matrix=a, rhs=b, mesh=unit_mesh(),
+        system = LinearSystem(operator=a, rhs=b, mesh=unit_mesh(),
                               kernel=fractional_kernel(1, 0.5),
                               exterior=(G13, G13), exterior_mass=np.ones(4),
                               assembly_error=0.0)
@@ -535,6 +538,90 @@ class TestBlock:
         (u,) = solve(dataclasses.replace(system, rhs=b[:, 1:],
                                          exterior=(G13,)))
         assert u.values == pytest.approx([1e13, 0.0, 0.0, 0.0])
+
+
+# two-ball meshes B_2r(x1) u B_2r(x2) with r = 1: touching, separated on
+# the lattice of 32 cells per ball, and separated off it
+TOEPLITZ_MESHES = {
+    "one": lambda: unit_mesh(64),
+    "touching": lambda: mesh_over(make_disconnected_config(
+        n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0), 32),
+    "separated": lambda: mesh_over(make_disconnected_config(
+        n=1, x1=-3.0, x2=3.0, r=1.0, R=16.0), 32),
+    "off-lattice": lambda: mesh_over(make_disconnected_config(
+        n=1, x1=-2.5, x2=2.7, r=1.0, R=16.0), 32),
+}
+
+
+class TestToeplitzRoute:
+    """Conjugate gradients on the O(m) Toeplitz form against the dense LU
+    at the same size, with DENSE_MAX_CELLS lowered below it."""
+
+    @pytest.mark.parametrize("s,rel", [(0.25, 1e-10), (0.5, 1e-10),
+                                       (0.75, 1e-10), (0.9, 1e-9)])
+    @pytest.mark.parametrize("case", sorted(TOEPLITZ_MESHES))
+    @pytest.mark.parametrize("family", ["frac", "ti"])
+    def test_cg_matches_dense_lu(self, monkeypatch, family, case, s, rel):
+        k = fractional_kernel(1, s) if family == "frac" else ti_demo_kernel(s)
+        mesh = TOEPLITZ_MESHES[case]()
+        dense = assemble(k, mesh, block_data())
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+        system = assemble(k, mesh, block_data())
+        assert isinstance(dense.operator, np.ndarray)
+        assert isinstance(system.operator, solver1d.ToeplitzOperator)
+        # the same data part, and a dense view equal to the dense assembly
+        assert np.array_equal(system.rhs, dense.rhs)
+        assert np.array_equal(system.exterior_mass, dense.exterior_mass)
+        assert system.assembly_error == dense.assembly_error
+        assert np.array_equal(system.matrix, dense.matrix)
+        assert system.matrix is system.matrix
+        for u, ref in zip(solve(system), solve(dense)):
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(u.values - ref.values)) <= rel * scale
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+        monkeypatch.setattr(solver1d, "CG_MAX_ITER", 2)
+        system = assemble(fractional_kernel(1, 0.5), unit_mesh(64), G13)
+        with pytest.raises(SingularSystem, match="conjugate gradients"):
+            solve(system)
+
+    def test_memory_budget_on_the_toeplitz_path(self, monkeypatch):
+        # the O(m) system solves under a budget its dense view exceeds;
+        # the view is refused when read, and a budget below the working
+        # vectors refuses the mesh before any coupling is computed
+        m = 512
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 256)
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", 8 * m * m - 1)
+        system = assemble(fractional_kernel(1, 0.5), unit_mesh(m), G13)
+        assert solve(system).values.shape == (m,)
+        with pytest.raises(ConfigError, match="budget"):
+            system.matrix
+
+        def no_couplings(*args):
+            raise AssertionError("couplings built past the budget")
+
+        need = 8 * m * (solver1d.ASSEMBLY_VECTORS + solver1d.CG_VECTORS)
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", need - 1)
+        monkeypatch.setattr(solver1d, "_couplings", no_couplings)
+        with pytest.raises(ConfigError, match="working vectors"):
+            assemble(fractional_kernel(1, 0.5), unit_mesh(m), G13)
+
+    def test_hundred_thousand_cells_in_linear_memory(self):
+        # a dense matrix of 100,000 cells would take 80 GB
+        tracemalloc.start()
+        try:
+            system = assemble(fractional_kernel(1, 0.5), unit_mesh(100_000),
+                              G13)
+            u, iterations, resid = solver1d._cg(system.operator,
+                                                system.rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert iterations <= 25  # 17 measured
+        assert resid[0] <= 1e-13 * np.max(np.abs(system.rhs))
+        assert 0.0 < u.min() and u.max() < 1.0
 
 
 @pytest.fixture(scope="module")
