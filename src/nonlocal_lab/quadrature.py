@@ -2,13 +2,21 @@
 
 One nested G7/K15 rule per panel; a worst-panel-first heap drives dyadic
 subdivision, which concentrates panels toward endpoint singularities.
-Integrands must accept and return numpy arrays.  All tolerances are
-absolute; callers rescale when they need relative control.
+All tolerances are absolute; callers rescale when they need relative
+control.
 
-An integrand may be vector-valued: given the 15 nodes of a panel it
-returns one column per component, shape (15, k).  All components share
-the panels, and a panel's error is the largest of its components'
-estimates (as in scipy.integrate.quad_vec with the max norm).
+An integrand takes a 1-d array of any number of nodes (the 15 of each of
+P panels) and returns one value per node, or one row per node and one
+column per component, shape (15 P, k).  All components share the panels,
+and a panel's error is the largest of its components' estimates (as in
+scipy.integrate.quad_vec with the max norm).  A node's value may depend
+on the rest of the call only through an inner refinement shared by the
+whole batch (a nested vector-valued integral), which can only sharpen it.
+
+One call evaluates the initial panels, and each later call the halves of
+a panel being split together with those of the next-worst panels that
+the heap will split later unless the panel budget runs out first; the
+panels split, and their order, are those of one call per panel.
 """
 
 from __future__ import annotations
@@ -56,46 +64,54 @@ _WG[1:15:2] = np.concatenate([_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]])
 
 DEFAULT_TOL = 1e-9
 MAX_PANELS = 4000
+# most heap entries split ahead of their turn in one call of f
+MAX_LOOKAHEAD = 64
 # QUADPACK's qk15 floors each panel estimate at 50 eps times the integral
 # of |f|; resasc + |k15| bounds that integral from above, at no extra cost
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 
-def gk_panel(f, a: float, b: float):
-    """Integrate one panel; returns (K15 value, error estimate).
+def gk_panel(f, a, b):
+    """Integrate the panels (a, b) with one call of f on all their nodes;
+    returns (K15 values, error estimates).
 
-    The value is a float, or an array of k components when f returns
-    shape (15, k); the error is then the largest component estimate.
-    No estimate falls below the rounding floor of the rule itself."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * NODES), dtype=float)
-    if fx.ndim == 2:
-        return _gk_panel_vec(fx, half, b - a)
-    k15 = half * float(fx @ _WK)
-    g7 = half * float(fx @ _WG)
-    raw = abs(k15 - g7)
-    # the 1.5-power damping acts on the ratio to the variation resasc, not
-    # on the raw difference; otherwise self-similar singular panels report
-    # vanishing error and subdivision stops too early
-    resasc = half * float(np.abs(fx - k15 / (b - a)) @ _WK)
-    floor = _ROUNDING * (resasc + abs(k15))
-    if resasc > 0.0 and raw > 0.0:
-        return k15, max(resasc * min(1.0, (200.0 * raw / resasc) ** 1.5), floor)
-    return k15, max(raw, floor)
-
-
-def _gk_panel_vec(fx: np.ndarray, half: float, width: float):
-    """gk_panel's rule and damped estimate applied to every column of fx."""
+    a and b are floats or arrays of one shape, an entry per panel; the
+    errors take that shape, and the values too, with a trailing axis of k
+    components when f returns shape (15 P, k).  A panel's error is the
+    largest of its component estimates, and no estimate falls below the
+    rounding floor of the rule itself."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    width = b - a
+    half = 0.5 * width
+    x = (0.5 * (a + b))[..., None] + half[..., None] * NODES
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    vec = fx.ndim == 2
+    # one row of 15 nodes per panel, then one column per component
+    fx = fx.reshape(x.shape + (fx.shape[1] if vec else 1,))
+    half = half[..., None]
     k15 = half * (_WK @ fx)
     raw = np.abs(k15 - half * (_WG @ fx))
-    resasc = half * (_WK @ np.abs(fx - k15 / width))
-    # raw == 0 damps to 0 == raw, so resasc > 0 alone selects the damping
-    pos = resasc > 0.0
-    ratio = np.divide(200.0 * raw, resasc, out=np.zeros_like(raw), where=pos)
-    err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), raw)
-    err = np.maximum(err, _ROUNDING * (resasc + np.abs(k15)))
-    return k15, float(err.max(initial=0.0))
+    dev = fx - (k15 / width[..., None])[..., None, :]
+    resasc = half * (_WK @ np.abs(dev, out=dev))
+    # the 1.5-power damping acts on the ratio to the variation resasc, not
+    # on the raw difference; otherwise self-similar singular panels report
+    # vanishing error and subdivision stops too early.  resasc == 0 means
+    # one value at all 15 nodes, whose raw difference (the weights' sums
+    # differ by 16 eps) stays under the floor: the damped 0 stands for it
+    ratio = 200.0 * raw / (resasc + (resasc == 0.0))
+    err = np.maximum(resasc * np.minimum(1.0, ratio ** 1.5),
+                     _ROUNDING * (resasc + np.abs(k15)))
+    if vec:
+        return k15, err.max(axis=-1, initial=0.0)
+    return k15[..., 0], err[..., 0]
+
+
+def _rows(vals: np.ndarray, errs: np.ndarray):
+    """gk_panel's output as lists over the first panel axis: floats (or
+    nested lists) for a scalar f, component arrays for a vector-valued f."""
+    return (vals.tolist() if vals.ndim == errs.ndim else list(vals),
+            errs.tolist())
 
 
 def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
@@ -133,16 +149,17 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     if geometric_from is not None and b - a > 100.0 * geometric_from > 0.0:
         extra = [a + p for p in _geometric_points(geometric_from, b - a)]
         pts = sorted(set(pts) | {p for p in extra if a < p < b})
+    vals, errs = _rows(*gk_panel(f, pts[:-1], pts[1:]))
     heap = []
     tie = count()
     total = 0.0
     total_err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = gk_panel(f, lo, hi)
+    for lo, hi, val, err in zip(pts[:-1], pts[1:], vals, errs):
         total += val
         total_err += err
         heapq.heappush(heap, (-err, next(tie), lo, hi, val))
     npanels = len(heap)
+    cache = {}  # (lo, hi) of a heap entry -> its children's values, errors
     while total_err > tol and npanels < MAX_PANELS:
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -151,8 +168,25 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
             heapq.heappush(heap, (0.0, next(tie), lo, hi, val))
             total_err += neg_err  # removes this panel's err from the total
             continue
-        v1, e1 = gk_panel(f, lo, mid)
-        v2, e2 = gk_panel(f, mid, hi)
+        if (lo, hi) not in cache:
+            # split the next-worst entries in the same call of f, as many
+            # as the errors ahead of them cannot bring the total under tol:
+            # the heap splits each of them later, budget permitting
+            room = total_err + neg_err - tol
+            cap = min(MAX_LOOKAHEAD, MAX_PANELS - npanels - 1)
+            ahead = []
+            while heap and room > 0.0 and len(ahead) < cap:
+                ahead.append(heapq.heappop(heap))
+                room += ahead[-1][0]
+            for entry in ahead:  # the pop order rests on (err, tie) alone
+                heapq.heappush(heap, entry)
+            split = [(lo, hi)] + [(u, v) for _, _, u, v, _ in ahead
+                                  if (u, v) not in cache
+                                  and u < 0.5 * (u + v) < v]
+            edges = np.array([(u, 0.5 * (u + v), v) for u, v in split])
+            halves = gk_panel(f, edges[:, :2], edges[:, 1:])
+            cache.update(zip(split, zip(*_rows(*halves))))
+        (v1, v2), (e1, e2) = cache.pop((lo, hi))
         total += v1 + v2 - val
         total_err += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, next(tie), lo, mid, v1))

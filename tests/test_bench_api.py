@@ -3,8 +3,7 @@
 perfbench/workloads.py reaches the lab only through its public API; a
 name it calls that goes away, or an output that stops passing its check,
 would otherwise surface only as failed benchmark operations.  Every item
-of pass 0 runs here with its own check.  The general-kernel solve is
-skipped: it is most of the time and calls nothing the other items do not.
+of pass 0 runs here with its own check.
 """
 
 import importlib.util
@@ -15,7 +14,6 @@ import pytest
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED = 5
-SKIP = {"general m=4"}
 
 
 def _load_workloads():
@@ -29,8 +27,7 @@ def _load_workloads():
 
 workloads = _load_workloads()
 ITEMS = [(w, item) for w in workloads.WORKLOADS
-         for item in workloads.build(w, "smoke", SEED, 0)
-         if item.label not in SKIP]
+         for item in workloads.build(w, "smoke", SEED, 0)]
 
 
 @pytest.mark.parametrize("workload,item", ITEMS,

@@ -1,3 +1,6 @@
+import heapq
+from itertools import count
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
@@ -131,3 +134,168 @@ class TestVectorValued:
         val, err = integrate(lambda x: np.empty((len(x), 0)), 0.0, 1.0)
         assert val.shape == (0,)
         assert err == 0.0
+
+
+# -- the sequential heap, one integrand call per panel ------------------------
+# The reference for integrate's batched evaluation: integrate must split
+# exactly these panels, in this order, and report the same numbers.
+
+def _sequential_gk_panel(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fx = np.asarray(f(mid + half * quadrature.NODES), dtype=float)
+    if fx.ndim == 2:
+        return _sequential_gk_panel_vec(fx, half, b - a)
+    k15 = half * float(fx @ quadrature._WK)
+    g7 = half * float(fx @ quadrature._WG)
+    raw = abs(k15 - g7)
+    resasc = half * float(np.abs(fx - k15 / (b - a)) @ quadrature._WK)
+    floor = quadrature._ROUNDING * (resasc + abs(k15))
+    if resasc > 0.0 and raw > 0.0:
+        return k15, max(resasc * min(1.0, (200.0 * raw / resasc) ** 1.5),
+                        floor)
+    return k15, max(raw, floor)
+
+
+def _sequential_gk_panel_vec(fx, half, width):
+    k15 = half * (quadrature._WK @ fx)
+    raw = np.abs(k15 - half * (quadrature._WG @ fx))
+    resasc = half * (quadrature._WK @ np.abs(fx - k15 / width))
+    pos = resasc > 0.0
+    ratio = np.divide(200.0 * raw, resasc, out=np.zeros_like(raw), where=pos)
+    err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), raw)
+    err = np.maximum(err, quadrature._ROUNDING * (resasc + np.abs(k15)))
+    return k15, float(err.max(initial=0.0))
+
+
+def sequential_integrate(f, a, b, tol=quadrature.DEFAULT_TOL, breaks=(),
+                         geometric_from=None):
+    a = float(a)
+    b = float(b)
+    if not b > a:
+        return 0.0, 0.0
+    pts = [a] + sorted({float(p) for p in breaks if a < p < b}) + [b]
+    if geometric_from is not None and b - a > 100.0 * geometric_from > 0.0:
+        extra = [a + p for p in
+                 quadrature._geometric_points(geometric_from, b - a)]
+        pts = sorted(set(pts) | {p for p in extra if a < p < b})
+    heap = []
+    tie = count()
+    total = 0.0
+    total_err = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        val, err = _sequential_gk_panel(f, lo, hi)
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, next(tie), lo, hi, val))
+    npanels = len(heap)
+    while total_err > tol and npanels < quadrature.MAX_PANELS:
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            heapq.heappush(heap, (0.0, next(tie), lo, hi, val))
+            total_err += neg_err
+            continue
+        v1, e1 = _sequential_gk_panel(f, lo, mid)
+        v2, e2 = _sequential_gk_panel(f, mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 + neg_err
+        heapq.heappush(heap, (-e1, next(tie), lo, mid, v1))
+        heapq.heappush(heap, (-e2, next(tie), mid, hi, v2))
+        npanels += 1
+    if total_err > tol and npanels >= quadrature.MAX_PANELS:
+        scale = float(np.max(np.abs(total), initial=0.0))
+        if not total_err <= 1e-12 * max(1.0, scale):
+            raise QuadratureFailure(
+                f"no convergence on ({a:g}, {b:g}): error {total_err:.2e} "
+                f"> tol {tol:.2e} after {npanels} panels")
+    return total, total_err
+
+
+def _counting(f):
+    """f with a record of its calls and of the nodes it was given."""
+    def wrapped(x):
+        wrapped.calls += 1
+        wrapped.nodes += len(x)
+        return f(x)
+    wrapped.calls = 0
+    wrapped.nodes = 0
+    return wrapped
+
+
+ORACLE_CASES = {
+    "endpoint-singular": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
+                          {"tol": 1e-10}),
+    "sin50": (lambda x: np.sin(50.0 * x), 0.0, 10.0, {"tol": 1e-12}),
+    "geometric-tail": (lambda x: x ** -1.5, 1.0, 1e12,
+                       {"tol": 1e-10, "geometric_from": 1.0,
+                        "breaks": [2.5, 7.0]}),
+    "smooth3": (smooth3, -2.0, 3.0, {"tol": 1e-11}),
+    "singular3": (singular3, 0.0, 1.0, {"tol": 1e-11}),
+}
+
+
+class TestBatchedPanels:
+    """integrate evaluates many panels per integrand call, and splits the
+    same panels as the sequential heap."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_sequential_heap(self, case):
+        f, a, b, kw = ORACLE_CASES[case]
+        want, want_err = sequential_integrate(f, a, b, **kw)
+        got, got_err = integrate(f, a, b, **kw)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got_err == pytest.approx(want_err, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_budget_failure_matches_sequential_heap(self, case, monkeypatch):
+        f, a, b, kw = ORACLE_CASES[case]
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 7)
+        kw = {**kw, "tol": 1e-15}
+        with pytest.raises(QuadratureFailure) as want:
+            sequential_integrate(f, a, b, **kw)
+        with pytest.raises(QuadratureFailure) as got:
+            integrate(f, a, b, **kw)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("f,a,b,tol", [
+        (lambda x: np.sin(400.0 * x * x), 0.0, 3.0, 1e-10),
+        # under the rounding floor: runs the whole panel budget
+        (lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 1e-17),
+    ], ids=["oscillating", "budget"])
+    def test_batches_bound_calls_and_waste(self, f, a, b, tol):
+        seq = _counting(f)
+        sequential_integrate(seq, a, b, tol=tol)
+        panels = seq.nodes // 15
+        assert panels >= 1000
+        batched = _counting(f)
+        integrate(batched, a, b, tol=tol)
+        assert batched.calls <= panels / 10
+        assert batched.nodes // 15 <= 1.15 * panels
+        # a panel is split ahead of its turn only when the errors ahead of
+        # it cannot bring the total under tol, and only within the budget
+        # left, so here none goes to waste
+        assert batched.nodes == seq.nodes
+
+    def test_float_resolution_panels_are_never_split(self, monkeypatch):
+        # a jump at 1/3 on an interval of a few dozen ulps, with tol under
+        # the rounding floor: refinement runs into panels one ulp wide,
+        # which integrate keeps as they are; splitting one would evaluate
+        # a panel of zero width
+        third = 1.0 / 3.0
+        f = lambda x: (x > third).astype(float)
+        a, b = third - 1e-15, third + 1e-15
+        widths = []
+        rule = quadrature.gk_panel
+
+        def recording(g, lo, hi):
+            widths.extend(np.ravel(np.subtract(hi, lo)).tolist())
+            return rule(g, lo, hi)
+
+        monkeypatch.setattr(quadrature, "gk_panel", recording)
+        got, got_err = integrate(f, a, b, tol=1e-35)
+        want, want_err = sequential_integrate(f, a, b, tol=1e-35)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got_err == pytest.approx(want_err, rel=1e-12)
+        assert min(widths) > 0.0
+        assert np.spacing(third) in widths
