@@ -246,17 +246,15 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
     """Largest c0 of C0_GRID keeping L(w1 + c0 w2) <= 0 on B_r(x1), with
     the operator evaluated at tolerance BARRIER_TOL.
 
-    Both operator profiles are evaluated once per grid point; linearity
-    then turns the scan over c0 into a vector comparison.
+    Both operator profiles are evaluated on the whole grid at once;
+    linearity then turns the scan over c0 into a vector comparison.
     """
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     w1 = barrier_w1(config)
     w2 = barrier_w2(config)
-    lw1 = np.array([eval_L(kernel, w1, float(x), tol=BARRIER_TOL).value
-                    for x in xs])
-    lw2 = np.array([eval_L(kernel, w2, float(x), tol=BARRIER_TOL).value
-                    for x in xs])
+    lw1 = eval_L(kernel, w1, xs, tol=BARRIER_TOL).value
+    lw2 = eval_L(kernel, w2, xs, tol=BARRIER_TOL).value
     feasible = [float(c0) for c0 in C0_GRID if np.max(lw1 + c0 * lw2) <= 0.0]
     if not feasible:
         raise NoPositiveC0(

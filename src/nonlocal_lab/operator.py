@@ -36,7 +36,7 @@ from .errors import (ConfigParseError, DomainViolation, NonIntegrableTail,
                      UnsupportedKernel)
 from .geometry import DisconnectedConfig
 from .kernel import Kernel
-from .quadrature import DEFAULT_TOL, integrate
+from .quadrature import DEFAULT_TOL, integrate_many
 
 MAX_TRUNCATION = 1e150  # float-safe cap of every truncation radius search
 
@@ -210,9 +210,6 @@ class LEvalResult:
     remainder_bound: float  # envelope bound beyond T; 0 when T ends u's reach
     truncation_radius: float  # T, the distance |y - x| integrated to
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class TailResult:
@@ -260,33 +257,42 @@ def truncation_radius(remainder: Callable[[float], float], T0: float,
     return T, rem
 
 
-def _two_sided(f: Callable, x: float, rho: float, T: float, breaks,
-               tol: float) -> tuple[float, float]:
-    """Integral of f(y, |y - x|) over rho < |y - x| < T and its error.
-
-    The right side runs in y, the left side in the distance, each on
-    geometric panels from rho; panels never straddle a break.
-    """
-    def right(y):
-        y = np.asarray(y, dtype=float)
-        return f(y, y - x)
-
-    def left(d):
-        d = np.asarray(d, dtype=float)
-        return f(x - d, d)
-
-    r, er = integrate(right, x + rho, x + T, tol=tol,
-                      breaks=[b for b in breaks if x + rho < b < x + T],
-                      geometric_from=rho)
-    l, el = integrate(left, rho, T, tol=tol,
-                      breaks=[x - b for b in breaks if x - T < b < x - rho],
-                      geometric_from=rho)
-    return l + r, el + er
+def _far_jobs(x: float, rho: float, T: float, breaks, tol: float) -> list:
+    """The halves of rho < |y - x| < T as integrate_many jobs: the right
+    one in y, the left one in the distance d = x - y, each on geometric
+    panels from rho; panels never straddle a break."""
+    right = [b for b in breaks if x + rho < b < x + T]
+    left = [x - b for b in breaks if x - T < b < x - rho]
+    return [(x + rho, x + T, tol, right, rho), (rho, T, tol, left, rho)]
 
 
-def eval_L(kernel: Kernel, u: PointFunction, x: float,
+def _by_kind(kinds, fns):
+    """f(t, j) for integrate_many: the nodes of job j go to fns[kinds[j]]."""
+    def f(t, j):
+        kj = kinds[j]
+        out = np.empty_like(t)
+        for kind, fn in enumerate(fns):
+            sel = kj == kind
+            if sel.any():
+                out[sel] = fn(t[sel], j[sel])
+        return out
+
+    return f
+
+
+def _fields(rows: list, shape: tuple):
+    """Per-point rows of the four result fields as the fields themselves:
+    floats for a scalar point, arrays for a 1-d array of points."""
+    return np.array(rows, dtype=float).reshape(-1, 4).T if shape else rows[0]
+
+
+def eval_L(kernel: Kernel, u: PointFunction, x,
            tol: float = DEFAULT_TOL) -> LEvalResult:
     """Lu(x) with error estimate and analytic truncation remainder.
+
+    x is a float or a 1-d array of points, and the result's fields take
+    its shape.  All integrals of all points run in one integrate_many
+    call; each point's numbers are those of a call at that point alone.
 
     Translation-invariant kernels use the symmetrized near field (valid for
     C^2 functions and exactly zero where u is locally constant); general
@@ -294,115 +300,136 @@ def eval_L(kernel: Kernel, u: PointFunction, x: float,
     when no valid path exists and NonIntegrableTail when the declared
     growth envelope cannot pair with the kernel order.
     """
-    x = float(x)
+    shape = np.shape(x)
+    xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     if u.is_constant:
-        return LEvalResult(0.0, 0.0, 0.0, np.inf)
+        return LEvalResult(*_fields([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape))
 
-    ux = float(u(np.array([x]))[0])
+    uxs = u(np.array(xs)).tolist()
     amp, p = integrable_envelope(u, kernel.s)
     env = kernel.upper_envelope()
-
-    # near field on (0, rho)
-    if u.piecewise:
-        # u is constant on (x - dbreak, x + dbreak); near field vanishes there
-        dbreak = u.dist_to_break(x)
-        if dbreak == 0.0:
-            raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
-        rho = 0.5 * dbreak
-        near_val, near_err = 0.0, 0.0
-    elif u.hess_bound is not None:
-        if not kernel.translation_invariant:
-            raise UnsupportedKernel(
-                "the symmetrized near field needs a translation-invariant kernel")
-        rho = 1.0
-        m2 = u.hess_bound
-        alpha = 1.0 / (2.0 - 2.0 * kernel.s)
-
-        def d2_at(z):
-            z = np.asarray(z, dtype=float)
-            return 2.0 * ux - u.fn(x + z) - u.fn(x - z)
-
-        # D2(z) in float64 carries cancellation noise ~4 eps sup|u| at any z,
-        # while the true value decays like u''(x) z^2; below the crossover
-        # scale pointwise evaluation is pure noise against a z^(-1-2s) weight
-        # and no amount of panel splitting converges.  Cut the integral at a
-        # reliability floor z_lo and cover (0, z_lo) with the quadratic model
-        # c2 * int z^2 K(z) dz, c2 estimated by Richardson at safe scales.
-        scale_u = max(abs(ux), u.sup_bound or 0.0, 1.0)
-        noise = 4.0 * np.finfo(float).eps * scale_u
-        # in tau the noise envelope is noise*env*alpha*tau^(-2 alpha); keep
-        # its integral beyond the cut under tol/4, and keep the cut itself
-        # where signal/noise >= 1e4
-        expo = 2.0 * alpha - 1.0
-        tau_budget = (noise * env * alpha / (expo * 0.25 * tol)) ** (1.0 / expo)
-        z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
-        # a break within a few ulps of x is x's own join; flooring z_lo at
-        # it would push the Richardson stencils into the cancellation noise
-        near_join = 16.0 * np.finfo(float).eps * max(1.0, abs(x))
-        zbreaks = sorted({abs(b - x) for b in u.breaks if near_join < abs(b - x) < rho})
-        if zbreaks:
-            # keep both Richardson stencils inside one C^2 piece
-            z_lo = min(z_lo, zbreaks[0] / 4.0)
-        z_lo = max(min(z_lo, rho / 8.0), 64.0 * np.finfo(float).eps * max(1.0, abs(x)))
-        a1 = float(d2_at(np.array([z_lo]))[0]) / (z_lo * z_lo)
-        a2 = float(d2_at(np.array([2.0 * z_lo]))[0]) / (4.0 * z_lo * z_lo)
-        c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
-        if kernel.family == "fractional":
-            mass2 = env / kernel.lam \
-                * z_lo ** (2.0 - 2.0 * kernel.s) / (2.0 - 2.0 * kernel.s)
-            mass2_err = 0.0
-        else:
-            def weighted(z):
-                z = np.asarray(z, dtype=float)
-                return z * z * kernel.eval_at_distance(z)
-
-            mass2, mass2_err = integrate(weighted, 0.0, z_lo, tol=tol)
-        model_slack = (abs(a1 - c2) + 16.0 * np.finfo(float).eps * scale_u
-                       / (z_lo * z_lo)) * mass2
-
-        def near_integrand(tau):
-            tau = np.asarray(tau, dtype=float)
-            z = tau ** alpha
-            d2 = np.clip(d2_at(z), -m2 * z * z, m2 * z * z)
-            return d2 * kernel.eval_at_distance(z) * alpha * tau ** (alpha - 1.0)
-
-        tbreaks = [zb ** (1.0 / alpha) for zb in zbreaks]
-        tail_val, tail_err = integrate(near_integrand, z_lo ** (1.0 / alpha),
-                                       rho ** (1.0 / alpha), tol=tol, breaks=tbreaks)
-        # the symmetrized integrand collects the pair (x+z, x-z); the
-        # operator carries an overall factor 2 on top of that
-        near_val = 2.0 * (c2 * mass2 + tail_val)
-        near_err = 2.0 * (tail_err + abs(c2) * mass2_err + model_slack)
-    else:
+    if not u.piecewise and u.hess_bound is None:
         raise DomainViolation(
             f"{u.label} is neither piecewise constant nor declared C^2 (hess_bound)")
+    if not u.piecewise and not kernel.translation_invariant:
+        raise UnsupportedKernel(
+            "the symmetrized near field needs a translation-invariant kernel")
+    m2 = u.hess_bound
+    alpha = 1.0 / (2.0 - 2.0 * kernel.s)
+    eps = np.finfo(float).eps
 
-    # far field 2 int_{rho < |y-x| < T} (u(x) - u(y)) k(x, y) dy
-    reach = _reach(u, x)
-    if reach is not None and (ux == 0.0 or kernel.family == "fractional"):
-        # beyond the reach only u(x) k is left, zero or a power mass
-        T, remainder = max(reach, rho), 0.0
-        beyond = ux * 2.0 * kernel.norm_factor \
-            * _power_mass(T, np.inf, kernel.s)
-    else:
-        def far_remainder(T):
-            # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
-            return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-                                + _tail_remainder(amp, p, kernel.s, x, T))
+    def d2(x, ux, z):
+        return 2.0 * ux - u.fn(x + z) - u.fn(x - z)
 
-        T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
-        beyond = 0.0
+    # one job per integral, in the order a point's own call takes them:
+    # (mass2,) near field, right and left far field
+    NEAR, MASS2, RIGHT, LEFT = range(4)
+    jobs, kinds, jx, jux, points = [], [], [], [], []
+    for x, ux in zip(xs, uxs):
+        # near field on (0, rho)
+        if u.piecewise:
+            # u is constant on (x - dbreak, x + dbreak); near field vanishes there
+            dbreak = u.dist_to_break(x)
+            if dbreak == 0.0:
+                raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
+            rho, near = 0.5 * dbreak, None
+        else:
+            rho = 1.0
+            # D2(z) in float64 carries cancellation noise ~4 eps sup|u| at any z,
+            # while the true value decays like u''(x) z^2; below the crossover
+            # scale pointwise evaluation is pure noise against a z^(-1-2s) weight
+            # and no amount of panel splitting converges.  Cut the integral at a
+            # reliability floor z_lo and cover (0, z_lo) with the quadratic model
+            # c2 * int z^2 K(z) dz, c2 estimated by Richardson at safe scales.
+            scale_u = max(abs(ux), u.sup_bound or 0.0, 1.0)
+            noise = 4.0 * eps * scale_u
+            # in tau the noise envelope is noise*env*alpha*tau^(-2 alpha); keep
+            # its integral beyond the cut under tol/4, and keep the cut itself
+            # where signal/noise >= 1e4
+            expo = 2.0 * alpha - 1.0
+            tau_budget = (noise * env * alpha / (expo * 0.25 * tol)) ** (1.0 / expo)
+            z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
+            # a break within a few ulps of x is x's own join; flooring z_lo at
+            # it would push the Richardson stencils into the cancellation noise
+            near_join = 16.0 * eps * max(1.0, abs(x))
+            zbreaks = sorted({abs(b - x) for b in u.breaks
+                              if near_join < abs(b - x) < rho})
+            if zbreaks:
+                # keep both Richardson stencils inside one C^2 piece
+                z_lo = min(z_lo, zbreaks[0] / 4.0)
+            z_lo = max(min(z_lo, rho / 8.0), 64.0 * eps * max(1.0, abs(x)))
+            a1 = float(d2(x, ux, np.array([z_lo]))[0]) / (z_lo * z_lo)
+            a2 = float(d2(x, ux, np.array([2.0 * z_lo]))[0]) / (4.0 * z_lo * z_lo)
+            c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
+            mass2 = None
+            if kernel.family == "fractional":
+                mass2 = env / kernel.lam \
+                    * z_lo ** (2.0 - 2.0 * kernel.s) / (2.0 - 2.0 * kernel.s)
+            else:
+                jobs.append((0.0, z_lo, tol))
+                kinds.append(MASS2)
+            jobs.append((z_lo ** (1.0 / alpha), rho ** (1.0 / alpha), tol,
+                         [zb ** (1.0 / alpha) for zb in zbreaks]))
+            kinds.append(NEAR)
+            near = (c2, mass2, a1, z_lo, scale_u)
 
-    def far(y, d):
-        return (ux - u.fn(y)) * kernel.eval_pairs(np.full_like(y, x), y)
+        # far field 2 int_{rho < |y-x| < T} (u(x) - u(y)) k(x, y) dy
+        reach = _reach(u, x)
+        if reach is not None and (ux == 0.0 or kernel.family == "fractional"):
+            # beyond the reach only u(x) k is left, zero or a power mass
+            T, remainder = max(reach, rho), 0.0
+            beyond = ux * 2.0 * kernel.norm_factor \
+                * _power_mass(T, np.inf, kernel.s)
+        else:
+            def far_remainder(T):
+                # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
+                return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
+                                    + _tail_remainder(amp, p, kernel.s, x, T))
 
-    far_val, far_err = _two_sided(far, x, rho, T, u.breaks, tol)
-    return LEvalResult(
-        value=near_val + 2.0 * (far_val + beyond),
-        error_bound=near_err + 2.0 * far_err + remainder,
-        remainder_bound=remainder,
-        truncation_radius=T,
-    )
+            T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
+            beyond = 0.0
+        jobs += _far_jobs(x, rho, T, u.breaks, tol)
+        kinds += [RIGHT, LEFT]
+        jx += [x] * (len(jobs) - len(jx))
+        jux += [ux] * (len(jobs) - len(jux))
+        points.append((near, beyond, remainder, T))
+
+    jx, jux, kinds = np.array(jx), np.array(jux), np.array(kinds, dtype=int)
+    jright = kinds == RIGHT
+
+    def near_integrand(tau, j):
+        z = tau ** alpha
+        clipped = np.clip(d2(jx[j], jux[j], z), -m2 * z * z, m2 * z * z)
+        return clipped * kernel.eval_at_distance(z) * alpha * tau ** (alpha - 1.0)
+
+    def weighted(z, j):
+        return z * z * kernel.eval_at_distance(z)
+
+    def far(t, j):
+        x = jx[j]
+        y = np.where(jright[j], t, x - t)  # t is the distance on the left
+        return (jux[j] - u.fn(y)) * kernel.eval_pairs(x, y)
+
+    # the far field's halves share one integrand
+    results = iter(integrate_many(_by_kind(
+        np.minimum(kinds, RIGHT), (near_integrand, weighted, far)), jobs))
+    out = []
+    for near, beyond, remainder, T in points:
+        near_val, near_err = 0.0, 0.0
+        if near is not None:
+            c2, mass2, a1, z_lo, scale_u = near
+            mass2, mass2_err = next(results) if mass2 is None else (mass2, 0.0)
+            tail_val, tail_err = next(results)
+            model_slack = (abs(a1 - c2) + 16.0 * eps * scale_u
+                           / (z_lo * z_lo)) * mass2
+            # the symmetrized integrand collects the pair (x+z, x-z); the
+            # operator carries an overall factor 2 on top of that
+            near_val = 2.0 * (c2 * mass2 + tail_val)
+            near_err = 2.0 * (tail_err + abs(c2) * mass2_err + model_slack)
+        (r, er), (l, el) = next(results), next(results)
+        out.append((near_val + 2.0 * ((l + r) + beyond),
+                    near_err + 2.0 * (el + er) + remainder, remainder, T))
+    return LEvalResult(*_fields(out, shape))
 
 
 # -- nonlocal tail ----------------------------------------------------------
@@ -464,6 +491,9 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
     def weighted(y, d):
         return np.abs(u.fn(y)) * d ** (-1.0 - 2.0 * s)
 
-    val, err = _two_sided(weighted, x0, r, T, u.breaks, tol)
-    return TailResult(value=r ** (2.0 * s) * val, remainder_bound=rem + err,
-                      truncation_radius=T)
+    (right, er), (left, el) = integrate_many(
+        lambda t, j: weighted(np.where(j == 0, t, x0 - t),
+                              np.where(j == 0, t - x0, t)),
+        _far_jobs(x0, r, T, u.breaks, tol))
+    return TailResult(value=r ** (2.0 * s) * (left + right),
+                      remainder_bound=rem + (el + er), truncation_radius=T)

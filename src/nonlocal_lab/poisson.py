@@ -17,12 +17,14 @@ import numpy as np
 from .errors import ConfigParseError, DomainViolation, UnsupportedDimension
 from .operator import (
     PointFunction,
+    _by_kind,
+    _fields,
     _reach,
     _tail_remainder,
     integrable_envelope,
     truncation_radius,
 )
-from .quadrature import DEFAULT_TOL, integrate
+from .quadrature import DEFAULT_TOL, integrate_many
 
 TRUNCATION_FACTOR = 1e4
 
@@ -98,26 +100,14 @@ class ExtensionResult:
     remainder_bound: float  # envelope bound beyond T; 0 for compact data
     truncation_radius: float  # T, the center distance integrated to
 
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def _line_kernel(pk: PoissonKernelBall, x: float):
-    """Vectorized z -> P(x, z) on the line, no per-point domain checks."""
-    c = float(pk._center()[0])
-    r, s = pk.r, pk.s
-    amp = pk.constant * pk.inside_gap(x) ** s
-
-    def pline(z):
-        z = np.asarray(z, dtype=float)
-        return amp * ((z - c) ** 2 - r * r) ** (-s) / np.abs(z - x)
-
-    return pline
-
 
 def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                    tol: float = DEFAULT_TOL) -> ExtensionResult:
-    """Representation integral of exterior data g at a point x inside.
+    """Representation integral of exterior data g at points x inside.
+
+    x is a float or a 1-d array of points, and the result's fields take
+    its shape.  All integrals of all points run in one integrate_many
+    call; each point's numbers are those of a call at that point alone.
 
     Each side of the exterior splits at center distance 2r.  The band next
     to the ball uses z = center +- r cosh(t), which turns the boundary
@@ -139,61 +129,69 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     if pk.n != 1:
         raise UnsupportedDimension(
             "exterior quadrature is implemented for n = 1 only")
-    x = float(x)
-    if pk.inside_gap(x) <= 0.0:
-        raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
+    shape = np.shape(x)
+    xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c = float(pk._center()[0])
     r, s = pk.r, pk.s
-    pline = _line_kernel(pk, x)
-    amp_x = pk.constant * pk.inside_gap(x) ** s
     amp_g, p = integrable_envelope(g, s)
     reach = _reach(g, c)
-    if reach is not None:
-        T, remainder = max(reach, 2.0 * r), 0.0
-    else:
-        weight = amp_x * (4.0 / 3.0) ** s * 2.0
-        T, remainder = truncation_radius(
-            lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
-            TRUNCATION_FACTOR * r, 0.5 * tol)
     expo = 2.0 - 2.0 * s
     alpha = 1.0 / expo
+    top = math.acosh(2.0) ** expo
+    tb = {side: [math.acosh(side * (b - c) / r) ** expo for b in g.breaks
+                 if r < side * (b - c) < 2.0 * r] for side in (1.0, -1.0)}
+    # per point: the band and far integrals of the right, then the left side
+    jobs, jx, jamp, ends = [], [], [], []
+    for x in xs:
+        if pk.inside_gap(x) <= 0.0:
+            raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
+        amp_x = pk.constant * pk.inside_gap(x) ** s
+        if reach is not None:
+            T, remainder = max(reach, 2.0 * r), 0.0
+        else:
+            weight = amp_x * (4.0 / 3.0) ** s * 2.0
+            T, remainder = truncation_radius(
+                lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
+                TRUNCATION_FACTOR * r, 0.5 * tol)
+        for side in (1.0, -1.0):
+            fb = [side * (b - c) for b in g.breaks
+                  if 2.0 * r < side * (b - c) < T]
+            jobs += [(0.0, top, tol, tb[side]), (2.0 * r, T, tol, fb, r)]
+        jx += [x] * 4
+        jamp += [amp_x] * 4
+        ends.append((remainder, T))
+    jx, jamp = np.array(jx), np.array(jamp)
+    jside = np.tile([1.0, 1.0, -1.0, -1.0], len(xs))
 
-    total = 0.0
-    err = 0.0
-    for side in (1.0, -1.0):
-        def band(tau):
-            t = np.asarray(tau, dtype=float) ** alpha
-            # z itself collapses onto the boundary for t < sqrt(eps), which
-            # would feed g the wrong one-sided value right where the
-            # singular mass sits; keep the boundary offset exact and floor
-            # the data argument strictly outside (pieces narrower than
-            # 1e-9 r next to the boundary are beyond this quadrature)
-            off = 2.0 * r * np.sinh(0.5 * t) ** 2
-            zg = c + side * (r + np.maximum(off, 1e-9 * r))
-            dist = np.abs(c + side * r * np.cosh(t) - x)
-            # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
-            # sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau
-            return (g.fn(zg) * amp_x * r ** (1.0 - 2.0 * s) * alpha
-                    * (np.sinh(t) / t) ** (1.0 - 2.0 * s) / dist)
+    def band(tau, j):
+        t = tau ** alpha
+        side = jside[j]
+        # z itself collapses onto the boundary for t < sqrt(eps), which
+        # would feed g the wrong one-sided value right where the
+        # singular mass sits; keep the boundary offset exact and floor
+        # the data argument strictly outside (pieces narrower than
+        # 1e-9 r next to the boundary are beyond this quadrature)
+        off = 2.0 * r * np.sinh(0.5 * t) ** 2
+        zg = c + side * (r + np.maximum(off, 1e-9 * r))
+        dist = np.abs(c + side * r * np.cosh(t) - jx[j])
+        # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
+        # sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau
+        return (g.fn(zg) * jamp[j] * r ** (1.0 - 2.0 * s) * alpha
+                * (np.sinh(t) / t) ** (1.0 - 2.0 * s) / dist)
 
-        tb = [math.acosh(side * (b - c) / r) ** expo for b in g.breaks
-              if r < side * (b - c) < 2.0 * r]
-        val, e = integrate(band, 0.0, math.acosh(2.0) ** expo, tol=tol,
-                           breaks=tb)
-        total += val
-        err += e
+    def far(w, j):
+        z = c + jside[j] * w
+        # the kernel P(x, z) on the line
+        return g.fn(z) * (jamp[j] * ((z - c) ** 2 - r * r) ** (-s)
+                          / np.abs(z - jx[j]))
 
-        def far(w):
-            w = np.asarray(w, dtype=float)
-            z = c + side * w
-            return g.fn(z) * pline(z)
-
-        fb = [side * (b - c) for b in g.breaks if 2.0 * r < side * (b - c) < T]
-        val, e = integrate(far, 2.0 * r, T, tol=tol, breaks=fb,
-                           geometric_from=r)
-        total += val
-        err += e
-    return ExtensionResult(total, err + remainder, remainder, T)
+    res = integrate_many(
+        _by_kind(np.tile([0, 1], 2 * len(xs)), (band, far)), jobs)
+    out = []
+    for k, (remainder, T) in enumerate(ends):
+        vals, errs = zip(*res[4 * k:4 * k + 4])
+        out.append((sum(vals), sum(errs) + remainder, remainder, T))
+    return ExtensionResult(*_fields(out, shape))
 
 
 @dataclass(frozen=True)

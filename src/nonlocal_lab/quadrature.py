@@ -17,6 +17,12 @@ One call evaluates the initial panels, and each later call the halves of
 a panel being split together with those of the next-worst panels that
 the heap will split later unless the panel budget runs out first; the
 panels split, and their order, are those of one call per panel.
+
+integrate_many runs many such integrals in lock-step, one call of f per
+round on the panels of all of them; its integrand f(x, j) also receives
+each node's job index j.  A node's value may depend on its own job
+alone, never on the other jobs' nodes, which is what keeps every job's
+result that of its own integrate call.
 """
 
 from __future__ import annotations
@@ -125,22 +131,11 @@ def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
     return pts
 
 
-def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
-              breaks=(), geometric_from: float | None = None,
-              ) -> tuple[float | np.ndarray, float]:
-    """Adaptive integral of f over (a, b), scalar or vector-valued.
-
-    breaks: interior points where panels must not straddle (kinks,
-    support edges).  geometric_from: seed log-spaced panels starting at
-    this positive offset from a (for integrands decaying over many
-    decades); ignored when the span is small.
-
-    Returns (value, error_estimate), the value an array of components
-    for a vector-valued f (the estimate bounds each of them); raises
-    QuadratureFailure when the panel budget is exhausted with the
-    estimate still above tolerance after MAX_PANELS panels.  An empty
-    interval gives (0.0, 0.0) without calling f.
-    """
+def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
+            geometric_from: float | None = None):
+    """The worst-panel-first heap of one integral (see integrate) as a
+    generator: it yields the (lo, hi) edges of the panels it needs, is sent
+    gk_panel's (values, errors) for them and returns (value, error)."""
     a = float(a)
     b = float(b)
     if not b > a:
@@ -149,7 +144,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     if geometric_from is not None and b - a > 100.0 * geometric_from > 0.0:
         extra = [a + p for p in _geometric_points(geometric_from, b - a)]
         pts = sorted(set(pts) | {p for p in extra if a < p < b})
-    vals, errs = _rows(*gk_panel(f, pts[:-1], pts[1:]))
+    vals, errs = _rows(*(yield pts[:-1], pts[1:]))
     heap = []
     tie = count()
     total = 0.0
@@ -160,7 +155,9 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
         heapq.heappush(heap, (-err, next(tie), lo, hi, val))
     npanels = len(heap)
     cache = {}  # (lo, hi) of a heap entry -> its children's values, errors
-    while total_err > tol and npanels < MAX_PANELS:
+    # once the worst estimate left is 0, what total_err holds above tol is
+    # the residue of its own sums: no split can lower it
+    while total_err > tol and npanels < MAX_PANELS and heap[0][0] < 0.0:
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -184,8 +181,10 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
                                   if (u, v) not in cache
                                   and u < 0.5 * (u + v) < v]
             edges = np.array([(u, 0.5 * (u + v), v) for u, v in split])
-            halves = gk_panel(f, edges[:, :2], edges[:, 1:])
-            cache.update(zip(split, zip(*_rows(*halves))))
+            vals, errs = yield edges[:, :2].ravel(), edges[:, 1:].ravel()
+            # one row of two halves per split panel
+            cache.update(zip(split, zip(*_rows(
+                vals.reshape((-1, 2) + vals.shape[1:]), errs.reshape(-1, 2)))))
         (v1, v2), (e1, e2) = cache.pop((lo, hi))
         total += v1 + v2 - val
         total_err += e1 + e2 + neg_err
@@ -202,3 +201,70 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
             )
     return total, total_err
 
+
+def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
+    """Adaptive integrals of f over many jobs, each a tuple of integrate's
+    (a, b, tol, breaks, geometric_from), the last two optional.
+
+    f(x, j) takes the nodes x and each node's job index j.  The jobs run
+    in lock-step: every round is one gk_panel call on the panels that all
+    jobs still pending need.  Returns one (value, error) per job, the one
+    integrate gives it alone; when jobs fail, raises the QuadratureFailure
+    of the first of them.
+    """
+    runs = [_refine(*job) for job in jobs]
+    out = [None] * len(runs)
+    want = {}  # job index -> the panel edges it waits for
+    failure = None
+
+    def step(i, sent):
+        nonlocal failure
+        try:
+            want[i] = runs[i].send(sent)
+        except StopIteration as stop:
+            want.pop(i, None)
+            out[i] = stop.value
+        except QuadratureFailure as exc:
+            # later jobs no longer matter, and only earlier ones run on
+            failure = exc
+            for k in [k for k in want if k >= i]:
+                del want[k]
+
+    for i in range(len(runs)):
+        step(i, None)
+    while want:
+        idx = list(want)
+        if len(idx) == 1:  # one job pending: no owner array to build
+            i = idx[0]
+            step(i, gk_panel(lambda x: f(x, np.full(len(x), i)), *want[i]))
+            continue
+        sizes = [len(want[i][0]) for i in idx]
+        owner = np.repeat(idx, [len(NODES) * n for n in sizes])
+        vals, errs = gk_panel(lambda x: f(x, owner), *(
+            np.concatenate([want[i][k] for i in idx]) for k in (0, 1)))
+        for i, end, n in zip(idx, np.cumsum(sizes).tolist(), sizes):
+            if i in want:
+                step(i, (vals[end - n:end], errs[end - n:end]))
+    if failure is not None:
+        raise failure
+    return out
+
+
+def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
+              breaks=(), geometric_from: float | None = None,
+              ) -> tuple[float | np.ndarray, float]:
+    """Adaptive integral of f over (a, b), scalar or vector-valued.
+
+    breaks: interior points where panels must not straddle (kinks,
+    support edges).  geometric_from: seed log-spaced panels starting at
+    this positive offset from a (for integrands decaying over many
+    decades); ignored when the span is small.
+
+    Returns (value, error_estimate), the value an array of components
+    for a vector-valued f (the estimate bounds each of them); raises
+    QuadratureFailure when the panel budget is exhausted with the
+    estimate still above tolerance after MAX_PANELS panels.  An empty
+    interval gives (0.0, 0.0) without calling f.
+    """
+    return integrate_many(lambda x, j: f(x),
+                          [(a, b, tol, breaks, geometric_from)])[0]

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nonlocal_lab import harnack
+from nonlocal_lab import harnack, quadrature
 from nonlocal_lab.errors import (
     ConfigParseError,
     EmptySample,
@@ -320,6 +320,21 @@ class TestBarrierCombination:
         assert np.max(res["Lw1"] + res["c0_max"] * res["Lw2"]) <= 0.0
         # w1 vanishes on the scanned ball, so v is c0 w2 with peak c0
         assert np.max(res["v_profile"]) == pytest.approx(res["c0_max"])
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
+    def test_one_lock_step_quadrature_per_profile(self, s, monkeypatch):
+        # both profiles are one integrate_many call each over the grid;
+        # the rule is looked up as a module global on every round
+        calls = []
+        rule = quadrature.gk_panel
+
+        def counted(f, a, b):
+            calls.append(np.size(a))
+            return rule(f, a, b)
+
+        monkeypatch.setattr(quadrature, "gk_panel", counted)
+        barrier_combination_check(frac(s), CFG, grid=101)
+        assert 0 < len(calls) <= 20
 
     def test_no_feasible_c0_raises(self, monkeypatch):
         monkeypatch.setattr(harnack, "C0_GRID", np.array([1e6]))

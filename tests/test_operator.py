@@ -12,9 +12,11 @@ from nonlocal_lab.errors import (
     UnsupportedKernel,
 )
 from nonlocal_lab.geometry import make_disconnected_config
+from nonlocal_lab.harnack import BARRIER_TOL
 from nonlocal_lab.kernel import (
     fractional_kernel,
     general_demo_kernel,
+    make_kernel,
     ti_demo_kernel,
 )
 from nonlocal_lab.operator import (
@@ -28,6 +30,7 @@ from nonlocal_lab.operator import (
     segment_tail,
     tail,
 )
+from nonlocal_lab.quadrature import DEFAULT_TOL
 
 CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 
@@ -424,3 +427,61 @@ class TestCompactWork:
         assert farthest(seen, x0) <= reach
         # no truncation remainder: what is left is the quadrature estimate
         assert res.remainder_bound < 1e-9
+
+
+FIELDS = ("value", "error_bound", "remainder_bound", "truncation_radius")
+
+
+def assert_points_alone(k, u, xs, tol=DEFAULT_TOL):
+    """eval_L on the array xs against one call per point, bit for bit."""
+    got = eval_L(k, u, xs, tol=tol)
+    alone = [eval_L(k, u, float(x), tol=tol) for x in xs]
+    for field in FIELDS:
+        want = np.array([getattr(res, field) for res in alone])
+        assert getattr(got, field).shape == xs.shape
+        assert np.array_equal(getattr(got, field), want), field
+
+
+class TestArrayPoints:
+    """eval_L on an array of points runs all their integrals in one
+    lock-step quadrature; each point's numbers are its own call's."""
+
+    @pytest.mark.parametrize("tol", [BARRIER_TOL, DEFAULT_TOL])
+    @pytest.mark.parametrize("s", [0.25, 0.75, 0.9])
+    @pytest.mark.parametrize("barrier", [barrier_w1, barrier_w2])
+    @pytest.mark.parametrize("family", ["frac", "ti"])
+    def test_grid_equals_one_point_calls(self, family, barrier, s, tol):
+        assert_points_alone(make_kernel(family, 1, s), barrier(CONFIG),
+                            ball1_grid(), tol)
+
+    def test_general_kernel_w1(self):
+        assert_points_alone(general_demo_kernel(0.6), barrier_w1(CONFIG),
+                            ball1_grid(), BARRIER_TOL)
+
+    def test_truncation_search_points(self):
+        # TI kernel where w1 = 1: the far field searches its radius
+        assert_points_alone(ti_demo_kernel(0.4), barrier_w1(CONFIG),
+                            np.linspace(1.2, 2.8, 9))
+
+    def test_scalar_point_gives_floats(self):
+        res = eval_L(fractional_kernel(1, 0.5), barrier_w2(CONFIG), -2.3)
+        assert all(isinstance(getattr(res, f), float) for f in FIELDS)
+
+    def test_constant_function_on_a_grid(self):
+        res = eval_L(fractional_kernel(1, 0.5), constant(7.0), ball1_grid(5))
+        assert np.array_equal(res.value, np.zeros(5))
+        assert np.all(np.isinf(res.truncation_radius))
+
+    def test_grid_on_a_break_raises_as_the_point_does(self):
+        k = fractional_kernel(1, 0.5)
+        w1 = barrier_w1(CONFIG)
+        with pytest.raises(DomainViolation) as want:
+            eval_L(k, w1, 1.0)
+        with pytest.raises(DomainViolation) as got:
+            eval_L(k, w1, np.linspace(-3.0, 3.0, 7))  # 1.0 and 3.0 on breaks
+        assert str(got.value) == str(want.value)
+
+    def test_empty_grid(self):
+        res = eval_L(fractional_kernel(1, 0.5), barrier_w2(CONFIG),
+                     np.array([]))
+        assert res.value.shape == (0,)

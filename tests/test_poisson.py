@@ -16,6 +16,7 @@ from nonlocal_lab.errors import (
     NonIntegrableTail,
     UnsupportedDimension,
 )
+from nonlocal_lab.geometry import mesh_intervals
 from nonlocal_lab.operator import PointFunction, constant, indicator, piecewise_constant
 from nonlocal_lab.poisson import (
     PoissonKernelBall,
@@ -275,3 +276,33 @@ class TestBounds:
         # the closed exterior window starts exactly at 2r
         rep = check_poisson_bounds(UNIT, [0.0], [2.0])
         assert rep.n_samples == 1
+
+
+class TestArrayPoints:
+    """poisson_extend on an array of points: one lock-step quadrature
+    whose numbers are those of one call per point."""
+
+    CENTERS = mesh_intervals([(-1.0, 1.0)], 32).centers
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("data", [
+        piecewise_constant([(-3.0, -2.0, 0.4), (-2.0, -1.0, 1.5),
+                            (1.0, 2.0, 2.0), (2.0, 3.0, 0.7)]),
+        constant(1.0),  # no support: the truncation search per point
+    ], ids=["compact", "constant"])
+    def test_centers_equal_one_point_calls(self, s, data):
+        pk = PoissonKernelBall(n=1, s=s, r=1.0)
+        got = poisson_extend(pk, data, self.CENTERS)
+        alone = [poisson_extend(pk, data, float(x)) for x in self.CENTERS]
+        for field in ("value", "error_bound", "remainder_bound",
+                      "truncation_radius"):
+            want = np.array([getattr(res, field) for res in alone])
+            assert getattr(got, field).shape == self.CENTERS.shape
+            assert np.array_equal(getattr(got, field), want), field
+
+    def test_a_point_outside_raises_as_alone(self):
+        with pytest.raises(DomainViolation) as want:
+            poisson_extend(UNIT, constant(1.0), 1.0)
+        with pytest.raises(DomainViolation) as got:
+            poisson_extend(UNIT, constant(1.0), np.array([0.0, 1.0, 2.0]))
+        assert str(got.value) == str(want.value)

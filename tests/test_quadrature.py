@@ -1,4 +1,5 @@
 import heapq
+import signal
 from itertools import count
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.integrate import quad, quad_vec
 
 from nonlocal_lab import quadrature
 from nonlocal_lab.errors import QuadratureFailure
-from nonlocal_lab.quadrature import gk_panel, integrate
+from nonlocal_lab.quadrature import gk_panel, integrate, integrate_many
 
 
 class TestPanels:
@@ -189,7 +190,8 @@ def sequential_integrate(f, a, b, tol=quadrature.DEFAULT_TOL, breaks=(),
         total_err += err
         heapq.heappush(heap, (-err, next(tie), lo, hi, val))
     npanels = len(heap)
-    while total_err > tol and npanels < quadrature.MAX_PANELS:
+    while (total_err > tol and npanels < quadrature.MAX_PANELS
+           and heap[0][0] < 0.0):
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -299,3 +301,126 @@ class TestBatchedPanels:
         assert got_err == pytest.approx(want_err, rel=1e-12)
         assert min(widths) > 0.0
         assert np.spacing(third) in widths
+
+
+# -- many integrals in lock-step ----------------------------------------------
+
+def _jobs_integrand(cases):
+    """integrate_many's f(x, j) for a list of (f, a, b, kw) cases: the
+    nodes of job j go to cases[j]'s integrand."""
+    def f(x, j):
+        out = None
+        for k in np.unique(j):
+            sel = j == k
+            fx = cases[k][0](x[sel])
+            if out is None:
+                out = np.empty((len(x),) + fx.shape[1:])
+            out[sel] = fx
+        return out
+    return f
+
+
+def _job(case):
+    f, a, b, kw = case
+    return (a, b, kw.get("tol", quadrature.DEFAULT_TOL), kw.get("breaks", ()),
+            kw.get("geometric_from"))
+
+
+MIXED_JOBS = [ORACLE_CASES["endpoint-singular"], ORACLE_CASES["sin50"],
+              ORACLE_CASES["geometric-tail"],
+              (lambda x: x, 1.0, 1.0, {}),  # empty interval
+              (lambda x: np.exp(-x), 0.0, 4.0, {"tol": 1e-13})]
+VECTOR_JOBS = [ORACLE_CASES["smooth3"], ORACLE_CASES["singular3"],
+               (smooth3, 0.0, 0.5, {"tol": 1e-9})]
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs for more than 3 seconds."""
+    def fire(signum, frame):
+        raise TimeoutError("no return within 3 s")
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(3)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+class TestLockStep:
+    """integrate_many runs many heaps at once; each job's numbers are
+    those of the sequential heap on that job alone."""
+
+    @pytest.mark.parametrize("cases", [MIXED_JOBS, VECTOR_JOBS],
+                             ids=["mixed", "vector"])
+    def test_every_job_matches_sequential_heap(self, cases):
+        got = integrate_many(_jobs_integrand(cases),
+                             [_job(c) for c in cases])
+        assert len(got) == len(cases)
+        for (f, a, b, kw), (val, err) in zip(cases, got):
+            want, want_err = sequential_integrate(f, a, b, **kw)
+            assert np.array_equal(val, want)
+            assert err == want_err
+
+    def test_one_call_of_f_per_round(self):
+        rounds = []
+        f = _jobs_integrand(MIXED_JOBS)
+
+        def counted(x, j):
+            rounds.append(len(np.unique(j)))
+            return f(x, j)
+
+        integrate_many(counted, [_job(c) for c in MIXED_JOBS])
+        alone = 0
+        for g, a, b, kw in MIXED_JOBS:
+            seq = _counting(g)
+            integrate(seq, a, b, **kw)
+            alone += seq.calls
+        assert len(rounds) < alone
+        assert max(rounds) == 4  # every nonempty job in the first round
+
+    def test_no_jobs(self):
+        assert integrate_many(lambda x, j: x, []) == []
+
+    @pytest.mark.parametrize("order", ["listed", "reversed"])
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_failure_is_the_first_failing_jobs(self, first, order,
+                                               monkeypatch):
+        # the geometric tail seeds more panels than the budget and fails
+        # in the first round, the singular and oscillating jobs later
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 7)
+        cases = [(f, a, b, {**kw, "tol": 1e-15})
+                 for f, a, b, kw in MIXED_JOBS]
+        if order == "reversed":
+            cases.reverse()
+        # jobs before the first one converge under the budget
+        cases[:first] = [(lambda x: np.ones_like(x), 0.0, 1.0, {})] * first
+        want = None
+        for f, a, b, kw in cases:
+            try:
+                sequential_integrate(f, a, b, **kw)
+            except QuadratureFailure as exc:
+                want = str(exc)
+                break
+        assert want is not None
+        with pytest.raises(QuadratureFailure) as got:
+            integrate_many(_jobs_integrand(cases), [_job(c) for c in cases])
+        assert str(got.value) == want
+
+    @pytest.mark.parametrize("ulps,tol", [(16, 1e-60), (36, 1e-45)])
+    def test_float_resolution_returns(self, ulps, tol, alarm):
+        # every panel left is one ulp wide while the residue of the
+        # error sums stays above tol; the heap stops once the worst
+        # estimate left is 0
+        third = 1.0 / 3.0
+        b = third + ulps * np.spacing(third)
+        val, err = integrate(lambda x: 3.0 * x, third, b, tol=tol)
+        assert val == pytest.approx(3.0 * third * (b - third), rel=1e-12)
+        assert 0.0 < err < 1e-30
+        hang = (lambda x: 3.0 * x, third, b, {"tol": tol})
+        cases = [MIXED_JOBS[0], hang, MIXED_JOBS[1]]
+        got = integrate_many(_jobs_integrand(cases),
+                             [_job(c) for c in cases])
+        assert got[1] == (val, err)
+        for k in (0, 2):
+            f, a, b2, kw = cases[k]
+            assert got[k] == sequential_integrate(f, a, b2, **kw)
