@@ -107,26 +107,16 @@ class PointFunction:
 
 def constant(c: float) -> PointFunction:
     c = float(c)
-    return PointFunction(
-        fn=lambda y: np.full_like(np.asarray(y, dtype=float), c),
-        sup_bound=abs(c), far_value=c, far_radius=0.0,
-        hess_bound=0.0, label=f"const({c:g})",
-    )
+    return piecewise_constant([], far_value=c, far_radius=0.0,
+                              label=f"const({c:g})")
 
 
 def indicator(lo: float, hi: float, label: str | None = None) -> PointFunction:
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise DomainViolation(f"empty indicator ({lo}, {hi})")
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        return ((y > lo) & (y < hi)).astype(float)
-
-    return PointFunction(
-        fn=fn, sup_bound=1.0, support=(lo, hi), pieces=((lo, hi, 1.0),),
-        breaks=(lo, hi), label=label or f"chi({lo:g},{hi:g})",
-    )
+    return piecewise_constant([(lo, hi, 1.0)],
+                              label=label or f"chi({lo:g},{hi:g})")
 
 
 def piecewise_constant(pieces, far_value: float = 0.0,
@@ -204,18 +194,20 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
 # -- operator evaluation ----------------------------------------------------
 
 @dataclass(frozen=True)
-class LEvalResult:
+class Estimate:
+    """A value with its bounds, as eval_L, tail and poisson_extend report
+    it: floats at a scalar x, arrays of x's shape at an array of points."""
+
     value: float
     error_bound: float  # quadrature estimate + remainder_bound
-    remainder_bound: float  # envelope bound beyond T; 0 when T ends u's reach
-    truncation_radius: float  # T, the distance |y - x| integrated to
+    remainder_bound: float  # envelope bound beyond T; 0 when T ends the reach
+    truncation_radius: float  # T, the distance integrated to
 
-
-@dataclass(frozen=True)
-class TailResult:
-    value: float
-    remainder_bound: float
-    truncation_radius: float
+    @classmethod
+    def of_rows(cls, rows: list, shape: tuple) -> "Estimate":
+        """One estimate from per-point rows of the four fields."""
+        return cls(*(np.array(rows, dtype=float).reshape(-1, 4).T
+                     if shape else rows[0]))
 
 
 def integrable_envelope(u: PointFunction, s: float) -> tuple[float, float]:
@@ -280,14 +272,8 @@ def _by_kind(kinds, fns):
     return f
 
 
-def _fields(rows: list, shape: tuple):
-    """Per-point rows of the four result fields as the fields themselves:
-    floats for a scalar point, arrays for a 1-d array of points."""
-    return np.array(rows, dtype=float).reshape(-1, 4).T if shape else rows[0]
-
-
 def eval_L(kernel: Kernel, u: PointFunction, x,
-           tol: float = DEFAULT_TOL) -> LEvalResult:
+           tol: float = DEFAULT_TOL) -> Estimate:
     """Lu(x) with error estimate and analytic truncation remainder.
 
     x is a float or a 1-d array of points, and the result's fields take
@@ -303,7 +289,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     if u.is_constant:
-        return LEvalResult(*_fields([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape))
+        return Estimate.of_rows([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape)
 
     uxs = u(np.array(xs)).tolist()
     amp, p = integrable_envelope(u, kernel.s)
@@ -429,7 +415,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         (r, er), (l, el) = next(results), next(results)
         out.append((near_val + 2.0 * ((l + r) + beyond),
                     near_err + 2.0 * (el + er) + remainder, remainder, T))
-    return LEvalResult(*_fields(out, shape))
+    return Estimate.of_rows(out, shape)
 
 
 # -- nonlocal tail ----------------------------------------------------------
@@ -457,13 +443,15 @@ def segment_tail(segments, x0: float, r: float, s: float) -> float:
 
 def tail(u: PointFunction, x0: float, r: float, s: float,
          truncation: float | None = None,
-         tol: float = DEFAULT_TOL) -> TailResult:
+         tol: float = DEFAULT_TOL) -> Estimate:
     """Tail(u; x0, r) = r^2s integral of |u(y)| |y-x0|^(-1-2s) over |y-x0| > r.
 
-    Piecewise-constant functions integrate in closed form (zero remainder);
-    callables integrate adaptively to the truncation radius with the
-    envelope remainder reported.  Without an explicit truncation, a
-    declared support ends the integral at max(reach, r), no remainder.
+    Piecewise-constant functions integrate in closed form, both bounds 0.
+    Callables integrate adaptively to the truncation radius T:
+    remainder_bound bounds what lies beyond T from the growth envelope,
+    and error_bound adds the quadrature estimate to it.  Without an
+    explicit truncation, a declared support ends the integral at
+    max(reach, r), with no remainder.
     """
     x0 = float(x0)
     r = float(r)
@@ -471,8 +459,8 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
         raise DomainViolation(f"tail needs r > 0, got {r}")
     amp, p = integrable_envelope(u, s)
     if u.piecewise:
-        return TailResult(value=segment_tail(u.segments(), x0, r, s),
-                          remainder_bound=0.0, truncation_radius=np.inf)
+        return Estimate(segment_tail(u.segments(), x0, r, s), 0.0, 0.0,
+                        np.inf)
 
     def remainder(T):
         return r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T)
@@ -495,5 +483,4 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
         lambda t, j: weighted(np.where(j == 0, t, x0 - t),
                               np.where(j == 0, t - x0, t)),
         _far_jobs(x0, r, T, u.breaks, tol))
-    return TailResult(value=r ** (2.0 * s) * (left + right),
-                      remainder_bound=rem + (el + er), truncation_radius=T)
+    return Estimate(r ** (2.0 * s) * (left + right), rem + (el + er), rem, T)

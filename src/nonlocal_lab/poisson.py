@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigParseError, DomainViolation, UnsupportedDimension
 from .operator import (
+    Estimate,
     PointFunction,
     _by_kind,
-    _fields,
     _reach,
     _tail_remainder,
     integrable_envelope,
@@ -53,10 +53,7 @@ class PoissonKernelBall:
     center: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigParseError(f"dimension must be >= 1, got {self.n}")
-        if not 0.0 < self.s < 1.0:
-            raise ConfigParseError(f"s must lie in (0, 1), got {self.s}")
+        poisson_constant(self.n, self.s)  # checks n and s
         if not self.r > 0.0:
             raise ConfigParseError(f"radius must be positive, got {self.r}")
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
@@ -91,18 +88,8 @@ def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
     return pk.constant * xg ** pk.s * yg ** (-pk.s) * dist ** (-pk.n)
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Value of the representation integral with quadrature and truncation slack."""
-
-    value: float
-    error_bound: float  # quadrature estimate + remainder_bound
-    remainder_bound: float  # envelope bound beyond T; 0 for compact data
-    truncation_radius: float  # T, the center distance integrated to
-
-
 def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
-                   tol: float = DEFAULT_TOL) -> ExtensionResult:
+                   tol: float = DEFAULT_TOL) -> Estimate:
     """Representation integral of exterior data g at points x inside.
 
     x is a float or a 1-d array of points, and the result's fields take
@@ -191,7 +178,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     for k, (remainder, T) in enumerate(ends):
         vals, errs = zip(*res[4 * k:4 * k + 4])
         out.append((sum(vals), sum(errs) + remainder, remainder, T))
-    return ExtensionResult(*_fields(out, shape))
+    return Estimate.of_rows(out, shape)
 
 
 @dataclass(frozen=True)

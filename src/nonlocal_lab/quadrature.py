@@ -18,11 +18,12 @@ a panel being split together with those of the next-worst panels that
 the heap will split later unless the panel budget runs out first; the
 panels split, and their order, are those of one call per panel.
 
-integrate_many runs many such integrals in lock-step, one call of f per
-round on the panels of all of them; its integrand f(x, j) also receives
-each node's job index j.  A node's value may depend on its own job
-alone, never on the other jobs' nodes, which is what keeps every job's
-result that of its own integrate call.
+integrate drives the heap of one integral (_refine) in its own loop.
+integrate_many runs many heaps in lock-step, one call of f per round on
+the panels of all of them; its f(x, j) also receives each node's job
+index j.  A node's value may depend on its own job alone, which keeps
+every job's result that of its own integrate call.  Every job runs to
+its end, and the failure of the lowest-index failing job is raised.
 """
 
 from __future__ import annotations
@@ -209,44 +210,36 @@ def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
     f(x, j) takes the nodes x and each node's job index j.  The jobs run
     in lock-step: every round is one gk_panel call on the panels that all
     jobs still pending need.  Returns one (value, error) per job, the one
-    integrate gives it alone; when jobs fail, raises the QuadratureFailure
-    of the first of them.
+    integrate gives it alone.  Every job runs to its end; when jobs fail,
+    the QuadratureFailure of the lowest-index one is raised.
     """
     runs = [_refine(*job) for job in jobs]
     out = [None] * len(runs)
     want = {}  # job index -> the panel edges it waits for
-    failure = None
 
     def step(i, sent):
-        nonlocal failure
         try:
             want[i] = runs[i].send(sent)
+            return
         except StopIteration as stop:
-            want.pop(i, None)
             out[i] = stop.value
         except QuadratureFailure as exc:
-            # later jobs no longer matter, and only earlier ones run on
-            failure = exc
-            for k in [k for k in want if k >= i]:
-                del want[k]
+            out[i] = exc
+        want.pop(i, None)
 
     for i in range(len(runs)):
         step(i, None)
     while want:
         idx = list(want)
-        if len(idx) == 1:  # one job pending: no owner array to build
-            i = idx[0]
-            step(i, gk_panel(lambda x: f(x, np.full(len(x), i)), *want[i]))
-            continue
         sizes = [len(want[i][0]) for i in idx]
         owner = np.repeat(idx, [len(NODES) * n for n in sizes])
         vals, errs = gk_panel(lambda x: f(x, owner), *(
             np.concatenate([want[i][k] for i in idx]) for k in (0, 1)))
         for i, end, n in zip(idx, np.cumsum(sizes).tolist(), sizes):
-            if i in want:
-                step(i, (vals[end - n:end], errs[end - n:end]))
-    if failure is not None:
-        raise failure
+            step(i, (vals[end - n:end], errs[end - n:end]))
+    for res in out:
+        if isinstance(res, QuadratureFailure):
+            raise res
     return out
 
 
@@ -266,5 +259,10 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     estimate still above tolerance after MAX_PANELS panels.  An empty
     interval gives (0.0, 0.0) without calling f.
     """
-    return integrate_many(lambda x, j: f(x),
-                          [(a, b, tol, breaks, geometric_from)])[0]
+    run = _refine(a, b, tol, breaks, geometric_from)
+    try:
+        edges = next(run)
+        while True:
+            edges = run.send(gk_panel(f, *edges))
+    except StopIteration as stop:
+        return stop.value

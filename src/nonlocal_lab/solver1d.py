@@ -292,20 +292,18 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
                              span: float, tol: float,
                              ) -> tuple[float, float, float]:
     """(mass, quadrature error, truncation remainder) for one cell-segment
-    pair under any kernel family; the workhorse of the general family.
-    The segment must lie on one side of the cell (a or b may be infinite).
+    pair under a general pair kernel.  The segment must lie on one side of
+    the cell (a or b may be infinite).
 
     The outer integral runs over the segment, where the truncation lives;
-    the inner cell mass of all nodes of an outer panel at once is the
-    closed form for the fractional family and one smooth vector-valued
-    quadrature for the others, so the cost scales with the segment's
-    difficulty alone.
+    the inner cell mass of all nodes of an outer panel at once is one
+    smooth vector-valued quadrature, so the cost scales with the
+    segment's difficulty alone.
     """
     lo, hi = seg
     if hi <= p:  # mirror left segments so the segment sits to the right
-        if kernel.family == "general":  # k(x, z) seen from the mirror
-            pair = kernel.pair_fn
-            kernel = replace(kernel, pair_fn=lambda x, z: pair(-x, -z))
+        pair = kernel.pair_fn  # k(x, z) seen from the mirror
+        kernel = replace(kernel, pair_fn=lambda x, z: pair(-x, -z))
         return _cell_segment_quadrature(
             kernel, -(p + h), h, (-hi, -lo), gamma, span, tol)
     rem = 0.0
@@ -320,16 +318,12 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     # budget; a quarter of the remainder keeps the total bound's order
     tol = max(tol, 0.25 * rem)
     inner_tol = max(0.1 * tol / max(1.0, hi - z0), 1e-14)
-    if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
 
     def outer(z):
         z = np.asarray(z, dtype=float)
         # the cell mass at each node z: x runs over (p, x_hi), the band
         # keeping x <= z - gamma
         x_hi = np.minimum(p + h, z - gamma)
-        if kernel.family == "fractional":
-            return amp * (_phi(z - x_hi, kernel.s) - _phi(z - p, kernel.s))
         return _inner_mass(kernel, p, np.maximum(x_hi - p, 0.0), z,
                            inner_tol)
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,7 +148,7 @@ class TestTail:
     def test_callable_route_brackets_constant_tail(self):
         u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
         res = tail(u, x0=0.0, r=1.0, s=0.25)
-        assert res.value <= 4.0 <= res.value + res.remainder_bound + 1e-8
+        assert res.value <= 4.0 <= res.value + res.error_bound + 1e-8
         assert res.value == pytest.approx(4.0, rel=1e-5)
 
     @given(st.floats(-5.0, 5.0), st.floats(0.15, 0.85))
@@ -159,7 +159,7 @@ class TestTail:
         a = tail(pw, x0=x0, r=1.0, s=s)
         b = tail(cb, x0=x0, r=1.0, s=s)
         assert a.remainder_bound == 0.0
-        assert abs(b.value - a.value) <= b.remainder_bound
+        assert abs(b.value - a.value) <= b.error_bound
 
     @pytest.mark.parametrize("T", [0.06, 0.1])
     def test_growing_data_bracket_below_unit_truncation(self, T):
@@ -171,7 +171,15 @@ class TestTail:
         one_side = sum(quad(lambda y: np.sqrt(1.0 + y) * y ** (-1.0 - 2.0 * s), a, b)[0]
                        for a, b in [(r, 1.0), (1.0, np.inf)])
         exact = r ** (2.0 * s) * 2.0 * one_side
-        assert res.value <= exact <= res.value + res.remainder_bound
+        assert res.value <= exact <= res.value + res.error_bound
+
+    @pytest.mark.parametrize("x0", [0.0, 2.5])
+    def test_callable_route_reports_both_bounds(self, x0):
+        # no declared support: the truncation search leaves an envelope
+        # remainder, and the whole bound adds the quadrature estimate
+        u = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0)
+        res = tail(u, x0, 1.0, s=0.3)
+        assert res.error_bound >= res.remainder_bound > 0.0
 
     def test_value_monotone_remainder_antitone_in_truncation(self):
         u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
@@ -202,6 +210,23 @@ class TestTail:
         far0 = piecewise_constant([], far_value=1.0, far_radius=0.0)
         assert tail(far0, 0.0, 0.5, 0.5).value == pytest.approx(2.0,
                                                                 rel=1e-15)
+
+    @pytest.mark.parametrize("u,pw", [
+        (constant(2.5), piecewise_constant([], far_value=2.5, far_radius=0.0,
+                                           label="const(2.5)")),
+        (constant(-1.0), piecewise_constant([], far_value=-1.0,
+                                            far_radius=0.0,
+                                            label="const(-1)")),
+        (indicator(-1.0, 3.0), piecewise_constant([(-1.0, 3.0, 1.0)],
+                                                  label="chi(-1,3)")),
+    ], ids=["const", "const-negative", "indicator"])
+    def test_constant_and_indicator_are_piecewise_forms(self, u, pw):
+        for f in fields(u):
+            if f.name not in ("fn", "hess_bound"):
+                assert getattr(u, f.name) == getattr(pw, f.name), f.name
+        y = np.concatenate([np.linspace(-5.0, 5.0, 101),
+                            [-1.0, 0.0, 3.0, -np.inf, np.inf]])
+        assert np.array_equal(u(y), pw(y))
 
     @given(st.floats(-8.0, 8.0), st.floats(0.15, 0.85))
     def test_segment_tail_with_infinite_ends_matches_quadrature(self, x0, s):
@@ -369,10 +394,10 @@ class TestCompactRoute:
                           support=pw.support)
         a = tail(u, x0, 1.0, s)
         b = tail(without_support(u), x0, 1.0, s)
-        assert abs(a.value - b.value) <= a.remainder_bound + b.remainder_bound
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
         # the piecewise closed form is the third route
         exact = tail(pw, x0, 1.0, s).value
-        assert abs(a.value - exact) <= a.remainder_bound
+        assert abs(a.value - exact) <= a.error_bound
 
 
 def recording(u, seen):
@@ -426,7 +451,8 @@ class TestCompactWork:
         assert res.truncation_radius == reach
         assert farthest(seen, x0) <= reach
         # no truncation remainder: what is left is the quadrature estimate
-        assert res.remainder_bound < 1e-9
+        assert res.remainder_bound == 0.0
+        assert res.error_bound < 1e-9
 
 
 FIELDS = ("value", "error_bound", "remainder_bound", "truncation_radius")

@@ -361,6 +361,22 @@ class TestLockStep:
             assert np.array_equal(val, want)
             assert err == want_err
 
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_one_job_matches_integrate(self, case, monkeypatch):
+        # integrate drives _refine with its own loop, integrate_many with
+        # the lock-step one; a lone job must not tell them apart
+        f, a, b, kw = ORACLE_CASES[case]
+        val, err = integrate_many(lambda x, j: f(x), [_job((f, a, b, kw))])[0]
+        want, want_err = integrate(f, a, b, **kw)
+        assert np.array_equal(val, want) and err == want_err
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 7)
+        kw = {**kw, "tol": 1e-15}
+        with pytest.raises(QuadratureFailure) as want:
+            integrate(f, a, b, **kw)
+        with pytest.raises(QuadratureFailure) as got:
+            integrate_many(lambda x, j: f(x), [_job((f, a, b, kw))])
+        assert str(got.value) == str(want.value)
+
     def test_one_call_of_f_per_round(self):
         rounds = []
         f = _jobs_integrand(MIXED_JOBS)
