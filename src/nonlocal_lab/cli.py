@@ -92,8 +92,12 @@ def _build_config(args):
     base = {"n": 1, "x1": -2.0, "x2": 2.0, "r": 1.0, "R": 16.0}
     file_N = None
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg, file_N = config_from_text(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigParseError(f"config file: {exc}") from None
+        cfg, file_N = config_from_text(text)
         if cfg.n != 1:
             raise UnsupportedDimension(
                 f"config file has n = {cfg.n}; the experiments run for n = 1 only")
@@ -137,14 +141,20 @@ def parse_data(text: str):
 
 def _parse_domain(text: str):
     intervals = []
-    for part in text.split(";"):
-        a, b = (float(t) for t in part.split(","))
-        intervals.append((a, b))
+    try:
+        for part in text.split(";"):
+            a, b = (float(t) for t in part.split(","))
+            intervals.append((a, b))
+    except ValueError as exc:
+        raise ConfigParseError(f"bad domain {text!r}: {exc}") from None
     return intervals
 
 
 def _floats(text: str):
-    return [float(t) for t in text.split(",") if t]
+    try:
+        return [float(t) for t in text.split(",") if t]
+    except ValueError as exc:
+        raise ConfigParseError(f"bad number list {text!r}: {exc}") from None
 
 
 # -- subcommands --------------------------------------------------------------

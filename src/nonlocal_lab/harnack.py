@@ -214,6 +214,8 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
                 for i in range(samples)]
     else:
         raise ConfigParseError(f"unknown data family {data_family!r}")
+    if not data:
+        raise ConfigParseError(f"the {data_family} family yields no data")
     solutions = solve(assemble(kernel, mesh_over(config, N), data))
     return [harnack_report(u, config, s, kernel_tag=kernel.tag(), seed=seed,
                            N=N, sample_id=i)
@@ -249,6 +251,8 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
     Both operator profiles are evaluated on the whole grid at once;
     linearity then turns the scan over c0 into a vector comparison.
     """
+    if not grid >= 1:
+        raise ConfigParseError(f"the grid needs at least 1 point, got {grid}")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     w1 = barrier_w1(config)

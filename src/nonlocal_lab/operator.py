@@ -123,6 +123,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
                        far_radius: float | None = None,
                        label: str = "pw") -> PointFunction:
     pieces = tuple(sorted((float(lo), float(hi), float(v)) for lo, hi, v in pieces))
+    if np.isnan([far_value, far_radius or 0.0, *np.ravel(pieces)]).any():
+        raise DomainViolation(f"{label}: NaN in the pieces or the far part")
     for (l0, h0, _), (l1, h1, _) in zip(pieces, pieces[1:]):
         if l1 < h0 - 1e-15:
             raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
@@ -288,6 +290,8 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     """
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
+    if not np.isfinite(xs).all():
+        raise DomainViolation(f"eval_L needs finite points, got x = {x}")
     if u.is_constant:
         return Estimate.of_rows([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape)
 

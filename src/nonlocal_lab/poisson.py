@@ -77,10 +77,10 @@ class PoissonKernelBall:
 def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
     """Kernel value at (x inside, y outside); exact formula, any dimension."""
     xg = pk.inside_gap(x)
-    if xg <= 0.0:
+    if not xg > 0.0:
         raise DomainViolation(f"x = {x} is not strictly inside the ball")
     yg = -pk.inside_gap(y)
-    if yg <= 0.0:
+    if not yg > 0.0:
         raise DomainViolation(f"y = {y} is not strictly outside the closed ball")
     dxy = np.atleast_1d(np.asarray(y, dtype=float)) - np.atleast_1d(
         np.asarray(x, dtype=float))
@@ -130,7 +130,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     # per point: the band and far integrals of the right, then the left side
     jobs, jx, jamp, ends = [], [], [], []
     for x in xs:
-        if pk.inside_gap(x) <= 0.0:
+        if not pk.inside_gap(x) > 0.0:
             raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
         amp_x = pk.constant * pk.inside_gap(x) ** s
         if reach is not None:
@@ -216,11 +216,11 @@ def check_poisson_bounds(pk: PoissonKernelBall, sample_x,
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_x]
     zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in sample_z]
     for x in xs:
-        if np.sqrt(np.dot(x - c, x - c)) >= 0.5 * pk.r:
+        if not np.sqrt(np.dot(x - c, x - c)) < 0.5 * pk.r:
             raise DomainViolation(
                 f"sample x = {x} leaves the interior window |x-c| < r/2")
     for z in zs:
-        if np.sqrt(np.dot(z - c, z - c)) < 2.0 * pk.r:
+        if not np.sqrt(np.dot(z - c, z - c)) >= 2.0 * pk.r:
             raise DomainViolation(
                 f"sample z = {z} enters the exterior window guard |z-c| >= 2r")
     ratios = [bound_ratio(pk, x, z) for x in xs for z in zs]

@@ -133,6 +133,36 @@ class TestExitCodes:
             values = json.loads(out.read_text())["values"]
             assert max(abs(v - 1.0) for v in values) < 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        "solve1d --s 0.5 --domain=abc",
+        "solve1d --s 0.5 --domain=1,2,3",
+        "harnack run --s 0.5 --data mass --masses 1,x",
+        "harnack sweep --s-grid 0.5,zz",
+        "poisson bounds --s 0.5 --x-samples=a",
+        "harnack run --s 0.5 --config {missing}",
+        "harnack barrier --s 0.5 --grid 0",
+    ])
+    def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
+        argv = argv.format(missing=tmp_path / "missing.cfg").split()
+        assert run_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "evalL --s 0.5 --barrier w1 --x nan",
+        "evalL --s 0.5 --barrier w2 --x inf",
+        "poisson eval --s 0.5 --x nan",
+        "poisson eval --s 0.5 --z nan",
+        "poisson extend --s 0.5 --x nan",
+        "poisson bounds --s 0.5 --x-samples=nan",
+        "solve1d --s 0.5 --N 8 --data pieces:1,nan,1",
+    ])
+    def test_non_finite_points_are_three(self, argv, capsys):
+        # no NaN reaches the JSON, which could not carry it
+        assert run_main(argv.split()) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
         def boom(args):
             raise EmptySample("nothing to aggregate")

@@ -172,6 +172,15 @@ class TestReportShape:
         with pytest.raises(ConfigParseError):
             disconnected_harnack_experiment(0.5, frac(0.5), CFG, "bogus")
 
+    @pytest.mark.parametrize("family,kw", [
+        ("random-nonneg", {"samples": 0}), ("far-negative", {"samples": 0}),
+        ("mass-near-x2", {"masses": ()})])
+    def test_family_without_data_raises(self, family, kw):
+        # nothing drawn is a configuration error, not a trivial batch
+        with pytest.raises(ConfigParseError, match="no data"):
+            disconnected_harnack_experiment(0.5, frac(0.5), CFG, family,
+                                            N=16, **kw)
+
 
 class TestDataFamilies:
     def test_random_data_lives_in_the_gaps(self):

@@ -211,6 +211,18 @@ class TestTail:
         assert tail(far0, 0.0, 0.5, 0.5).value == pytest.approx(2.0,
                                                                 rel=1e-15)
 
+    @pytest.mark.parametrize("pieces,far_value,far_radius", [
+        ([(np.nan, 2.0, 1.0)], 0.0, None), ([(1.0, 2.0, np.nan)], 0.0, None),
+        ([], np.nan, 1.0), ([], 1.0, np.nan)],
+        ids=["edge", "value", "far-value", "far-radius"])
+    def test_nan_rejected(self, pieces, far_value, far_radius):
+        with pytest.raises(DomainViolation, match="NaN"):
+            piecewise_constant(pieces, far_value=far_value,
+                               far_radius=far_radius)
+        # infinite piece edges stay valid
+        half_line = piecewise_constant([(3.0, np.inf, 2.0)])
+        assert half_line.segments() == [(3.0, np.inf, 2.0)]
+
     @pytest.mark.parametrize("u,pw", [
         (constant(2.5), piecewise_constant([], far_value=2.5, far_radius=0.0,
                                            label="const(2.5)")),
@@ -506,6 +518,16 @@ class TestArrayPoints:
         with pytest.raises(DomainViolation) as got:
             eval_L(k, w1, np.linspace(-3.0, 3.0, 7))  # 1.0 and 3.0 on breaks
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("u", [barrier_w1(CONFIG), constant(1.0)],
+                             ids=["w1", "constant"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_raises(self, u, bad):
+        k = fractional_kernel(1, 0.5)
+        with pytest.raises(DomainViolation, match="finite"):
+            eval_L(k, u, bad)
+        with pytest.raises(DomainViolation, match="finite"):
+            eval_L(k, u, np.array([-2.5, bad, -1.5]))
 
     def test_empty_grid(self):
         res = eval_L(fractional_kernel(1, 0.5), barrier_w2(CONFIG),

@@ -300,9 +300,10 @@ class TestArrayPoints:
             assert getattr(got, field).shape == self.CENTERS.shape
             assert np.array_equal(getattr(got, field), want), field
 
-    def test_a_point_outside_raises_as_alone(self):
+    @pytest.mark.parametrize("bad", [1.0, np.nan])
+    def test_a_point_outside_raises_as_alone(self, bad):
         with pytest.raises(DomainViolation) as want:
-            poisson_extend(UNIT, constant(1.0), 1.0)
+            poisson_extend(UNIT, constant(1.0), bad)
         with pytest.raises(DomainViolation) as got:
-            poisson_extend(UNIT, constant(1.0), np.array([0.0, 1.0, 2.0]))
+            poisson_extend(UNIT, constant(1.0), np.array([0.0, bad, 2.0]))
         assert str(got.value) == str(want.value)
