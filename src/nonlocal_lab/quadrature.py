@@ -29,7 +29,7 @@ its end, and the failure of the lowest-index failing job is raised.
 from __future__ import annotations
 
 import heapq
-from itertools import count
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -235,7 +235,7 @@ def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
         owner = np.repeat(idx, [len(NODES) * n for n in sizes])
         vals, errs = gk_panel(lambda x: f(x, owner), *(
             np.concatenate([want[i][k] for i in idx]) for k in (0, 1)))
-        for i, end, n in zip(idx, np.cumsum(sizes).tolist(), sizes):
+        for i, end, n in zip(idx, accumulate(sizes), sizes):
             step(i, (vals[end - n:end], errs[end - n:end]))
     for res in out:
         if isinstance(res, QuadratureFailure):
