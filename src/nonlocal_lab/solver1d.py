@@ -51,18 +51,22 @@ LinearSystem.matrix is read.
 
 Assembly has two parts.  The operator part, built once per (kernel,
 mesh), holds the couplings W, the exterior mass E and their assembly
-error; the data part, built once per exterior datum, is the column B.
-Exterior data must be piecewise constant and the source f one constant.
-assemble() takes one datum or a sequence of them: a sequence builds the
-operator once and gives an m x k right-hand side, which solve() handles
-with one factorization or one conjugate-gradient run, checking the
-residual of every column.
+error; the data part is one column B per exterior datum.  Exterior data
+must be piecewise constant and the source f one constant.  assemble()
+takes one datum or a sequence of them: a sequence builds the operator
+once and gives an m x k right-hand side, which solve() handles with one
+factorization or one conjugate-gradient run, checking the residual of
+every column.  E and each column sum the masses of their clipped
+exterior segments, and one assemble() call computes the mass of each
+distinct segment once: the data of an experiment family share their
+piece edges.  Every column still sums its own segments in its own order,
+so it equals the single-datum assembly bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -438,13 +442,11 @@ def _toeplitz_gaps(mesh: Mesh1D, h: float):
 
 
 def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
-               comps, span: float, tol: float,
-               ) -> tuple[list | np.ndarray, np.ndarray, float]:
-    """Operator part of the system: couplings W, exterior mass E and the
-    error bound accumulated over their entries.  W is a list of Toeplitz
-    blocks (rows, cols, v) for the translation-invariant families, as
-    _toeplitz_fill reads them, and a dense m x m array for general pair
-    kernels."""
+               span: float, tol: float) -> tuple[list | np.ndarray, float]:
+    """Couplings W and the error bound accumulated over their entries.  W
+    is a list of Toeplitz blocks (rows, cols, v) for the
+    translation-invariant families, as _toeplitz_fill reads them, and a
+    dense m x m array for general pair kernels."""
     err_acc = 0.0
     if kernel.family != "general":
         # W(gap) = overlap mass of two cells + band moment / h^2 below
@@ -488,9 +490,7 @@ def _couplings(kernel: Kernel, mesh: Mesh1D, h: float, gamma: float,
                     e += e2
                 W[i, j] = W[j, i] = v
                 err_acc += e
-    E, e = _segment_mass(kernel, mesh, [(lo, hi, 1.0) for lo, hi in comps],
-                         h, gamma, span, tol)
-    return W, E, err_acc + e
+    return W, err_acc
 
 
 def _toeplitz_fill(blocks, m: int) -> np.ndarray:
@@ -524,42 +524,35 @@ def _check_dense_budget(m: int) -> None:
             f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
-def _segment_mass(kernel: Kernel, mesh: Mesh1D, segs, h: float, gamma: float,
-                  span: float, tol: float) -> tuple[np.ndarray, float]:
-    """Banded kernel mass of v-weighted exterior segments (a, b, v) per
-    cell, and the error bound accumulated over its entries; the exterior
-    mass E is the case v = 1 on every exterior component.  A
-    translation-invariant segment is one overlap integral over all cells,
-    each cell charged the shared estimate."""
-    M = np.zeros(mesh.ncells)
+def _segment_mass(kernel: Kernel, mesh: Mesh1D, a: float, b: float, h: float,
+                  gamma: float, span: float, tol: float,
+                  ) -> tuple[np.ndarray, float]:
+    """Banded kernel mass of the exterior segment (a, b) per cell, and the
+    error bound accumulated over its entries.  A translation-invariant
+    segment is one overlap integral over all cells, each cell charged the
+    shared estimate."""
+    # edge distance of every cell to the segment, 0 when they touch
+    d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
+    if kernel.family != "general":
+        val, e, rem = _overlap_mass(kernel, d0, h, b - a, gamma, span, tol)
+        return val, mesh.ncells * e + float(np.sum(rem))
+    val, e, rem = np.array([
+        _cell_segment_quadrature(kernel, lo, h, (a, b), gamma, span, tol)
+        for lo in mesh.lo.tolist()]).T
+    return val, float(np.sum(e + rem))
+
+
+def _weighted_mass(m: int, segs, mass) -> tuple[np.ndarray, float]:
+    """Sum of v mass(a, b) over v-weighted exterior segments (a, b, v) in
+    their order, per cell, and of |v| times their error bounds; the
+    exterior mass E is the case v = 1 on every exterior component."""
+    M = np.zeros(m)
     err_acc = 0.0
     for a, b, v in segs:
-        # edge distance of every cell to the segment, 0 when they touch
-        d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
-        if kernel.family != "general":
-            val, e, rem = _overlap_mass(kernel, d0, h, b - a, gamma, span,
-                                        tol)
-            e = mesh.ncells * e + float(np.sum(rem))
-        else:
-            val, e, rem = np.array([
-                _cell_segment_quadrature(kernel, lo, h, (a, b), gamma, span,
-                                         tol)
-                for lo in mesh.lo.tolist()]).T
-            e = float(np.sum(e + rem))
+        val, e = mass(a, b)
         M += v * val
         err_acc += abs(v) * e
     return M, err_acc
-
-
-def _data_mass(kernel: Kernel, mesh: Mesh1D, g: PointFunction,
-               E: np.ndarray, h: float, gamma: float, comps, span: float,
-               tol: float) -> tuple[np.ndarray, float]:
-    """Data part of the system: the exterior data mass B of one datum and
-    the error bound accumulated over its entries."""
-    if g.is_constant:
-        return float(g(np.zeros(1))[0]) * E, 0.0
-    return _segment_mass(kernel, mesh, _data_segments(g, comps), h, gamma,
-                         span, tol)
 
 
 def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
@@ -569,9 +562,10 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     exterior is one piecewise-constant PointFunction, or a sequence of
     them: the operator is built once and rhs gets one column per datum
     (m x k), each column equal bit for bit to the single-datum assembly.
-    A datum that is not piecewise constant raises ConfigParseError before
-    any coupling is computed.  rhs, the source f, is one constant shared
-    by all columns.
+    The mass of each distinct exterior segment is computed once per call
+    and shared by E and every column.  A datum that is not piecewise
+    constant raises ConfigParseError before any coupling is computed.
+    rhs, the source f, is one constant shared by all columns.
     """
     if kernel.n != 1:
         raise UnsupportedDimension("the solver is implemented for n = 1 only")
@@ -602,13 +596,20 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     gamma = BAND_FRACTION * h
     comps = _exterior_components(mesh)
     span = ivs[-1][1] - ivs[0][0]
-    W, E, err_acc = _couplings(kernel, mesh, h, gamma, comps, span, tol)
+    W, err_acc = _couplings(kernel, mesh, h, gamma, span, tol)
+    # one mass per distinct segment, shared by E and every datum
+    mass = cache(lambda a, b: _segment_mass(kernel, mesh, a, b, h, gamma,
+                                            span, tol))
+    E, e = _weighted_mass(m, [(lo, hi, 1.0) for lo, hi in comps], mass)
+    err_acc += e
     B = np.zeros((m, len(data)))
     data_err = 0.0
     for j, g in enumerate(data):
-        B[:, j], e = _data_mass(kernel, mesh, g, E, h, gamma, comps, span,
-                                tol)
-        data_err = max(data_err, e)
+        if g.is_constant:
+            B[:, j] = float(g(np.zeros(1))[0]) * E
+        else:
+            B[:, j], e = _weighted_mass(m, _data_segments(g, comps), mass)
+            data_err = max(data_err, e)
 
     if toeplitz:
         op = ToeplitzOperator(W, E)

@@ -24,6 +24,12 @@ from nonlocal_lab.geometry import (
     mesh_intervals,
     mesh_over,
 )
+from nonlocal_lab.harnack import (
+    disconnected_harnack_experiment,
+    far_negative_data,
+    mass_near_x2_data,
+    random_nonneg_data,
+)
 from nonlocal_lab.kernel import (
     Kernel,
     fractional_kernel,
@@ -304,8 +310,7 @@ class TestStructure:
         monkeypatch.setattr(solver1d, "_overlap_mass",
                             recording(_overlap_mass))
         monkeypatch.setattr(solver1d, "_band_moment", recording(_band_moment))
-        blocks, _, err = _couplings(k, mesh, h, gamma, comps, span,
-                                    ASSEMBLY_TOL)
+        blocks, err = _couplings(k, mesh, h, gamma, span, ASSEMBLY_TOL)
         e_w, e_band = estimates[:2]  # W's two calls come first
         monkeypatch.undo()
         w = solver1d._toeplitz_fill(blocks, m)
@@ -322,11 +327,14 @@ class TestStructure:
         np.testing.assert_allclose(w[iu, ju], want[which], rtol=1e-13,
                                    atol=0.0)
 
-        _, err_ext = _segment_mass(k, mesh, [(lo, hi, 1.0) for lo, hi in comps],
-                                   h, gamma, span, ASSEMBLY_TOL)
         per_pair = e_w + e_band * near[which]
-        assert err == pytest.approx(float(per_pair.sum()) + err_ext,
-                                    rel=1e-12, abs=0.0)
+        assert err == pytest.approx(float(per_pair.sum()), rel=1e-12, abs=0.0)
+        # the assembly adds the exterior mass's bound, one per component
+        err_ext = sum(_segment_mass(k, mesh, lo, hi, h, gamma, span,
+                                    ASSEMBLY_TOL)[1] for lo, hi in comps)
+        system = assemble(k, mesh, constant(1.0))
+        assert system.assembly_error == pytest.approx(err + err_ext,
+                                                      rel=1e-12, abs=0.0)
         if family == "frac":
             assert err == 0.0
         else:
@@ -398,22 +406,23 @@ class TestStructure:
 
     def test_zero_datum_is_the_zero_constant(self, monkeypatch):
         # pieces: with no pieces is constant(0.0), not a bare callable
-        # whose data mass takes a nested quadrature per cell
+        # whose data mass takes a nested quadrature per cell: its data
+        # part adds no integrate call to those of the operator part
         g = piecewise_constant([])
         assert g.piecewise and g.is_constant
+        calls = []
 
-        def no_integrate(*args, **kwargs):
-            raise AssertionError("the zero datum's mass was integrated")
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
 
-        data_mass = solver1d._data_mass
-
-        def guarded(*args):
-            with monkeypatch.context() as m:
-                m.setattr(solver1d, "integrate", no_integrate)
-                return data_mass(*args)
-
-        monkeypatch.setattr(solver1d, "_data_mass", guarded)
-        system = assemble(ti_demo_kernel(0.5), unit_mesh(8), g)
+        monkeypatch.setattr(solver1d, "integrate", counting)
+        k = ti_demo_kernel(0.5)
+        assemble(k, unit_mesh(8), [])
+        operator_calls = len(calls)
+        assert operator_calls > 0
+        system = assemble(k, unit_mesh(8), g)
+        assert len(calls) == 2 * operator_calls
         assert not system.rhs.any()
         res = eval_L(fractional_kernel(1, 0.5), g, 0.3)
         assert res.value == 0.0 and res.error_bound == 0.0
@@ -474,19 +483,44 @@ def block_data():
     ]
 
 
+# the reference two-ball configuration: touching balls, R = 16
+TWO_BALLS = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
+
+
+def harnack_data():
+    """Two data of each experiment family on TWO_BALLS."""
+    rng = np.random.default_rng(5)
+    return [*(random_nonneg_data(TWO_BALLS, rng) for _ in range(2)),
+            *(far_negative_data(TWO_BALLS, rng) for _ in range(2)),
+            mass_near_x2_data(TWO_BALLS, 1.0),
+            mass_near_x2_data(TWO_BALLS, 100.0)]
+
+
+# (kernel, mesh, data) of a block
+BLOCK_CASES = {
+    "frac": (fractional_kernel(1, 0.6), unit_mesh, block_data),
+    "ti": (ti_demo_kernel(0.5), unit_mesh, block_data),
+    "frac-two-balls": (fractional_kernel(1, 0.5),
+                       lambda: mesh_over(TWO_BALLS, 64), harnack_data),
+    "ti-two-balls": (ti_demo_kernel(0.5), lambda: mesh_over(TWO_BALLS, 16),
+                     harnack_data),
+    "general": (general_demo_kernel(0.5), unit_mesh,
+                lambda: block_data()[1:3]),
+}
+
+
 class TestBlock:
     """One operator, many data: the block path against single assembles."""
 
-    @pytest.mark.parametrize("kernel", [fractional_kernel(1, 0.6),
-                                        ti_demo_kernel(0.5)],
-                             ids=["frac", "ti"])
-    def test_block_assemble_matches_single_bit_for_bit(self, kernel):
-        data = block_data()
-        block = assemble(kernel, unit_mesh(), data, rhs=0.5, tol=1e-6)
-        assert block.rhs.shape == (4, len(data))
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_block_assemble_matches_single_bit_for_bit(self, case):
+        kernel, make_mesh, make_data = BLOCK_CASES[case]
+        mesh, data = make_mesh(), make_data()
+        block = assemble(kernel, mesh, data, rhs=0.5, tol=1e-6)
+        assert block.rhs.shape == (mesh.ncells, len(data))
         assert block.exterior == tuple(data)
         for j, g in enumerate(data):
-            single = assemble(kernel, unit_mesh(), g, rhs=0.5, tol=1e-6)
+            single = assemble(kernel, mesh, g, rhs=0.5, tol=1e-6)
             assert np.array_equal(block.matrix, single.matrix)
             assert np.array_equal(block.exterior_mass, single.exterior_mass)
             assert np.array_equal(block.rhs[:, j], single.rhs)
@@ -502,6 +536,34 @@ class TestBlock:
         g = piecewise_constant([], far_value=1.0, far_radius=0.5)
         system = assemble(kernel, unit_mesh(n_cells), g)
         assert np.array_equal(system.rhs, system.exterior_mass)
+
+    @pytest.mark.parametrize("family,distinct", [("random-nonneg", 16),
+                                                 ("far-negative", 18)])
+    def test_each_distinct_segment_is_computed_once(self, family, distinct,
+                                                    monkeypatch):
+        # 20 data of one family share their piece edges: a datum-by-datum
+        # data mass would compute 20 x distinct segment masses
+        mesh = mesh_over(TWO_BALLS, 256)
+        comps = _exterior_components(mesh)
+        make = (random_nonneg_data if family == "random-nonneg"
+                else far_negative_data)
+        rng = np.random.default_rng(0)  # the experiment's draws at seed 0
+        per_datum = [_data_segments(make(TWO_BALLS, rng), comps)
+                     for _ in range(20)]
+        assert sum(map(len, per_datum)) == 20 * distinct
+        computed = []
+
+        def counting(kernel, mesh, a, b, *args):
+            computed.append((a, b))
+            return _segment_mass(kernel, mesh, a, b, *args)
+
+        monkeypatch.setattr(solver1d, "_segment_mass", counting)
+        disconnected_harnack_experiment(0.5, fractional_kernel(1, 0.5),
+                                        TWO_BALLS, family, N=256, samples=20)
+        assert len(computed) == len(set(computed))
+        data_segments = {(a, b) for segs in per_datum for a, b, _ in segs}
+        assert len(data_segments) == distinct
+        assert set(computed) == data_segments | set(comps)
 
     def test_block_solve_matches_single_solves(self):
         k = fractional_kernel(1, 0.6)
