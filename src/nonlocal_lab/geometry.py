@@ -86,8 +86,8 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
     R = float(R)
     if not r > 0:
         raise ConfigParseError(f"r must be positive, got {r}")
-    if not R > 0:
-        raise ConfigParseError(f"R must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ConfigParseError(f"R must be positive and finite, got {R}")
     cfg = DisconnectedConfig(n=n, x1=x1, x2=x2, r=r, R=R, checked=not unsafe)
     if unsafe:
         return cfg

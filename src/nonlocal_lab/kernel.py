@@ -35,8 +35,9 @@ class Kernel:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ConfigParseError(f"s must lie in (0, 1), got {self.s}")
-        if self.lam < 1.0:
-            raise ConfigParseError(f"lam must be >= 1, got {self.lam}")
+        if not 1.0 <= self.lam < np.inf:
+            raise ConfigParseError(
+                f"lam must be >= 1 and finite, got {self.lam}")
         if self.family not in FAMILIES:
             raise ConfigParseError(f"unknown kernel family {self.family!r}")
         if self.normalization not in ("plain", "one-minus-s"):

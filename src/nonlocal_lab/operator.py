@@ -36,7 +36,7 @@ from .errors import (ConfigParseError, DomainViolation, NonIntegrableTail,
                      UnsupportedKernel)
 from .geometry import DisconnectedConfig
 from .kernel import Kernel
-from .quadrature import DEFAULT_TOL, integrate_many
+from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
 MAX_TRUNCATION = 1e150  # float-safe cap of every truncation radius search
 
@@ -288,6 +288,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     when no valid path exists and NonIntegrableTail when the declared
     growth envelope cannot pair with the kernel order.
     """
+    check_tol(tol)
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     if not np.isfinite(xs).all():
@@ -453,10 +454,12 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
     Piecewise-constant functions integrate in closed form, both bounds 0.
     Callables integrate adaptively to the truncation radius T:
     remainder_bound bounds what lies beyond T from the growth envelope,
-    and error_bound adds the quadrature estimate to it.  Without an
+    and error_bound adds the quadrature estimate, scaled by r^2s as the
+    value is.  Without an
     explicit truncation, a declared support ends the integral at
     max(reach, r), with no remainder.
     """
+    check_tol(tol)
     x0 = float(x0)
     r = float(r)
     if not r > 0:
@@ -487,4 +490,5 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
         lambda t, j: weighted(np.where(j == 0, t, x0 - t),
                               np.where(j == 0, t - x0, t)),
         _far_jobs(x0, r, T, u.breaks, tol))
-    return Estimate(r ** (2.0 * s) * (left + right), rem + (el + er), rem, T)
+    return Estimate(r ** (2.0 * s) * (left + right),
+                    rem + r ** (2.0 * s) * (el + er), rem, T)

@@ -24,7 +24,7 @@ from .operator import (
     integrable_envelope,
     truncation_radius,
 )
-from .quadrature import DEFAULT_TOL, integrate_many
+from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
 TRUNCATION_FACTOR = 1e4
 
@@ -116,6 +116,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     if pk.n != 1:
         raise UnsupportedDimension(
             "exterior quadrature is implemented for n = 1 only")
+    check_tol(tol)
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c = float(pk._center()[0])

@@ -33,7 +33,7 @@ from itertools import accumulate, count
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import ConfigParseError, QuadratureFailure
 
 # K15 nodes on [-1, 1] (positive half) with Kronrod weights; the embedded
 # G7 rule lives on nodes 1, 3, 5, 7 with its own weights.
@@ -130,6 +130,12 @@ def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
         x *= ratio
         pts.append(x)
     return pts
+
+
+def check_tol(tol: float) -> None:
+    """ConfigParseError unless 0 < tol < inf, which NaN fails as well."""
+    if not 0.0 < tol < np.inf:
+        raise ConfigParseError(f"tol must be positive and finite, got {tol}")
 
 
 def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),

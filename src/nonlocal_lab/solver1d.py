@@ -79,7 +79,7 @@ from .errors import (
 from .geometry import Mesh1D
 from .kernel import Kernel
 from .operator import PointFunction
-from .quadrature import integrate
+from .quadrature import check_tol, integrate
 
 BAND_FRACTION = 0.25
 EXTERIOR_TRUNCATION_FACTOR = 1e4
@@ -569,6 +569,9 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     """
     if kernel.n != 1:
         raise UnsupportedDimension("the solver is implemented for n = 1 only")
+    check_tol(tol)
+    if not np.isfinite(rhs):
+        raise ConfigParseError(f"rhs must be finite, got {rhs}")
     block = not isinstance(exterior, PointFunction)
     data = tuple(exterior) if block else (exterior,)
     for g in data:

@@ -163,6 +163,31 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        "evalL --s 0.5 --barrier w2 --x -2.3",
+        "poisson extend --s 0.5",
+        "solve1d --s 0.5 --N 8",
+    ], ids=["evalL", "poisson-extend", "solve1d"])
+    def test_tol_outside_zero_inf_is_three(self, argv, tol, capsys):
+        assert run_main([*argv.split(), f"--tol={tol}"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+        assert out.err.count("\n") == 1 and "tol" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        "harnack run --s 0.5 --N 16 --samples 2 --R inf --format csv",
+        "solve1d --s 0.5 --N 8 --kernel ti --lam inf",
+        "solve1d --s 0.5 --N 8 --kernel ti --lam nan",
+        "solve1d --s 0.5 --N 8 --rhs nan",
+        "solve1d --s 0.5 --N 8 --rhs=-inf",
+    ])
+    def test_non_finite_R_lam_rhs_are_three(self, argv, capsys):
+        assert run_main(argv.split()) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
         def boom(args):
             raise EmptySample("nothing to aggregate")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from nonlocal_lab import operator
 from nonlocal_lab.errors import (
     ConfigParseError,
     DomainViolation,
@@ -30,7 +31,7 @@ from nonlocal_lab.operator import (
     segment_tail,
     tail,
 )
-from nonlocal_lab.quadrature import DEFAULT_TOL
+from nonlocal_lab.quadrature import DEFAULT_TOL, integrate_many
 
 CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 
@@ -180,6 +181,44 @@ class TestTail:
         u = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0)
         res = tail(u, x0, 1.0, s=0.3)
         assert res.error_bound >= res.remainder_bound > 0.0
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_quadrature_estimate_is_scaled_like_the_value(self, s,
+                                                          monkeypatch):
+        # at r = 4 the value carries r^2s = 2 to 8, and so must the
+        # quadrature estimate, here most of the bound
+        estimates = []
+
+        def recording(*args, **kwargs):
+            (right, er), (left, el) = out = integrate_many(*args, **kwargs)
+            estimates.append(el + er)
+            return out
+
+        monkeypatch.setattr(operator, "integrate_many", recording)
+
+        def f(y):
+            return np.exp(-np.abs(y)) * (1.0 + np.sin(3.0 * y) ** 2)
+
+        x0, r = 0.3, 4.0
+        res = tail(PointFunction(f, sup_bound=2.0), x0, r, s)
+        (est,) = estimates
+        scaled = r ** (2.0 * s) * est
+        assert res.error_bound == res.remainder_bound + scaled
+        assert scaled > res.remainder_bound > 0.0
+
+        def weighted(y):
+            return f(y) * abs(y - x0) ** (-1.0 - 2.0 * s)
+
+        opts = {"limit": 500, "epsabs": 1e-15, "epsrel": 1e-14}
+        ref = r ** (2.0 * s) * (quad(weighted, x0 + r, np.inf, **opts)[0]
+                                + quad(weighted, -np.inf, x0 - r, **opts)[0])
+        assert abs(res.value - ref) <= res.error_bound
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tol_outside_zero_inf_rejected(self, tol):
+        for u in (constant(1.0), PointFunction(np.cos, sup_bound=1.0)):
+            with pytest.raises(ConfigParseError, match="tol"):
+                tail(u, 0.0, 1.0, 0.5, tol=tol)
 
     def test_value_monotone_remainder_antitone_in_truncation(self):
         u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
