@@ -6,9 +6,11 @@ reference balls together with the tail of the negative part, and records
 the empirical constant tying them.  The tail is a closed form over the
 segments of the solution on R, its cells and then its data, so cells
 outside B_R(0) count as well.  An experiment assembles its operator
-once and solves all of its data in one block solve.  Everything is seeded
-and the sample order is fixed, so reports are reproducible bit for bit at
-a fixed BLAS thread setting.
+once and solves all of its data in one block solve; its data share their
+piece edges, so the assembly computes each distinct exterior segment's
+mass once for all of them.  Everything is seeded and the sample order is
+fixed, so reports are reproducible bit for bit at a fixed BLAS thread
+setting.
 """
 
 from dataclasses import dataclass

@@ -455,9 +455,8 @@ def tail(u: PointFunction, x0: float, r: float, s: float,
     Callables integrate adaptively to the truncation radius T:
     remainder_bound bounds what lies beyond T from the growth envelope,
     and error_bound adds the quadrature estimate, scaled by r^2s as the
-    value is.  Without an
-    explicit truncation, a declared support ends the integral at
-    max(reach, r), with no remainder.
+    value is.  Without an explicit truncation, a declared support ends
+    the integral at max(reach, r), with no remainder.
     """
     check_tol(tol)
     x0 = float(x0)
