@@ -37,7 +37,7 @@ from .poisson import (
     poisson_eval,
     poisson_extend,
 )
-from .solver1d import assemble, solve
+from .solver1d import assemble, check_vector_budget, solve
 
 FAMILIES = {"random": "random-nonneg", "mass": "mass-near-x2",
             "farneg": "far-negative"}
@@ -110,6 +110,7 @@ def _build_config(args):
     N = getattr(args, "N", None)
     if N is None:
         N = file_N if file_N is not None else 256
+    check_vector_budget(2 * N)  # the two-ball mesh, before it is built
     return make_disconnected_config(**base), N
 
 
@@ -195,7 +196,9 @@ def _cmd_poisson(args) -> int:
 
 def _cmd_solve1d(args) -> int:
     kernel = _build_kernel(args, args.s)
-    mesh = mesh_intervals(_parse_domain(args.domain), args.N)
+    intervals = _parse_domain(args.domain)
+    check_vector_budget(len(intervals) * args.N)  # before the mesh is built
+    mesh = mesh_intervals(intervals, args.N)
     system = assemble(kernel, mesh, parse_data(args.data), rhs=args.rhs,
                       tol=args.tol)
     u = solve(system)
@@ -372,6 +375,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds need integers >= 0
+            raise ConfigParseError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,10 +53,6 @@ class NumericError(LabError):
     exit_code = 4
 
 
-class NonIntegrableTail(NumericError):
-    """Growth envelope A (1 + |y|)^p with p >= 2s: the tail integral is infinite."""
-
-
 class QuadratureFailure(NumericError):
     """Adaptive panels exhausted without reaching tolerance."""
 

@@ -12,17 +12,21 @@ far field is integrated directly out to a radius T:
 - a function with a declared support (lo, hi) vanishes beyond its reach
   max(|lo - x|, |hi - x|).  When u(x) = 0 or the kernel is fractional,
   T = max(reach, rho) and what lies beyond T is u(x) times the kernel
-  mass, zero or a closed form; no remainder is charged.  `tail` and
-  `poisson_extend` end at the reach in the same way;
+  mass, zero or a closed form; no remainder is charged.
+  `poisson_extend` ends at the reach in the same way;
 - otherwise T is searched by decades, and the truncation tail beyond T is
-  bounded analytically from the declared growth envelope and the kernel's
-  ellipticity envelope; the bound is reported, never dropped.
+  bounded analytically from sup |u| and the kernel's ellipticity
+  envelope; the bound is reported, never dropped.
+
+Exterior data are piecewise constant on both routes to the Dirichlet
+problem, the collocation solver and `poisson_extend`, and their tails
+have a closed form (`segment_tail`).  The only other functions eval_L
+takes are bounded C^2 ones, such as the barrier w2.
 
 PointFunction carries the structural facts the quadrature needs: breaks
 (panels never straddle them), an optional piecewise-constant description
-(makes tails exact), hess_bound, which declares u to be C^2 and bounds
-|u''| for the cancellation guard, and the growth envelope
-|u(y)| <= A (1 + |y|)^p.
+(makes tails exact), sup_bound >= sup |u|, and hess_bound, which
+declares u to be C^2 and bounds |u''| for the cancellation guard.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConfigParseError, DomainViolation, NonIntegrableTail,
-                     UnsupportedKernel)
+from .errors import ConfigParseError, DomainViolation, UnsupportedKernel
 from .geometry import DisconnectedConfig
 from .kernel import Kernel
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
@@ -54,7 +57,6 @@ class PointFunction:
 
     fn: Callable
     sup_bound: float | None = None
-    envelope: tuple | None = None  # (A, p): |u(y)| <= A (1 + |y|)^p
     support: tuple | None = None  # (lo, hi), u vanishes outside
     pieces: tuple = ()  # ((lo, hi, value), ...), disjoint
     far_value: float = 0.0
@@ -62,10 +64,6 @@ class PointFunction:
     breaks: tuple = ()
     hess_bound: float | None = None  # u is C^2 on R with sup |u''| <= this
     label: str = "u"
-
-    def __post_init__(self):
-        if self.far_radius is None and self.far_value != 0.0:
-            raise DomainViolation("far_value without far_radius")
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
@@ -77,14 +75,6 @@ class PointFunction:
     @property
     def is_constant(self) -> bool:
         return not self.pieces and self.far_radius == 0.0
-
-    def tail_envelope(self) -> tuple[float, float]:
-        """(A, p) with |u(y)| <= A (1 + |y|)^p; falls back to sup_bound."""
-        if self.envelope is not None:
-            return float(self.envelope[0]), float(self.envelope[1])
-        if self.sup_bound is not None:
-            return float(self.sup_bound), 0.0
-        raise NonIntegrableTail(f"{self.label}: no growth envelope declared")
 
     def dist_to_break(self, x: float) -> float:
         """Distance from x to the nearest structural break (inf if none);
@@ -125,6 +115,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
     pieces = tuple(sorted((float(lo), float(hi), float(v)) for lo, hi, v in pieces))
     if np.isnan([far_value, far_radius or 0.0, *np.ravel(pieces)]).any():
         raise DomainViolation(f"{label}: NaN in the pieces or the far part")
+    if not np.isfinite([far_value, *(v for _, _, v in pieces)]).all():
+        raise DomainViolation(f"{label}: the values must be finite")
     for (l0, h0, _), (l1, h1, _) in zip(pieces, pieces[1:]):
         if l1 < h0 - 1e-15:
             raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
@@ -152,8 +144,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
     vals = [abs(v) for _, _, v in pieces] + [abs(far_value)]
     brk = sorted({e for lo, hi, _ in pieces for e in (lo, hi)}
                  | ({-far_radius, far_radius} if far_radius else set()))
-    support = None
-    if far_value == 0.0 and pieces:
+    support = None  # a half-line piece has no reach
+    if far_value == 0.0 and pieces and np.isfinite(brk).all():
         support = (pieces[0][0], max(hi for _, hi, _ in pieces))
     return PointFunction(
         fn=fn, sup_bound=max(vals), support=support, pieces=pieces,
@@ -197,12 +189,12 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A value with its bounds, as eval_L, tail and poisson_extend report
-    it: floats at a scalar x, arrays of x's shape at an array of points."""
+    """A value with its bounds, as eval_L and poisson_extend report it:
+    floats at a scalar x, arrays of x's shape at an array of points."""
 
     value: float
     error_bound: float  # quadrature estimate + remainder_bound
-    remainder_bound: float  # envelope bound beyond T; 0 when T ends the reach
+    remainder_bound: float  # sup |u| bound beyond T; 0 when T ends the reach
     truncation_radius: float  # T, the distance integrated to
 
     @classmethod
@@ -212,22 +204,10 @@ class Estimate:
                      if shape else rows[0]))
 
 
-def integrable_envelope(u: PointFunction, s: float) -> tuple[float, float]:
-    """u's growth envelope (A, p); NonIntegrableTail unless p < 2s, the
-    condition for the tail of u against an order-2s kernel to be finite."""
-    amp, p = u.tail_envelope()
-    if p >= 2.0 * s:
-        raise NonIntegrableTail(f"{u.label}: envelope power {p} >= 2s = {2 * s:g}")
-    return amp, p
-
-
-def _tail_remainder(amp: float, p: float, s: float, center: float, T: float) -> float:
-    """Bound on integral of A(1+|y|)^p |y-c|^(-1-2s) over |y-c| > T (p < 2s)."""
-    if amp == 0.0:
-        return 0.0
-    # (1+|y|) <= rho * (1 + (1+|c|)/T) for rho = |y-c| >= T > 0
-    fudge = (1.0 + (1.0 + abs(center)) / T) ** p if p > 0 else 1.0
-    return amp * fudge * 2.0 * T ** (p - 2.0 * s) / (2.0 * s - p)
+def _tail_remainder(amp: float, s: float, T: float) -> float:
+    """Integral of amp |y-c|^(-1-2s) over |y-c| > T, which bounds the
+    tail beyond T of a function with sup |u| <= amp."""
+    return amp * 2.0 * T ** (-2.0 * s) / (2.0 * s)
 
 
 def _reach(u: PointFunction, x: float) -> float | None:
@@ -284,9 +264,9 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
 
     Translation-invariant kernels use the symmetrized near field (valid for
     C^2 functions and exactly zero where u is locally constant); general
-    kernels require u locally constant near x.  Raises UnsupportedKernel
-    when no valid path exists and NonIntegrableTail when the declared
-    growth envelope cannot pair with the kernel order.
+    kernels require u locally constant near x.  Raises DomainViolation
+    for a u that is neither piecewise constant nor C^2 with a sup_bound,
+    and UnsupportedKernel when no valid path exists.
     """
     check_tol(tol)
     shape = np.shape(x)
@@ -296,12 +276,12 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     if u.is_constant:
         return Estimate.of_rows([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape)
 
-    uxs = u(np.array(xs)).tolist()
-    amp, p = integrable_envelope(u, kernel.s)
-    env = kernel.upper_envelope()
-    if not u.piecewise and u.hess_bound is None:
+    if not u.piecewise and None in (u.hess_bound, u.sup_bound):
         raise DomainViolation(
-            f"{u.label} is neither piecewise constant nor declared C^2 (hess_bound)")
+            f"{u.label} is neither piecewise constant nor declared C^2 "
+            f"(hess_bound) and bounded (sup_bound)")
+    uxs = u(np.array(xs)).tolist()
+    env = kernel.upper_envelope()
     if not u.piecewise and not kernel.translation_invariant:
         raise UnsupportedKernel(
             "the symmetrized near field needs a translation-invariant kernel")
@@ -332,7 +312,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             # and no amount of panel splitting converges.  Cut the integral at a
             # reliability floor z_lo and cover (0, z_lo) with the quadratic model
             # c2 * int z^2 K(z) dz, c2 estimated by Richardson at safe scales.
-            scale_u = max(abs(ux), u.sup_bound or 0.0, 1.0)
+            scale_u = max(abs(ux), u.sup_bound, 1.0)
             noise = 4.0 * eps * scale_u
             # in tau the noise envelope is noise*env*alpha*tau^(-2 alpha); keep
             # its integral beyond the cut under tol/4, and keep the cut itself
@@ -374,8 +354,8 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         else:
             def far_remainder(T):
                 # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
-                return 2.0 * env * (abs(ux) * 2.0 * T ** (-2.0 * kernel.s) / (2.0 * kernel.s)
-                                    + _tail_remainder(amp, p, kernel.s, x, T))
+                return 2.0 * env * (_tail_remainder(abs(ux), kernel.s, T)
+                                    + _tail_remainder(u.sup_bound, kernel.s, T))
 
             T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
             beyond = 0.0
@@ -436,7 +416,8 @@ def _power_mass(a: float, b: float, s: float) -> float:
 
 
 def segment_tail(segments, x0: float, r: float, s: float) -> float:
-    """Tail(u; x0, r) in closed form for u = v on each (lo, hi) of the
+    """Tail(u; x0, r) = r^2s integral of |u(y)| |y-x0|^(-1-2s) over
+    |y-x0| > r, in closed form for u = v on each (lo, hi) of the
     (lo, hi, v) segments (disjoint, ends may be infinite), zero elsewhere."""
     total = 0.0
     for lo, hi, v in segments:
@@ -444,50 +425,3 @@ def segment_tail(segments, x0: float, r: float, s: float) -> float:
         left = _power_mass(max(x0 - hi, r), max(x0 - lo, r), s)
         total += abs(v) * (right + left)
     return r ** (2.0 * s) * total
-
-
-def tail(u: PointFunction, x0: float, r: float, s: float,
-         truncation: float | None = None,
-         tol: float = DEFAULT_TOL) -> Estimate:
-    """Tail(u; x0, r) = r^2s integral of |u(y)| |y-x0|^(-1-2s) over |y-x0| > r.
-
-    Piecewise-constant functions integrate in closed form, both bounds 0.
-    Callables integrate adaptively to the truncation radius T:
-    remainder_bound bounds what lies beyond T from the growth envelope,
-    and error_bound adds the quadrature estimate, scaled by r^2s as the
-    value is.  Without an explicit truncation, a declared support ends
-    the integral at max(reach, r), with no remainder.
-    """
-    check_tol(tol)
-    x0 = float(x0)
-    r = float(r)
-    if not r > 0:
-        raise DomainViolation(f"tail needs r > 0, got {r}")
-    amp, p = integrable_envelope(u, s)
-    if u.piecewise:
-        return Estimate(segment_tail(u.segments(), x0, r, s), 0.0, 0.0,
-                        np.inf)
-
-    def remainder(T):
-        return r ** (2.0 * s) * _tail_remainder(amp, p, s, x0, T)
-
-    reach = _reach(u, x0)
-    if truncation is not None:
-        T = float(truncation)
-        if T <= r:
-            raise DomainViolation(f"truncation {T:g} must exceed r = {r:g}")
-        rem = remainder(T)
-    elif reach is not None:
-        T, rem = max(reach, r), 0.0
-    else:
-        T, rem = truncation_radius(remainder, 1e4 * r, tol)
-
-    def weighted(y, d):
-        return np.abs(u.fn(y)) * d ** (-1.0 - 2.0 * s)
-
-    (right, er), (left, el) = integrate_many(
-        lambda t, j: weighted(np.where(j == 0, t, x0 - t),
-                              np.where(j == 0, t - x0, t)),
-        _far_jobs(x0, r, T, u.breaks, tol))
-    return Estimate(r ** (2.0 * s) * (left + right),
-                    rem + r ** (2.0 * s) * (el + er), rem, T)

@@ -2,8 +2,9 @@
 
 The kernel has a closed form on balls; integrating boundary data against it
 reproduces the solution of the exterior-data problem without any mesh, which
-makes it the reference route the discrete solver is checked against.  The
-formula itself is valid in every dimension; the exterior quadrature behind
+makes it the reference route the discrete solver is checked against.  Both
+routes take the same exterior data, piecewise constant.  The formula
+itself is valid in every dimension; the exterior quadrature behind
 ``poisson_extend`` is implemented on the line only, matching the solver.
 """
 
@@ -21,7 +22,6 @@ from .operator import (
     _by_kind,
     _reach,
     _tail_remainder,
-    integrable_envelope,
     truncation_radius,
 )
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
@@ -95,6 +95,8 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     x is a float or a 1-d array of points, and the result's fields take
     its shape.  All integrals of all points run in one integrate_many
     call; each point's numbers are those of a call at that point alone.
+    g must be piecewise constant, as the solver's data are; anything else
+    raises ConfigParseError before any integral.
 
     Each side of the exterior splits at center distance 2r.  The band next
     to the ball uses z = center +- r cosh(t), which turns the boundary
@@ -108,20 +110,23 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
       max(|lo - center|, |hi - center|), so T = max(reach, 2r) and no
       remainder is left;
     - otherwise T is searched from TRUNCATION_FACTOR * r up by decades
-      until the analytic remainder from g's growth envelope fits half the
-      tolerance.  Beyond T >= 2r the kernel is at most
-      (4/3)^s * 2 * amp_x * rho^(-1-2s) in the center distance rho, which
-      is what the remainder integrates.
+      until the analytic remainder from sup |g| fits half the tolerance.
+      Beyond T >= 2r the kernel is at most (4/3)^s * 2 * amp_x *
+      rho^(-1-2s) in the center distance rho, which is what the
+      remainder integrates.
     """
     if pk.n != 1:
         raise UnsupportedDimension(
             "exterior quadrature is implemented for n = 1 only")
     check_tol(tol)
+    if not g.piecewise:
+        raise ConfigParseError(
+            f"{g.label} is a bare callable; poisson_extend needs "
+            f"piecewise-constant exterior data")
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c = float(pk._center()[0])
     r, s = pk.r, pk.s
-    amp_g, p = integrable_envelope(g, s)
     reach = _reach(g, c)
     expo = 2.0 - 2.0 * s
     alpha = 1.0 / expo
@@ -139,7 +144,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
         else:
             weight = amp_x * (4.0 / 3.0) ** s * 2.0
             T, remainder = truncation_radius(
-                lambda T: weight * _tail_remainder(amp_g, p, s, c, T),
+                lambda T: weight * _tail_remainder(g.sup_bound, s, T),
                 TRUNCATION_FACTOR * r, 0.5 * tol)
         for side in (1.0, -1.0):
             fb = [side * (b - c) for b in g.breaks

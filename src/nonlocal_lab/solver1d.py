@@ -524,6 +524,18 @@ def _check_dense_budget(m: int) -> None:
             f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
+def check_vector_budget(m: int, k: int = 1) -> None:
+    """ConfigError if the Toeplitz path's working vectors for m cells and
+    k data exceed the budget.  At k = 1 that path is the leanest, so a
+    mesh refused here fits no solver path and need not be built."""
+    need = 8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k)
+    if need > MATRIX_BUDGET_BYTES:
+        raise ConfigError(
+            f"{m} cells and {k} data need about "
+            f"{need / 2**20:.3g} MiB of working vectors, over the "
+            f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+
+
 def _segment_mass(kernel: Kernel, mesh: Mesh1D, a: float, b: float, h: float,
                   gamma: float, span: float, tol: float,
                   ) -> tuple[np.ndarray, float]:
@@ -582,14 +594,10 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
 
     m = mesh.ncells
     toeplitz = kernel.family != "general" and m > DENSE_MAX_CELLS
-    need = 8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * len(data))
     if not toeplitz:
         _check_dense_budget(m)
-    elif need > MATRIX_BUDGET_BYTES:
-        raise ConfigError(
-            f"{m} cells and {len(data)} data need about "
-            f"{need / 2**20:.3g} MiB of working vectors, over the "
-            f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    else:
+        check_vector_budget(m, len(data))
     h = float(np.min(mesh.widths))
     ivs = mesh.intervals
     # cell edges carry rounding relative to the coordinates, not to h

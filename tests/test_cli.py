@@ -141,6 +141,12 @@ class TestExitCodes:
         "poisson bounds --s 0.5 --x-samples=a",
         "harnack run --s 0.5 --config {missing}",
         "harnack barrier --s 0.5 --grid 0",
+        "harnack run --s 0.5 --seed=-1",
+        "harnack sweep --seed=-1",
+        "selftest --seed=-1",
+        # past every solver path's budget, refused before the mesh is built
+        "solve1d --s 0.5 --N 1000000000000",
+        "harnack run --s 0.5 --N 1000000000000",
     ])
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
         argv = argv.format(missing=tmp_path / "missing.cfg").split()
@@ -156,6 +162,10 @@ class TestExitCodes:
         "poisson extend --s 0.5 --x nan",
         "poisson bounds --s 0.5 --x-samples=nan",
         "solve1d --s 0.5 --N 8 --data pieces:1,nan,1",
+        "solve1d --s 0.5 --N 8 --data pieces:1,2,inf",
+        "solve1d --s 0.5 --N 8 --data far:inf,3",
+        "poisson extend --s 0.5 --data pieces:1,2,inf",
+        "poisson extend --s 0.5 --data far:-inf,3",
     ])
     def test_non_finite_points_are_three(self, argv, capsys):
         # no NaN reaches the JSON, which could not carry it
@@ -181,6 +191,8 @@ class TestExitCodes:
         "solve1d --s 0.5 --N 8 --kernel ti --lam nan",
         "solve1d --s 0.5 --N 8 --rhs nan",
         "solve1d --s 0.5 --N 8 --rhs=-inf",
+        "harnack run --s 0.5 --N 16 --samples 2 --data mass --masses=inf",
+        "harnack mp --s 0.5 --N 16 --magnitude inf",
     ])
     def test_non_finite_R_lam_rhs_are_three(self, argv, capsys):
         assert run_main(argv.split()) == 3

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from nonlocal_lab import operator
 from nonlocal_lab.errors import (
     ConfigParseError,
     DomainViolation,
-    NonIntegrableTail,
     UnsupportedKernel,
 )
 from nonlocal_lab.geometry import make_disconnected_config
@@ -29,9 +27,8 @@ from nonlocal_lab.operator import (
     indicator,
     piecewise_constant,
     segment_tail,
-    tail,
 )
-from nonlocal_lab.quadrature import DEFAULT_TOL, integrate_many
+from nonlocal_lab.quadrature import DEFAULT_TOL
 
 CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 
@@ -39,8 +36,8 @@ CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 # -2 * int_1^3 (y+2)^(-3/2) dy = 4 (5^(-1/2) - 3^(-1/2))
 W1_SPOT_S025 = 4.0 * (5.0 ** -0.5 - 3.0 ** -0.5)
 
-# u(y) = y: growth power 1, tail-integrable only for 2s > 1
-LINEAR = PointFunction(lambda y: y, envelope=(1.0, 1.0))
+# u(y) = y: a bare callable that grows, so it declares no sup_bound
+LINEAR = PointFunction(lambda y: y)
 
 
 def ball1_grid(npts=101):
@@ -117,7 +114,7 @@ class TestEvalErrors:
             eval_L(fractional_kernel(1, 0.5), barrier_w1(CONFIG), 1.0)
 
     def test_undeclared_structure_rejected(self):
-        u = PointFunction(lambda y: np.abs(y), sup_bound=None, envelope=(1.0, 1.0))
+        u = PointFunction(lambda y: np.abs(y))
         with pytest.raises(DomainViolation):
             eval_L(fractional_kernel(1, 0.9), u, 0.5)
 
@@ -130,103 +127,51 @@ class TestEvalErrors:
         assert res.value < 0.0
 
     def test_growth_incompatible_with_order(self):
-        with pytest.raises(NonIntegrableTail):
-            eval_L(general_demo_kernel(0.25), LINEAR, 0.5)
+        # C^2 but unbounded: no far-field remainder bounds its tail
+        with pytest.raises(DomainViolation, match="sup_bound"):
+            eval_L(fractional_kernel(1, 0.75), replace(LINEAR, hess_bound=0.0),
+                   0.5)
+
+
+def quad_tail(value, edges, x0, r, s):
+    """Tail(u; x0, r) by scipy quad of |value(y)|, each side in the
+    distance t = |y - x0| > r, split at the finite edges."""
+    total = 0.0
+    for side in (1.0, -1.0):
+        d = sorted({r, *(side * (e - x0) for e in edges
+                         if np.isfinite(e) and side * (e - x0) > r)})
+        for a, b in zip(d, d[1:] + [np.inf]):
+            total += quad(lambda t: abs(value(x0 + side * t))
+                          * t ** (-1.0 - 2.0 * s), a, b,
+                          epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return r ** (2.0 * s) * total
 
 
 class TestTail:
     @pytest.mark.parametrize("s,expected", [(0.25, 4.0), (0.5, 2.0)])
     def test_constant_tail_brackets_one_over_s(self, s, expected):
-        res = tail(constant(1.0), x0=0.5, r=2.0, s=s)
-        # closed form: piecewise path is exact
-        assert res.value == pytest.approx(expected, rel=1e-12)
-        assert res.remainder_bound == 0.0
+        value = segment_tail(constant(1.0).segments(), x0=0.5, r=2.0, s=s)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_zero_function(self):
-        res = tail(constant(0.0), 0.0, 1.0, s=0.5)
-        assert res.value == 0.0 and res.remainder_bound == 0.0
-
-    def test_callable_route_brackets_constant_tail(self):
-        u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
-        res = tail(u, x0=0.0, r=1.0, s=0.25)
-        assert res.value <= 4.0 <= res.value + res.error_bound + 1e-8
-        assert res.value == pytest.approx(4.0, rel=1e-5)
+        assert segment_tail(constant(0.0).segments(), 0.0, 1.0, s=0.5) == 0.0
 
     @given(st.floats(-5.0, 5.0), st.floats(0.15, 0.85))
     def test_piecewise_matches_callable_quadrature(self, x0, s):
-        pieces = [(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)]
-        pw = piecewise_constant(pieces)
-        cb = PointFunction(pw.fn, sup_bound=2.0, breaks=pw.breaks)
-        a = tail(pw, x0=x0, r=1.0, s=s)
-        b = tail(cb, x0=x0, r=1.0, s=s)
-        assert a.remainder_bound == 0.0
-        assert abs(b.value - a.value) <= b.error_bound
-
-    @pytest.mark.parametrize("T", [0.06, 0.1])
-    def test_growing_data_bracket_below_unit_truncation(self, T):
-        # |u| <= (1 + |y|)^(1/2) with the truncation radius T < 1: the
-        # envelope remainder must still bound what lies beyond T
-        s, r = 0.4, 0.05
-        u = PointFunction(lambda y: np.sqrt(1.0 + np.abs(y)), envelope=(1.0, 0.5))
-        res = tail(u, 0.0, r, s, truncation=T)
-        one_side = sum(quad(lambda y: np.sqrt(1.0 + y) * y ** (-1.0 - 2.0 * s), a, b)[0]
-                       for a, b in [(r, 1.0), (1.0, np.inf)])
-        exact = r ** (2.0 * s) * 2.0 * one_side
-        assert res.value <= exact <= res.value + res.error_bound
-
-    @pytest.mark.parametrize("x0", [0.0, 2.5])
-    def test_callable_route_reports_both_bounds(self, x0):
-        # no declared support: the truncation search leaves an envelope
-        # remainder, and the whole bound adds the quadrature estimate
-        u = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0)
-        res = tail(u, x0, 1.0, s=0.3)
-        assert res.error_bound >= res.remainder_bound > 0.0
-
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    def test_quadrature_estimate_is_scaled_like_the_value(self, s,
-                                                          monkeypatch):
-        # at r = 4 the value carries r^2s = 2 to 8, and so must the
-        # quadrature estimate, here most of the bound
-        estimates = []
-
-        def recording(*args, **kwargs):
-            (right, er), (left, el) = out = integrate_many(*args, **kwargs)
-            estimates.append(el + er)
-            return out
-
-        monkeypatch.setattr(operator, "integrate_many", recording)
-
-        def f(y):
-            return np.exp(-np.abs(y)) * (1.0 + np.sin(3.0 * y) ** 2)
-
-        x0, r = 0.3, 4.0
-        res = tail(PointFunction(f, sup_bound=2.0), x0, r, s)
-        (est,) = estimates
-        scaled = r ** (2.0 * s) * est
-        assert res.error_bound == res.remainder_bound + scaled
-        assert scaled > res.remainder_bound > 0.0
-
-        def weighted(y):
-            return f(y) * abs(y - x0) ** (-1.0 - 2.0 * s)
-
-        opts = {"limit": 500, "epsabs": 1e-15, "epsrel": 1e-14}
-        ref = r ** (2.0 * s) * (quad(weighted, x0 + r, np.inf, **opts)[0]
-                                + quad(weighted, -np.inf, x0 - r, **opts)[0])
-        assert abs(res.value - ref) <= res.error_bound
+        # the closed form of the segments against quadrature of the
+        # function itself
+        pw = piecewise_constant([(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)])
+        want = quad_tail(lambda y: pw(np.array([y]))[0], pw.breaks, x0, 1.0, s)
+        assert segment_tail(pw.segments(), x0, 1.0, s) == pytest.approx(
+            want, rel=1e-12)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
     def test_tol_outside_zero_inf_rejected(self, tol):
-        for u in (constant(1.0), PointFunction(np.cos, sup_bound=1.0)):
+        # the operator's quadrature checks tol before any integral
+        k = fractional_kernel(1, 0.5)
+        for u in (constant(1.0), barrier_w2(CONFIG)):
             with pytest.raises(ConfigParseError, match="tol"):
-                tail(u, 0.0, 1.0, 0.5, tol=tol)
-
-    def test_value_monotone_remainder_antitone_in_truncation(self):
-        u = PointFunction(lambda y: np.ones_like(y), sup_bound=1.0)
-        res = [tail(u, 0.0, 1.0, s=0.3, truncation=T) for T in (1e2, 1e4, 1e6)]
-        vals = [t.value for t in res]
-        rems = [t.remainder_bound for t in res]
-        assert vals == sorted(vals)
-        assert rems == sorted(rems, reverse=True)
+                eval_L(k, u, -2.3, tol=tol)
 
     def test_segments_list_pieces_then_far_halves(self):
         u = piecewise_constant([(-2.0, -1.0, -3.0), (1.0, 2.0, 5.0)],
@@ -247,8 +192,8 @@ class TestTail:
             piecewise_constant(pieces, far_value=1.0, far_radius=far_radius)
         # far:v,0 without pieces is the constant, tail 1/s
         far0 = piecewise_constant([], far_value=1.0, far_radius=0.0)
-        assert tail(far0, 0.0, 0.5, 0.5).value == pytest.approx(2.0,
-                                                                rel=1e-15)
+        assert segment_tail(far0.segments(), 0.0, 0.5, 0.5) == pytest.approx(
+            2.0, rel=1e-15)
 
     @pytest.mark.parametrize("pieces,far_value,far_radius", [
         ([(np.nan, 2.0, 1.0)], 0.0, None), ([(1.0, 2.0, np.nan)], 0.0, None),
@@ -258,9 +203,10 @@ class TestTail:
         with pytest.raises(DomainViolation, match="NaN"):
             piecewise_constant(pieces, far_value=far_value,
                                far_radius=far_radius)
-        # infinite piece edges stay valid
+        # infinite piece edges stay valid, and declare no support
         half_line = piecewise_constant([(3.0, np.inf, 2.0)])
         assert half_line.segments() == [(3.0, np.inf, 2.0)]
+        assert half_line.support is None
 
     @pytest.mark.parametrize("u,pw", [
         (constant(2.5), piecewise_constant([], far_value=2.5, far_radius=0.0,
@@ -287,22 +233,9 @@ class TestTail:
         def value(y):
             return sum(v for lo, hi, v in segs if lo < y < hi)
 
-        # each side in the distance t = |y - x0| > r, split at the edges
-        r, total = 1.0, 0.0
-        edges = [e for lo, hi, _ in segs for e in (lo, hi) if np.isfinite(e)]
-        for side in (1.0, -1.0):
-            d = sorted({r, *(side * (e - x0) for e in edges
-                             if side * (e - x0) > r)})
-            for a, b in zip(d, d[1:] + [np.inf]):
-                total += quad(lambda t: abs(value(x0 + side * t))
-                              * t ** (-1.0 - 2.0 * s), a, b,
-                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        assert segment_tail(segs, x0, r, s) == pytest.approx(
-            r ** (2.0 * s) * total, rel=1e-12)
-
-    def test_growth_guard(self):
-        with pytest.raises(NonIntegrableTail):
-            tail(LINEAR, 0.0, 1.0, s=0.25)
+        edges = [e for lo, hi, _ in segs for e in (lo, hi)]
+        assert segment_tail(segs, x0, 1.0, s) == pytest.approx(
+            quad_tail(value, edges, x0, 1.0, s), rel=1e-12)
 
 
 class TestBarriers:
@@ -355,8 +288,7 @@ class TestBarriers:
 @given(st.floats(-2.9, -1.1), st.floats(0.1, 0.9))
 def test_tail_of_nonnegative_data_is_nonnegative(x0, s):
     u = piecewise_constant([(1.0, 3.0, 0.7)])
-    res = tail(u, x0, 0.5, s)
-    assert res.value >= 0.0
+    assert segment_tail(u.segments(), x0, 0.5, s) >= 0.0
 
 
 @given(st.floats(0.15, 0.85))
@@ -440,15 +372,23 @@ class TestCompactRoute:
     @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("x0", [-4.0, -2.0, 0.0, 2.5, 7.0])
     def test_tail_agrees_with_truncated_route(self, s, x0):
-        pw = piecewise_constant([(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)])
-        u = PointFunction(pw.fn, sup_bound=2.0, breaks=pw.breaks,
-                          support=pw.support)
-        a = tail(u, x0, 1.0, s)
-        b = tail(without_support(u), x0, 1.0, s)
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-        # the piecewise closed form is the third route
-        exact = tail(pw, x0, 1.0, s).value
-        assert abs(a.value - exact) <= a.error_bound
+        # the closed-form tail against eval_L's far-field quadrature, with
+        # and without the support that ends it
+        segs = [(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)]
+        exact = segment_tail(segs, x0, 1.0, s)
+        w = tail_datum(segs, x0, 1.0)
+        for u in (w, without_support(w)):
+            res = eval_L(fractional_kernel(1, s), u, x0)
+            assert abs(-0.5 * res.value - exact) <= 0.5 * res.error_bound
+
+
+def tail_datum(segs, x0, r):
+    """The nonnegative segments with B_r(x0) cut out, as a datum w with
+    w = 0 near x0: for the plain fractional kernel, L w(x0) =
+    -2 r^(-2s) Tail(w; x0, r), so eval_L is a second route to the tail."""
+    return piecewise_constant(
+        [(lo, hi, v) for a, b, v in segs
+         for lo, hi in ((a, min(b, x0 - r)), (max(a, x0 + r), b)) if hi > lo])
 
 
 def recording(u, seen):
@@ -494,16 +434,17 @@ class TestCompactWork:
 
     @pytest.mark.parametrize("x0", [-5.0, 0.0, 2.0])
     def test_tail(self, x0):
+        # eval_L's route to the tail of data on (-1, 3)
         seen = []
-        u = PointFunction(lambda y: np.exp(-y * y), sup_bound=1.0,
-                          support=(-1.0, 3.0), breaks=(-1.0, 3.0))
-        res = tail(recording(u, seen), x0, 0.5, 0.4)
+        w = tail_datum([(-1.0, 3.0, 1.0)], x0, 0.5)
+        res = eval_L(fractional_kernel(1, 0.4), recording(w, seen), x0)
         reach = max(abs(-1.0 - x0), abs(3.0 - x0))
         assert res.truncation_radius == reach
         assert farthest(seen, x0) <= reach
-        # no truncation remainder: what is left is the quadrature estimate
+        # no truncation remainder: what is left is the quadrature
+        # estimate, halved like the value on the way to the tail
         assert res.remainder_bound == 0.0
-        assert res.error_bound < 1e-9
+        assert 0.5 * res.error_bound < 1e-9
 
 
 FIELDS = ("value", "error_bound", "remainder_bound", "truncation_radius")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
+from nonlocal_lab import poisson
 from nonlocal_lab.errors import (
     ConfigParseError,
     DomainViolation,
-    NonIntegrableTail,
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import mesh_intervals
@@ -124,8 +124,7 @@ class TestExtend:
         # symmetric 2s-stable process started at x leaves (-r, r) to the
         # right, I_{(1 + x/r)/2}(s, s) (Blumenthal, Getoor & Ray 1961)
         pk = PoissonKernelBall(n=1, s=s, r=r)
-        g = PointFunction(lambda y: (y > r).astype(float), sup_bound=1.0,
-                          breaks=(r,))
+        g = piecewise_constant([(r, np.inf, 1.0)])
         for x in np.linspace(-0.9 * r, 0.9 * r, 7):
             res = poisson_extend(pk, g, x)
             want = betainc(s, s, 0.5 * (1.0 + x / r))
@@ -161,10 +160,16 @@ class TestExtend:
                 - 3.0 * poisson_extend(UNIT, g2, 0.25).value)
         assert got.value == pytest.approx(want, abs=1e-9)
 
-    def test_growth_must_pair_with_the_order(self):
-        pk = PoissonKernelBall(n=1, s=0.25, r=1.0)
-        with pytest.raises(NonIntegrableTail):
-            poisson_extend(pk, PointFunction(lambda y: y, envelope=(1.0, 1.0)), 0.0)
+    def test_growth_must_pair_with_the_order(self, monkeypatch):
+        # growing or not, a bare callable datum fails before any integral
+        def no_integrals(*args):
+            raise AssertionError("integrals run for a bare callable")
+
+        monkeypatch.setattr(poisson, "integrate_many", no_integrals)
+        for g in (PointFunction(lambda y: y),
+                  PointFunction(np.cos, sup_bound=1.0)):
+            with pytest.raises(ConfigParseError, match="bare callable"):
+                poisson_extend(UNIT, g, 0.0)
 
     def test_quadrature_only_on_the_line(self):
         pk = PoissonKernelBall(n=2, s=0.5, r=1.0, center=(0.0, 0.0))
@@ -219,8 +224,7 @@ class TestCompactData:
     def test_no_evaluation_beyond_the_reach(self, support, T):
         # T = max(reach, 2r): the band itself reaches 2r from the center
         seen = []
-        g = PointFunction(lambda y: np.cos(y), sup_bound=1.0,
-                          support=support, breaks=support)
+        g = piecewise_constant([(*support, 0.7)])
 
         def fn(y):
             seen.append(np.array(y, dtype=float, copy=True).ravel())

@@ -449,7 +449,7 @@ class TestStructure:
         # a growing datum is a bare callable, rejected in a block as well
         with pytest.raises(ConfigParseError, match="bare callable"):
             assemble(fractional_kernel(1, 0.25), unit_mesh(),
-                     [G13, PointFunction(lambda y: y, envelope=(1.0, 1.0))])
+                     [G13, PointFunction(lambda y: y)])
 
     def test_memory_budget_guard(self, monkeypatch):
         # the default budget holds a 4096-cell matrix; past a budget,
@@ -812,8 +812,7 @@ class TestSegments:
             raise AssertionError("couplings built for a bare callable")
 
         monkeypatch.setattr(solver1d, "_couplings", no_couplings)
-        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0,
-                          envelope=(1.0, 0.0))
+        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0)
         with pytest.raises(ConfigParseError, match="bare callable"):
             assemble(fractional_kernel(1, 0.6), unit_mesh(), g)
 
