@@ -67,18 +67,26 @@ def _emit(text: str, out: str | None) -> None:
 
 # -- shared flag groups -------------------------------------------------------
 
+def _number(text: str) -> float:
+    """Numeric flag type: a malformed number exits 3, not 2 (usage)."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigParseError(f"bad number {text!r}") from None
+
+
 def _add_geometry(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--x1", type=float, default=None)
-    p.add_argument("--x2", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
+    p.add_argument("--x1", type=_number, default=None)
+    p.add_argument("--x2", type=_number, default=None)
+    p.add_argument("--r", type=_number, default=None)
+    p.add_argument("--R", type=_number, default=None)
 
 
 def _add_kernel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="frac",
                    choices=("frac", "ti", "general"))
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=_number, default=None)
     p.add_argument("--normalize-1ms", action="store_true",
                    help="use the vanishing-order normalization")
 
@@ -152,10 +160,7 @@ def _parse_domain(text: str):
 
 
 def _floats(text: str):
-    try:
-        return [float(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise ConfigParseError(f"bad number list {text!r}: {exc}") from None
+    return [_number(t) for t in text.split(",") if t]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -167,9 +172,7 @@ def _cmd_evalL(args) -> int:
     res = eval_L(kernel, barrier, args.x, tol=args.tol)
     _emit(json_text({"barrier": args.barrier, "s": args.s, "x": args.x,
                      "kernel": kernel.tag(), "value": res.value,
-                     "error_bound": res.error_bound,
-                     "remainder_bound": res.remainder_bound,
-                     "truncation_radius": res.truncation_radius}), args.out)
+                     "error_bound": res.error_bound}), args.out)
     return 0
 
 
@@ -181,9 +184,7 @@ def _cmd_poisson(args) -> int:
     elif args.action == "extend":
         res = poisson_extend(pk, parse_data(args.data), args.x, tol=args.tol)
         payload = {"s": args.s, "r": args.r, "x": args.x, "data": args.data,
-                   "value": res.value, "error_bound": res.error_bound,
-                   "remainder_bound": res.remainder_bound,
-                   "truncation_radius": res.truncation_radius}
+                   "value": res.value, "error_bound": res.error_bound}
     else:
         rep = check_poisson_bounds(pk, _floats(args.x_samples),
                                    _floats(args.z_samples))
@@ -286,37 +287,37 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = sub.add_parser("evalL", help="pointwise operator value of a barrier")
     _add_kernel(p)
     _add_geometry(p)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
     p.add_argument("--barrier", required=True, choices=("w1", "w2"))
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--x", type=_number, required=True)
+    p.add_argument("--tol", type=_number, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_evalL)
 
     p = sub.add_parser("poisson", help="kernel values, extensions, bounds")
     p.add_argument("action", choices=("eval", "extend", "bounds"))
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--z", type=float, default=2.0)
+    p.add_argument("--s", type=_number, required=True)
+    p.add_argument("--r", type=_number, default=1.0)
+    p.add_argument("--center", type=_number, default=0.0)
+    p.add_argument("--x", type=_number, default=0.0)
+    p.add_argument("--z", type=_number, default=2.0)
     p.add_argument("--data", default="indicator:1,3")
     p.add_argument("--x-samples", default="-0.4,0,0.4")
     p.add_argument("--z-samples", default="2,3,8")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_number, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_poisson)
 
     p = sub.add_parser("solve1d", help="assemble and solve on intervals")
     _add_kernel(p)
     _add_output(p)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
     p.add_argument("--domain", default="-1,1",
                    help="a,b[;c,d...] open intervals")
     p.add_argument("--data", default="indicator:1,3")
-    p.add_argument("--rhs", type=float, default=0.0)
+    p.add_argument("--rhs", type=_number, default=0.0)
     p.add_argument("--N", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_number, default=1e-10)
     p.add_argument("--dump-matrix", action="store_true")
     p.set_defaults(func=_cmd_solve1d)
 
@@ -327,7 +328,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_kernel(p)
     _add_geometry(p)
     _add_output(p)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
     p.add_argument("--data", default="random", choices=sorted(FAMILIES))
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--masses", default="1,10,100,1000")
@@ -350,8 +351,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = hsub.add_parser("mp", help="localized maximum principle run")
     _add_kernel(p)
     _add_geometry(p)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--s", type=_number, required=True)
+    p.add_argument("--magnitude", type=_number, default=1.0)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_harnack_mp)
@@ -359,7 +360,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = hsub.add_parser("barrier", help="barrier combination search")
     _add_kernel(p)
     _add_geometry(p)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_harnack_barrier)
@@ -373,8 +374,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     try:
+        args = parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds need integers >= 0
             raise ConfigParseError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

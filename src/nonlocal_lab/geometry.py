@@ -6,6 +6,7 @@ but configurations validate in any dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,7 @@ class DisconnectedConfig:
 
     @property
     def separation(self) -> float:
-        return float(np.linalg.norm(self.x1 - self.x2))
+        return math.dist(self.x1, self.x2)  # no overflow in the square
 
     def ball1(self) -> Ball:
         return Ball(self.x1, self.r)
@@ -98,7 +99,7 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
             f"|x1 - x2| = {d:g} outside [4r, 8r] = [{4 * r:g}, {8 * r:g}]"
         )
     for x in (cfg.x1, cfg.x2):
-        if np.linalg.norm(x) + 2.0 * r > R / 2.0 + tol:
+        if math.hypot(*x) + 2.0 * r > R / 2.0 + tol:
             raise ContainmentViolation(
                 f"B_2r({np.array2string(x)}) not contained in B_R/2(0) with R = {R:g}"
             )

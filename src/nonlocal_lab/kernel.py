@@ -96,6 +96,13 @@ class Kernel:
         return f"{self.family}(s={self.s:g},lam={self.lam:g}{norm})"
 
 
+def phi(t, s: float):
+    """Kernel tail mass: integral of t^(-1-2s) over (t, inf) = t^(-2s)/(2s),
+    for t > 0 a float or an array (numpy's array pow rounds apart from a
+    float's)."""
+    return t ** (-2.0 * s) / (2.0 * s)
+
+
 def fractional_kernel(n: int, s: float, lam: float = 1.0, one_minus_s: bool = False) -> Kernel:
     """|x-y|^(-n-2s), exactly; lam only widens the declared envelope."""
     return Kernel(n=int(n), s=float(s), lam=float(lam), family="fractional",

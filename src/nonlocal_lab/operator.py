@@ -7,26 +7,20 @@ invariant kernels the principal value is computed in symmetrized form,
     D2(z) = 2u(x) - u(x+z) - u(x-z),
 
 which is absolutely convergent for C^2 functions (|D2| <= |u''| z^2).  The
-far field is integrated directly out to a radius T:
-
-- a function with a declared support (lo, hi) vanishes beyond its reach
-  max(|lo - x|, |hi - x|).  When u(x) = 0 or the kernel is fractional,
-  T = max(reach, rho) and what lies beyond T is u(x) times the kernel
-  mass, zero or a closed form; no remainder is charged.
-  `poisson_extend` ends at the reach in the same way;
-- otherwise T is searched by decades, and the truncation tail beyond T is
-  bounded analytically from sup |u| and the kernel's ellipticity
-  envelope; the bound is reported, never dropped.
+far field |y - x| > rho runs to infinity, each half in the tail-mass
+coordinate p = phi(d) = d^(-2s)/(2s) of d = |y - x|: dp = -d^(-1-2s) dd
+maps (rho, inf) onto (0, phi(rho)) and leaves the bounded integrand
+(u(x) - u(y)) k(x, y) d^(1+2s), piecewise constant in p, so integrated
+exactly, for the fractional kernel and piecewise-constant u.  Distances
+stop at the float-safe MAX_TRUNCATION^(1/(1+2s)), exactly for that kernel
+and u constant beyond, else as one charged term; `poisson_extend`
+integrates its far band the same way.
 
 Exterior data are piecewise constant on both routes to the Dirichlet
 problem, the collocation solver and `poisson_extend`, and their tails
 have a closed form (`segment_tail`).  The only other functions eval_L
-takes are bounded C^2 ones, such as the barrier w2.
-
-PointFunction carries the structural facts the quadrature needs: breaks
-(panels never straddle them), an optional piecewise-constant description
-(makes tails exact), sup_bound >= sup |u|, and hess_bound, which
-declares u to be C^2 and bounds |u''| for the cancellation guard.
+takes are bounded C^2 ones, such as the barrier w2, whose hess_bound
+bounds |u''| for the cancellation guard.
 """
 
 from __future__ import annotations
@@ -38,10 +32,10 @@ import numpy as np
 
 from .errors import ConfigParseError, DomainViolation, UnsupportedKernel
 from .geometry import DisconnectedConfig
-from .kernel import Kernel
+from .kernel import Kernel, phi
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
-MAX_TRUNCATION = 1e150  # float-safe cap of every truncation radius search
+MAX_TRUNCATION = 1e150  # float-safe cap of far-field distances and their powers
 
 
 @dataclass(frozen=True)
@@ -57,11 +51,10 @@ class PointFunction:
 
     fn: Callable
     sup_bound: float | None = None
-    support: tuple | None = None  # (lo, hi), u vanishes outside
     pieces: tuple = ()  # ((lo, hi, value), ...), disjoint
     far_value: float = 0.0
     far_radius: float | None = None  # None: no far part (far_value must be 0)
-    breaks: tuple = ()
+    breaks: tuple = ()  # all edges of a piecewise-constant function
     hess_bound: float | None = None  # u is C^2 on R with sup |u''| <= this
     label: str = "u"
 
@@ -75,11 +68,6 @@ class PointFunction:
     @property
     def is_constant(self) -> bool:
         return not self.pieces and self.far_radius == 0.0
-
-    def dist_to_break(self, x: float) -> float:
-        """Distance from x to the nearest structural break (inf if none);
-        a piecewise-constant function lists all its edges as breaks."""
-        return min((abs(b - x) for b in self.breaks), default=np.inf)
 
     def segments(self) -> list[tuple[float, float, float]]:
         """The pieces, then the far part as (-inf, -far_radius, v) and
@@ -144,11 +132,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
     vals = [abs(v) for _, _, v in pieces] + [abs(far_value)]
     brk = sorted({e for lo, hi, _ in pieces for e in (lo, hi)}
                  | ({-far_radius, far_radius} if far_radius else set()))
-    support = None  # a half-line piece has no reach
-    if far_value == 0.0 and pieces and np.isfinite(brk).all():
-        support = (pieces[0][0], max(hi for _, hi, _ in pieces))
     return PointFunction(
-        fn=fn, sup_bound=max(vals), support=support, pieces=pieces,
+        fn=fn, sup_bound=max(vals), pieces=pieces,
         far_value=float(far_value), far_radius=far_radius,
         breaks=tuple(brk), label=label,
     )
@@ -179,7 +164,7 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
     return PointFunction(
-        fn=fn, sup_bound=1.0, support=(x1 - r, x1 + r),
+        fn=fn, sup_bound=1.0,
         breaks=(x1 - r, x1 - r / 2.0, x1 + r / 2.0, x1 + r),
         hess_bound=W2_HESS_CONSTANT / (r * r), label="w2",
     )
@@ -189,55 +174,22 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A value with its bounds, as eval_L and poisson_extend report it:
-    floats at a scalar x, arrays of x's shape at an array of points."""
+    """A value with its error bound, as eval_L and poisson_extend report
+    it: floats at a scalar x, arrays of x's shape at an array of points."""
 
     value: float
-    error_bound: float  # quadrature estimate + remainder_bound
-    remainder_bound: float  # sup |u| bound beyond T; 0 when T ends the reach
-    truncation_radius: float  # T, the distance integrated to
+    error_bound: float
 
     @classmethod
     def of_rows(cls, rows: list, shape: tuple) -> "Estimate":
-        """One estimate from per-point rows of the four fields."""
-        return cls(*(np.array(rows, dtype=float).reshape(-1, 4).T
+        """One estimate from per-point (value, error_bound) rows."""
+        return cls(*(np.array(rows, dtype=float).reshape(-1, 2).T
                      if shape else rows[0]))
 
 
-def _tail_remainder(amp: float, s: float, T: float) -> float:
-    """Integral of amp |y-c|^(-1-2s) over |y-c| > T, which bounds the
-    tail beyond T of a function with sup |u| <= amp."""
-    return amp * 2.0 * T ** (-2.0 * s) / (2.0 * s)
-
-
-def _reach(u: PointFunction, x: float) -> float | None:
-    """Distance from x beyond which u vanishes, max(|lo - x|, |hi - x|)
-    over its declared support (lo, hi); None without compact support."""
-    if u.support is None:
-        return None
-    lo, hi = u.support
-    return max(abs(lo - x), abs(hi - x))
-
-
-def truncation_radius(remainder: Callable[[float], float], T0: float,
-                      tol: float) -> tuple[float, float]:
-    """First T = T0 * 10^k with remainder(T) <= tol, capped at
-    MAX_TRUNCATION, together with remainder(T)."""
-    T = T0
-    rem = remainder(T)
-    while rem > tol and T < MAX_TRUNCATION:
-        T *= 10.0
-        rem = remainder(T)
-    return T, rem
-
-
-def _far_jobs(x: float, rho: float, T: float, breaks, tol: float) -> list:
-    """The halves of rho < |y - x| < T as integrate_many jobs: the right
-    one in y, the left one in the distance d = x - y, each on geometric
-    panels from rho; panels never straddle a break."""
-    right = [b for b in breaks if x + rho < b < x + T]
-    left = [x - b for b in breaks if x - T < b < x - rho]
-    return [(x + rho, x + T, tol, right, rho), (rho, T, tol, left, rho)]
+def _far_distance(p, s: float, cap: float):
+    """phi's inverse d(p), clipped at cap: no far-field node overflows."""
+    return (2.0 * s * np.maximum(p, phi(cap, s))) ** (-0.5 / s)
 
 
 def _by_kind(kinds, fns):
@@ -256,7 +208,7 @@ def _by_kind(kinds, fns):
 
 def eval_L(kernel: Kernel, u: PointFunction, x,
            tol: float = DEFAULT_TOL) -> Estimate:
-    """Lu(x) with error estimate and analytic truncation remainder.
+    """Lu(x) with its error bound.
 
     x is a float or a 1-d array of points, and the result's fields take
     its shape.  All integrals of all points run in one integrate_many
@@ -264,9 +216,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
 
     Translation-invariant kernels use the symmetrized near field (valid for
     C^2 functions and exactly zero where u is locally constant); general
-    kernels require u locally constant near x.  Raises DomainViolation
-    for a u that is neither piecewise constant nor C^2 with a sup_bound,
-    and UnsupportedKernel when no valid path exists.
+    kernels require u locally constant near x.  The far field runs to
+    infinity in the tail-mass coordinate (see the module docstring).
+    Raises DomainViolation for a u that is neither piecewise constant nor
+    C^2 with a sup_bound and for points the floats cannot resolve, and
+    UnsupportedKernel when no valid path exists.
     """
     check_tol(tol)
     shape = np.shape(x)
@@ -274,7 +228,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     if not np.isfinite(xs).all():
         raise DomainViolation(f"eval_L needs finite points, got x = {x}")
     if u.is_constant:
-        return Estimate.of_rows([(0.0, 0.0, 0.0, np.inf)] * len(xs), shape)
+        return Estimate.of_rows([(0.0, 0.0)] * len(xs), shape)
 
     if not u.piecewise and None in (u.hess_bound, u.sup_bound):
         raise DomainViolation(
@@ -286,8 +240,13 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         raise UnsupportedKernel(
             "the symmetrized near field needs a translation-invariant kernel")
     m2 = u.hess_bound
-    alpha = 1.0 / (2.0 - 2.0 * kernel.s)
+    s = kernel.s
+    alpha = 1.0 / (2.0 - 2.0 * s)
     eps = np.finfo(float).eps
+    # far-field distances stop at cap, which keeps k d^(1+2s) finite
+    cap = MAX_TRUNCATION ** (1.0 / kernel.power)
+    fin = [b for b in u.breaks if np.isfinite(b)]
+    exact = kernel.family == "fractional" and u.piecewise
 
     def d2(x, ux, z):
         return 2.0 * ux - u.fn(x + z) - u.fn(x - z)
@@ -299,13 +258,16 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     for x, ux in zip(xs, uxs):
         # near field on (0, rho)
         if u.piecewise:
-            # u is constant on (x - dbreak, x + dbreak); near field vanishes there
-            dbreak = u.dist_to_break(x)
-            if dbreak == 0.0:
+            # u is constant on (x - 2 rho, x + 2 rho); near field vanishes there
+            rho = 0.5 * min((abs(b - x) for b in u.breaks), default=np.inf)
+            near = None
+            if not rho >= 1.0 / cap:  # else phi(rho) overflows
                 raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
-            rho, near = 0.5 * dbreak, None
         else:
             rho = 1.0
+            z_floor = 64.0 * eps * max(1.0, abs(x))  # x + z must resolve z
+            if not z_floor <= rho / 8.0:
+                raise DomainViolation(f"x = {x:g} is too far out for {u.label}")
             # D2(z) in float64 carries cancellation noise ~4 eps sup|u| at any z,
             # while the true value decays like u''(x) z^2; below the crossover
             # scale pointwise evaluation is pure noise against a z^(-1-2s) weight
@@ -315,10 +277,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             scale_u = max(abs(ux), u.sup_bound, 1.0)
             noise = 4.0 * eps * scale_u
             # in tau the noise envelope is noise*env*alpha*tau^(-2 alpha); keep
-            # its integral beyond the cut under tol/4, and keep the cut itself
-            # where signal/noise >= 1e4
+            # its integral beyond the cut under tol/4 (a cut past rho = 1 is
+            # clamped below), and keep the cut where signal/noise >= 1e4
             expo = 2.0 * alpha - 1.0
-            tau_budget = (noise * env * alpha / (expo * 0.25 * tol)) ** (1.0 / expo)
+            tau_budget = min(noise * env * alpha / (expo * 0.25 * tol),
+                             1.0) ** (1.0 / expo)
             z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
             # a break within a few ulps of x is x's own join; flooring z_lo at
             # it would push the Richardson stencils into the cancellation noise
@@ -328,14 +291,14 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             if zbreaks:
                 # keep both Richardson stencils inside one C^2 piece
                 z_lo = min(z_lo, zbreaks[0] / 4.0)
-            z_lo = max(min(z_lo, rho / 8.0), 64.0 * eps * max(1.0, abs(x)))
+            z_lo = max(min(z_lo, rho / 8.0), z_floor)
             a1 = float(d2(x, ux, np.array([z_lo]))[0]) / (z_lo * z_lo)
             a2 = float(d2(x, ux, np.array([2.0 * z_lo]))[0]) / (4.0 * z_lo * z_lo)
             c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
             mass2 = None
             if kernel.family == "fractional":
                 mass2 = env / kernel.lam \
-                    * z_lo ** (2.0 - 2.0 * kernel.s) / (2.0 - 2.0 * kernel.s)
+                    * z_lo ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
             else:
                 jobs.append((0.0, z_lo, tol))
                 kinds.append(MASS2)
@@ -344,26 +307,20 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             kinds.append(NEAR)
             near = (c2, mass2, a1, z_lo, scale_u)
 
-        # far field 2 int_{rho < |y-x| < T} (u(x) - u(y)) k(x, y) dy
-        reach = _reach(u, x)
-        if reach is not None and (ux == 0.0 or kernel.family == "fractional"):
-            # beyond the reach only u(x) k is left, zero or a power mass
-            T, remainder = max(reach, rho), 0.0
-            beyond = ux * 2.0 * kernel.norm_factor \
-                * _power_mass(T, np.inf, kernel.s)
-        else:
-            def far_remainder(T):
-                # |2 int_{|y-x|>T} (u(x) - u(y)) k dy|
-                return 2.0 * env * (_tail_remainder(abs(ux), kernel.s, T)
-                                    + _tail_remainder(u.sup_bound, kernel.s, T))
-
-            T, remainder = truncation_radius(far_remainder, 1e4 * max(1.0, abs(x)), tol)
-            beyond = 0.0
-        jobs += _far_jobs(x, rho, T, u.breaks, tol)
+        # far field 2 int_{|y-x| > rho} (u(x) - u(y)) k(x, y) dy: each half
+        # in p = phi(|y - x|) on (0, phi(rho)), split where y meets a break
+        where = f"the far field at x = {x:g}, distances ({rho:g}, inf)"
+        for side in (1.0, -1.0):
+            jobs.append((0.0, phi(rho, s), tol,
+                         [phi(side * (b - x), s) for b in u.breaks
+                          if side * (b - x) > rho], None, where))
         kinds += [RIGHT, LEFT]
         jx += [x] * (len(jobs) - len(jx))
         jux += [ux] * (len(jobs) - len(jux))
-        points.append((near, beyond, remainder, T))
+        # the clip's charge: twice the integrand's envelope on both halves
+        clip = 0.0 if exact and all(abs(b - x) < cap for b in fin) \
+            else 8.0 * (abs(ux) + u.sup_bound) * env * phi(cap, s)
+        points.append((near, clip))
 
     jx, jux, kinds = np.array(jx), np.array(jux), np.array(kinds, dtype=int)
     jright = kinds == RIGHT
@@ -376,16 +333,27 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     def weighted(z, j):
         return z * z * kernel.eval_at_distance(z)
 
-    def far(t, j):
-        x = jx[j]
-        y = np.where(jright[j], t, x - t)  # t is the distance on the left
-        return (jux[j] - u.fn(y)) * kernel.eval_pairs(x, y)
+    def far(p, j):
+        x, d = jx[j], _far_distance(p, s, cap)
+        side = np.where(jright[j], 1.0, -1.0)
+        y = x + side * d
+        # a y rounded onto a break goes to the side its distance d is on
+        hit = np.isin(y, u.breaks)
+        y[hit] = np.nextafter(y[hit], y[hit] + side[hit] * np.sign(
+            d[hit] - side[hit] * (y[hit] - x[hit])))
+        # the weight takes the distance of the y it is read at: d itself
+        # for a radial kernel, the rounded |y - x| for a pair kernel
+        if kernel.translation_invariant:
+            k, dist = kernel.eval_at_distance(d), d
+        else:
+            k, dist = kernel.eval_pairs(x, y), np.abs(y - x)
+        return (jux[j] - u.fn(y)) * k * dist ** kernel.power
 
     # the far field's halves share one integrand
     results = iter(integrate_many(_by_kind(
         np.minimum(kinds, RIGHT), (near_integrand, weighted, far)), jobs))
     out = []
-    for near, beyond, remainder, T in points:
+    for near, clip in points:
         near_val, near_err = 0.0, 0.0
         if near is not None:
             c2, mass2, a1, z_lo, scale_u = near
@@ -398,22 +366,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             near_val = 2.0 * (c2 * mass2 + tail_val)
             near_err = 2.0 * (tail_err + abs(c2) * mass2_err + model_slack)
         (r, er), (l, el) = next(results), next(results)
-        out.append((near_val + 2.0 * ((l + r) + beyond),
-                    near_err + 2.0 * (el + er) + remainder, remainder, T))
+        out.append((near_val + 2.0 * (l + r), near_err + 2.0 * (el + er) + clip))
     return Estimate.of_rows(out, shape)
 
 
 # -- nonlocal tail ----------------------------------------------------------
-
-def _power_mass(a: float, b: float, s: float) -> float:
-    """integral of rho^(-1-2s) over (a, b), 0 < a <= b <= inf."""
-    if b <= a:
-        return 0.0
-    out = a ** (-2.0 * s) / (2.0 * s)
-    if np.isfinite(b):
-        out -= b ** (-2.0 * s) / (2.0 * s)
-    return out
-
 
 def segment_tail(segments, x0: float, r: float, s: float) -> float:
     """Tail(u; x0, r) = r^2s integral of |u(y)| |y-x0|^(-1-2s) over
@@ -421,7 +378,7 @@ def segment_tail(segments, x0: float, r: float, s: float) -> float:
     (lo, hi, v) segments (disjoint, ends may be infinite), zero elsewhere."""
     total = 0.0
     for lo, hi, v in segments:
-        right = _power_mass(max(lo - x0, r), max(hi - x0, r), s)
-        left = _power_mass(max(x0 - hi, r), max(x0 - lo, r), s)
+        right = phi(max(lo - x0, r), s) - phi(max(hi - x0, r), s)
+        left = phi(max(x0 - hi, r), s) - phi(max(x0 - lo, r), s)
         total += abs(v) * (right + left)
     return r ** (2.0 * s) * total

@@ -139,7 +139,7 @@ def check_tol(tol: float) -> None:
 
 
 def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
-            geometric_from: float | None = None):
+            geometric_from: float | None = None, where: str | None = None):
     """The worst-panel-first heap of one integral (see integrate) as a
     generator: it yields the (lo, hi) edges of the panels it needs, is sent
     gk_panel's (values, errors) for them and returns (value, error)."""
@@ -203,15 +203,15 @@ def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
         scale = float(np.max(np.abs(total), initial=0.0))
         if not total_err <= 1e-12 * max(1.0, scale):
             raise QuadratureFailure(
-                f"no convergence on ({a:g}, {b:g}): error {total_err:.2e} > tol {tol:.2e} "
-                f"after {npanels} panels"
+                f"no convergence on {where or f'({a:g}, {b:g})'}: error "
+                f"{total_err:.2e} > tol {tol:.2e} after {npanels} panels"
             )
     return total, total_err
 
 
 def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
-    """Adaptive integrals of f over many jobs, each a tuple of integrate's
-    (a, b, tol, breaks, geometric_from), the last two optional.
+    """Adaptive integrals of f over many jobs, each a tuple of _refine's
+    (a, b, tol, breaks, geometric_from, where), the last three optional.
 
     f(x, j) takes the nodes x and each node's job index j.  The jobs run
     in lock-step: every round is one gk_panel call on the panels that all

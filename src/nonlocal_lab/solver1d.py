@@ -77,7 +77,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .geometry import Mesh1D
-from .kernel import Kernel
+from .kernel import Kernel, phi
 from .operator import PointFunction
 from .quadrature import check_tol, integrate
 
@@ -106,13 +106,8 @@ CG_MAX_ITER = 1000
 
 # -- closed forms for K(t) = A t^(-1-2s) -------------------------------------
 
-def _phi(t, s: float):
-    """Kernel tail mass: integral of t^(-1-2s) over (t, inf) = t^(-2s)/(2s)."""
-    return np.asarray(t, dtype=float) ** (-2.0 * s) / (2.0 * s)
-
-
 def _phi_mass(lo, width, s: float):
-    """int_lo^(lo + width) _phi(t) dt for lo > 0, continuous in s through
+    """int_lo^(lo + width) phi(t) dt for lo > 0, continuous in s through
     1/2.
 
     With L = log(1 + width/lo) and x = (1 - 2s) L it is
@@ -137,7 +132,8 @@ def _banded_mass(amp: float, s: float, d0, h: float, width: float,
     """
     def beyond(d):  # the cell against everything from d past its edge on
         lo = np.maximum(d, gamma)
-        return _phi_mass(lo, h - (lo - d), s) + (lo - d) * _phi(gamma, s)
+        return (_phi_mass(lo, h - (lo - d), s)
+                + (lo - d) * phi(np.asarray(gamma), s))
 
     d0 = np.asarray(d0, dtype=float)
     far = beyond(d0 + width) if np.isfinite(width) else 0.0
@@ -313,7 +309,8 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     rem = 0.0
     if not np.isfinite(hi):
         hi = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), lo + span)
-        rem = kernel.upper_envelope() * h * float(_phi(hi - (p + h), kernel.s))
+        rem = kernel.upper_envelope() * h * float(
+            phi(np.asarray(hi - (p + h)), kernel.s))
     z0 = max(lo, p + gamma)  # the band removes x <= z - gamma entirely below
     if hi <= z0:
         return 0.0, 0.0, rem
@@ -373,7 +370,7 @@ def _overlap_mass(kernel: Kernel, d0, h: float, width: float, gamma: float,
         return _banded_mass(amp, kernel.s, d0, h, width, gamma), 0.0, rem
     if not np.isfinite(width):
         width = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), 2.0 * span)
-        rem = h * kernel.upper_envelope() * _phi(d0 + width, kernel.s)
+        rem = h * kernel.upper_envelope() * phi(d0 + width, kernel.s)
         tol = max(tol, 0.25 * float(rem.min()))
     plateau = min(h, width)
     top = h + width
@@ -607,6 +604,9 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     gamma = BAND_FRACTION * h
     comps = _exterior_components(mesh)
     span = ivs[-1][1] - ivs[0][0]
+    # the band moments take lengths up to the span to the power 3 - 2s
+    if not span < np.finfo(float).max ** (1.0 / (3.0 - 2.0 * kernel.s)):
+        raise ConfigParseError(f"a domain of span {span:g} overflows assembly")
     W, err_acc = _couplings(kernel, mesh, h, gamma, span, tol)
     # one mass per distinct segment, shared by E and every datum
     mass = cache(lambda a, b: _segment_mass(kernel, mesh, a, b, h, gamma,

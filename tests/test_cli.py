@@ -1,5 +1,7 @@
 """CLI surface tests: parsing, exit codes, file output determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_lab import cli, solver1d
 from nonlocal_lab.errors import EmptySample
@@ -147,6 +151,11 @@ class TestExitCodes:
         # past every solver path's budget, refused before the mesh is built
         "solve1d --s 0.5 --N 1000000000000",
         "harnack run --s 0.5 --N 1000000000000",
+        # a span whose powers in the band moments overflow
+        "solve1d --s 0.5 --N 8 --domain=-1e300,1e300",
+        # r^2 or |x - center|^2 overflows
+        "poisson extend --s 0.5 --r 1e300",
+        "poisson extend --s 0.5 --center 1e300",
     ])
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
         argv = argv.format(missing=tmp_path / "missing.cfg").split()
@@ -215,22 +224,25 @@ class TestEvalL:
                          "--x", "-2.0", "--out", str(out)])
         assert code == 0
         d = json.loads(out.read_text())
-        assert set(d) >= {"value", "error_bound", "remainder_bound",
-                          "truncation_radius", "kernel", "barrier"}
+        assert set(d) == {"value", "error_bound", "kernel", "barrier", "s",
+                          "x"}
         spot = 4.0 * (5.0 ** -0.5 - 3.0 ** -0.5)
         assert d["value"] == pytest.approx(spot, abs=1e-8)
 
 
 class TestSolve1d:
     def test_json_roundtrip(self, tmp_path):
+        # a domain of +-1e6 stays well inside the span assembly allows
         out = tmp_path / "u.json"
-        code = run_main(["solve1d", "--s", "0.5", "--N", "16",
-                         "--domain=-1,1", "--data", "indicator:1,3",
-                         "--out", str(out)])
-        assert code == 0
-        d = json.loads(out.read_text())
-        assert len(d["centers"]) == len(d["values"]) == 16
-        assert all(v > 0.0 for v in d["values"])
+        for domain, data in [("-1,1", "indicator:1,3"),
+                             ("-1e6,1e6", "far:1,2e6")]:
+            code = run_main(["solve1d", "--s", "0.5", "--N", "16",
+                             f"--domain={domain}", "--data", data,
+                             "--out", str(out)])
+            assert code == 0
+            d = json.loads(out.read_text())
+            assert len(d["centers"]) == len(d["values"]) == 16
+            assert all(0.0 < v < 1.0 for v in d["values"])
 
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "u.csv"
@@ -416,3 +428,65 @@ class TestConfigFile:
         assert code == 3
         err = capsys.readouterr().err
         assert "n = 2" in err and "does not have dimension" not in err
+
+
+# -- JSON contract of evalL and poisson --------------------------------------
+
+SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e300", "x")
+# valid values of each numeric flag; None leaves a flag at its default
+EVALL_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+               "--x": ("-2.5", "-2", "-1.2", "0.5", "2.4"),
+               "--tol": (None, "1e-8", "1e-4"), "--x1": (None, "-2"),
+               "--x2": (None, "2"), "--r": (None, "1"), "--R": (None, "16"),
+               "--lam": (None, "1", "2")}
+POISSON_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+                 "--r": (None, "1", "2"), "--center": (None, "0", "0.5"),
+                 "--x": (None, "0", "0.3"), "--z": (None, "2", "5"),
+                 "--tol": (None, "1e-8", "1e-4"),
+                 "--x-samples": (None, "0", "-0.4,0.4"),
+                 "--z-samples": (None, "2,3", "8")}
+
+
+@st.composite
+def evalL_or_poisson_argv(draw):
+    """An evalL or poisson {eval,extend,bounds} command line whose numeric
+    flags are valid, except up to two that take one of SPECIAL."""
+    if draw(st.booleans()):
+        argv = ["evalL", "--kernel=" + draw(st.sampled_from(
+                    ["frac", "ti", "general"])),
+                "--barrier=" + draw(st.sampled_from(["w1", "w2"]))]
+        flags = EVALL_FLAGS
+    else:
+        argv = ["poisson", draw(st.sampled_from(["eval", "extend", "bounds"])),
+                "--data=" + draw(st.sampled_from(
+                    ["indicator:1,3", "const:1", "far:-0.5,3",
+                     "pieces:1,inf,1"]))]
+        flags = POISSON_FLAGS
+    odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    for flag, valid in flags.items():
+        value = draw(st.sampled_from(SPECIAL if flag in odd else valid))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def reject_non_finite(name):
+    raise ValueError(f"{name} in the JSON output")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(evalL_or_poisson_argv())
+def test_evalL_and_poisson_json_contract(argv):
+    # exit 0 writes JSON without NaN or Infinity; any other exit is 3 or
+    # 4 with exactly one error line and no output; RuntimeWarnings are
+    # errors in this suite, so an overflow fails the example too
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=reject_non_finite)
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from nonlocal_lab import quadrature
 from nonlocal_lab.errors import (
     ConfigParseError,
     DomainViolation,
+    QuadratureFailure,
     UnsupportedKernel,
 )
 from nonlocal_lab.geometry import make_disconnected_config
@@ -19,6 +21,7 @@ from nonlocal_lab.kernel import (
     ti_demo_kernel,
 )
 from nonlocal_lab.operator import (
+    MAX_TRUNCATION,
     PointFunction,
     barrier_w1,
     barrier_w2,
@@ -126,6 +129,14 @@ class TestEvalErrors:
         res = eval_L(general_demo_kernel(0.75), barrier_w1(CONFIG), -2.0)
         assert res.value < 0.0
 
+    def test_far_field_failure_names_x_and_distances(self, monkeypatch):
+        # where w1 = 1 the general kernel's far field oscillates without
+        # end; its failure names the point and distances, not a p interval
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 200)
+        with pytest.raises(QuadratureFailure,
+                           match=r"far field at x = 2\.4, distances \(0\.3, inf\)"):
+            eval_L(general_demo_kernel(0.6), barrier_w1(CONFIG), 2.4)
+
     def test_growth_incompatible_with_order(self):
         # C^2 but unbounded: no far-field remainder bounds its tail
         with pytest.raises(DomainViolation, match="sup_bound"):
@@ -203,10 +214,10 @@ class TestTail:
         with pytest.raises(DomainViolation, match="NaN"):
             piecewise_constant(pieces, far_value=far_value,
                                far_radius=far_radius)
-        # infinite piece edges stay valid, and declare no support
+        # infinite piece edges stay valid, and are breaks
         half_line = piecewise_constant([(3.0, np.inf, 2.0)])
         assert half_line.segments() == [(3.0, np.inf, 2.0)]
-        assert half_line.support is None
+        assert half_line.breaks == (3.0, np.inf)
 
     @pytest.mark.parametrize("u,pw", [
         (constant(2.5), piecewise_constant([], far_value=2.5, far_radius=0.0,
@@ -243,7 +254,7 @@ class TestBarriers:
         w1 = barrier_w1(CONFIG)
         assert w1(np.array([2.0]))[0] == 1.0
         assert w1(np.array([-2.0]))[0] == 0.0
-        assert w1.support == (1.0, 3.0)
+        assert w1.breaks == (1.0, 3.0)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_w1_is_a_strict_subsolution_on_the_left_ball(self, s):
@@ -302,13 +313,103 @@ def test_w1_eval_matches_closed_form_any_s(s):
 
 
 # the r = 0.5 barrier: w2's reach |x - x1| + r falls below the near-field
-# radius rho = 1 on B_r(x1), so the far field is empty there
+# radius rho = 1 on B_r(x1), so its far field sees u(x) alone
 HALF = make_disconnected_config(n=1, x1=-1.0, x2=1.0, r=0.5, R=8.0)
 
 
-def without_support(u):
-    """The same function without a declared support: the truncated route."""
-    return replace(u, support=None)
+def phi_test(t, s):
+    """int_t^inf d^(-1-2s) dd, written out here for the oracles."""
+    return t ** (-2.0 * s) / (2.0 * s)
+
+
+def quad_ab(f, a, b):
+    """scipy quad of f over (a, b), b may be inf: (value, its estimate)."""
+    return quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=400)
+
+
+def kernel_mass(kernel, d1, d2):
+    """(int_d1^d2 K(d) dd, its allowance) for a radial kernel: phi in
+    closed form for the fractional kernel; for the TI demo profile
+    (3/2 - 1/(2 (1 + d^2))) d^(-1-2s), 3/2 of that minus scipy quad of
+    the fast-decaying rest."""
+    s, nf = kernel.s, kernel.norm_factor
+    closed = phi_test(d1, s) - (phi_test(d2, s) if np.isfinite(d2) else 0.0)
+    if kernel.family == "fractional":
+        return nf * closed, 1e-15 * nf * abs(closed)
+    # the rest as two tails to infinity, which quad resolves at any d2
+    (r1, e1), (r2, e2) = (quad_ab(lambda d: d ** (-1.0 - 2.0 * s)
+                                  / (1.0 + d * d), d, np.inf)
+                          if np.isfinite(d) else (0.0, 0.0) for d in (d1, d2))
+    return nf * (1.5 * closed - 0.5 * (r1 - r2)), nf * (
+        0.5 * (e1 + e2) + 1e-15 * closed)
+
+
+def piecewise_oracle(kernel, u, x):
+    """(L u(x), its allowance) for piecewise-constant u by a second route,
+    2 [u(x) (M(x - a) + M(b - x)) - sum_S v_S M_S]: (a, b) is the interval
+    of constancy around x, M the kernel mass beyond a distance and M_S that
+    of each segment S outside (a, b).  A general kernel takes scipy quad of
+    the pair kernel over finite segments, and needs u(x) = 0."""
+    a = max((e for e in u.breaks if e < x), default=-np.inf)
+    b = min((e for e in u.breaks if e > x), default=np.inf)
+    ux = float(u(np.array([x]))[0])
+
+    def mass(lo, hi):
+        if kernel.family == "general":
+            # the demo pair kernel (1 + sin(x + y)^2 / 2) |x - y|^(-1-2s) in
+            # t = log |y - x|, which spreads a peak at a near end and never
+            # forms y - x
+            side = 1.0 if lo >= x else -1.0
+            a, b = sorted(np.log([abs(lo - x), abs(hi - x)]))
+            return quad_ab(lambda t: kernel.norm_factor * (1.0 + 0.5 * np.sin(
+                2.0 * x + side * np.exp(t)) ** 2) * np.exp(-2.0 * kernel.s * t),
+                a, b)
+        return kernel_mass(kernel, *((lo - x, hi - x) if lo >= x
+                                     else (x - hi, x - lo)))
+
+    terms = [(-v, *mass(lo, hi)) for lo, hi, v in u.segments()
+             if hi <= a or lo >= b]
+    if ux != 0.0:
+        terms += [(ux, *mass(-np.inf, a)), (ux, *mass(b, np.inf))]
+    value = 2.0 * sum(c * m for c, m, _ in terms)
+    allow = 2.0 * sum(abs(c) * e for c, _, e in terms)
+    return value, allow + 1e-15 * max(1.0, abs(value))
+
+
+def d2_of(u, x, ux, z):
+    return 2.0 * ux - u(np.array([x + z]))[0] - u(np.array([x - z]))[0]
+
+
+def w2_oracle(kernel, config, x):
+    """(L w2(x), its allowance) by a second route, 2 int_0^inf D2(z) K(z) dz
+    with D2(z) = 2 w2(x) - w2(x + z) - w2(x - z), by scipy quad between
+    the distances from x to w2's breaks.  Below the first of them w2 is one
+    quintic around x and D2 its exact Taylor polynomial
+    -w2''(x) z^2 - w2''''(x) z^4 / 12, free of cancellation; beyond the
+    last only 2 w2(x) is left, against the kernel mass."""
+    w2 = barrier_w2(config)
+    x1, r = float(config.x1[0]), config.r
+    ux = float(w2(np.array([x]))[0])
+    t = 2.0 * abs(x - x1) / r - 1.0
+    # q(t) = 1 - (6t^5 - 15t^4 + 10t^3) with dt/dy = +-2/r, on 0 < t < 1
+    q2, q4 = ((-(120 * t ** 3 - 180 * t ** 2 + 60 * t), -(720 * t - 360))
+              if 0.0 < t < 1.0 else (0.0, 0.0))
+    u2, u4 = q2 * (2.0 / r) ** 2, q4 * (2.0 / r) ** 4
+    K = kernel.eval_at_distance
+    zs = sorted({abs(e - x) for e in w2.breaks})
+
+    def taylor(z):
+        return -(u2 * z * z + u4 * z ** 4 / 12.0) * float(K(z))
+
+    def direct(z):
+        return float(d2_of(w2, x, ux, z) * K(z))
+
+    parts = [quad_ab(taylor, 0.0, zs[0])]
+    parts += [quad_ab(direct, lo, hi) for lo, hi in zip(zs, zs[1:])]
+    tail, tail_allow = kernel_mass(kernel, zs[-1], np.inf)
+    value = 2.0 * (sum(v for v, _ in parts) + 2.0 * ux * tail)
+    allow = 2.0 * (sum(e for _, e in parts) + 2.0 * abs(ux) * tail_allow)
+    return value, allow + 1e-15 * max(1.0, abs(value))
 
 
 class TestClosedFormBounds:
@@ -330,56 +431,83 @@ ROUTE_KERNELS = {
     "general0.6": general_demo_kernel(0.6),
 }
 LOCAL = ("frac0.3", "frac0.8", "ti0.4")
-# w1 vanishes at the first five points; at 1.4 and 2.4 it is 1, where the
-# fractional kernel adds the mass beyond the reach in closed form and the
-# TI kernel keeps the truncation search (the general kernel runs only
-# where u(x) = 0, and w2 is not locally constant)
+ORACLE_S = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95)
+ROUTE_KERNELS.update({f"{fam}{s:g}": make_kernel(fam, 1, s)
+                      for fam in ("frac", "ti") for s in ORACLE_S})
+# far data and half-line pieces, read at x = -2 and 1.5 inside and at
+# x = 20 and -30 on the far parts
+ROUTE_DATA = {
+    "far1,16": piecewise_constant([], far_value=1.0, far_radius=16.0),
+    "halflines": piecewise_constant([(-np.inf, -3.0, 0.5), (1.0, 2.0, -1.0),
+                                     (4.0, np.inf, 2.0)]),
+    "pieces+far": piecewise_constant([(1.0, 2.0, 3.0)], far_value=-1.0,
+                                     far_radius=5.0),
+    # a break past every float-safe distance cap: the clip is charged
+    "beyondcap": piecewise_constant([(1.0, 1e200, 1.0)]),
+}
+# w1 vanishes at the first five points and is 1 at 1.4 and 2.4 (the
+# general kernel runs only where u(x) = 0, and w2 is not locally constant)
 ROUTE_CASES = (
-    [(k, "w1", CONFIG, x) for k in ROUTE_KERNELS
+    [(k, "w1", CONFIG, x) for k in (*LOCAL, "general0.6")
      for x in (-2.6, -2.0, -1.2, 0.5, 6.0)]
     + [(k, "w1", CONFIG, x) for k in LOCAL for x in (1.4, 2.4)]
+    # within 1e-10 of a break, where y = x +- d rounds onto it, and the
+    # pair kernel 1e-6 from one
+    + [(k, "w1", CONFIG, x) for k in ("frac0.5", "frac0.95")
+       for x in (1.0 - 1e-10, 3.0 + 1e-10)]
+    + [("general0.6", "w1", CONFIG, 1.0 - 1e-6)]
     + [(k, "w2", cfg, x) for k in LOCAL
        for cfg, x in [(CONFIG, -2.3), (CONFIG, -1.2), (CONFIG, 0.5),
                       (CONFIG, 3.5), (HALF, -1.2), (HALF, -0.9),
                       (HALF, -0.3), (HALF, 0.2)]]
+    + [(f"{fam}{s:g}", d, None, x) for fam in ("frac", "ti") for s in ORACLE_S
+       for d in ROUTE_DATA for x in (-2.0, 1.5, 20.0, -30.0)]
 )
-BARRIERS = {"w1": barrier_w1, "w2": barrier_w2}
+
+
+def route_id(k, b, c, x):
+    return f"{b}-{k}-r{c.r:g}-x{x:g}" if c else f"{b}-{k}-x{x:g}"
 
 
 class TestCompactRoute:
-    """Declared support ends the far field; stripping it must not matter."""
+    """eval_L against a second route: closed forms for the fractional
+    kernel, scipy quad otherwise.  The far field no longer splits into a
+    reach-ended and a truncated route; the test names are kept."""
 
-    @pytest.mark.parametrize(
-        "kname,barrier,config,x", ROUTE_CASES,
-        ids=[f"{b}-{k}-r{c.r:g}-x{x:g}" for k, b, c, x in ROUTE_CASES])
+    @pytest.mark.parametrize("kname,barrier,config,x", ROUTE_CASES,
+                             ids=[route_id(*case) for case in ROUTE_CASES])
     def test_eval_L_agrees_with_truncated_route(self, kname, barrier,
                                                 config, x):
         kernel = ROUTE_KERNELS[kname]
-        u = BARRIERS[barrier](config)
-        a = eval_L(kernel, u, x)
-        b = eval_L(kernel, without_support(u), x)
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+        if barrier == "w2":
+            res = eval_L(kernel, barrier_w2(config), x)
+            want, allow = w2_oracle(kernel, config, x)
+        else:
+            u = barrier_w1(config) if barrier == "w1" else ROUTE_DATA[barrier]
+            res = eval_L(kernel, u, x)
+            want, allow = piecewise_oracle(kernel, u, x)
+            if kernel.family == "fractional" and barrier != "beyondcap":
+                # GK15 is exact on the piecewise-constant p-integrand, and
+                # the distance clip charges nothing: the bound is rounding
+                assert res.error_bound <= max(1e-6, 1e-12 * abs(want))
+        assert abs(res.value - want) <= res.error_bound + allow
 
     def test_reach_below_the_near_field_radius(self):
-        # T clamps at rho: the shell (reach, rho) belongs to the near field
-        # and only the kernel mass beyond rho is added in closed form
+        # w2 vanishes past |x - x1| + r = 0.6 < rho = 1: the far field is
+        # u(x) times the kernel mass beyond rho, a constant p-integrand
         k = fractional_kernel(1, 0.5)
-        w2 = barrier_w2(HALF)
-        res = eval_L(k, w2, -1.1)
-        assert res.truncation_radius == 1.0
-        assert res.remainder_bound == 0.0
+        res = eval_L(k, barrier_w2(HALF), -1.1)
+        want, allow = w2_oracle(k, HALF, -1.1)
+        assert abs(res.value - want) <= res.error_bound + allow
 
-    @pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.2, 0.5, 0.8, 0.95])
     @pytest.mark.parametrize("x0", [-4.0, -2.0, 0.0, 2.5, 7.0])
     def test_tail_agrees_with_truncated_route(self, s, x0):
-        # the closed-form tail against eval_L's far-field quadrature, with
-        # and without the support that ends it
+        # the closed-form tail against eval_L's far field to infinity
         segs = [(-3.0, -1.0, 2.0), (1.5, 4.0, 0.5)]
         exact = segment_tail(segs, x0, 1.0, s)
-        w = tail_datum(segs, x0, 1.0)
-        for u in (w, without_support(w)):
-            res = eval_L(fractional_kernel(1, s), u, x0)
-            assert abs(-0.5 * res.value - exact) <= 0.5 * res.error_bound
+        res = eval_L(fractional_kernel(1, s), tail_datum(segs, x0, 1.0), x0)
+        assert abs(-0.5 * res.value - exact) <= 0.5 * res.error_bound
 
 
 def tail_datum(segs, x0, r):
@@ -404,8 +532,16 @@ def farthest(seen, center):
     return float(np.max(np.abs(np.concatenate(seen) - center)))
 
 
+def assert_read_past_the_reach(kernel, seen, x, reach):
+    """The far field read u past its reach, and never beyond the
+    float-safe distance cap MAX_TRUNCATION^(1/(1+2s))."""
+    cap = MAX_TRUNCATION ** (1.0 / kernel.power)
+    assert reach < farthest(seen, x) <= cap * (1.0 + 1e-12)
+
+
 class TestCompactWork:
-    """No evaluation beyond the reach, no remainder, T is what ran."""
+    """Far fields run to infinity: u is read past its reach, no node goes
+    past the distance cap, and the value meets the second route."""
 
     @pytest.mark.parametrize("kernel", [
         fractional_kernel(1, 0.25),
@@ -417,20 +553,18 @@ class TestCompactWork:
         seen = []
         w1 = barrier_w1(CONFIG)
         res = eval_L(kernel, recording(w1, seen), x)
-        reach = 3.0 - x
-        assert res.truncation_radius == reach
-        assert res.remainder_bound == 0.0
-        assert farthest(seen, x) <= reach
+        assert_read_past_the_reach(kernel, seen, x, 3.0 - x)
+        want, allow = piecewise_oracle(kernel, w1, x)
+        assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("x", [-2.9, -2.3, -1.6])
     def test_eval_L_w2_fractional(self, x):
         seen = []
-        w2 = barrier_w2(CONFIG)
-        res = eval_L(fractional_kernel(1, 0.75), recording(w2, seen), x)
-        reach = abs(x + 2.0) + 1.0
-        assert res.truncation_radius == reach
-        assert res.remainder_bound == 0.0
-        assert farthest(seen, x) <= reach
+        k = fractional_kernel(1, 0.75)
+        res = eval_L(k, recording(barrier_w2(CONFIG), seen), x)
+        assert_read_past_the_reach(k, seen, x, abs(x + 2.0) + 1.0)
+        want, allow = w2_oracle(k, CONFIG, x)
+        assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("x0", [-5.0, 0.0, 2.0])
     def test_tail(self, x0):
@@ -438,16 +572,17 @@ class TestCompactWork:
         seen = []
         w = tail_datum([(-1.0, 3.0, 1.0)], x0, 0.5)
         res = eval_L(fractional_kernel(1, 0.4), recording(w, seen), x0)
-        reach = max(abs(-1.0 - x0), abs(3.0 - x0))
-        assert res.truncation_radius == reach
-        assert farthest(seen, x0) <= reach
-        # no truncation remainder: what is left is the quadrature
-        # estimate, halved like the value on the way to the tail
-        assert res.remainder_bound == 0.0
+        assert_read_past_the_reach(fractional_kernel(1, 0.4), seen, x0,
+                                   max(abs(-1.0 - x0), abs(3.0 - x0)))
+        # no clip charge: what is left is the quadrature estimate, halved
+        # like the value on the way to the tail
         assert 0.5 * res.error_bound < 1e-9
+        exact = segment_tail(w.segments(), x0, 0.5, 0.4)
+        assert abs(-0.5 * 0.5 ** 0.8 * res.value - exact) \
+            <= 0.5 * 0.5 ** 0.8 * res.error_bound
 
 
-FIELDS = ("value", "error_bound", "remainder_bound", "truncation_radius")
+FIELDS = ("value", "error_bound")
 
 
 def assert_points_alone(k, u, xs, tol=DEFAULT_TOL):
@@ -477,7 +612,7 @@ class TestArrayPoints:
                             ball1_grid(), BARRIER_TOL)
 
     def test_truncation_search_points(self):
-        # TI kernel where w1 = 1: the far field searches its radius
+        # TI kernel where w1 = 1: every point charges the distance clip
         assert_points_alone(ti_demo_kernel(0.4), barrier_w1(CONFIG),
                             np.linspace(1.2, 2.8, 9))
 
@@ -488,7 +623,7 @@ class TestArrayPoints:
     def test_constant_function_on_a_grid(self):
         res = eval_L(fractional_kernel(1, 0.5), constant(7.0), ball1_grid(5))
         assert np.array_equal(res.value, np.zeros(5))
-        assert np.all(np.isinf(res.truncation_radius))
+        assert np.array_equal(res.error_bound, np.zeros(5))
 
     def test_grid_on_a_break_raises_as_the_point_does(self):
         k = fractional_kernel(1, 0.5)
