@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import ConfigParseError, LabError, UnsupportedDimension
-from .geometry import config_from_text, make_disconnected_config, mesh_intervals
+from .geometry import config_from_text, mesh_intervals
 from .harnack import (
     CSV_COLUMNS,
     barrier_combination_check,
@@ -67,12 +67,16 @@ def _emit(text: str, out: str | None) -> None:
 
 # -- shared flag groups -------------------------------------------------------
 
-def _number(text: str) -> float:
+def _number(text: str, kind=float):
     """Numeric flag type: a malformed number exits 3, not 2 (usage)."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
         raise ConfigParseError(f"bad number {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    return _number(text, int)
 
 
 def _add_geometry(p: argparse.ArgumentParser) -> None:
@@ -97,29 +101,24 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args):
-    base = {"n": 1, "x1": -2.0, "x2": 2.0, "r": 1.0, "R": 16.0}
-    file_N = None
+    flags = {key: getattr(args, key) for key in ("x1", "x2", "r", "R")
+             if getattr(args, key) is not None}
+    text = "n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 16\n"  # the reference setup
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"config file: {exc}") from None
-        cfg, file_N = config_from_text(text)
-        if cfg.n != 1:
-            raise UnsupportedDimension(
-                f"config file has n = {cfg.n}; the experiments run for n = 1 only")
-        base = {"n": cfg.n, "x1": float(cfg.x1[0]), "x2": float(cfg.x2[0]),
-                "r": cfg.r, "R": cfg.R, "unsafe": not cfg.checked}
-    for key in ("x1", "x2", "r", "R"):
-        val = getattr(args, key)
-        if val is not None:
-            base[key] = val
+    cfg, file_N = config_from_text(text, **flags)
+    if cfg.n != 1:
+        raise UnsupportedDimension(
+            f"config file has n = {cfg.n}; the experiments run for n = 1 only")
     N = getattr(args, "N", None)
     if N is None:
         N = file_N if file_N is not None else 256
     check_vector_budget(2 * N)  # the two-ball mesh, before it is built
-    return make_disconnected_config(**base), N
+    return cfg, N
 
 
 def _build_kernel(args, s: float):
@@ -149,13 +148,10 @@ def parse_data(text: str):
 
 
 def _parse_domain(text: str):
-    intervals = []
-    try:
-        for part in text.split(";"):
-            a, b = (float(t) for t in part.split(","))
-            intervals.append((a, b))
-    except ValueError as exc:
-        raise ConfigParseError(f"bad domain {text!r}: {exc}") from None
+    intervals = [[_number(t) for t in part.split(",")]
+                 for part in text.split(";")]
+    if any(len(interval) != 2 for interval in intervals):
+        raise ConfigParseError(f"bad domain {text!r}: intervals are a,b")
     return intervals
 
 
@@ -316,7 +312,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="a,b[;c,d...] open intervals")
     p.add_argument("--data", default="indicator:1,3")
     p.add_argument("--rhs", type=_number, default=0.0)
-    p.add_argument("--N", type=int, default=256)
+    p.add_argument("--N", type=_integer, default=256)
     p.add_argument("--tol", type=_number, default=1e-10)
     p.add_argument("--dump-matrix", action="store_true")
     p.set_defaults(func=_cmd_solve1d)
@@ -330,10 +326,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_output(p)
     p.add_argument("--s", type=_number, required=True)
     p.add_argument("--data", default="random", choices=sorted(FAMILIES))
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_integer, default=20)
     p.add_argument("--masses", default="1,10,100,1000")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--N", type=_integer, default=None)
     p.set_defaults(func=_cmd_harnack_run)
 
     p = hsub.add_parser("sweep", help="order sweep of the constants")
@@ -342,10 +338,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_output(p)
     p.add_argument("--s-grid", default="0.5,0.7,0.9,0.95")
     p.add_argument("--data", default="random", choices=sorted(FAMILIES))
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--samples", type=_integer, default=8)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--N", type=_integer, default=None)
+    p.add_argument("--grid", type=_integer, default=101)
     p.set_defaults(func=_cmd_harnack_sweep)
 
     p = hsub.add_parser("mp", help="localized maximum principle run")
@@ -353,7 +349,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_geometry(p)
     p.add_argument("--s", type=_number, required=True)
     p.add_argument("--magnitude", type=_number, default=1.0)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_integer, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_harnack_mp)
 
@@ -361,12 +357,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_kernel(p)
     _add_geometry(p)
     p.add_argument("--s", type=_number, required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_integer, default=101)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_harnack_barrier)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_selftest)
 

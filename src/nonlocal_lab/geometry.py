@@ -166,8 +166,10 @@ def mesh_over(config: DisconnectedConfig, N: int) -> Mesh1D:
     return mesh_intervals([(a1 - r2, a1 + r2), (a2 - r2, a2 + r2)], N)
 
 
-def config_from_text(text: str) -> tuple[DisconnectedConfig, int | None]:
-    """Parse the flat key=value format; returns (config, N or None)."""
+def config_from_text(text: str, **overrides,
+                     ) -> tuple[DisconnectedConfig, int | None]:
+    """Parse the flat key=value format, with the overrides of x1, x2, r or
+    R applied before it is validated; returns (config, N or None)."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,5 +192,5 @@ def config_from_text(text: str) -> tuple[DisconnectedConfig, int | None]:
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
     unsafe = values.get("unsafe", "false").lower() in ("true", "1", "yes")
-    cfg = make_disconnected_config(n, x1, x2, r, R, unsafe=unsafe)
-    return cfg, N
+    geometry = {"x1": x1, "x2": x2, "r": r, "R": R, **overrides}
+    return make_disconnected_config(n, **geometry, unsafe=unsafe), N

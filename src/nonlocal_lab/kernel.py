@@ -115,7 +115,8 @@ def ti_demo_kernel(s: float, lam: float = 1.5, one_minus_s: bool = False) -> Ker
 
     def profile(d):
         d = np.asarray(d, dtype=float)
-        return (1.0 + 0.5 * d * d / (1.0 + d * d)) * d ** (-power)
+        q = np.minimum(d, 1e150) ** 2  # finite; past 1e8 the factor is 1.5
+        return (1.0 + 0.5 * q / (1.0 + q)) * d ** (-power)
 
     return Kernel(n=1, s=float(s), lam=float(lam), family="translation-invariant",
                   normalization="one-minus-s" if one_minus_s else "plain", profile=profile)

@@ -14,7 +14,7 @@ maps (rho, inf) onto (0, phi(rho)) and leaves the bounded integrand
 exactly, for the fractional kernel and piecewise-constant u.  Distances
 stop at the float-safe MAX_TRUNCATION^(1/(1+2s)), exactly for that kernel
 and u constant beyond, else as one charged term; `poisson_extend`
-integrates its far band the same way.
+integrates its far band in the same coordinate, on the kernel alone.
 
 Exterior data are piecewise constant on both routes to the Dirichlet
 problem, the collocation solver and `poisson_extend`, and their tails
@@ -376,6 +376,8 @@ def segment_tail(segments, x0: float, r: float, s: float) -> float:
     """Tail(u; x0, r) = r^2s integral of |u(y)| |y-x0|^(-1-2s) over
     |y-x0| > r, in closed form for u = v on each (lo, hi) of the
     (lo, hi, v) segments (disjoint, ends may be infinite), zero elsewhere."""
+    if not 2.0 * s * np.log(r) < np.log(np.finfo(float).max):
+        raise DomainViolation(f"r^2s overflows at r = {r:g}, s = {s:g}")
     total = 0.0
     for lo, hi, v in segments:
         right = phi(max(lo - x0, r), s) - phi(max(hi - x0, r), s)

@@ -1,12 +1,11 @@
 """Exact exterior-to-interior kernel on balls and the extension it represents.
 
-The kernel has a closed form on balls; integrating boundary data against it
-reproduces the solution of the exterior-data problem without any mesh, which
-makes it the reference route the discrete solver is checked against.  Both
-routes take the same exterior data, piecewise constant, and the far band
-runs to infinity in eval_L's tail-mass coordinate.  The formula
-itself is valid in every dimension; the exterior quadrature behind
-``poisson_extend`` is implemented on the line only, matching the solver.
+The kernel has a closed form on balls (Blumenthal, Getoor & Ray 1961);
+integrating exterior data against it solves the exterior-data problem
+without a mesh, which makes it the reference route the discrete solver is
+checked against.  Both routes take piecewise-constant data, and
+``poisson_extend`` reads them only through their segments.  The formula is
+valid in every dimension; the extension is computed on the line only.
 """
 
 from __future__ import annotations
@@ -77,16 +76,21 @@ class PoissonKernelBall:
         return self.r * self.r - d * d
 
 
-def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
-    """Kernel value at (x inside, y outside); exact formula, any dimension."""
+def _pair(pk: PoissonKernelBall, x, y) -> tuple[float, float, float]:
+    """(r^2 - |x-c|^2, |y-c|^2 - r^2, |y-x|) for x inside and y outside."""
     xg = pk.inside_gap(x)
     if not xg > 0.0:
         raise DomainViolation(f"x = {x} is not strictly inside the ball")
     yg = -pk.inside_gap(y)
     if not yg > 0.0:
         raise DomainViolation(f"y = {y} is not strictly outside the closed ball")
-    dist = math.dist(np.atleast_1d(np.asarray(y, dtype=float)),
-                     np.atleast_1d(np.asarray(x, dtype=float)))
+    return xg, yg, math.dist(np.atleast_1d(np.asarray(y, dtype=float)),
+                             np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
+    """Kernel value at (x inside, y outside); exact formula, any dimension."""
+    xg, yg, dist = _pair(pk, x, y)
     return pk.constant * xg ** pk.s * yg ** (-pk.s) * dist ** (-pk.n)
 
 
@@ -95,19 +99,19 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     """Representation integral of exterior data g at points x inside, with
     x and the result as in eval_L.  g must be piecewise constant, as the
     solver's data are; anything else raises ConfigParseError before any
-    integral.
+    integral.  g enters through its (lo, hi, v) segments alone: the value
+    sums v m and the bound |v| e, in segment order, over the kernel's
+    masses m on the segments' parts outside the ball and their estimates e.
 
-    Each side of the exterior splits at center distance 2r.  The band next
-    to the ball uses z = center +- r cosh(t), which turns the boundary
-    singularity into a factor sinh(t)^(1-2s), and integrates in
-    tau = t^(2-2s) (the substitution of eval_L's near field): there
-    sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau, alpha = 1/(2-2s),
-    which is smooth down to tau = 0.  The far band runs to infinity in
-    eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r, on
-    (0, phi(2)), with the integrand r P v^(1+2s) = amp_x r^(-2s)
-    (1 - 1/v^2)^(-s) r v / |z - x|, free of overflow at any radius.  v
-    stops at V = MAX_TRUNCATION, where that is amp_x r^(-2s) within 3/V:
-    exact to rounding once g's breaks lie within V r, charged otherwise.
+    Each exterior side splits at center distance 2r.  The band next to the
+    ball uses z = center +- r cosh(t), which turns the boundary singularity
+    into a factor sinh(t)^(1-2s), and integrates in tau = t^(2-2s) (eval_L's
+    near-field substitution), where sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s)
+    dtau, alpha = 1/(2-2s), is smooth down to tau = 0.  The far band runs to
+    infinity in eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r,
+    with the integrand r P v^(1+2s) = amp_x r^(-2s) (1 - 1/v^2)^(-s) r v /
+    |z - x|, free of overflow at any radius.  v stops at V = MAX_TRUNCATION,
+    which moves that factor by at most 3/V and reads no data.
     """
     if pk.n != 1:
         raise UnsupportedDimension(
@@ -121,62 +125,52 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c = float(pk._center()[0])
     r, s = pk.r, pk.s
-    V = MAX_TRUNCATION
     expo = 2.0 - 2.0 * s
     alpha = 1.0 / expo
-    top = math.acosh(2.0) ** expo
-    tb = {side: [math.acosh(side * (b - c) / r) ** expo for b in g.breaks
-                 if r < side * (b - c) < 2.0 * r] for side in (1.0, -1.0)}
-    fb = {side: [phi(side * (b - c) / r, s) for b in g.breaks
-                 if 2.0 * r < side * (b - c)] for side in (1.0, -1.0)}
-    # both sides, twice the integrand's bound amp_v sup|g| (1 + 3/V)
-    clip = 0.0 if all(abs(b - c) < V * r for b in g.breaks
-                      if math.isfinite(b)) else 5.0 * phi(V, s) * g.sup_bound
-    # per point: the band and far integrals of the right, then the left side
-    jobs, jx, jamp = [], [], []
+    # (kind, side, v, lo, hi, reach) of the band (0) and far (1) integral
+    # of each nonzero segment side outside the ball, v = |z - c| / r > 1
+    parts = []
+    for lo, hi, v in g.segments():
+        a, b = (lo - c) / r, (hi - c) / r
+        for side, va, vb in ((1.0, a, b), (-1.0, -b, -a)):
+            va = max(va, 1.0)
+            if v != 0.0 and va < min(vb, 2.0):
+                parts.append((0, side, v, math.acosh(va) ** expo,
+                              math.acosh(min(vb, 2.0)) ** expo, None))
+            if v != 0.0 and max(va, 2.0) < vb:
+                parts.append((1, side, v, phi(vb, s), phi(max(va, 2.0), s),
+                              f"({max(va, 2.0) * r:g}, {vb * r:g})"))
+    jobs, jamp = [], []
     for x in xs:
         gap = pk.inside_gap(x)
         if not gap > 0.0:
             raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
-        amp_x = pk.constant * gap ** s
-        where = f"the far band at x = {x:g}, |z - c| in ({2.0 * r:g}, inf)"
-        for side in (1.0, -1.0):
-            jobs += [(0.0, top, tol, tb[side]),
-                     (0.0, phi(2.0, s), tol, fb[side], None, where)]
-        amp_v = pk.constant * (gap / (r * r)) ** s
-        jx += [x - c] * 4
-        jamp += [amp_x, amp_v] * 2
-    jx, jamp = np.array(jx), np.array(jamp)
-    jside = np.tile([1.0, 1.0, -1.0, -1.0], len(xs))
+        amp = (pk.constant * gap ** s, pk.constant * (gap / (r * r)) ** s)
+        for kind, _, _, lo, hi, reach in parts:
+            jobs.append((lo, hi, tol, (), None, reach and
+                         f"the far band at x = {x:g}, |z - c| in {reach}"))
+            jamp.append(amp[kind])
+    jx, jamp = np.repeat(np.array(xs) - c, len(parts)), np.array(jamp)
+    kinds, jside = (np.tile([p[i] for p in parts], len(xs)) for i in (0, 1))
 
     def band(tau, j):
         t = tau ** alpha
-        side = jside[j]
-        # z itself collapses onto the boundary for t < sqrt(eps), which
-        # would feed g the wrong one-sided value right where the
-        # singular mass sits; keep the boundary offset exact and floor
-        # the data argument strictly outside (pieces narrower than
-        # 1e-9 r next to the boundary are beyond this quadrature)
-        off = 2.0 * r * np.sinh(0.5 * t) ** 2
-        zg = c + side * (r + np.maximum(off, 1e-9 * r))
-        dist = np.abs(side * r * np.cosh(t) - jx[j])
+        dist = np.abs(jside[j] * r * np.cosh(t) - jx[j])
         # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
         # sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau
-        return (g.fn(zg) * jamp[j] * r ** (1.0 - 2.0 * s) * alpha
+        return (jamp[j] * r ** (1.0 - 2.0 * s) * alpha
                 * (np.sinh(t) / t) ** (1.0 - 2.0 * s) / dist)
 
     def far(p, j):
-        w = jside[j] * r * _far_distance(p, s, V)  # z - c
-        return g.fn(c + w) * (jamp[j] * (1.0 - (r / w) ** 2) ** (-s)
-                              * np.abs(w / (w - jx[j])))
+        w = jside[j] * r * _far_distance(p, s, MAX_TRUNCATION)  # z - c
+        return (jamp[j] * (1.0 - (r / w) ** 2) ** (-s)
+                * np.abs(w / (w - jx[j])))
 
-    res = integrate_many(
-        _by_kind(np.tile([0, 1], 2 * len(xs)), (band, far)), jobs)
-    out = []
-    for k in range(len(xs)):
-        vals, errs = zip(*res[4 * k:4 * k + 4])
-        out.append((sum(vals), sum(errs) + clip * jamp[4 * k + 1]))
-    return Estimate.of_rows(out, shape)
+    res = integrate_many(_by_kind(kinds, (band, far)), jobs)
+    rows = [list(zip(parts, res[k * len(parts):])) for k in range(len(xs))]
+    return Estimate.of_rows([(sum((p[2] * m for p, (m, _) in row), 0.0),
+                              sum((abs(p[2]) * e for p, (_, e) in row), 0.0))
+                             for row in rows], shape)
 
 
 @dataclass(frozen=True)
@@ -193,11 +187,10 @@ class PoissonBoundsReport:
 
 
 def bound_ratio(pk: PoissonKernelBall, x, z) -> float:
-    """P(x, z) |x-z|^(n+2s) / r^2s for one admissible pair."""
-    dist = math.dist(np.atleast_1d(np.asarray(z, dtype=float)),
-                     np.atleast_1d(np.asarray(x, dtype=float)))
-    return (poisson_eval(pk, x, z) * dist ** (pk.n + 2.0 * pk.s)
-            / pk.r ** (2.0 * pk.s))
+    """P(x, z) |x-z|^(n+2s) / r^2s for one admissible pair, as
+    C (gap_x / r^2)^s (|z - x|^2 / gap_z)^s, finite at any distance."""
+    xg, zg, dist = _pair(pk, x, z)
+    return pk.constant * (xg / pk.r ** 2) ** pk.s * (dist * dist / zg) ** pk.s
 
 
 def check_poisson_bounds(pk: PoissonKernelBall, sample_x,

@@ -55,8 +55,8 @@ error; the data part is one column B per exterior datum.  Exterior data
 must be piecewise constant and the source f one constant.  assemble()
 takes one datum or a sequence of them: a sequence builds the operator
 once and gives an m x k right-hand side, which solve() handles with one
-factorization or one conjugate-gradient run, checking the residual of
-every column.  E and each column sum the masses of their clipped
+factorization or one conjugate-gradient run, checking each column's
+backward error.  E and each column sum the masses of their clipped
 exterior segments, and one assemble() call computes the mass of each
 distinct segment once: the data of an experiment family share their
 piece edges.  Every column still sums its own segments in its own order,
@@ -685,34 +685,36 @@ def _cg(op: ToeplitzOperator, b: np.ndarray):
 
 
 def solve(system: LinearSystem):
-    """Solve A u = b with an explicit residual check per column.
+    """Solve A u = b with an explicit backward-error check per column.
 
     A dense operator takes one LU factorization; a ToeplitzOperator takes
     one preconditioned conjugate-gradient run (_cg) over all columns.
-    Either way every column's max-norm residual must stay below 1e-10 of
-    its rhs.  A one-datum system gives one GridFunction; a block system
-    (m x k rhs) gives a list of k GridFunctions, each carrying its own
-    datum as exterior.
+    Either way each column's normwise backward error, its max-norm
+    residual over |A| |u| + |b| (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 7), must stay within 1e-10.  A one-datum
+    system gives one GridFunction; a block system (m x k rhs) gives a
+    list of k GridFunctions, each carrying its own datum as exterior.
     """
     a, b = system.operator, system.rhs
     if isinstance(a, ToeplitzOperator):
         u, _, resid = _cg(a, b)
+        diag = a.diag
     else:
         try:
             u = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
         resid = np.atleast_1d(np.max(np.abs(a @ u - b), axis=0))
-    bnorm = np.atleast_1d(np.max(np.abs(b), axis=0))
-    for j, (res, bn) in enumerate(zip(resid.tolist(), bnorm.tolist())):
-        where = f" in column {j}" if b.ndim == 2 else ""
-        if bn > 0.0:
-            if res / bn >= 1e-10:
-                raise SingularSystem(
-                    f"relative residual {res / bn:.2e} >= 1e-10{where}")
-        elif res >= 1e-10:
-            raise SingularSystem(
-                f"residual {res:.2e} >= 1e-10 with zero rhs{where}")
+        diag = np.diagonal(a)
+    # row i of |A| sums to diag_i + 2 sum_j W_ij = 2 diag_i - 2 E_i
+    anorm = float(np.max(2.0 * diag - system.exterior_mass))
+    scale = anorm * np.max(np.abs(u), axis=0) + np.max(np.abs(b), axis=0)
+    for j, (res, sc) in enumerate(zip(resid.tolist(),
+                                      np.atleast_1d(scale).tolist())):
+        if not res <= 1e-10 * sc:
+            where = f" in column {j}" if b.ndim == 2 else ""
+            raise SingularSystem(f"residual {res:.2e} > 1e-10 (|A| |u| + "
+                                 f"|b|) = {1e-10 * sc:.2e}{where}")
     if b.ndim == 1:
         return GridFunction(mesh=system.mesh, values=u,
                             exterior=system.exterior)

@@ -156,6 +156,12 @@ class TestExitCodes:
         # r^2 or |x - center|^2 overflows
         "poisson extend --s 0.5 --r 1e300",
         "poisson extend --s 0.5 --center 1e300",
+        # R^(2s) in the tail term overflows
+        "harnack mp --s 0.9 --N 8 --R 1e300",
+        # malformed integers
+        "harnack mp --s 0.5 --N x",
+        "harnack barrier --s 0.5 --grid=nan",
+        "harnack run --s 0.5 --samples=1e300",
     ])
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
         argv = argv.format(missing=tmp_path / "missing.cfg").split()
@@ -381,6 +387,21 @@ class TestConfigFile:
         assert d["reports"][0]["config"]["R"] == 32.0
         assert d["reports"][0]["N"] == 8
 
+    def test_flags_override_before_validation(self, tmp_path, capsys):
+        # R = 6 leaves B_2r(x1) outside B_R/2(0): the file alone exits 3,
+        # and with --R 16 it runs exactly as the flags alone do
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 6\n")
+        base = ["harnack", "run", "--s", "0.5", "--samples", "2", "--N", "8"]
+        outs = [tmp_path / "file.json", tmp_path / "flags.json"]
+        assert run_main(base + ["--config", str(cfg), "--R", "16",
+                                "--out", str(outs[0])]) == 0
+        assert run_main(base + ["--x1", "-2", "--x2", "2", "--r", "1",
+                                "--R", "16", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert run_main(base + ["--config", str(cfg)]) == 3
+        assert "not contained" in capsys.readouterr().err
+
     @pytest.mark.parametrize("unsafe", [True, False])
     def test_unsafe_flag_is_carried(self, tmp_path, capsys, unsafe):
         # |x1 - x2| = 9r is outside [4r, 8r]: only an unsafe file runs,
@@ -444,7 +465,18 @@ POISSON_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                  "--x": (None, "0", "0.3"), "--z": (None, "2", "5"),
                  "--tol": (None, "1e-8", "1e-4"),
                  "--x-samples": (None, "0", "-0.4,0.4"),
-                 "--z-samples": (None, "2,3", "8")}
+                 "--z-samples": (None, "2,3", "8", "1e150")}
+
+
+def draw_flags(draw, argv, flags):
+    """argv with each of flags at a drawn valid value (None: the default),
+    except up to two that take one of SPECIAL."""
+    odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    for flag, valid in flags.items():
+        value = draw(st.sampled_from(SPECIAL if flag in odd else valid))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 @st.composite
@@ -462,31 +494,68 @@ def evalL_or_poisson_argv(draw):
                     ["indicator:1,3", "const:1", "far:-0.5,3",
                      "pieces:1,inf,1"]))]
         flags = POISSON_FLAGS
-    odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
-    for flag, valid in flags.items():
-        value = draw(st.sampled_from(SPECIAL if flag in odd else valid))
-        if value is not None:
-            argv.append(f"{flag}={value}")
-    return argv
+    return draw_flags(draw, argv, flags)
 
 
 def reject_non_finite(name):
     raise ValueError(f"{name} in the JSON output")
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(evalL_or_poisson_argv())
-def test_evalL_and_poisson_json_contract(argv):
-    # exit 0 writes JSON without NaN or Infinity; any other exit is 3 or
-    # 4 with exactly one error line and no output; RuntimeWarnings are
-    # errors in this suite, so an overflow fails the example too
+def check_json_contract(argv, codes):
+    """exit 0 writes JSON without NaN or Infinity; any other exit is one
+    of codes with exactly one error line and no output; RuntimeWarnings
+    are errors in this suite, so an overflow fails the example too"""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert code in codes, (argv, err.getvalue())
     if code == 0:
         json.loads(out.getvalue(), parse_constant=reject_non_finite)
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(evalL_or_poisson_argv())
+def test_evalL_and_poisson_json_contract(argv):
+    check_json_contract(argv, (0, 3, 4))
+
+
+GEOMETRY_FLAGS = {"--x1": (None, "-2"), "--x2": (None, "2"),
+                  "--r": (None, "1"), "--R": (None, "16")}
+SOLVE1D_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+                 "--N": ("4", "8", "16"),
+                 "--domain": (None, "-1,1", "-4,0;0,4"),
+                 "--data": (None, "indicator:1,3", "const:1", "far:-0.6,6",
+                            "pieces:1,inf,1"),
+                 "--rhs": (None, "0", "1"), "--tol": (None, "1e-10", "1e-6"),
+                 "--lam": (None, "1", "2")}
+MP_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
+            "--magnitude": (None, "1", "10"), "--lam": (None, "1", "2"),
+            **GEOMETRY_FLAGS}
+BARRIER_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+                 "--grid": ("1", "5", "11"), "--lam": (None, "1", "2"),
+                 **GEOMETRY_FLAGS}
+
+
+@st.composite
+def solver_or_harnack_argv(draw):
+    """A solve1d, harnack mp or harnack barrier command line whose numeric
+    flags are valid, except up to two that take one of SPECIAL.  The
+    general kernel runs in barrier only: its assembly alone takes 0.5 s."""
+    command = draw(st.sampled_from(["solve1d", "mp", "barrier"]))
+    kernels = ["frac", "ti"] + ["general"] * (command == "barrier")
+    argv = ([] if command == "solve1d" else ["harnack"]) + [
+        command, "--kernel=" + draw(st.sampled_from(kernels))]
+    flags = {"solve1d": SOLVE1D_FLAGS, "mp": MP_FLAGS,
+             "barrier": BARRIER_FLAGS}[command]
+    return draw_flags(draw, argv, flags)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(solver_or_harnack_argv())
+def test_solver_and_harnack_json_contract(argv):
+    check_json_contract(argv, (0, 3, 4) if argv[0] == "solve1d"
+                        else (0, 1, 3, 4))

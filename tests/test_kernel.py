@@ -97,6 +97,13 @@ class TestEllipticity:
         assert ratios.max() <= k.lam + 1e-12
 
 
+    def test_ti_profile_past_the_squares_overflow(self):
+        # d * d overflows past 1.3e154, where the profile's factor is 1.5
+        d = np.array([1e155, 1e200, 1e300])
+        assert np.array_equal(ti_demo_kernel(0.25).eval_at_distance(d),
+                              1.5 * d ** -1.5)
+
+
 class TestConstruction:
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigParseError):

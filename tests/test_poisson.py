@@ -18,8 +18,8 @@ from nonlocal_lab.errors import (
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import mesh_intervals
+from nonlocal_lab.kernel import phi
 from nonlocal_lab.operator import (
-    MAX_TRUNCATION,
     PointFunction,
     constant,
     indicator,
@@ -33,6 +33,7 @@ from nonlocal_lab.poisson import (
     poisson_eval,
     poisson_extend,
 )
+from nonlocal_lab.quadrature import integrate_many
 
 UNIT = PoissonKernelBall(n=1, s=0.5, r=1.0)
 ORACLE_S = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95]
@@ -160,13 +161,13 @@ class TestExtend:
                     <= poisson_extend(UNIT, hi, x).value)
 
     def test_linear_in_the_data(self):
-        g1 = indicator(1.0, 2.0)
-        g2 = indicator(-5.0, -3.0)
-        combo = piecewise_constant([(1.0, 2.0, 2.0), (-5.0, -3.0, -3.0)])
-        got = poisson_extend(UNIT, combo, 0.25)
-        want = (2.0 * poisson_extend(UNIT, g1, 0.25).value
-                - 3.0 * poisson_extend(UNIT, g2, 0.25).value)
-        assert got.value == pytest.approx(want, abs=1e-9)
+        # the extension sums one kernel mass per segment, so a datum's
+        # value is the weighted sum of its one-segment extensions
+        pieces = [(-5.0, -3.0, -3.0), (1.0, 2.0, 2.0), (2.0, 7.0, 0.25)]
+        got = poisson_extend(UNIT, piecewise_constant(pieces), 0.25)
+        terms = [v * poisson_extend(UNIT, indicator(lo, hi), 0.25).value
+                 for lo, hi, v in pieces]
+        assert abs(got.value - sum(terms)) <= 1e-15 * sum(map(abs, terms))
 
     def test_growth_must_pair_with_the_order(self, monkeypatch):
         # growing or not, a bare callable datum fails before any integral
@@ -199,16 +200,26 @@ ARCCOS_CASES = [(x, d) for d in ARCCOS_DATA
 class TestClosedFormBounds:
     @pytest.mark.parametrize("s", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9,
                                    0.95])
-    # b = 1e160 lies past the far band's distance cap of 1e150 r
-    @pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 10.0, 1e160])
+    # b = 1e160 lies past the far band's distance cap of 1e150 r; the
+    # thin pieces 1e-13 and 1e-10 wide hold all their mass at the boundary
+    @pytest.mark.parametrize("b", [1.0 + 1e-13, 1.0 + 1e-10, 1.5, 2.0, 3.0,
+                                   10.0, 1e160])
     def test_indicator_at_the_center(self, s, b):
-        # from the center the Poisson measure of (r, b) is
-        # 1/2 I_{1 - r^2/b^2}(1 - s, s) (Blumenthal, Getoor & Ray 1961),
-        # taken as 1/2 (1 - I_{r^2/b^2}(s, 1 - s)) to keep the mass past b
+        # from the center the Poisson measure of (r, b) and of its mirror
+        # is 1/2 I_{1 - r^2/b^2}(1 - s, s) (Blumenthal, Getoor & Ray
+        # 1961), taken as 1/2 (1 - I_{r^2/b^2}(s, 1 - s)) where that keeps
+        # the smaller argument; at s = 1/2 it is atan(sqrt(b^2 - 1))/pi
         pk = PoissonKernelBall(n=1, s=s, r=1.0)
-        res = poisson_extend(pk, indicator(1.0, b), 0.0)
-        want = 0.5 * (1.0 - betainc(s, 1.0 - s, (1.0 / b) ** 2))
-        assert abs(res.value - want) <= res.error_bound
+        near = (b - 1.0) / b * ((b + 1.0) / b)
+        wants = [0.5 * betainc(1.0 - s, s, near) if near < 0.5 else
+                 0.5 * (1.0 - betainc(s, 1.0 - s, (1.0 / b) ** 2))]
+        if s == 0.5:
+            wants.append(math.atan(math.sqrt((b - 1.0) * (b + 1.0))) / math.pi)
+        for g in (indicator(1.0, b), indicator(-b, -1.0)):
+            res = poisson_extend(pk, g, 0.0)
+            for want in wants:
+                assert abs(res.value - want) <= res.error_bound \
+                    + 1e-15 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("x,data", ARCCOS_CASES, ids=[
         f"{x}" if d == ARCCOS_DATA[0] else f"{x}-{d}"
@@ -261,21 +272,24 @@ class TestCompactData:
         assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("support,T", [((-6.0, 2.5), 5.5), ((0.6, 1.2), 2.0)])
-    def test_no_evaluation_beyond_the_reach(self, support, T):
-        # the band reaches T = max(reach, 2r) from the center; the far band
-        # reads the data beyond it, out toward its distance cap and never
-        # past it, and only adds zeros there
-        seen = []
+    def test_no_evaluation_beyond_the_reach(self, monkeypatch, support, T):
+        # the data enter through their segments only: g.fn is never read,
+        # and no far-band integral runs past the reach T = max(reach, 2r)
+        # from the center, phi(T) in the tail-mass coordinate
         g = piecewise_constant([(*support, 0.7)])
+        jobs = []
 
         def fn(y):
-            seen.append(np.array(y, dtype=float, copy=True).ravel())
-            return g.fn(y)
+            raise AssertionError("poisson_extend read the datum pointwise")
 
+        def spy(f, js):
+            jobs.extend(js)
+            return integrate_many(f, js)
+
+        monkeypatch.setattr(poisson, "integrate_many", spy)
         pk = PoissonKernelBall(n=1, s=0.4, r=1.0, center=-0.5)
         res = poisson_extend(pk, replace(g, fn=fn), -0.2)
-        assert T < float(np.max(np.abs(np.concatenate(seen) + 0.5))) \
-            <= MAX_TRUNCATION
+        assert jobs and all(job[0] >= phi(T, 0.4) for job in jobs if job[5])
         want, allow = quad_extension(pk, g, -0.2)
         assert abs(res.value - want) <= res.error_bound + allow
 
@@ -294,6 +308,15 @@ class TestBounds:
         assert bound_ratio(UNIT, 0.0, z) == pytest.approx(want, rel=1e-14)
         rep = check_poisson_bounds(UNIT, [0.0], [z])
         assert rep.min_ratio == rep.max_ratio == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [0.25, 0.9])
+    def test_far_samples_stay_finite(self, s):
+        # |z - x|^(1+2s) leaves the floats near 1e110 at s = 0.9, but the
+        # ratio tends to C (1 - x^2)^s as z grows, at r = 1
+        pk = PoissonKernelBall(n=1, s=s, r=1.0)
+        rep = check_poisson_bounds(pk, [0.3], [1e150])
+        want = poisson_constant(1, s) * (1.0 - 0.3 ** 2) ** s
+        assert rep.min_ratio == pytest.approx(want, rel=1e-14)
 
     def test_grid_ratios_finite_and_tame(self):
         xs = np.linspace(-0.49, 0.49, 50)

@@ -584,23 +584,42 @@ class TestBlock:
         assert solve(system) == []
 
     def test_residual_checked_per_column(self):
-        # the leading block has cond ~ 1e16: column 0 leaves a residual as
-        # large as its own norm, which a norm taken over the whole block
-        # (6e12, from column 1) would scale below the 1e-10 threshold
-        a = np.eye(4)
-        a[:2, :2] = [[0.3, 0.7], [0.6, 1.4000000000000001]]
-        b = np.zeros((4, 2))
-        b[:2] = [[1.0, 3e12], [0.5, 6e12]]
-        system = LinearSystem(operator=a, rhs=b, mesh=unit_mesh(),
+        # Wilkinson's matrix doubles its last column at every LU step, so
+        # column 0 leaves a backward error near 3e-7, while column 1, the
+        # matrix times 2^40 ones, solves exactly; a norm taken over the
+        # whole block would scale column 0's residual below 1e-10
+        n = 40
+        a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        a[:, -1] = 1.0
+        b = np.stack([np.sin(np.arange(1.0, n + 1.0)),
+                      a @ np.full(n, 2.0 ** 40)], axis=1)
+        # the exterior mass that makes 2 diag - exterior_mass the row
+        # sums of |a|, as in an assembled system
+        mass = 2.0 * np.diagonal(a) - np.sum(np.abs(a), axis=1)
+        system = LinearSystem(operator=a, rhs=b, mesh=unit_mesh(n),
                               kernel=fractional_kernel(1, 0.5),
-                              exterior=(G13, G13), exterior_mass=np.ones(4),
+                              exterior=(G13, G13), exterior_mass=mass,
                               assembly_error=0.0)
         with pytest.raises(SingularSystem, match="column 0"):
             solve(system)
         (u,) = solve(dataclasses.replace(system, rhs=b[:, 1:],
                                          exterior=(G13,)))
-        assert u.values == pytest.approx([1e13, 0.0, 0.0, 0.0])
+        assert np.array_equal(u.values, np.full(n, 2.0 ** 40))
 
+    @pytest.mark.parametrize("N,dense_max", [(2048, 1024), (1024, 4096)],
+                             ids=["cg", "lu"])
+    def test_small_rhs_beside_a_u_solves(self, monkeypatch, N, dense_max):
+        # far data of -0.6 beyond 6 give a rhs far below A u: the
+        # residual is 2.4e-10 (CG) and 2.0e-10 (LU) of max |b|, but its
+        # backward error stays near 1e-15 on both paths
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", dense_max)
+        system = assemble(fractional_kernel(1, 0.9),
+                          mesh_intervals([(-4.0, 0.0), (0.0, 4.0)], N),
+                          piecewise_constant([], far_value=-0.6,
+                                             far_radius=6.0))
+        assert isinstance(system.operator, np.ndarray) == (N < dense_max)
+        u = solve(system)
+        assert -0.6 < u.values.min() and u.values.max() < 0.0
 
 # two-ball meshes B_2r(x1) u B_2r(x2) with r = 1: touching, separated on
 # the lattice of 32 cells per ball, and separated off it
