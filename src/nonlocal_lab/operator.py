@@ -105,6 +105,8 @@ def piecewise_constant(pieces, far_value: float = 0.0,
         raise DomainViolation(f"{label}: NaN in the pieces or the far part")
     if not np.isfinite([far_value, *(v for _, _, v in pieces)]).all():
         raise DomainViolation(f"{label}: the values must be finite")
+    if not all(hi > lo for lo, hi, _ in pieces):
+        raise DomainViolation(f"{label}: every piece needs hi > lo")
     for (l0, h0, _), (l1, h1, _) in zip(pieces, pieces[1:]):
         if l1 < h0 - 1e-15:
             raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
@@ -192,6 +194,11 @@ def _far_distance(p, s: float, cap: float):
     return (2.0 * s * np.maximum(p, phi(cap, s))) ** (-0.5 / s)
 
 
+def _smooth_power(s: float) -> int:
+    """The least integer m that makes t^2 a power >= 2 of tau = t^((2-2s)/m)."""
+    return int(np.ceil(2.0 - 2.0 * s))
+
+
 def _by_kind(kinds, fns):
     """f(t, j) for integrate_many: the nodes of job j go to fns[kinds[j]]."""
     def f(t, j):
@@ -242,6 +249,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     m2 = u.hess_bound
     s = kernel.s
     alpha = 1.0 / (2.0 - 2.0 * s)
+    beta = _smooth_power(s) * alpha  # z = tau^beta on the near field's tail
     eps = np.finfo(float).eps
     # far-field distances stop at cap, which keeps k d^(1+2s) finite
     cap = MAX_TRUNCATION ** (1.0 / kernel.power)
@@ -276,13 +284,13 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             # c2 * int z^2 K(z) dz, c2 estimated by Richardson at safe scales.
             scale_u = max(abs(ux), u.sup_bound, 1.0)
             noise = 4.0 * eps * scale_u
-            # in tau the noise envelope is noise*env*alpha*tau^(-2 alpha); keep
-            # its integral beyond the cut under tol/4 (a cut past rho = 1 is
-            # clamped below), and keep the cut where signal/noise >= 1e4
+            # the noise envelope noise*env*z^(-1-2s) integrates beyond z to
+            # noise*env*alpha*w^(-expo)/expo, w = z^(2-2s); keep that under
+            # tol/4 (a cut past rho = 1 is clamped below) and signal/noise >= 1e4
             expo = 2.0 * alpha - 1.0
-            tau_budget = min(noise * env * alpha / (expo * 0.25 * tol),
-                             1.0) ** (1.0 / expo)
-            z_lo = max(tau_budget ** alpha, 100.0 * np.sqrt(noise / m2))
+            w_budget = min(noise * env * alpha / (expo * 0.25 * tol),
+                           1.0) ** (1.0 / expo)
+            z_lo = max(w_budget ** alpha, 100.0 * np.sqrt(noise / m2))
             # a break within a few ulps of x is x's own join; flooring z_lo at
             # it would push the Richardson stencils into the cancellation noise
             near_join = 16.0 * eps * max(1.0, abs(x))
@@ -302,8 +310,8 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             else:
                 jobs.append((0.0, z_lo, tol))
                 kinds.append(MASS2)
-            jobs.append((z_lo ** (1.0 / alpha), rho ** (1.0 / alpha), tol,
-                         [zb ** (1.0 / alpha) for zb in zbreaks]))
+            jobs.append((z_lo ** (1.0 / beta), rho ** (1.0 / beta), tol,
+                         [zb ** (1.0 / beta) for zb in zbreaks]))
             kinds.append(NEAR)
             near = (c2, mass2, a1, z_lo, scale_u)
 
@@ -326,9 +334,9 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     jright = kinds == RIGHT
 
     def near_integrand(tau, j):
-        z = tau ** alpha
+        z = tau ** beta
         clipped = np.clip(d2(jx[j], jux[j], z), -m2 * z * z, m2 * z * z)
-        return clipped * kernel.eval_at_distance(z) * alpha * tau ** (alpha - 1.0)
+        return clipped * kernel.eval_at_distance(z) * beta * tau ** (beta - 1.0)
 
     def weighted(z, j):
         return z * z * kernel.eval_at_distance(z)

@@ -23,6 +23,7 @@ from .operator import (
     PointFunction,
     _by_kind,
     _far_distance,
+    _smooth_power,
 )
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
@@ -105,13 +106,14 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
 
     Each exterior side splits at center distance 2r.  The band next to the
     ball uses z = center +- r cosh(t), which turns the boundary singularity
-    into a factor sinh(t)^(1-2s), and integrates in tau = t^(2-2s) (eval_L's
-    near-field substitution), where sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s)
-    dtau, alpha = 1/(2-2s), is smooth down to tau = 0.  The far band runs to
-    infinity in eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r,
-    with the integrand r P v^(1+2s) = amp_x r^(-2s) (1 - 1/v^2)^(-s) r v /
-    |z - x|, free of overflow at any radius.  v stops at V = MAX_TRUNCATION,
-    which moves that factor by at most 3/V and reads no data.
+    into a factor sinh(t)^(1-2s), and integrates in tau = t^((2-2s)/m), m =
+    ceil(2 - 2s) as in eval_L's near field: sinh(t)^(1-2s) dt = m alpha tau^(m-1)
+    (sinh(t)/t)^(1-2s) dtau, alpha = 1/(2-2s), with t^2 = tau^(m/(1-s)) a power
+    >= 2, is C^2 down to tau = 0 for every s.  The far band runs to infinity in
+    eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r, with the
+    integrand r P v^(1+2s) = amp_x r^(-2s) (1 - 1/v^2)^(-s) r v / |z - x|, free
+    of overflow at any radius.  v stops at V = MAX_TRUNCATION, which moves that
+    factor by at most 3/V and reads no data.
     """
     if pk.n != 1:
         raise UnsupportedDimension(
@@ -125,8 +127,8 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c = float(pk._center()[0])
     r, s = pk.r, pk.s
-    expo = 2.0 - 2.0 * s
-    alpha = 1.0 / expo
+    m, expo = _smooth_power(s), 2.0 - 2.0 * s
+    beta = m / expo  # t = tau^beta on the band
     # (kind, side, v, lo, hi, reach) of the band (0) and far (1) integral
     # of each nonzero segment side outside the ball, v = |z - c| / r > 1
     parts = []
@@ -135,8 +137,8 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
         for side, va, vb in ((1.0, a, b), (-1.0, -b, -a)):
             va = max(va, 1.0)
             if v != 0.0 and va < min(vb, 2.0):
-                parts.append((0, side, v, math.acosh(va) ** expo,
-                              math.acosh(min(vb, 2.0)) ** expo, None))
+                parts.append((0, side, v, math.acosh(va) ** (expo / m),
+                              math.acosh(min(vb, 2.0)) ** (expo / m), None))
             if v != 0.0 and max(va, 2.0) < vb:
                 parts.append((1, side, v, phi(vb, s), phi(max(va, 2.0), s),
                               f"({max(va, 2.0) * r:g}, {vb * r:g})"))
@@ -154,11 +156,11 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     kinds, jside = (np.tile([p[i] for p in parts], len(xs)) for i in (0, 1))
 
     def band(tau, j):
-        t = tau ** alpha
+        t = tau ** beta
         dist = np.abs(jside[j] * r * np.cosh(t) - jx[j])
         # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
-        # sinh(t)^(1-2s) dt = alpha (sinh(t)/t)^(1-2s) dtau
-        return (jamp[j] * r ** (1.0 - 2.0 * s) * alpha
+        # sinh(t)^(1-2s) dt = beta tau^(m-1) (sinh(t)/t)^(1-2s) dtau
+        return (jamp[j] * r ** (1.0 - 2.0 * s) * beta * tau ** (m - 1)
                 * (np.sinh(t) / t) ** (1.0 - 2.0 * s) / dist)
 
     def far(p, j):

@@ -138,6 +138,19 @@ class TestExitCodes:
             assert max(abs(v - 1.0) for v in values) < 1e-12
 
     @pytest.mark.parametrize("argv", [
+        "poisson extend --s 0.5 --x 0 --data pieces:3,1,1",
+        "solve1d --s 0.5 --N 4 --data pieces:3,1,1;1,3,1",
+        "solve1d --s 0.5 --N 4 --data pieces:1,1,1",
+    ], ids=["extend-reversed", "solve1d-reversed", "solve1d-empty"])
+    def test_piece_needs_hi_above_lo(self, argv, capsys):
+        # a reversed piece read 0.0 +- 0.0 in the extension, and with its
+        # mirror it passed the overlap check and solved as the mirror alone
+        assert run_main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "hi > lo" in err
+
+    @pytest.mark.parametrize("argv", [
         "solve1d --s 0.5 --domain=abc",
         "solve1d --s 0.5 --domain=1,2,3",
         "harnack run --s 0.5 --data mass --masses 1,x",
@@ -538,23 +551,38 @@ MP_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
 BARRIER_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                  "--grid": ("1", "5", "11"), "--lam": (None, "1", "2"),
                  **GEOMETRY_FLAGS}
+RUN_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
+             "--samples": ("1", "2", "3"), "--seed": (None, "0", "7"),
+             "--masses": (None, "1", "1,100"), "--lam": (None, "1", "2"),
+             **GEOMETRY_FLAGS}
+SWEEP_FLAGS = {"--s-grid": ("0.5", "0.25,0.75", "0.01,0.9"),
+               "--N": ("4", "8", "16"), "--samples": ("1", "2"),
+               "--seed": (None, "0", "7"), "--grid": ("1", "5"),
+               **GEOMETRY_FLAGS}
 
 
 @st.composite
 def solver_or_harnack_argv(draw):
-    """A solve1d, harnack mp or harnack barrier command line whose numeric
-    flags are valid, except up to two that take one of SPECIAL.  The
-    general kernel runs in barrier only: its assembly alone takes 0.5 s."""
-    command = draw(st.sampled_from(["solve1d", "mp", "barrier"]))
+    """A solve1d or harnack {mp,barrier,run,sweep} command line whose
+    numeric flags are valid, except up to two that take one of SPECIAL.
+    The general kernel runs in barrier only: its assembly alone takes
+    0.5 s.  run and sweep draw a data family; N, the sample count and the
+    grid are always given, small, unless drawn from SPECIAL."""
+    command = draw(st.sampled_from(["solve1d", "mp", "barrier", "run",
+                                    "sweep"]))
     kernels = ["frac", "ti"] + ["general"] * (command == "barrier")
     argv = ([] if command == "solve1d" else ["harnack"]) + [
         command, "--kernel=" + draw(st.sampled_from(kernels))]
+    if command in ("run", "sweep"):
+        argv.append("--data=" + draw(st.sampled_from(
+            ["random", "mass", "farneg"])))
     flags = {"solve1d": SOLVE1D_FLAGS, "mp": MP_FLAGS,
-             "barrier": BARRIER_FLAGS}[command]
+             "barrier": BARRIER_FLAGS, "run": RUN_FLAGS,
+             "sweep": SWEEP_FLAGS}[command]
     return draw_flags(draw, argv, flags)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=250, deadline=None)
 @given(solver_or_harnack_argv())
 def test_solver_and_harnack_json_contract(argv):
     check_json_contract(argv, (0, 3, 4) if argv[0] == "solve1d"

@@ -1,5 +1,6 @@
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -205,6 +206,15 @@ class TestTail:
         far0 = piecewise_constant([], far_value=1.0, far_radius=0.0)
         assert segment_tail(far0.segments(), 0.0, 0.5, 0.5) == pytest.approx(
             2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("pieces", [[(3.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)],
+                                        [(3.0, 1.0, 1.0), (1.0, 3.0, 1.0)],
+                                        [(np.inf, np.inf, 1.0)]],
+                             ids=["reversed", "empty", "mirrored", "inf"])
+    def test_piece_needs_hi_above_lo(self, pieces):
+        # as indicator requires; both routes read a reversed piece as empty
+        with pytest.raises(DomainViolation, match="hi > lo"):
+            piecewise_constant(pieces)
 
     @pytest.mark.parametrize("pieces,far_value,far_radius", [
         ([(np.nan, 2.0, 1.0)], 0.0, None), ([(1.0, 2.0, np.nan)], 0.0, None),
@@ -648,3 +658,68 @@ class TestArrayPoints:
         res = eval_L(fractional_kernel(1, 0.5), barrier_w2(CONFIG),
                      np.array([]))
         assert res.value.shape == (0,)
+
+
+def w2_mpmath(s, x, config=CONFIG):
+    """L w2(x) under the fractional kernel by mpmath at 30 digits,
+    2 int_0^inf D2(z) z^(-1-2s) dz split at the distances from x to w2's
+    joins.  Below the first of them D2 is the exact Taylor polynomial
+    -w2''(x) z^2 - w2''''(x) z^4 / 12 of w2's quintic around x (zero where
+    w2 is constant there); beyond the last only 2 w2(x) is left."""
+    with mpmath.workdps(30):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        x1, r = mpmath.mpf(float(config.x1[0])), mpmath.mpf(config.r)
+
+        def w2(y):
+            t = min(max(2 * abs(y - x1) / r - 1, 0), 1)
+            return 1 - t ** 3 * (10 - 15 * t + 6 * t * t)
+
+        t = 2 * abs(x - x1) / r - 1
+        u2, u4 = ((-(120 * t ** 3 - 180 * t ** 2 + 60 * t) * (2 / r) ** 2,
+                   -(720 * t - 360) * (2 / r) ** 4) if 0 < t < 1 else (0, 0))
+        zs = sorted(abs(e - x) for e in (x1 - r, x1 - r / 2, x1 + r / 2,
+                                         x1 + r))
+        near = mpmath.quad(lambda z: -(u2 * z ** 2 + u4 * z ** 4 / 12)
+                           * z ** (-1 - 2 * s), [0, zs[0]])
+        mid = mpmath.quad(lambda z: (2 * w2(x) - w2(x + z) - w2(x - z))
+                          * z ** (-1 - 2 * s), zs)
+        tail = 2 * w2(x) * zs[-1] ** (-2 * s) / (2 * s)
+        return float(2 * (near + mid + tail))
+
+
+class TestNearFieldBelowOneHalf:
+    """Below s = 1/2 the near field's tail job runs in tau = z^((2-2s)/2),
+    which keeps its integrand C^2 at tau = 0; z_lo, the Richardson model
+    and the noise budget stay as they are in z."""
+
+    # at least r/8 from the joins x1 +- r/2 and x1 +- r: on the plateau,
+    # on the ramps and outside B_r(x1)
+    POINTS = np.array([-2.75, -2.3, -2.0, -1.3, -0.6])
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    def test_w2_against_mpmath(self, s):
+        got = eval_L(fractional_kernel(1, s), barrier_w2(CONFIG), self.POINTS)
+        for x, value, bound in zip(self.POINTS, got.value, got.error_bound):
+            want = w2_mpmath(s, x)
+            assert abs(value - want) <= bound + 1e-15 * max(1.0, abs(want)), x
+
+    def test_continuous_at_one_half(self):
+        below, at = (eval_L(fractional_kernel(1, s), barrier_w2(CONFIG),
+                            self.POINTS) for s in (0.5 - 1e-9, 0.5))
+        assert np.all(np.abs(below.value - at.value)
+                      <= below.error_bound + at.error_bound + 1e-6)
+
+    def test_panels_at_a_quarter(self, panel_count):
+        # the parent substitution tau = z^(2-2s) needed 1.9 times the
+        # panels of s = 1/2 at s = 1/4 on the barrier grid
+        counts = []
+        for s in (0.25, 0.5):
+            start = panel_count()
+            eval_L(fractional_kernel(1, s), barrier_w2(CONFIG), ball1_grid())
+            counts.append(panel_count() - start)
+        assert counts[0] <= 1.5 * counts[1]
+
+    def test_path_above_one_half_is_pinned(self):
+        res = eval_L(fractional_kernel(1, 0.9), barrier_w2(CONFIG), -2.3)
+        assert (res.value, res.error_bound) == (6.336009721069164,
+                                                1.8042362167219878e-08)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -379,3 +380,76 @@ class TestArrayPoints:
     def test_a_nan_point_raises(self):
         with pytest.raises(DomainViolation, match="nan"):
             poisson_extend(UNIT, constant(1.0), np.array([0.0, np.nan, 0.5]))
+
+
+def mp_extension(s, x, pieces):
+    """P[g](x) on the unit ball by mpmath at 30 digits, from the kernel
+    sin(pi s)/pi (1 - x^2)^s (z^2 - 1)^(-s) / |z - x| on finite pieces
+    outside it.  A piece's z is sigma (a + w), a >= 1 the center distance
+    of its end nearer the ball, so z^2 - 1 = (a - 1 + w)(a + 1 + w) carries
+    no cancellation; w = u^p, p = 1/(1-s), absorbs the w^(-s) singularity
+    at the ball, and u splits geometrically toward 0, where |z - x| is
+    smallest."""
+    with mpmath.workdps(30):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        p = 1 / (1 - s)
+        total = 0
+        for lo, hi, v in pieces:
+            sigma, a, b = (1, lo, hi) if lo >= 1.0 else (-1, -hi, -lo)
+            a, width = mpmath.mpf(a), mpmath.mpf(b) - mpmath.mpf(a)
+
+            def kernel(u):
+                w = u ** p
+                return (p * u ** (p - 1) * ((a - 1 + w) * (a + 1 + w)) ** -s
+                        / (a + w - sigma * x))
+
+            total += v * mpmath.quad(kernel, [f * width ** (1 / p) for f in
+                                              (0, 1e-6, 1e-4, 1e-2, 1)])
+        return float(mpmath.sin(mpmath.pi * s) / mpmath.pi
+                     * (1 - x * x) ** s * total)
+
+
+class TestBelowOneHalf:
+    """Below s = 1/2 the band runs in tau = t^((2-2s)/2), which keeps its
+    integrand C^2 at the ball: values against mpmath, the step to s = 1/2,
+    the panels it saves, and a pin of the s >= 1/2 path."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.25, 0.45])
+    @pytest.mark.parametrize("data", ["pieces:-4,-1.5,2;1,3,1",
+                                      "pieces:1,1.0000000001,1",
+                                      "pieces:-1.0000000001,-1,1"],
+                             ids=["two-sided", "thin-right", "thin-left"])
+    def test_against_mpmath(self, s, data):
+        g = parse_data(data)
+        xs = np.array([0.0, 0.9, 0.999])
+        got = poisson_extend(PoissonKernelBall(n=1, s=s, r=1.0), g, xs)
+        for x, value, bound in zip(xs, got.value, got.error_bound):
+            want = mp_extension(s, x, g.pieces)
+            assert math.isfinite(want)
+            assert abs(value - want) <= bound + 1e-15 * max(1.0, abs(want)), x
+
+    @pytest.mark.parametrize("x", [-0.999, -0.5, 0.0, 0.9, 0.999])
+    def test_continuous_at_one_half(self, x):
+        g = parse_data("pieces:-4,-1.5,2;1,3,1;3,inf,0.5")
+        below, at = (poisson_extend(PoissonKernelBall(n=1, s=s, r=1.0), g, x)
+                     for s in (0.5 - 1e-9, 0.5))
+        assert abs(below.value - at.value) <= (below.error_bound
+                                               + at.error_bound + 1e-6)
+
+    def test_panels_at_a_quarter(self, panel_count):
+        # the parent substitution tau = t^(2-2s) needed 5.9 times the
+        # panels of s = 1/2 at s = 1/4 on these centers
+        g = parse_data("pieces:-3,-1,1;1,2,0.5;2,5,0.25")
+        centers = mesh_intervals([(-1.0, 1.0)], 128).centers
+        counts = []
+        for s in (0.25, 0.5):
+            start = panel_count()
+            poisson_extend(PoissonKernelBall(n=1, s=s, r=1.0), g, centers)
+            counts.append(panel_count() - start)
+        assert counts[0] <= 1.5 * counts[1]
+
+    def test_path_above_one_half_is_pinned(self):
+        res = poisson_extend(PoissonKernelBall(n=1, s=0.75, r=1.0),
+                             parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
+        assert (res.value, res.error_bound) == (0.7239600688217906,
+                                                1.22855108621045e-13)
