@@ -143,8 +143,8 @@ class TestExitCodes:
         "solve1d --s 0.5 --N 4 --data pieces:1,1,1",
     ], ids=["extend-reversed", "solve1d-reversed", "solve1d-empty"])
     def test_piece_needs_hi_above_lo(self, argv, capsys):
-        # a reversed piece read 0.0 +- 0.0 in the extension, and with its
-        # mirror it passed the overlap check and solved as the mirror alone
+        # both routes would read a reversed piece as empty, and with its
+        # mirror it would pass the overlap check as the mirror alone
         assert run_main(argv.split()) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

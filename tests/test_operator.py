@@ -212,7 +212,7 @@ class TestTail:
                                         [(np.inf, np.inf, 1.0)]],
                              ids=["reversed", "empty", "mirrored", "inf"])
     def test_piece_needs_hi_above_lo(self, pieces):
-        # as indicator requires; both routes read a reversed piece as empty
+        # as indicator requires: both routes would read it as empty
         with pytest.raises(DomainViolation, match="hi > lo"):
             piecewise_constant(pieces)
 
@@ -710,8 +710,8 @@ class TestNearFieldBelowOneHalf:
                       <= below.error_bound + at.error_bound + 1e-6)
 
     def test_panels_at_a_quarter(self, panel_count):
-        # the parent substitution tau = z^(2-2s) needed 1.9 times the
-        # panels of s = 1/2 at s = 1/4 on the barrier grid
+        # with m = 1 at every s, s = 1/4 takes 1.9 times the panels of
+        # s = 1/2 on the barrier grid
         counts = []
         for s in (0.25, 0.5):
             start = panel_count()

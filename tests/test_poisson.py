@@ -437,8 +437,8 @@ class TestBelowOneHalf:
                                                + at.error_bound + 1e-6)
 
     def test_panels_at_a_quarter(self, panel_count):
-        # the parent substitution tau = t^(2-2s) needed 5.9 times the
-        # panels of s = 1/2 at s = 1/4 on these centers
+        # with m = 1 at every s, s = 1/4 takes 5.9 times the panels of
+        # s = 1/2 on these centers
         g = parse_data("pieces:-3,-1,1;1,2,0.5;2,5,0.25")
         centers = mesh_intervals([(-1.0, 1.0)], 128).centers
         counts = []
