@@ -90,7 +90,6 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
 def _add_kernel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="frac",
                    choices=("frac", "ti", "general"))
-    p.add_argument("--lam", type=_number, default=None)
     p.add_argument("--normalize-1ms", action="store_true",
                    help="use the vanishing-order normalization")
 
@@ -122,8 +121,7 @@ def _build_config(args):
 
 
 def _build_kernel(args, s: float):
-    return make_kernel(args.kernel, 1, s, lam=args.lam,
-                       one_minus_s=args.normalize_1ms)
+    return make_kernel(args.kernel, 1, s, one_minus_s=args.normalize_1ms)
 
 
 def parse_data(text: str):

@@ -1,13 +1,14 @@
-"""Symmetric jump kernels with two-sided ellipticity.
+"""Symmetric jump kernels on the line with two-sided ellipticity.
 
-Three families share one descriptor: the pure power kernel ("fractional"),
-translation-invariant kernels given by a radial profile K(|z|), and general
-symmetric kernels given by a pair callable k(x, y).  The optional
-one-minus-s normalization multiplies the kernel by (1 - s); it keeps the
-operator meaningful as s -> 1 and is what the robustness sweeps use.
+A kernel is fixed by what it carries.  With no callable it is the pure
+power kernel ("fractional"); a radial profile K(|z|) makes it
+translation-invariant; a pair callable k(x, y) makes it general.  The
+optional one-minus-s normalization multiplies the kernel by (1 - s); it
+keeps the operator meaningful as s -> 1 and is what the robustness sweeps
+use.
 
 Kernel values are absolute (not relative to the power envelope); ellipticity
-means k(x,y) * |x-y|^(n+2s) / norm_factor lies in [1/lam, lam].
+means k(x,y) * |x-y|^(1+2s) / norm_factor lies in [1/lam, lam].
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParseError, DiagonalEvaluation
-
-FAMILIES = ("fractional", "translation-invariant", "general")
+from .errors import ConfigParseError, DiagonalEvaluation, UnsupportedDimension
 
 
 @dataclass(frozen=True)
 class Kernel:
-    n: int
     s: float
     lam: float = 1.0
-    family: str = "fractional"
-    normalization: str = "plain"
+    one_minus_s: bool = False
     profile: Callable | None = None  # |z| -> K(|z|), translation-invariant family
     pair_fn: Callable | None = None  # (x, y) -> k(x, y), general family
 
@@ -38,18 +35,19 @@ class Kernel:
         if not 1.0 <= self.lam < np.inf:
             raise ConfigParseError(
                 f"lam must be >= 1 and finite, got {self.lam}")
-        if self.family not in FAMILIES:
-            raise ConfigParseError(f"unknown kernel family {self.family!r}")
-        if self.normalization not in ("plain", "one-minus-s"):
-            raise ConfigParseError(f"unknown normalization {self.normalization!r}")
-        if self.family == "translation-invariant" and self.profile is None:
-            raise ConfigParseError("translation-invariant family needs a profile")
-        if self.family == "general" and self.pair_fn is None:
-            raise ConfigParseError("general family needs a pair callable")
+        if self.profile is not None and self.pair_fn is not None:
+            raise ConfigParseError(
+                "a kernel carries a profile or a pair callable, not both")
+
+    @property
+    def family(self) -> str:
+        if self.profile is not None:
+            return "translation-invariant"
+        return "fractional" if self.pair_fn is None else "general"
 
     @property
     def norm_factor(self) -> float:
-        return 1.0 - self.s if self.normalization == "one-minus-s" else 1.0
+        return 1.0 - self.s if self.one_minus_s else 1.0
 
     @property
     def scale(self) -> float:
@@ -58,15 +56,15 @@ class Kernel:
 
     @property
     def translation_invariant(self) -> bool:
-        return self.family in ("fractional", "translation-invariant")
+        return self.pair_fn is None
 
     @property
     def power(self) -> float:
         """Exponent of the envelope |x - y|^(-power)."""
-        return self.n + 2.0 * self.s
+        return 1.0 + 2.0 * self.s
 
     def upper_envelope(self) -> float:
-        """Constant A with k(x,y) <= A * |x-y|^(-n-2s), from ellipticity."""
+        """Constant A with k(x,y) <= A * |x-y|^(-1-2s), from ellipticity."""
         return self.lam * self.norm_factor
 
     def eval_at_distance(self, d):
@@ -74,25 +72,26 @@ class Kernel:
         d = np.asarray(d, dtype=float)
         if np.any(d <= 0):
             raise DiagonalEvaluation("kernel evaluated at zero separation")
-        if self.family == "fractional":
-            return self.norm_factor * d ** (-self.power)
-        if self.family == "translation-invariant":
+        if self.pair_fn is not None:
+            raise DiagonalEvaluation(
+                "general kernels are not radial; use eval_pairs")
+        if self.profile is not None:
             return self.norm_factor * self.profile(d)
-        raise DiagonalEvaluation("general kernels are not radial; use eval_pairs")
+        return self.norm_factor * d ** (-self.power)
 
     def eval_pairs(self, x, y):
-        """Vectorized k(x, y) for coordinate arrays (n = 1)."""
+        """Vectorized k(x, y) for coordinate arrays."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         d = np.abs(x - y)
         if np.any(d == 0):
             raise DiagonalEvaluation("kernel evaluated on the diagonal x = y")
-        if self.family == "general":
+        if self.pair_fn is not None:
             return self.norm_factor * self.pair_fn(x, y)
         return self.eval_at_distance(d)
 
     def tag(self) -> str:
-        norm = "" if self.normalization == "plain" else ",1-s"
+        norm = ",1-s" if self.one_minus_s else ""
         return f"{self.family}(s={self.s:g},lam={self.lam:g}{norm})"
 
 
@@ -103,14 +102,22 @@ def phi(t, s: float):
     return t ** (-2.0 * s) / (2.0 * s)
 
 
-def fractional_kernel(n: int, s: float, lam: float = 1.0, one_minus_s: bool = False) -> Kernel:
-    """|x-y|^(-n-2s), exactly; lam only widens the declared envelope."""
-    return Kernel(n=int(n), s=float(s), lam=float(lam), family="fractional",
-                  normalization="one-minus-s" if one_minus_s else "plain")
+def _check_line(n: int) -> None:
+    if n != 1:
+        raise UnsupportedDimension(f"kernels are implemented for n = 1 only, "
+                                   f"got n = {n}")
 
 
-def ti_demo_kernel(s: float, lam: float = 1.5, one_minus_s: bool = False) -> Kernel:
-    """Oscillating translation-invariant demo: (1 + z^2/(2(1+z^2))) |z|^(-1-2s)."""
+def fractional_kernel(n: int, s: float, one_minus_s: bool = False) -> Kernel:
+    """|x-y|^(-1-2s), exactly (lam = 1).  The kernels live on the line, so
+    any n but 1 raises UnsupportedDimension."""
+    _check_line(n)
+    return Kernel(s=float(s), one_minus_s=one_minus_s)
+
+
+def ti_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
+    """Oscillating translation-invariant demo, lam = 1.5:
+    (1 + z^2/(2(1+z^2))) |z|^(-1-2s)."""
     power = 1.0 + 2.0 * float(s)
 
     def profile(d):
@@ -118,12 +125,11 @@ def ti_demo_kernel(s: float, lam: float = 1.5, one_minus_s: bool = False) -> Ker
         q = np.minimum(d, 1e150) ** 2  # finite; past 1e8 the factor is 1.5
         return (1.0 + 0.5 * q / (1.0 + q)) * d ** (-power)
 
-    return Kernel(n=1, s=float(s), lam=float(lam), family="translation-invariant",
-                  normalization="one-minus-s" if one_minus_s else "plain", profile=profile)
+    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s, profile=profile)
 
 
-def general_demo_kernel(s: float, lam: float = 1.5, one_minus_s: bool = False) -> Kernel:
-    """Anisotropic symmetric demo: (1 + sin(x+y)^2 / 2) |x-y|^(-1-2s)."""
+def general_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
+    """Anisotropic symmetric demo, lam = 1.5: (1 + sin(x+y)^2 / 2) |x-y|^(-1-2s)."""
     power = 1.0 + 2.0 * float(s)
 
     def pair(x, y):
@@ -131,21 +137,18 @@ def general_demo_kernel(s: float, lam: float = 1.5, one_minus_s: bool = False) -
         y = np.asarray(y, dtype=float)
         return (1.0 + 0.5 * np.sin(x + y) ** 2) * np.abs(x - y) ** (-power)
 
-    return Kernel(n=1, s=float(s), lam=float(lam), family="general",
-                  normalization="one-minus-s" if one_minus_s else "plain", pair_fn=pair)
+    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s, pair_fn=pair)
 
 
-def make_kernel(family: str, n: int, s: float, lam: float | None = None,
+def make_kernel(family: str, n: int, s: float,
                 one_minus_s: bool = False) -> Kernel:
-    """Factory behind the CLI flags --kernel {frac|ti|general}."""
-    if family in ("frac", "fractional"):
-        return fractional_kernel(n, s, lam if lam is not None else 1.0, one_minus_s)
+    """Factory behind the CLI flags --kernel {frac|ti|general}; any n but 1
+    raises UnsupportedDimension."""
+    _check_line(n)
+    if family == "frac":
+        return fractional_kernel(n, s, one_minus_s)
     if family == "ti":
-        if n != 1:
-            raise ConfigParseError("ti demo kernel is 1d")
-        return ti_demo_kernel(s, lam if lam is not None else 1.5, one_minus_s)
+        return ti_demo_kernel(s, one_minus_s)
     if family == "general":
-        if n != 1:
-            raise ConfigParseError("general demo kernel is 1d")
-        return general_demo_kernel(s, lam if lam is not None else 1.5, one_minus_s)
+        return general_demo_kernel(s, one_minus_s)
     raise ConfigParseError(f"unknown kernel family {family!r}")

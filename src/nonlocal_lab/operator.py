@@ -305,7 +305,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
             mass2 = None
             if kernel.family == "fractional":
-                mass2 = env / kernel.lam \
+                mass2 = kernel.norm_factor \
                     * z_lo ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
             else:
                 jobs.append((0.0, z_lo, tol))

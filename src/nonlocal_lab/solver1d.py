@@ -74,7 +74,6 @@ from .errors import (
     ConfigError,
     ConfigParseError,
     SingularSystem,
-    UnsupportedDimension,
 )
 from .geometry import Mesh1D
 from .kernel import Kernel, phi
@@ -366,8 +365,8 @@ def _overlap_mass(kernel: Kernel, d0, h: float, width: float, gamma: float,
     d0 = np.asarray(d0, dtype=float)
     rem = np.zeros_like(d0)
     if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
-        return _banded_mass(amp, kernel.s, d0, h, width, gamma), 0.0, rem
+        return (_banded_mass(kernel.norm_factor, kernel.s, d0, h, width,
+                             gamma), 0.0, rem)
     if not np.isfinite(width):
         width = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), 2.0 * span)
         rem = h * kernel.upper_envelope() * phi(d0 + width, kernel.s)
@@ -401,12 +400,11 @@ def _band_moment(kernel: Kernel, gaps, gamma: float,
     gaps = np.asarray(gaps, dtype=float)
     s = kernel.s
     if kernel.family == "fractional":
-        amp = float(kernel.eval_at_distance(1.0))
         a = (gamma ** (3.0 - 2.0 * s)
              - gaps ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
         b = gaps * (gamma ** (2.0 - 2.0 * s)
                     - gaps ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
-        return amp * (a - b), 0.0
+        return kernel.norm_factor * (a - b), 0.0
 
     def band_m2(t):
         t = t[:, None]
@@ -576,8 +574,6 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     constant raises ConfigParseError before any coupling is computed.
     rhs, the source f, is one constant shared by all columns.
     """
-    if kernel.n != 1:
-        raise UnsupportedDimension("the solver is implemented for n = 1 only")
     check_tol(tol)
     if not np.isfinite(rhs):
         raise ConfigParseError(f"rhs must be finite, got {rhs}")

@@ -175,9 +175,27 @@ class TestExitCodes:
         "harnack mp --s 0.5 --N x",
         "harnack barrier --s 0.5 --grid=nan",
         "harnack run --s 0.5 --samples=1e300",
+        "selftest --seed x",
+        "selftest --seed 1e300",
+        # degenerate or overlapping intervals and pieces
+        "solve1d --s 0.5 --domain=1,1",
+        "solve1d --s 0.5 --domain=-1,1;0,2",
+        "solve1d --s 0.5 --data pieces:1,3,1;2,4,1",
+        "poisson extend --s 0.5 --data indicator:3,1",
+        # a config file with a 2-d point at n = 1, and with n = x
+        "harnack run --s 0.5 --config {point_2d}",
+        "harnack run --s 0.5 --config {n_x}",
+        # points too far out for the barrier's breaks
+        "evalL --s 0.5 --barrier w2 --x 1e17",
+        "evalL --s 0.5 --barrier w2 --x 1e300",
     ])
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
-        argv = argv.format(missing=tmp_path / "missing.cfg").split()
+        paths = {"missing": tmp_path / "missing.cfg"}
+        for name, head in (("point_2d", "n = 1\nx1 = -2, 0\n"),
+                           ("n_x", "n = x\nx1 = -2\n")):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(head + "x2 = 2\nr = 1\nR = 16\n")
+        argv = argv.format(**paths).split()
         assert run_main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -215,8 +233,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         "harnack run --s 0.5 --N 16 --samples 2 --R inf --format csv",
-        "solve1d --s 0.5 --N 8 --kernel ti --lam inf",
-        "solve1d --s 0.5 --N 8 --kernel ti --lam nan",
         "solve1d --s 0.5 --N 8 --rhs nan",
         "solve1d --s 0.5 --N 8 --rhs=-inf",
         "harnack run --s 0.5 --N 16 --samples 2 --data mass --masses=inf",
@@ -227,6 +243,20 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
         assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "evalL --s 0.5 --barrier w1 --x -2",
+        "solve1d --s 0.5",
+        "harnack run --s 0.5",
+        "harnack sweep",
+        "harnack mp --s 0.5",
+        "harnack barrier --s 0.5",
+    ])
+    def test_lam_is_not_a_flag(self, argv):
+        # each kernel fixes its own ellipticity constant
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args([*argv.split(), "--lam", "2"])
+        assert err.value.code == 2
 
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
         def boom(args):
@@ -471,8 +501,7 @@ SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e300", "x")
 EVALL_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                "--x": ("-2.5", "-2", "-1.2", "0.5", "2.4"),
                "--tol": (None, "1e-8", "1e-4"), "--x1": (None, "-2"),
-               "--x2": (None, "2"), "--r": (None, "1"), "--R": (None, "16"),
-               "--lam": (None, "1", "2")}
+               "--x2": (None, "2"), "--r": (None, "1"), "--R": (None, "16")}
 POISSON_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                  "--r": (None, "1", "2"), "--center": (None, "0", "0.5"),
                  "--x": (None, "0", "0.3"), "--z": (None, "2", "5"),
@@ -543,17 +572,16 @@ SOLVE1D_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                  "--domain": (None, "-1,1", "-4,0;0,4"),
                  "--data": (None, "indicator:1,3", "const:1", "far:-0.6,6",
                             "pieces:1,inf,1"),
-                 "--rhs": (None, "0", "1"), "--tol": (None, "1e-10", "1e-6"),
-                 "--lam": (None, "1", "2")}
+                 "--rhs": (None, "0", "1"), "--tol": (None, "1e-10", "1e-6")}
 MP_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
-            "--magnitude": (None, "1", "10"), "--lam": (None, "1", "2"),
+            "--magnitude": (None, "1", "10"),
             **GEOMETRY_FLAGS}
 BARRIER_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
-                 "--grid": ("1", "5", "11"), "--lam": (None, "1", "2"),
+                 "--grid": ("1", "5", "11"),
                  **GEOMETRY_FLAGS}
 RUN_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
              "--samples": ("1", "2", "3"), "--seed": (None, "0", "7"),
-             "--masses": (None, "1", "1,100"), "--lam": (None, "1", "2"),
+             "--masses": (None, "1", "1,100"),
              **GEOMETRY_FLAGS}
 SWEEP_FLAGS = {"--s-grid": ("0.5", "0.25,0.75", "0.01,0.9"),
                "--N": ("4", "8", "16"), "--samples": ("1", "2"),
@@ -587,3 +615,14 @@ def solver_or_harnack_argv(draw):
 def test_solver_and_harnack_json_contract(argv):
     check_json_contract(argv, (0, 3, 4) if argv[0] == "solve1d"
                         else (0, 1, 3, 4))
+
+
+def test_selftest_report(tmp_path):
+    out = tmp_path / "report.txt"
+    code = run_main(["selftest", "--seed", "0", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    criteria = [ln for ln in lines if ln.startswith("criterion ")]
+    assert [ln.split()[1] for ln in criteria] == [str(i) for i in range(1, 10)]
+    assert criteria[-1].startswith("criterion 9 (reproducibility): PASS")
+    assert code in (0, 1)
+    assert (code == 0) == (lines[-1] == "9 of 9 criteria passed")

@@ -1,8 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nonlocal_lab.errors import ConfigParseError, DiagonalEvaluation
+from nonlocal_lab.errors import (
+    ConfigParseError,
+    DiagonalEvaluation,
+    UnsupportedDimension,
+)
 from nonlocal_lab.kernel import (
     Kernel,
     fractional_kernel,
@@ -111,11 +117,36 @@ class TestConstruction:
 
     def test_lambda_below_one_rejected(self):
         with pytest.raises(ConfigParseError):
-            fractional_kernel(1, 0.5, lam=0.5)
+            Kernel(s=0.5, lam=0.5)
 
     def test_ti_needs_profile(self):
+        # the family follows from the callable a kernel carries
+        def power(d):
+            return d ** -2.0
+
+        assert Kernel(s=0.5).family == "fractional"
+        assert Kernel(s=0.5, profile=power).family == "translation-invariant"
+        assert Kernel(s=0.5, pair_fn=lambda x, y: power(abs(x - y))).family \
+            == "general"
         with pytest.raises(ConfigParseError):
-            Kernel(n=1, s=0.5, family="translation-invariant")
+            Kernel(s=0.5, profile=power, pair_fn=lambda x, y: 1.0)
+
+    @pytest.mark.parametrize("family", ["frac", "ti", "general"])
+    def test_kernels_live_on_the_line(self, family):
+        with pytest.raises(UnsupportedDimension):
+            make_kernel(family, 2, 0.5)
+        with pytest.raises(UnsupportedDimension):
+            fractional_kernel(2, 0.5)
+
+    def test_fields_are_what_a_kernel_carries(self):
+        assert [f.name for f in fields(Kernel)] == [
+            "s", "lam", "one_minus_s", "profile", "pair_fn"]
+        assert [make_kernel(f, 1, 0.5, one_minus_s=oms).tag()
+                for f in ("frac", "ti", "general") for oms in (False, True)] \
+            == ["fractional(s=0.5,lam=1)", "fractional(s=0.5,lam=1,1-s)",
+                "translation-invariant(s=0.5,lam=1.5)",
+                "translation-invariant(s=0.5,lam=1.5,1-s)",
+                "general(s=0.5,lam=1.5)", "general(s=0.5,lam=1.5,1-s)"]
 
     def test_factory_matches_flag_names(self):
         assert make_kernel("frac", 1, 0.5).family == "fractional"

@@ -250,7 +250,7 @@ class TestCouplingOracle:
         def kfun(x, y):
             return (1.0 + 0.4 * np.tanh(x + y)) * np.abs(x - y) ** -2.0
 
-        k = Kernel(n=1, s=0.5, lam=2.0, family="general", pair_fn=kfun)
+        k = Kernel(s=0.5, lam=2.0, pair_fn=kfun)
         mesh = unit_mesh()
         system = assemble(k, mesh, indicator(lo, hi))
         ref, _ = quad(lambda x: quad(lambda y: kfun(x, y), lo, hi)[0],
@@ -717,8 +717,8 @@ class TestDualRoutes:
         s = 0.6
         kf = fractional_kernel(1, s)
         amp = float(kf.eval_at_distance(1.0))
-        kt = Kernel(n=1, s=s, lam=1.0, family="translation-invariant",
-                    profile=lambda d: amp * np.asarray(d) ** (-1.0 - 2.0 * s))
+        kt = Kernel(s=s, profile=lambda d:
+                    amp * np.asarray(d) ** (-1.0 - 2.0 * s))
         # a non-dyadic mesh has fewer distinct gaps than cell pairs, so the
         # shared error estimate is charged from a smaller overlap integral
         for mesh in (unit_mesh(8), unit_mesh(100)):
@@ -734,13 +734,43 @@ class TestDualRoutes:
         s = 0.6
         kf = fractional_kernel(1, s)
         amp = float(kf.eval_at_distance(1.0))
-        kg = Kernel(n=1, s=s, lam=1.0, family="general",
-                    pair_fn=lambda x, y: amp * np.abs(x - y) ** (-1.0 - 2.0 * s))
+        kg = Kernel(s=s, pair_fn=lambda x, y:
+                    amp * np.abs(x - y) ** (-1.0 - 2.0 * s))
         s1 = assemble(kf, unit_mesh(), G13)
         s2 = assemble(kg, unit_mesh(), G13)
         assert s2.assembly_error < 1e-3
         assert np.max(np.abs(s1.matrix - s2.matrix)) <= s2.assembly_error
         assert np.max(np.abs(s1.rhs - s2.rhs)) <= s2.assembly_error
+
+    def test_ti_exterior_mass_within_assembly_error(self):
+        # E_i of the built-in TI kernel, truncated 2e4 past the domain,
+        # against nested quad of the tail mass T(d) = int_d^inf K: the
+        # truncated tail is charged at the envelope lam = 1.5, which the
+        # profile's factor approaches there, so this bound is nearly tight
+        kernel = ti_demo_kernel(0.25)
+        mesh = unit_mesh(16)
+        system = assemble(kernel, mesh, G13)
+        gamma = BAND_FRACTION * float(mesh.widths[0])
+
+        def k(t):
+            return float(kernel.eval_at_distance(t))
+
+        total = quad(k, gamma, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
+
+        def tail(d):  # banded: the band |x - y| < gamma is excluded
+            return total - quad(k, gamma, max(d, gamma), epsabs=1e-13,
+                                epsrel=1e-13)[0]
+
+        def right(lo, hi):  # the cell (lo, hi) against (1, inf)
+            cuts = [lo, *[c for c in (1.0 - gamma,) if lo < c < hi], hi]
+            return sum(quad(lambda x: tail(1.0 - x), a, b, epsabs=1e-12,
+                            epsrel=1e-12)[0] for a, b in zip(cuts, cuts[1:]))
+
+        # the mesh is symmetric: (-inf, -1) mirrors (1, inf)
+        R = np.array([right(lo, hi)
+                      for lo, hi in zip(mesh.lo.tolist(), mesh.hi.tolist())])
+        E = system.exterior_mass / 2.0
+        assert np.sum(np.abs(E - (R + R[::-1]))) <= system.assembly_error
 
     def test_ti_demo_solve(self):
         system = assemble(ti_demo_kernel(0.5), unit_mesh(8), G13)
