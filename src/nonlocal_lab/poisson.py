@@ -74,7 +74,7 @@ class PoissonKernelBall:
         d = math.dist(np.atleast_1d(np.asarray(x, dtype=float)), self._center())
         if not d * d < np.inf:
             raise DomainViolation(f"|x - center|^2 is not finite at x = {x}")
-        return self.r * self.r - d * d
+        return (self.r - d) * (self.r + d)  # exact next to the sphere
 
 
 def _pair(pk: PoissonKernelBall, x, y) -> tuple[float, float, float]:
@@ -154,10 +154,12 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
             jamp.append(amp[kind])
     jx, jamp = np.repeat(np.array(xs) - c, len(parts)), np.array(jamp)
     kinds, jside = (np.tile([p[i] for p in parts], len(xs)) for i in (0, 1))
+    jnear = r - jside * jx  # |z - x| at the sphere, exact next to it
 
     def band(tau, j):
         t = tau ** beta
-        dist = np.abs(jside[j] * r * np.cosh(t) - jx[j])
+        # |z - x| = r cosh(t) - side (x - c), with cosh(t) - 1 as a sinh^2
+        dist = jnear[j] + 2.0 * r * np.sinh(0.5 * t) ** 2
         # dz = r sinh dt against (r sinh)^(-2s) from the kernel, and
         # sinh(t)^(1-2s) dt = beta tau^(m-1) (sinh(t)/t)^(1-2s) dtau
         return (jamp[j] * r ** (1.0 - 2.0 * s) * beta * tau ** (m - 1)

@@ -428,6 +428,20 @@ class TestBelowOneHalf:
             assert math.isfinite(want)
             assert abs(value - want) <= bound + 1e-15 * max(1.0, abs(want)), x
 
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.25, 0.45, 0.5, 0.75, 0.9,
+                                   0.99])
+    @pytest.mark.parametrize("data", ["pieces:1,1.0000000001,1",
+                                      "pieces:-1.0000000001,-1,1"],
+                             ids=["thin-right", "thin-left"])
+    def test_bound_holds_next_to_the_edge(self, s, data):
+        # |z - x| and r^2 - |x - c|^2 cancel next to the sphere unless
+        # they are formed from r - |x - c|; the bound must see no rounding
+        g = parse_data(data)
+        xs = np.array([-0.9999999, -0.999, -0.9, 0.9, 0.999, 0.9999999])
+        got = poisson_extend(PoissonKernelBall(n=1, s=s, r=1.0), g, xs)
+        for x, value, bound in zip(xs, got.value, got.error_bound):
+            assert abs(value - mp_extension(s, x, g.pieces)) <= bound, x
+
     @pytest.mark.parametrize("x", [-0.999, -0.5, 0.0, 0.9, 0.999])
     def test_continuous_at_one_half(self, x):
         g = parse_data("pieces:-4,-1.5,2;1,3,1;3,inf,0.5")
@@ -452,4 +466,4 @@ class TestBelowOneHalf:
         res = poisson_extend(PoissonKernelBall(n=1, s=0.75, r=1.0),
                              parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
         assert (res.value, res.error_bound) == (0.7239600688217906,
-                                                1.22855108621045e-13)
+                                                1.2285086416541608e-13)
