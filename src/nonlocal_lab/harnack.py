@@ -257,19 +257,15 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
         raise ConfigParseError(f"the grid needs at least 1 point, got {grid}")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
-    w1 = barrier_w1(config)
-    w2 = barrier_w2(config)
-    lw1 = eval_L(kernel, w1, xs, tol=BARRIER_TOL).value
-    lw2 = eval_L(kernel, w2, xs, tol=BARRIER_TOL).value
+    lw1 = eval_L(kernel, barrier_w1(config), xs, tol=BARRIER_TOL).value
+    lw2 = eval_L(kernel, barrier_w2(config), xs, tol=BARRIER_TOL).value
     feasible = [float(c0) for c0 in C0_GRID if np.max(lw1 + c0 * lw2) <= 0.0]
     if not feasible:
         raise NoPositiveC0(
             f"no c0 in [{C0_GRID.min():g}, {C0_GRID.max():g}] keeps the "
             f"combination a subsolution on the grid")
     c0_max = max(feasible)
-    return {"c0_max": c0_max, "grid": xs,
-            "v_profile": w1(xs) + c0_max * w2(xs),
-            "Lw1": lw1, "Lw2": lw2}
+    return {"c0_max": c0_max, "grid": xs, "Lw1": lw1, "Lw2": lw2}
 
 
 def s_sweep(kernel_family: str, config: DisconnectedConfig, s_grid,

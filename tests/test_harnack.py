@@ -32,7 +32,7 @@ from nonlocal_lab.harnack import (
     s_sweep,
 )
 from nonlocal_lab.kernel import make_kernel
-from nonlocal_lab.operator import constant
+from nonlocal_lab.operator import barrier_w1, barrier_w2, constant
 from nonlocal_lab.solver1d import assemble, solve
 
 CFG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
@@ -327,8 +327,10 @@ class TestBarrierCombination:
         assert res["c0_max"] == pytest.approx(C0MAX_S025, rel=1e-12)
         # feasibility at the reported constant, from the returned profiles
         assert np.max(res["Lw1"] + res["c0_max"] * res["Lw2"]) <= 0.0
-        # w1 vanishes on the scanned ball, so v is c0 w2 with peak c0
-        assert np.max(res["v_profile"]) == pytest.approx(res["c0_max"])
+        # w1 vanishes on the scanned ball, so v = w1 + c0 w2 peaks at c0
+        xs = res["grid"]
+        v = barrier_w1(CFG)(xs) + res["c0_max"] * barrier_w2(CFG)(xs)
+        assert np.max(v) == pytest.approx(res["c0_max"])
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
     def test_one_lock_step_quadrature_per_profile(self, s, monkeypatch):
