@@ -125,11 +125,13 @@ def ti_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
         q = np.minimum(d, 1e150) ** 2  # finite; past 1e8 the factor is 1.5
         return (1.0 + 0.5 * q / (1.0 + q)) * d ** (-power)
 
-    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s, profile=profile)
+    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s,
+                  profile=profile)
 
 
 def general_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
-    """Anisotropic symmetric demo, lam = 1.5: (1 + sin(x+y)^2 / 2) |x-y|^(-1-2s)."""
+    """Anisotropic symmetric demo, lam = 1.5:
+    (1 + sin(x+y)^2 / 2) |x-y|^(-1-2s)."""
     power = 1.0 + 2.0 * float(s)
 
     def pair(x, y):
