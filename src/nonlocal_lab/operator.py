@@ -162,7 +162,8 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
     r = config.r
 
     def fn(y):
-        t = np.clip(2.0 * np.abs(np.asarray(y, dtype=float) - x1) / r - 1.0, 0.0, 1.0)
+        d = np.minimum(np.abs(np.asarray(y, dtype=float) - x1), r)  # 2d stays finite
+        t = np.clip(2.0 * d / r - 1.0, 0.0, 1.0)
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
     return PointFunction(
@@ -218,8 +219,9 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     """Lu(x) with its error bound.
 
     x is a float or a 1-d array of points, and the result's fields take
-    its shape.  All integrals of all points run in one integrate_many
-    call; each point's numbers are those of a call at that point alone.
+    its shape.  Set-up is array work: all points are checked, two calls of
+    u give every Richardson stencil, and one integrate_many call runs all
+    integrals; each point's numbers are those of a call at it alone.
 
     Translation-invariant kernels use the symmetrized near field (valid for
     C^2 functions and exactly zero where u is locally constant); general
@@ -262,7 +264,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     # one job per integral, in the order a point's own call takes them:
     # (mass2,) near field, right and left far field
     NEAR, MASS2, RIGHT, LEFT = range(4)
-    jobs, kinds, jx, jux, points = [], [], [], [], []
+    jobs, kinds, jx, jux, points, zlo = [], [], [], [], [], []
     for x, ux in zip(xs, uxs):
         # near field on (0, rho)
         if u.piecewise:
@@ -300,9 +302,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
                 # keep both Richardson stencils inside one C^2 piece
                 z_lo = min(z_lo, zbreaks[0] / 4.0)
             z_lo = max(min(z_lo, rho / 8.0), z_floor)
-            a1 = float(d2(x, ux, np.array([z_lo]))[0]) / (z_lo * z_lo)
-            a2 = float(d2(x, ux, np.array([2.0 * z_lo]))[0]) / (4.0 * z_lo * z_lo)
-            c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
+            zlo.append(z_lo)
             mass2 = None
             if kernel.family == "fractional":
                 mass2 = kernel.norm_factor \
@@ -313,7 +313,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             jobs.append((z_lo ** (1.0 / beta), rho ** (1.0 / beta), tol,
                          [zb ** (1.0 / beta) for zb in zbreaks]))
             kinds.append(NEAR)
-            near = (c2, mass2, a1, z_lo, scale_u)
+            near = (mass2, z_lo, scale_u)
 
         # far field 2 int_{|y-x| > rho} (u(x) - u(y)) k(x, y) dy: each half
         # in p = phi(|y - x|) on (0, phi(rho)), split where y meets a break
@@ -330,6 +330,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             else 8.0 * (abs(ux) + u.sup_bound) * env * phi(cap, s)
         points.append((near, clip))
 
+    # the Richardson stencils of all points, once every point is checked
+    a = [[None] * len(xs)] * 2
+    if not u.piecewise:
+        z, xa, uxa = np.array(zlo), np.array(xs), np.array(uxs)
+        a = [(d2(xa, uxa, k * z) / (k * k * z * z)).tolist() for k in (1.0, 2.0)]
     jx, jux, kinds = np.array(jx), np.array(jux), np.array(kinds, dtype=int)
     jright = kinds == RIGHT
 
@@ -361,10 +366,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     results = iter(integrate_many(_by_kind(
         np.minimum(kinds, RIGHT), (near_integrand, weighted, far)), jobs))
     out = []
-    for near, clip in points:
+    for (near, clip), a1, a2 in zip(points, *a):
         near_val, near_err = 0.0, 0.0
         if near is not None:
-            c2, mass2, a1, z_lo, scale_u = near
+            mass2, z_lo, scale_u = near
+            c2 = min(max((4.0 * a1 - a2) / 3.0, -m2), m2)
             mass2, mass2_err = next(results) if mass2 is None else (mass2, 0.0)
             tail_val, tail_err = next(results)
             model_slack = (abs(a1 - c2) + 16.0 * eps * scale_u

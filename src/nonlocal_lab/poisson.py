@@ -71,10 +71,14 @@ class PoissonKernelBall:
     def inside_gap(self, x) -> float:
         """r^2 - |x - center|^2, positive iff x is strictly inside;
         DomainViolation where the square is not finite."""
-        d = math.dist(np.atleast_1d(np.asarray(x, dtype=float)), self._center())
-        if not d * d < np.inf:
-            raise DomainViolation(f"|x - center|^2 is not finite at x = {x}")
-        return (self.r - d) * (self.r + d)  # exact next to the sphere
+        return _gap(self.r, math.dist(np.atleast_1d(np.asarray(x, dtype=float)),
+                                      self._center()), x)
+
+
+def _gap(r: float, d: float, x) -> float:  # inside_gap at |x - center| = d
+    if not d * d < np.inf:
+        raise DomainViolation(f"|x - center|^2 is not finite at x = {x}")
+    return (r - d) * (r + d)  # exact next to the sphere
 
 
 def _pair(pk: PoissonKernelBall, x, y) -> tuple[float, float, float]:
@@ -97,12 +101,12 @@ def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
 
 def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                    tol: float = DEFAULT_TOL) -> Estimate:
-    """Representation integral of exterior data g at points x inside, with
-    x and the result as in eval_L.  g must be piecewise constant, as the
-    solver's data are; anything else raises ConfigParseError before any
-    integral.  g enters through its (lo, hi, v) segments alone: the value
-    sums v m and the bound |v| e, in segment order, over the kernel's
-    masses m on the segments' parts outside the ball and their estimates e.
+    """Representation integral of piecewise-constant exterior data g at
+    points x inside; other data raise ConfigParseError before any integral.
+    x, the result and the array set-up are as in eval_L: one pass builds
+    every point's gap, amplitudes and jobs.  The value sums v m and the
+    bound |v| e, in segment order, over g's (lo, hi, v) segments, m the
+    kernel's mass on a segment's part outside the ball and e its estimate.
 
     Each exterior side splits at center distance 2r.  The band next to the
     ball uses z = center +- r cosh(t), which turns the boundary singularity
@@ -144,7 +148,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                               f"({max(va, 2.0) * r:g}, {vb * r:g})"))
     jobs, jamp = [], []
     for x in xs:
-        gap = pk.inside_gap(x)
+        gap = _gap(r, abs(x - c), x)  # math.dist is |x - c| on the line
         if not gap > 0.0:
             raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
         amp = (pk.constant * gap ** s, pk.constant * (gap / (r * r)) ** s)
@@ -152,8 +156,8 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
             jobs.append((lo, hi, tol, (), None, reach and
                          f"the far band at x = {x:g}, |z - c| in {reach}"))
             jamp.append(amp[kind])
-    jx, jamp = np.repeat(np.array(xs) - c, len(parts)), np.array(jamp)
-    kinds, jside = (np.tile([p[i] for p in parts], len(xs)) for i in (0, 1))
+    kinds, jside = (np.array([p[i] for p in parts] * len(xs)) for i in (0, 1))
+    jx, jamp = np.array([x - c for x in xs for _ in parts]), np.array(jamp)
     jnear = r - jside * jx  # |z - x| at the sphere, exact next to it
 
     def band(tau, j):
@@ -170,10 +174,10 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
         return (jamp[j] * (1.0 - (r / w) ** 2) ** (-s)
                 * np.abs(w / (w - jx[j])))
 
-    res = integrate_many(_by_kind(kinds, (band, far)), jobs)
-    rows = [list(zip(parts, res[k * len(parts):])) for k in range(len(xs))]
-    return Estimate.of_rows([(sum((p[2] * m for p, (m, _) in row), 0.0),
-                              sum((abs(p[2]) * e for p, (_, e) in row), 0.0))
+    res = iter(integrate_many(_by_kind(kinds, (band, far)), jobs))
+    rows = [[(p[2], next(res)) for p in parts] for _ in xs]
+    return Estimate.of_rows([(sum((v * m for v, (m, _) in row), 0.0),
+                              sum((abs(v) * e for v, (_, e) in row), 0.0))
                              for row in rows], shape)
 
 

@@ -115,8 +115,8 @@ def gk_panel(f, a, b):
 
 
 def _rows(vals: np.ndarray, errs: np.ndarray):
-    """gk_panel's output as lists over the first panel axis: floats (or
-    nested lists) for a scalar f, component arrays for a vector-valued f."""
+    """gk_panel's output as lists over the panels: floats for a scalar f,
+    component arrays for a vector-valued f."""
     return (vals.tolist() if vals.ndim == errs.ndim else list(vals),
             errs.tolist())
 
@@ -142,7 +142,7 @@ def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
             geometric_from: float | None = None, where: str | None = None):
     """The worst-panel-first heap of one integral (see integrate) as a
     generator: it yields the (lo, hi) edges of the panels it needs, is sent
-    gk_panel's (values, errors) for them and returns (value, error)."""
+    their (values, errors) as _rows lists and returns (value, error)."""
     a = float(a)
     b = float(b)
     if not b > a:
@@ -151,7 +151,7 @@ def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
     if geometric_from is not None and b - a > 100.0 * geometric_from > 0.0:
         extra = [a + p for p in _geometric_points(geometric_from, b - a)]
         pts = sorted(set(pts) | {p for p in extra if a < p < b})
-    vals, errs = _rows(*(yield pts[:-1], pts[1:]))
+    vals, errs = yield pts[:-1], pts[1:]
     heap = []
     tie = count()
     total = 0.0
@@ -187,11 +187,11 @@ def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
             split = [(lo, hi)] + [(u, v) for _, _, u, v, _ in ahead
                                   if (u, v) not in cache
                                   and u < 0.5 * (u + v) < v]
-            edges = np.array([(u, 0.5 * (u + v), v) for u, v in split])
-            vals, errs = yield edges[:, :2].ravel(), edges[:, 1:].ravel()
-            # one row of two halves per split panel
-            cache.update(zip(split, zip(*_rows(
-                vals.reshape((-1, 2) + vals.shape[1:]), errs.reshape(-1, 2)))))
+            # the two halves of each split panel, left then right
+            vals, errs = yield tuple(zip(*[h for u, v in split for h in (
+                (u, 0.5 * (u + v)), (0.5 * (u + v), v))]))
+            cache.update(zip(split, zip(zip(vals[::2], vals[1::2]),
+                                        zip(errs[::2], errs[1::2]))))
         (v1, v2), (e1, e2) = cache.pop((lo, hi))
         total += v1 + v2 - val
         total_err += e1 + e2 + neg_err
@@ -239,8 +239,8 @@ def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
         idx = list(want)
         sizes = [len(want[i][0]) for i in idx]
         owner = np.repeat(idx, [len(NODES) * n for n in sizes])
-        vals, errs = gk_panel(lambda x: f(x, owner), *(
-            np.concatenate([want[i][k] for i in idx]) for k in (0, 1)))
+        vals, errs = _rows(*gk_panel(lambda x: f(x, owner), *(
+            [e for i in idx for e in want[i][k]] for k in (0, 1))))
         for i, end, n in zip(idx, accumulate(sizes), sizes):
             step(i, (vals[end - n:end], errs[end - n:end]))
     for res in out:
@@ -269,6 +269,6 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     try:
         edges = next(run)
         while True:
-            edges = run.send(gk_panel(f, *edges))
+            edges = run.send(_rows(*gk_panel(f, *edges)))
     except StopIteration as stop:
         return stop.value

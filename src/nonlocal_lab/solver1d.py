@@ -33,9 +33,9 @@ exterior components) is one overlap mass over all cells, which share its
 error estimate e, so a segment adds m e plus its cells' truncation
 remainders to the assembly error.  General pair kernels take a nested
 adaptive quadrature per cell and segment whose inner cell mass is one
-vector-valued integral over all nodes of a batch of outer panels; a
-4-cell mesh assembles in 0.5-0.7 s, 8 cells in 1.2-1.4 s and 16 cells in
-2.4-2.5 s (one core of a 2-vCPU x86-64 virtual machine).
+vector-valued integral over all nodes of a batch of outer panels; at
+s = 1/2 a 4-cell mesh assembles in 0.4-0.5 s, 8 cells in 0.7-1.0 s and
+16 cells in 1.3-2.0 s (one core of a shared 2-vCPU x86-64 virtual machine).
 
 The system matrix A = diag(2 (row sums of W + E)) - 2 W takes one of two
 forms.  General kernels, and the translation-invariant families up to

@@ -188,6 +188,9 @@ class TestExitCodes:
         # points too far out for the barrier's breaks
         "evalL --s 0.5 --barrier w2 --x 1e17",
         "evalL --s 0.5 --barrier w2 --x 1e300",
+        # at the float limit, where 2 |x - x1| overflows
+        "evalL --s 0.5 --barrier w2 --x 1.7e308",
+        "evalL --s 0.5 --barrier w2 --x=-1.7e308",
     ])
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
         paths = {"missing": tmp_path / "missing.cfg"}

@@ -723,3 +723,55 @@ class TestNearFieldBelowOneHalf:
         res = eval_L(fractional_kernel(1, 0.9), barrier_w2(CONFIG), -2.3)
         assert (res.value, res.error_bound) == (6.336009721069164,
                                                 1.8042362167219878e-08)
+
+
+class TestPointSetUp:
+    """eval_L checks every point before it evaluates u on all points'
+    Richardson stencils at once; the numbers are those of the per-point
+    set-up, bit for bit."""
+
+    W2_PINS = {
+        ("frac", 0.25): [(12.205419338012941, 1.770192106244106e-08),
+                         (9.294140303409483, 3.1748175703960564e-11),
+                         (12.205419338012945, 1.770193705090607e-08)],
+        ("frac", 0.9): [(28.247556834308654, 0.009024689541855325),
+                        (3.887918420054865, 1.8000005502185603e-07),
+                        (28.247556826258045, 0.009024691892523869)],
+        ("ti", 0.5): [(13.613472060894509, 1.6094396240202294e-08),
+                      (7.281348710343339, 3.0973729323306606e-08),
+                      (13.61347206092923, 1.6059674053586886e-08)],
+    }
+
+    @pytest.mark.parametrize("family, s", list(W2_PINS))
+    def test_w2_is_pinned(self, family, s):
+        res = eval_L(make_kernel(family, 1, s), barrier_w2(CONFIG),
+                     np.array([-2.5, -2.0, -1.5]), tol=BARRIER_TOL)
+        assert list(zip(res.value.tolist(), res.error_bound.tolist())) \
+            == self.W2_PINS[family, s]
+
+    @pytest.mark.parametrize("x_bad", [1e17, 1e300, 1.7e308])
+    def test_bad_point_among_good_raises_as_alone(self, x_bad):
+        # u is read at no stencil before every point is checked; under the
+        # suite's error::RuntimeWarning an overflow there fails the test
+        k = fractional_kernel(1, 0.5)
+        w2 = barrier_w2(CONFIG)
+        with pytest.raises(DomainViolation) as want:
+            eval_L(k, w2, x_bad)
+        with pytest.raises(DomainViolation) as got:
+            eval_L(k, w2, np.array([-2.5, x_bad, -1.5]))
+        assert str(got.value) == str(want.value)
+
+    def test_stencils_evaluate_u_once_for_all_points(self):
+        w2 = barrier_w2(CONFIG)
+        calls = [0]
+
+        def counted(y):
+            calls[0] += 1
+            return w2.fn(y)
+
+        eval_L(fractional_kernel(1, 0.5), replace(w2, fn=counted),
+               ball1_grid(), tol=BARRIER_TOL)
+        # u(x), two calls per stencil, then two per near-field round and one
+        # per far-field round: 16 here, against 4 per point for the stencils
+        # of a per-point set-up
+        assert calls[0] < 30

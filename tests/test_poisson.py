@@ -467,3 +467,10 @@ class TestBelowOneHalf:
                              parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
         assert (res.value, res.error_bound) == (0.7239600688217906,
                                                 1.2285086416541608e-13)
+
+    def test_band_path_at_a_quarter_is_pinned(self):
+        # m = 2: the band integrates in tau = t^(3/4)
+        res = poisson_extend(PoissonKernelBall(n=1, s=0.25, r=1.0),
+                             parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
+        assert (res.value, res.error_bound) == (0.5555654624448217,
+                                                2.7213202831506795e-11)
