@@ -1,14 +1,16 @@
 """Symmetric jump kernels on the line with two-sided ellipticity.
 
-A kernel is fixed by what it carries.  With no callable it is the pure
-power kernel ("fractional"); a radial profile K(|z|) makes it
-translation-invariant; a pair callable k(x, y) makes it general.  The
+A kernel is a bounded factor times the power law |x - y|^(-1-2s), and is
+fixed by the factor it carries.  With no callable the factor is 1, the
+pure power kernel ("fractional"); a radial profile f(|z|) makes it
+translation-invariant; a pair callable f(x, y) makes it general.  The
 optional one-minus-s normalization multiplies the kernel by (1 - s); it
 keeps the operator meaningful as s -> 1 and is what the robustness sweeps
 use.
 
-Kernel values are absolute (not relative to the power envelope); ellipticity
-means k(x,y) * |x-y|^(1+2s) / norm_factor lies in [1/lam, lam].
+Ellipticity means the factor lies in [1/lam, lam].  Only eval_at_distance
+and eval_pairs multiply it by the power law; factor() gives
+k(x, y) |x - y|^(1+2s) itself, which stays finite at every separation.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from .errors import ConfigParseError, DiagonalEvaluation, UnsupportedDimension
 
 @dataclass(frozen=True)
 class Kernel:
+    """k(x, y) = norm_factor * f(x, y) * |x - y|^(-1-2s), the factor f
+    (profile or pair_fn, else 1) in [1/lam, lam]."""
+
     s: float
     lam: float = 1.0
     one_minus_s: bool = False
-    profile: Callable | None = None  # |z| -> K(|z|), translation-invariant family
-    pair_fn: Callable | None = None  # (x, y) -> k(x, y), general family
+    profile: Callable | None = None  # |z| -> f(|z|), translation-invariant
+    pair_fn: Callable | None = None  # (x, y) -> f(x, y), general family
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -55,10 +60,6 @@ class Kernel:
         return 1.0
 
     @property
-    def translation_invariant(self) -> bool:
-        return self.pair_fn is None
-
-    @property
     def power(self) -> float:
         """Exponent of the envelope |x - y|^(-power)."""
         return 1.0 + 2.0 * self.s
@@ -76,7 +77,7 @@ class Kernel:
             raise DiagonalEvaluation(
                 "general kernels are not radial; use eval_pairs")
         if self.profile is not None:
-            return self.norm_factor * self.profile(d)
+            return self.norm_factor * (self.profile(d) * d ** (-self.power))
         return self.norm_factor * d ** (-self.power)
 
     def eval_pairs(self, x, y):
@@ -87,8 +88,19 @@ class Kernel:
         if np.any(d == 0):
             raise DiagonalEvaluation("kernel evaluated on the diagonal x = y")
         if self.pair_fn is not None:
-            return self.norm_factor * self.pair_fn(x, y)
+            return self.norm_factor * (self.pair_fn(x, y) * d ** (-self.power))
         return self.eval_at_distance(d)
+
+    def factor(self, x, y):
+        """k(x, y) |x - y|^(1+2s) = norm_factor * f(x, y), vectorized; no
+        power of the distance is taken, so no separation overflows it."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if self.pair_fn is not None:
+            return self.norm_factor * self.pair_fn(x, y)
+        if self.profile is not None:
+            return self.norm_factor * self.profile(np.abs(x - y))
+        return np.full(np.broadcast(x, y).shape, self.norm_factor)
 
     def tag(self) -> str:
         norm = ",1-s" if self.one_minus_s else ""
@@ -117,27 +129,21 @@ def fractional_kernel(n: int, s: float, one_minus_s: bool = False) -> Kernel:
 
 def ti_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
     """Oscillating translation-invariant demo, lam = 1.5:
-    (1 + z^2/(2(1+z^2))) |z|^(-1-2s)."""
-    power = 1.0 + 2.0 * float(s)
+    factor 1 + z^2/(2(1+z^2))."""
 
     def profile(d):
-        d = np.asarray(d, dtype=float)
         q = np.minimum(d, 1e150) ** 2  # finite; past 1e8 the factor is 1.5
-        return (1.0 + 0.5 * q / (1.0 + q)) * d ** (-power)
+        return 1.0 + 0.5 * q / (1.0 + q)
 
     return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s,
                   profile=profile)
 
 
 def general_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
-    """Anisotropic symmetric demo, lam = 1.5:
-    (1 + sin(x+y)^2 / 2) |x-y|^(-1-2s)."""
-    power = 1.0 + 2.0 * float(s)
+    """Anisotropic symmetric demo, lam = 1.5: factor 1 + sin(x+y)^2 / 2."""
 
     def pair(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (1.0 + 0.5 * np.sin(x + y) ** 2) * np.abs(x - y) ** (-power)
+        return 1.0 + 0.5 * np.sin(x + y) ** 2
 
     return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s, pair_fn=pair)
 

@@ -10,11 +10,17 @@ which is absolutely convergent for C^2 functions (|D2| <= |u''| z^2).  The
 far field |y - x| > rho runs to infinity, each half in the tail-mass
 coordinate p = phi(d) = d^(-2s)/(2s) of d = |y - x|: dp = -d^(-1-2s) dd
 maps (rho, inf) onto (0, phi(rho)) and leaves the bounded integrand
-(u(x) - u(y)) k(x, y) d^(1+2s), piecewise constant in p, so integrated
-exactly, for the fractional kernel and piecewise-constant u.  Distances
-stop at the float-safe MAX_TRUNCATION^(1/(1+2s)), exactly for that kernel
-and u constant beyond, else as one charged term; `poisson_extend`
-integrates its far band in the same coordinate, on the kernel alone.
+(u(x) - u(y)) times the kernel's factor k(x, y) d^(1+2s) (Kernel.factor),
+piecewise constant in p, so integrated exactly, for the fractional kernel
+and piecewise-constant u.  Distances stop at the float-safe
+MAX_TRUNCATION, exactly for that kernel and u constant beyond, else as one
+charged term; `poisson_extend` integrates its far band in the same
+coordinate, on the kernel alone, and stops at the same distance.
+
+Below a reliability floor z_lo the near field of a C^2 function is the
+quadratic model c2 z^2 against the model mass int_0^z_lo z^2 K(z) dz: in
+v = z^(2-2s), the power law's closed form z_lo^(2-2s)/(2-2s) times the
+factor's mean over (0, z_lo^(2-2s)), which is 1 without a factor.
 
 Exterior data are piecewise constant on both routes to the Dirichlet
 problem, the collocation solver and `poisson_extend`, and their tails
@@ -35,7 +41,7 @@ from .geometry import DisconnectedConfig
 from .kernel import Kernel, phi
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
-MAX_TRUNCATION = 1e150  # float-safe cap of far-field distances and their powers
+MAX_TRUNCATION = 1e150  # float-safe cap of every far-field distance
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             f"(hess_bound) and bounded (sup_bound)")
     uxs = u(np.array(xs)).tolist()
     env = kernel.upper_envelope()
-    if not u.piecewise and not kernel.translation_invariant:
+    if not u.piecewise and kernel.family == "general":
         raise UnsupportedKernel(
             "the symmetrized near field needs a translation-invariant kernel")
     m2 = u.hess_bound
@@ -253,8 +259,6 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     alpha = 1.0 / (2.0 - 2.0 * s)
     beta = _smooth_power(s) * alpha  # z = tau^beta on the near field's tail
     eps = np.finfo(float).eps
-    # far-field distances stop at cap, which keeps k d^(1+2s) finite
-    cap = MAX_TRUNCATION ** (1.0 / kernel.power)
     fin = [b for b in u.breaks if np.isfinite(b)]
     exact = kernel.family == "fractional" and u.piecewise
 
@@ -262,7 +266,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         return 2.0 * ux - u.fn(x + z) - u.fn(x - z)
 
     # one job per integral, in the order a point's own call takes them:
-    # (mass2,) near field, right and left far field
+    # (model mass,) near field, right and left far field
     NEAR, MASS2, RIGHT, LEFT = range(4)
     jobs, kinds, jx, jux, points, zlo = [], [], [], [], [], []
     for x, ux in zip(xs, uxs):
@@ -271,7 +275,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             # u is constant on (x - 2 rho, x + 2 rho); near field vanishes there
             rho = 0.5 * min((abs(b - x) for b in u.breaks), default=np.inf)
             near = None
-            if not rho >= 1.0 / cap:  # else phi(rho) overflows
+            if not rho >= 1.0 / MAX_TRUNCATION:  # else phi(rho) overflows
                 raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
         else:
             rho = 1.0
@@ -303,12 +307,14 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
                 z_lo = min(z_lo, zbreaks[0] / 4.0)
             z_lo = max(min(z_lo, rho / 8.0), z_floor)
             zlo.append(z_lo)
+            # the model mass is alpha times the factor's integral over
+            # v = z^(2-2s) in (0, v_lo)
+            v_lo = z_lo ** (2.0 - 2.0 * s)
             mass2 = None
             if kernel.family == "fractional":
-                mass2 = kernel.norm_factor \
-                    * z_lo ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+                mass2 = kernel.norm_factor * v_lo / (2.0 - 2.0 * s)
             else:
-                jobs.append((0.0, z_lo, tol))
+                jobs.append((0.0, v_lo, tol))
                 kinds.append(MASS2)
             jobs.append((z_lo ** (1.0 / beta), rho ** (1.0 / beta), tol,
                          [zb ** (1.0 / beta) for zb in zbreaks]))
@@ -326,8 +332,8 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         jx += [x] * (len(jobs) - len(jx))
         jux += [ux] * (len(jobs) - len(jux))
         # the clip's charge: twice the integrand's envelope on both halves
-        clip = 0.0 if exact and all(abs(b - x) < cap for b in fin) \
-            else 8.0 * (abs(ux) + u.sup_bound) * env * phi(cap, s)
+        clip = 0.0 if exact and all(abs(b - x) < MAX_TRUNCATION for b in fin) \
+            else 8.0 * (abs(ux) + u.sup_bound) * env * phi(MAX_TRUNCATION, s)
         points.append((near, clip))
 
     # the Richardson stencils of all points, once every point is checked
@@ -343,28 +349,22 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         clipped = np.clip(d2(jx[j], jux[j], z), -m2 * z * z, m2 * z * z)
         return clipped * kernel.eval_at_distance(z) * beta * tau ** (beta - 1.0)
 
-    def weighted(z, j):
-        return z * z * kernel.eval_at_distance(z)
+    def model_mass(v, j):
+        return alpha * kernel.factor(0.0, v ** alpha)
 
     def far(p, j):
-        x, d = jx[j], _far_distance(p, s, cap)
+        x, d = jx[j], _far_distance(p, s, MAX_TRUNCATION)
         side = np.where(jright[j], 1.0, -1.0)
         y = x + side * d
         # a y rounded onto a break goes to the side its distance d is on
         hit = np.isin(y, u.breaks)
         y[hit] = np.nextafter(y[hit], y[hit] + side[hit] * np.sign(
             d[hit] - side[hit] * (y[hit] - x[hit])))
-        # the weight takes the distance of the y it is read at: d itself
-        # for a radial kernel, the rounded |y - x| for a pair kernel
-        if kernel.translation_invariant:
-            k, dist = kernel.eval_at_distance(d), d
-        else:
-            k, dist = kernel.eval_pairs(x, y), np.abs(y - x)
-        return (jux[j] - u.fn(y)) * k * dist ** kernel.power
+        return (jux[j] - u.fn(y)) * kernel.factor(x, y)
 
     # the far field's halves share one integrand
     results = iter(integrate_many(_by_kind(
-        np.minimum(kinds, RIGHT), (near_integrand, weighted, far)), jobs))
+        np.minimum(kinds, RIGHT), (near_integrand, model_mass, far)), jobs))
     out = []
     for (near, clip), a1, a2 in zip(points, *a):
         near_val, near_err = 0.0, 0.0

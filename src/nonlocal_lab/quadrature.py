@@ -18,12 +18,12 @@ a panel being split together with those of the next-worst panels that
 the heap will split later unless the panel budget runs out first; the
 panels split, and their order, are those of one call per panel.
 
-integrate drives the heap of one integral (_refine) in its own loop.
-integrate_many runs many heaps in lock-step, one call of f per round on
-the panels of all of them; its f(x, j) also receives each node's job
-index j.  A node's value may depend on its own job alone, which keeps
-every job's result that of its own integrate call.  Every job runs to
-its end, and the failure of the lowest-index failing job is raised.
+integrate_many runs the heaps of many integrals (_refine) in lock-step,
+one call of f per round on the panels of all of them; its f(x, j) also
+receives each node's job index j, and integrate is its one-job case.  A
+node's value may depend on its own job alone, which keeps every job's
+result that of its own integrate call.  Every job runs to its end, and
+the failure of the lowest-index failing job is raised.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ def gk_panel(f, a, b):
     return k15[..., 0], err[..., 0]
 
 
-def _rows(vals: np.ndarray, errs: np.ndarray):
-    """gk_panel's output as lists over the panels: floats for a scalar f,
-    component arrays for a vector-valued f."""
-    return (vals.tolist() if vals.ndim == errs.ndim else list(vals),
-            errs.tolist())
-
-
 def _geometric_points(a: float, b: float, per_decade: int = 4) -> list[float]:
     # seed points a * 10^(k/per_decade) inside (a, b); assumes 0 < a < b
     pts = []
@@ -142,7 +135,7 @@ def _refine(a: float, b: float, tol: float = DEFAULT_TOL, breaks=(),
             geometric_from: float | None = None, where: str | None = None):
     """The worst-panel-first heap of one integral (see integrate) as a
     generator: it yields the (lo, hi) edges of the panels it needs, is sent
-    their (values, errors) as _rows lists and returns (value, error)."""
+    their (values, errors) as lists and returns (value, error)."""
     a = float(a)
     b = float(b)
     if not b > a:
@@ -238,9 +231,12 @@ def integrate_many(f, jobs) -> list[tuple[float | np.ndarray, float]]:
     while want:
         idx = list(want)
         sizes = [len(want[i][0]) for i in idx]
-        owner = np.repeat(idx, [len(NODES) * n for n in sizes])
-        vals, errs = _rows(*gk_panel(lambda x: f(x, owner), *(
-            [e for i in idx for e in want[i][k]] for k in (0, 1))))
+        owner = np.array(idx).repeat([len(NODES) * n for n in sizes])
+        vals, errs = gk_panel(lambda x: f(x, owner), *(
+            [e for i in idx for e in want[i][k]] for k in (0, 1)))
+        # lists over the panels: floats, or a vector-valued f's components
+        vals = vals.tolist() if vals.ndim == errs.ndim else list(vals)
+        errs = errs.tolist()
         for i, end, n in zip(idx, accumulate(sizes), sizes):
             step(i, (vals[end - n:end], errs[end - n:end]))
     for res in out:
@@ -265,10 +261,5 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL,
     estimate still above tolerance after MAX_PANELS panels.  An empty
     interval gives (0.0, 0.0) without calling f.
     """
-    run = _refine(a, b, tol, breaks, geometric_from)
-    try:
-        edges = next(run)
-        while True:
-            edges = run.send(_rows(*gk_panel(f, *edges)))
-    except StopIteration as stop:
-        return stop.value
+    return integrate_many(lambda x, j: f(x),
+                          [(a, b, tol, breaks, geometric_from)])[0]

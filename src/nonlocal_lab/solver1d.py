@@ -18,7 +18,7 @@ restores the mass a smooth solution would have put there.  The exclusion
 is applied to W, E and B alike, which keeps the row-sum identity and the
 M-matrix structure exact at any band width.
 
-The two translation-invariant families (fractional and a profile K(|x-y|))
+The two translation-invariant families (fractional and a factor f(|x-y|))
 share one path through two primitives: _overlap_mass, the banded mass of
 a width-h cell against a segment at edge distance d0, and _band_moment,
 the band's second moment at a gap.  Each is a closed form for the

@@ -501,7 +501,7 @@ class TestConfigFile:
 
 SPECIAL = ("nan", "inf", "-inf", "0", "-1", "1e300", "x")
 # valid values of each numeric flag; None leaves a flag at its default
-EVALL_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+EVALL_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9", "0.99"),
                "--x": ("-2.5", "-2", "-1.2", "0.5", "2.4"),
                "--tol": (None, "1e-8", "1e-4"), "--x1": (None, "-2"),
                "--x2": (None, "2"), "--r": (None, "1"), "--R": (None, "16")}
@@ -579,7 +579,7 @@ SOLVE1D_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
 MP_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
             "--magnitude": (None, "1", "10"),
             **GEOMETRY_FLAGS}
-BARRIER_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
+BARRIER_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9", "0.99"),
                  "--grid": ("1", "5", "11"),
                  **GEOMETRY_FLAGS}
 RUN_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -102,6 +103,32 @@ class TestEllipticity:
         assert ratios.min() >= 1.0 / k.lam - 1e-12
         assert ratios.max() <= k.lam + 1e-12
 
+    @pytest.mark.parametrize("family", ["frac", "ti", "general"])
+    @pytest.mark.parametrize("one_minus_s", [False, True])
+    def test_values_are_the_factor_times_the_power_law(self, family,
+                                                       one_minus_s):
+        # the power law lives in the Kernel alone: eval_* is
+        # norm_factor * (f * d^(-1-2s)) bit for bit, f the callable's
+        # factor, and factor() = norm_factor * f stays in [1/lam, lam]
+        # times norm_factor at every separation, without a warning
+        k = make_kernel(family, 1, 0.75, one_minus_s=one_minus_s)
+        nf = k.norm_factor  # 1 or 1/4: f / nf is exact
+        d = np.logspace(-300, 300, 6001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for y in (d, -d):
+                f = k.factor(0.0, y)
+                assert np.all((1.0 / k.lam <= f / nf) & (f / nf <= k.lam))
+        d = d[(d > 1e-100) & (d < 1e100)]  # d^(-1-2s) overflows below
+        x = np.zeros_like(d)
+        bare = (k.pair_fn(x, d) if family == "general"
+                else k.profile(d) if family == "ti" else 1.0)
+        assert np.array_equal(k.factor(x, d),
+                              np.broadcast_to(nf * bare, d.shape))
+        assert np.array_equal(k.eval_pairs(x, d), nf * (bare * d ** -k.power))
+        if family != "general":
+            assert np.array_equal(k.eval_at_distance(d),
+                                  nf * (bare * d ** -k.power))
 
     def test_ti_profile_past_the_squares_overflow(self):
         # d * d overflows past 1.3e154, where the profile's factor is 1.5
@@ -121,15 +148,15 @@ class TestConstruction:
 
     def test_ti_needs_profile(self):
         # the family follows from the callable a kernel carries
-        def power(d):
-            return d ** -2.0
+        def unit(d):
+            return np.ones_like(d)
 
         assert Kernel(s=0.5).family == "fractional"
-        assert Kernel(s=0.5, profile=power).family == "translation-invariant"
-        assert Kernel(s=0.5, pair_fn=lambda x, y: power(abs(x - y))).family \
+        assert Kernel(s=0.5, profile=unit).family == "translation-invariant"
+        assert Kernel(s=0.5, pair_fn=lambda x, y: unit(abs(x - y))).family \
             == "general"
         with pytest.raises(ConfigParseError):
-            Kernel(s=0.5, profile=power, pair_fn=lambda x, y: 1.0)
+            Kernel(s=0.5, profile=unit, pair_fn=lambda x, y: 1.0)
 
     @pytest.mark.parametrize("family", ["frac", "ti", "general"])
     def test_kernels_live_on_the_line(self, family):
