@@ -90,8 +90,6 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
 def _add_kernel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", default="frac",
                    choices=("frac", "ti", "general"))
-    p.add_argument("--normalize-1ms", action="store_true",
-                   help="use the vanishing-order normalization")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -118,10 +116,6 @@ def _build_config(args):
         N = file_N if file_N is not None else 256
     check_vector_budget(2 * N)  # the two-ball mesh, before it is built
     return cfg, N
-
-
-def _build_kernel(args, s: float):
-    return make_kernel(args.kernel, 1, s, one_minus_s=args.normalize_1ms)
 
 
 def parse_data(text: str):
@@ -161,7 +155,7 @@ def _floats(text: str):
 
 def _cmd_evalL(args) -> int:
     config, _ = _build_config(args)
-    kernel = _build_kernel(args, args.s)
+    kernel = make_kernel(args.kernel, 1, args.s)
     barrier = barrier_w1(config) if args.barrier == "w1" else barrier_w2(config)
     res = eval_L(kernel, barrier, args.x, tol=args.tol)
     _emit(json_text({"barrier": args.barrier, "s": args.s, "x": args.x,
@@ -190,7 +184,7 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_solve1d(args) -> int:
-    kernel = _build_kernel(args, args.s)
+    kernel = make_kernel(args.kernel, 1, args.s)
     intervals = _parse_domain(args.domain)
     check_vector_budget(len(intervals) * args.N)  # before the mesh is built
     mesh = mesh_intervals(intervals, args.N)
@@ -216,7 +210,7 @@ def _cmd_solve1d(args) -> int:
 
 def _cmd_harnack_run(args) -> int:
     config, N = _build_config(args)
-    kernel = _build_kernel(args, args.s)
+    kernel = make_kernel(args.kernel, 1, args.s)
     reports = disconnected_harnack_experiment(
         args.s, kernel, config, FAMILIES[args.data], seed=args.seed,
         N=N, samples=args.samples, masses=tuple(_floats(args.masses)))
@@ -232,8 +226,7 @@ def _cmd_harnack_sweep(args) -> int:
     config, N = _build_config(args)
     out = s_sweep(args.kernel, config, _floats(args.s_grid),
                   data_family=FAMILIES[args.data], seed=args.seed, N=N,
-                  samples=args.samples, one_minus_s=args.normalize_1ms,
-                  grid=args.grid)
+                  samples=args.samples, grid=args.grid)
     if args.format == "csv":
         rows = (r.csv_row() for s in _floats(args.s_grid)
                 for r in out["reports"][s])
@@ -245,7 +238,7 @@ def _cmd_harnack_sweep(args) -> int:
 
 def _cmd_harnack_mp(args) -> int:
     config, N = _build_config(args)
-    kernel = _build_kernel(args, args.s)
+    kernel = make_kernel(args.kernel, 1, args.s)
     far = far_negative_data(config, None, magnitude=args.magnitude)
     res = localized_mp_check(kernel, config, args.s, far, N=N)
     _emit(json_text({"s": args.s, "R_over_r": config.R / config.r,
@@ -255,7 +248,7 @@ def _cmd_harnack_mp(args) -> int:
 
 def _cmd_harnack_barrier(args) -> int:
     config, _ = _build_config(args)
-    kernel = _build_kernel(args, args.s)
+    kernel = make_kernel(args.kernel, 1, args.s)
     res = barrier_combination_check(kernel, config, grid=args.grid)
     _emit(json_text({"s": args.s, "kernel": kernel.tag(),
                      "c0_max": res["c0_max"],

@@ -270,16 +270,20 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
 
 def s_sweep(kernel_family: str, config: DisconnectedConfig, s_grid,
             data_family: str = "random-nonneg", seed: int = 0,
-            N: int = 128, samples: int = 8, one_minus_s: bool = True,
-            grid: int = 101) -> dict:
-    """Aggregate constants per order: table rows (s, C_max, c0_max)."""
+            N: int = 128, samples: int = 8, grid: int = 101) -> dict:
+    """Aggregate constants per order: table rows (s, C_max, c0_max).
+
+    Each order's barrier check runs before its solves, so a kernel the
+    check cannot take (the general family) fails before any assembly."""
+    if len(s_grid) == 0:
+        raise ConfigParseError("the s grid is empty")
     table, reports = [], {}
     for s in s_grid:
         s = float(s)
-        k = make_kernel(kernel_family, config.n, s, one_minus_s=one_minus_s)
+        k = make_kernel(kernel_family, config.n, s)
+        c0 = barrier_combination_check(k, config, grid=grid)["c0_max"]
         reps = disconnected_harnack_experiment(
             s, k, config, data_family, seed=seed, N=N, samples=samples)
-        c0 = barrier_combination_check(k, config, grid=grid)["c0_max"]
         table.append({"s": s, "C_max": aggregate_c_max(reps),
                       "c0_max": c0})
         reports[s] = reps

@@ -3,10 +3,10 @@
 A kernel is a bounded factor times the power law |x - y|^(-1-2s), and is
 fixed by the factor it carries.  With no callable the factor is 1, the
 pure power kernel ("fractional"); a radial profile f(|z|) makes it
-translation-invariant; a pair callable f(x, y) makes it general.  The
-optional one-minus-s normalization multiplies the kernel by (1 - s); it
-keeps the operator meaningful as s -> 1 and is what the robustness sweeps
-use.
+translation-invariant; a pair callable f(x, y) makes it general.  There
+is no (1 - s) normalization: every constant the lab reports is a ratio of
+solution values or of values of L, so that factor would cancel, and the
+normalized operator is (1 - s) times the plain one.
 
 Ellipticity means the factor lies in [1/lam, lam].  Only eval_at_distance
 and eval_pairs multiply it by the power law; factor() gives
@@ -25,12 +25,11 @@ from .errors import ConfigParseError, DiagonalEvaluation, UnsupportedDimension
 
 @dataclass(frozen=True)
 class Kernel:
-    """k(x, y) = norm_factor * f(x, y) * |x - y|^(-1-2s), the factor f
-    (profile or pair_fn, else 1) in [1/lam, lam]."""
+    """k(x, y) = f(x, y) * |x - y|^(-1-2s), the factor f (profile or
+    pair_fn, else 1) in [1/lam, lam]."""
 
     s: float
     lam: float = 1.0
-    one_minus_s: bool = False
     profile: Callable | None = None  # |z| -> f(|z|), translation-invariant
     pair_fn: Callable | None = None  # (x, y) -> f(x, y), general family
 
@@ -51,10 +50,6 @@ class Kernel:
         return "fractional" if self.pair_fn is None else "general"
 
     @property
-    def norm_factor(self) -> float:
-        return 1.0 - self.s if self.one_minus_s else 1.0
-
-    @property
     def scale(self) -> float:
         """Always 1.0: perfbench/tracing.py keys assemble calls on it."""
         return 1.0
@@ -63,10 +58,6 @@ class Kernel:
     def power(self) -> float:
         """Exponent of the envelope |x - y|^(-power)."""
         return 1.0 + 2.0 * self.s
-
-    def upper_envelope(self) -> float:
-        """Constant A with k(x,y) <= A * |x-y|^(-1-2s), from ellipticity."""
-        return self.lam * self.norm_factor
 
     def eval_at_distance(self, d):
         """Kernel value at separation |x - y| = d (radial families only)."""
@@ -77,8 +68,8 @@ class Kernel:
             raise DiagonalEvaluation(
                 "general kernels are not radial; use eval_pairs")
         if self.profile is not None:
-            return self.norm_factor * (self.profile(d) * d ** (-self.power))
-        return self.norm_factor * d ** (-self.power)
+            return self.profile(d) * d ** (-self.power)
+        return d ** (-self.power)
 
     def eval_pairs(self, x, y):
         """Vectorized k(x, y) for coordinate arrays."""
@@ -88,23 +79,22 @@ class Kernel:
         if np.any(d == 0):
             raise DiagonalEvaluation("kernel evaluated on the diagonal x = y")
         if self.pair_fn is not None:
-            return self.norm_factor * (self.pair_fn(x, y) * d ** (-self.power))
+            return self.pair_fn(x, y) * d ** (-self.power)
         return self.eval_at_distance(d)
 
     def factor(self, x, y):
-        """k(x, y) |x - y|^(1+2s) = norm_factor * f(x, y), vectorized; no
-        power of the distance is taken, so no separation overflows it."""
+        """k(x, y) |x - y|^(1+2s) = f(x, y), vectorized; no power of the
+        distance is taken, so no separation overflows it."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.pair_fn is not None:
-            return self.norm_factor * self.pair_fn(x, y)
+            return self.pair_fn(x, y)
         if self.profile is not None:
-            return self.norm_factor * self.profile(np.abs(x - y))
-        return np.full(np.broadcast(x, y).shape, self.norm_factor)
+            return self.profile(np.abs(x - y))
+        return np.ones(np.broadcast(x, y).shape)
 
     def tag(self) -> str:
-        norm = ",1-s" if self.one_minus_s else ""
-        return f"{self.family}(s={self.s:g},lam={self.lam:g}{norm})"
+        return f"{self.family}(s={self.s:g},lam={self.lam:g})"
 
 
 def phi(t, s: float):
@@ -120,14 +110,14 @@ def _check_line(n: int) -> None:
                                    f"got n = {n}")
 
 
-def fractional_kernel(n: int, s: float, one_minus_s: bool = False) -> Kernel:
+def fractional_kernel(n: int, s: float) -> Kernel:
     """|x-y|^(-1-2s), exactly (lam = 1).  The kernels live on the line, so
     any n but 1 raises UnsupportedDimension."""
     _check_line(n)
-    return Kernel(s=float(s), one_minus_s=one_minus_s)
+    return Kernel(s=float(s))
 
 
-def ti_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
+def ti_demo_kernel(s: float) -> Kernel:
     """Oscillating translation-invariant demo, lam = 1.5:
     factor 1 + z^2/(2(1+z^2))."""
 
@@ -135,28 +125,26 @@ def ti_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
         q = np.minimum(d, 1e150) ** 2  # finite; past 1e8 the factor is 1.5
         return 1.0 + 0.5 * q / (1.0 + q)
 
-    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s,
-                  profile=profile)
+    return Kernel(s=float(s), lam=1.5, profile=profile)
 
 
-def general_demo_kernel(s: float, one_minus_s: bool = False) -> Kernel:
+def general_demo_kernel(s: float) -> Kernel:
     """Anisotropic symmetric demo, lam = 1.5: factor 1 + sin(x+y)^2 / 2."""
 
     def pair(x, y):
         return 1.0 + 0.5 * np.sin(x + y) ** 2
 
-    return Kernel(s=float(s), lam=1.5, one_minus_s=one_minus_s, pair_fn=pair)
+    return Kernel(s=float(s), lam=1.5, pair_fn=pair)
 
 
-def make_kernel(family: str, n: int, s: float,
-                one_minus_s: bool = False) -> Kernel:
+def make_kernel(family: str, n: int, s: float) -> Kernel:
     """Factory behind the CLI flags --kernel {frac|ti|general}; any n but 1
     raises UnsupportedDimension."""
     _check_line(n)
     if family == "frac":
-        return fractional_kernel(n, s, one_minus_s)
+        return fractional_kernel(n, s)
     if family == "ti":
-        return ti_demo_kernel(s, one_minus_s)
+        return ti_demo_kernel(s)
     if family == "general":
-        return general_demo_kernel(s, one_minus_s)
+        return general_demo_kernel(s)
     raise ConfigParseError(f"unknown kernel family {family!r}")

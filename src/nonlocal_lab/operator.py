@@ -250,7 +250,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             f"{u.label} is neither piecewise constant nor declared C^2 "
             f"(hess_bound) and bounded (sup_bound)")
     uxs = u(np.array(xs)).tolist()
-    env = kernel.upper_envelope()
+    lam = kernel.lam
     if not u.piecewise and kernel.family == "general":
         raise UnsupportedKernel(
             "the symmetrized near field needs a translation-invariant kernel")
@@ -290,11 +290,11 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             # c2 * int z^2 K(z) dz, c2 estimated by Richardson at safe scales.
             scale_u = max(abs(ux), u.sup_bound, 1.0)
             noise = 4.0 * eps * scale_u
-            # the noise envelope noise*env*z^(-1-2s) integrates beyond z to
-            # noise*env*alpha*w^(-expo)/expo, w = z^(2-2s); keep that under
+            # the noise envelope noise*lam*z^(-1-2s) integrates beyond z to
+            # noise*lam*alpha*w^(-expo)/expo, w = z^(2-2s); keep that under
             # tol/4 (a cut past rho = 1 is clamped below) and signal/noise >= 1e4
             expo = 2.0 * alpha - 1.0
-            w_budget = min(noise * env * alpha / (expo * 0.25 * tol),
+            w_budget = min(noise * lam * alpha / (expo * 0.25 * tol),
                            1.0) ** (1.0 / expo)
             z_lo = max(w_budget ** alpha, 100.0 * np.sqrt(noise / m2))
             # a break within a few ulps of x is x's own join; flooring z_lo at
@@ -312,7 +312,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
             v_lo = z_lo ** (2.0 - 2.0 * s)
             mass2 = None
             if kernel.family == "fractional":
-                mass2 = kernel.norm_factor * v_lo / (2.0 - 2.0 * s)
+                mass2 = v_lo / (2.0 - 2.0 * s)
             else:
                 jobs.append((0.0, v_lo, tol))
                 kinds.append(MASS2)
@@ -333,7 +333,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         jux += [ux] * (len(jobs) - len(jux))
         # the clip's charge: twice the integrand's envelope on both halves
         clip = 0.0 if exact and all(abs(b - x) < MAX_TRUNCATION for b in fin) \
-            else 8.0 * (abs(ux) + u.sup_bound) * env * phi(MAX_TRUNCATION, s)
+            else 8.0 * (abs(ux) + u.sup_bound) * lam * phi(MAX_TRUNCATION, s)
         points.append((near, clip))
 
     # the Richardson stencils of all points, once every point is checked

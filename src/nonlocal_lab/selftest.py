@@ -175,7 +175,7 @@ def check_nonrobustness_sweep(seed: int = 0) -> CriterionResult:
     """7: constants degenerate monotonically as s -> 1, in a tight band."""
     s_grid = (0.5, 0.7, 0.9, 0.95)
     out = s_sweep("frac", STANDARD, s_grid, data_family="random-nonneg",
-                  seed=seed, N=128, samples=8, one_minus_s=True, grid=101)
+                  seed=seed, N=128, samples=8, grid=101)
     cmax = [row["C_max"] for row in out["table"]]
     c0 = [row["c0_max"] for row in out["table"]]
     inc = all(a < b for a, b in zip(cmax, cmax[1:]))

@@ -121,8 +121,7 @@ def _phi_mass(lo, width, s: float):
     return lo ** (1.0 - 2.0 * s) * L * ratio / (2.0 * s)
 
 
-def _banded_mass(amp: float, s: float, d0, h: float, width: float,
-                 gamma: float):
+def _banded_mass(s: float, d0, h: float, width: float, gamma: float):
     """Banded kernel mass between width-h cells and a segment at distance d0.
 
     int over the cell of phi(max(distance, gamma)) for a segment of the
@@ -136,7 +135,7 @@ def _banded_mass(amp: float, s: float, d0, h: float, width: float,
 
     d0 = np.asarray(d0, dtype=float)
     far = beyond(d0 + width) if np.isfinite(width) else 0.0
-    return amp * (beyond(d0) - far)
+    return beyond(d0) - far
 
 
 # -- assembled system --------------------------------------------------------
@@ -308,7 +307,7 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
     rem = 0.0
     if not np.isfinite(hi):
         hi = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), lo + span)
-        rem = kernel.upper_envelope() * h * float(
+        rem = kernel.lam * h * float(
             phi(np.asarray(hi - (p + h)), kernel.s))
     z0 = max(lo, p + gamma)  # the band removes x <= z - gamma entirely below
     if hi <= z0:
@@ -365,11 +364,10 @@ def _overlap_mass(kernel: Kernel, d0, h: float, width: float, gamma: float,
     d0 = np.asarray(d0, dtype=float)
     rem = np.zeros_like(d0)
     if kernel.family == "fractional":
-        return (_banded_mass(kernel.norm_factor, kernel.s, d0, h, width,
-                             gamma), 0.0, rem)
+        return _banded_mass(kernel.s, d0, h, width, gamma), 0.0, rem
     if not np.isfinite(width):
         width = max(EXTERIOR_TRUNCATION_FACTOR * max(1.0, span), 2.0 * span)
-        rem = h * kernel.upper_envelope() * phi(d0 + width, kernel.s)
+        rem = h * kernel.lam * phi(d0 + width, kernel.s)
         tol = max(tol, 0.25 * float(rem.min()))
     plateau = min(h, width)
     top = h + width
@@ -404,7 +402,7 @@ def _band_moment(kernel: Kernel, gaps, gamma: float,
              - gaps ** (3.0 - 2.0 * s)) / (3.0 - 2.0 * s)
         b = gaps * (gamma ** (2.0 - 2.0 * s)
                     - gaps ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
-        return kernel.norm_factor * (a - b), 0.0
+        return a - b, 0.0
 
     def band_m2(t):
         t = t[:, None]

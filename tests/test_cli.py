@@ -57,11 +57,8 @@ class TestParsing:
         assert err.value.code == 2
 
     def test_sweep_grid_flag(self):
-        a = cli.parse_args(
-            "harnack sweep --s-grid 0.5,0.7,0.9,0.95 --normalize-1ms"
-            .split())
+        a = cli.parse_args("harnack sweep --s-grid 0.5,0.7,0.9,0.95".split())
         assert a.s_grid == "0.5,0.7,0.9,0.95"
-        assert a.normalize_1ms
 
     def test_readme_commands_parse(self):
         commands = readme_commands()
@@ -83,6 +80,17 @@ class TestParsing:
         for bad in ("nope:1", "indicator:1", "pieces:a,b,c"):
             with pytest.raises(Exception):
                 cli.parse_data(bad)
+
+
+# the subcommands that take --kernel
+KERNEL_COMMANDS = [
+    "evalL --s 0.5 --barrier w1 --x -2",
+    "solve1d --s 0.5",
+    "harnack run --s 0.5",
+    "harnack sweep",
+    "harnack mp --s 0.5",
+    "harnack barrier --s 0.5",
+]
 
 
 class TestExitCodes:
@@ -155,6 +163,9 @@ class TestExitCodes:
         "solve1d --s 0.5 --domain=1,2,3",
         "harnack run --s 0.5 --data mass --masses 1,x",
         "harnack sweep --s-grid 0.5,zz",
+        "harnack sweep --s-grid=",
+        # the barrier check needs a translation-invariant kernel
+        "harnack sweep --kernel general --N 8 --samples 2 --s-grid 0.5",
         "poisson bounds --s 0.5 --x-samples=a",
         "harnack run --s 0.5 --config {missing}",
         "harnack barrier --s 0.5 --grid 0",
@@ -247,18 +258,18 @@ class TestExitCodes:
         assert out.out == "" and out.err.startswith("error: ")
         assert out.err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        "evalL --s 0.5 --barrier w1 --x -2",
-        "solve1d --s 0.5",
-        "harnack run --s 0.5",
-        "harnack sweep",
-        "harnack mp --s 0.5",
-        "harnack barrier --s 0.5",
-    ])
+    @pytest.mark.parametrize("argv", KERNEL_COMMANDS)
     def test_lam_is_not_a_flag(self, argv):
         # each kernel fixes its own ellipticity constant
         with pytest.raises(SystemExit) as err:
             cli.parse_args([*argv.split(), "--lam", "2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", KERNEL_COMMANDS)
+    def test_normalize_1ms_is_not_a_flag(self, argv):
+        # the constants are ratios, so a (1 - s) factor would cancel
+        with pytest.raises(SystemExit) as err:
+            cli.parse_args([*argv.split(), "--normalize-1ms"])
         assert err.value.code == 2
 
     def test_experiment_failure_is_one(self, capsys, monkeypatch):
@@ -586,7 +597,7 @@ RUN_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"), "--N": ("4", "8", "16"),
              "--samples": ("1", "2", "3"), "--seed": (None, "0", "7"),
              "--masses": (None, "1", "1,100"),
              **GEOMETRY_FLAGS}
-SWEEP_FLAGS = {"--s-grid": ("0.5", "0.25,0.75", "0.01,0.9"),
+SWEEP_FLAGS = {"--s-grid": ("0.5", "0.25,0.75", "0.01,0.9", ""),
                "--N": ("4", "8", "16"), "--samples": ("1", "2"),
                "--seed": (None, "0", "7"), "--grid": ("1", "5"),
                **GEOMETRY_FLAGS}
@@ -596,12 +607,14 @@ SWEEP_FLAGS = {"--s-grid": ("0.5", "0.25,0.75", "0.01,0.9"),
 def solver_or_harnack_argv(draw):
     """A solve1d or harnack {mp,barrier,run,sweep} command line whose
     numeric flags are valid, except up to two that take one of SPECIAL.
-    The general kernel runs in barrier only: its assembly alone takes
-    0.5 s.  run and sweep draw a data family; N, the sample count and the
-    grid are always given, small, unless drawn from SPECIAL."""
+    The general kernel runs in barrier and sweep only: its assembly alone
+    takes 0.5 s, and a sweep refuses it before any.  run and sweep draw a
+    data family; N, the sample count and the grid are always given, small,
+    unless drawn from SPECIAL."""
     command = draw(st.sampled_from(["solve1d", "mp", "barrier", "run",
                                     "sweep"]))
-    kernels = ["frac", "ti"] + ["general"] * (command == "barrier")
+    general = command in ("barrier", "sweep")
+    kernels = ["frac", "ti"] + ["general"] * general
     argv = ([] if command == "solve1d" else ["harnack"]) + [
         command, "--kernel=" + draw(st.sampled_from(kernels))]
     if command in ("run", "sweep"):

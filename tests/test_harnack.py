@@ -16,6 +16,7 @@ from nonlocal_lab.errors import (
     ConfigParseError,
     EmptySample,
     NoPositiveC0,
+    UnsupportedKernel,
 )
 from nonlocal_lab.geometry import make_disconnected_config, \
     mesh_intervals, mesh_over
@@ -371,8 +372,7 @@ def test_barrier_translated_s09_matches_untranslated():
 
 @pytest.fixture(scope="module")
 def sweep():
-    return s_sweep("frac", CFG, S_GRID, seed=0, N=128, samples=8,
-                   one_minus_s=True)
+    return s_sweep("frac", CFG, S_GRID, seed=0, N=128, samples=8)
 
 
 class TestSweep:
@@ -393,16 +393,25 @@ class TestSweep:
             reps = sweep["reports"][s]
             assert [r.sample_id for r in reps] == list(range(8))
 
-    def test_normalization_leaves_constants_invariant(self, sweep):
-        # C_max and c0_max are ratios of solution and operator values, so
-        # scaling the kernel by (1 - s) cancels; both sweeps must agree.
-        plain = s_sweep("frac", CFG, (0.5, 0.9), seed=0, N=128, samples=8,
-                        one_minus_s=False)
-        for prow in plain["table"]:
-            nrow = next(row for row in sweep["table"]
-                        if row["s"] == prow["s"])
-            assert prow["C_max"] == pytest.approx(nrow["C_max"], rel=1e-9)
-            assert prow["c0_max"] == pytest.approx(nrow["c0_max"], rel=1e-9)
+    @pytest.mark.parametrize("family, grid, error", [
+        ("general", (0.5,), UnsupportedKernel),
+        ("frac", (), ConfigParseError),
+    ], ids=["general-kernel", "empty-grid"])
+    def test_refused_before_any_assembly(self, monkeypatch, family, grid,
+                                         error):
+        # the barrier check needs a translation-invariant kernel for w2,
+        # so a general sweep can never finish; it and an empty grid fail
+        # before the first operator is assembled
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("assemble called")
+
+        monkeypatch.setattr(harnack, "assemble", counting)
+        with pytest.raises(error):
+            s_sweep(family, CFG, grid, N=8, samples=2)
+        assert calls == []
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),

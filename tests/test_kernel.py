@@ -32,20 +32,15 @@ def k_at(kernel, x, y):
 
 
 def ellipticity_ratios(kernel, rng, m):
-    """k(x,y) |x-y|^(1+2s) / norm_factor over random pairs."""
+    """k(x,y) |x-y|^(1+2s) over random pairs."""
     x, y = random_pairs(rng, m)
-    return (kernel.eval_pairs(x, y) * np.abs(x - y) ** kernel.power
-            / kernel.norm_factor)
+    return kernel.eval_pairs(x, y) * np.abs(x - y) ** kernel.power
 
 
 class TestEval:
     def test_fractional_plain_value(self):
         k = fractional_kernel(n=1, s=0.5)
         assert k_at(k, 0.0, 2.0) == pytest.approx(0.25, abs=0.0)
-
-    def test_fractional_normalized_value(self):
-        k = fractional_kernel(n=1, s=0.75, one_minus_s=True)
-        assert k_at(k, 0.0, 1.0) == pytest.approx(0.25, abs=0.0)
 
     @pytest.mark.parametrize("maker", [
         lambda: fractional_kernel(1, 0.4),
@@ -76,12 +71,11 @@ class TestEval:
     s=st.floats(0.05, 0.95),
     x=st.floats(-10, 10),
     d=st.floats(0.01, 100),
-    normalized=st.booleans(),
 )
-def test_fractional_ratio_is_exactly_the_norm_factor(s, x, d, normalized):
-    k = fractional_kernel(n=1, s=s, one_minus_s=normalized)
+def test_fractional_ratio_is_exactly_one(s, x, d):
+    k = fractional_kernel(n=1, s=s)
     ratio = k_at(k, x, x + d) * d ** (1.0 + 2.0 * s)
-    assert ratio == pytest.approx(k.norm_factor, rel=1e-12)
+    assert ratio == pytest.approx(1.0, rel=1e-12)
 
 
 class TestEllipticity:
@@ -95,7 +89,7 @@ class TestEllipticity:
         lambda: fractional_kernel(1, 0.25),
         lambda: ti_demo_kernel(0.5),
         lambda: general_demo_kernel(0.75),
-        lambda: ti_demo_kernel(0.9, one_minus_s=True),
+        lambda: ti_demo_kernel(0.9),
     ])
     def test_builtin_families_pass_declared_lambda(self, maker):
         k = maker()
@@ -104,31 +98,27 @@ class TestEllipticity:
         assert ratios.max() <= k.lam + 1e-12
 
     @pytest.mark.parametrize("family", ["frac", "ti", "general"])
-    @pytest.mark.parametrize("one_minus_s", [False, True])
-    def test_values_are_the_factor_times_the_power_law(self, family,
-                                                       one_minus_s):
+    def test_values_are_the_factor_times_the_power_law(self, family):
         # the power law lives in the Kernel alone: eval_* is
-        # norm_factor * (f * d^(-1-2s)) bit for bit, f the callable's
-        # factor, and factor() = norm_factor * f stays in [1/lam, lam]
-        # times norm_factor at every separation, without a warning
-        k = make_kernel(family, 1, 0.75, one_minus_s=one_minus_s)
-        nf = k.norm_factor  # 1 or 1/4: f / nf is exact
+        # f * d^(-1-2s) bit for bit, f the callable's factor, and
+        # factor() = f stays in [1/lam, lam] at every separation, without
+        # a warning
+        k = make_kernel(family, 1, 0.75)
         d = np.logspace(-300, 300, 6001)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for y in (d, -d):
                 f = k.factor(0.0, y)
-                assert np.all((1.0 / k.lam <= f / nf) & (f / nf <= k.lam))
+                assert np.all((1.0 / k.lam <= f) & (f <= k.lam))
         d = d[(d > 1e-100) & (d < 1e100)]  # d^(-1-2s) overflows below
         x = np.zeros_like(d)
         bare = (k.pair_fn(x, d) if family == "general"
                 else k.profile(d) if family == "ti" else 1.0)
-        assert np.array_equal(k.factor(x, d),
-                              np.broadcast_to(nf * bare, d.shape))
-        assert np.array_equal(k.eval_pairs(x, d), nf * (bare * d ** -k.power))
+        assert np.array_equal(k.factor(x, d), np.broadcast_to(bare, d.shape))
+        assert np.array_equal(k.eval_pairs(x, d), bare * d ** -k.power)
         if family != "general":
             assert np.array_equal(k.eval_at_distance(d),
-                                  nf * (bare * d ** -k.power))
+                                  bare * d ** -k.power)
 
     def test_ti_profile_past_the_squares_overflow(self):
         # d * d overflows past 1.3e154, where the profile's factor is 1.5
@@ -167,13 +157,12 @@ class TestConstruction:
 
     def test_fields_are_what_a_kernel_carries(self):
         assert [f.name for f in fields(Kernel)] == [
-            "s", "lam", "one_minus_s", "profile", "pair_fn"]
-        assert [make_kernel(f, 1, 0.5, one_minus_s=oms).tag()
-                for f in ("frac", "ti", "general") for oms in (False, True)] \
-            == ["fractional(s=0.5,lam=1)", "fractional(s=0.5,lam=1,1-s)",
+            "s", "lam", "profile", "pair_fn"]
+        assert [make_kernel(f, 1, 0.5).tag()
+                for f in ("frac", "ti", "general")] \
+            == ["fractional(s=0.5,lam=1)",
                 "translation-invariant(s=0.5,lam=1.5)",
-                "translation-invariant(s=0.5,lam=1.5,1-s)",
-                "general(s=0.5,lam=1.5)", "general(s=0.5,lam=1.5,1-s)"]
+                "general(s=0.5,lam=1.5)"]
 
     def test_factory_matches_flag_names(self):
         assert make_kernel("frac", 1, 0.5).family == "fractional"
@@ -183,7 +172,10 @@ class TestConstruction:
             make_kernel("zeta", 1, 0.5)
 
     def test_scale_multiplies_values(self):
-        # the (1 - s) factor is exactly 0.75 at s = 0.25, on pair kernels too
-        k = general_demo_kernel(0.25)
-        k1ms = general_demo_kernel(0.25, one_minus_s=True)
-        assert k_at(k1ms, 0.3, 2.0) == 0.75 * k_at(k, 0.3, 2.0)
+        # scale stays 1 and no kernel carries another constant factor:
+        # a value is its factor times the power law, on pair kernels too
+        for family in ("frac", "ti", "general"):
+            k = make_kernel(family, 1, 0.25)
+            assert k.scale == 1.0
+            assert k_at(k, 0.3, 2.0) == pytest.approx(
+                float(k.factor(0.3, 2.0)) * 1.7 ** -1.5, rel=1e-15)

@@ -382,13 +382,6 @@ class TestStructure:
                            constant(0.0)))
         assert np.array_equal(u.values, np.zeros(8))
 
-    def test_kernel_scaling_leaves_solution_invariant(self):
-        # the (1 - s) normalization scales the kernel by 0.4 here
-        u1 = solve(assemble(fractional_kernel(1, 0.6), unit_mesh(8), G13))
-        u2 = solve(assemble(fractional_kernel(1, 0.6, one_minus_s=True),
-                            unit_mesh(8), G13))
-        assert np.max(np.abs(u1.values - u2.values)) < 1e-10
-
     def test_solution_linear_in_data(self):
         k = fractional_kernel(1, 0.4)
         u1 = solve(assemble(k, unit_mesh(8), G13))
