@@ -1,4 +1,4 @@
-"""Balls, two-ball disconnected configurations, and 1d cell meshes.
+"""The two-ball layout: configurations, domain, complement, 1d meshes.
 
 Points are numpy arrays of shape (n,); n = 1 throughout the solver stack,
 but configurations validate in any dimension.
@@ -23,20 +23,6 @@ def _point(x, n: int) -> np.ndarray:
     if p.shape != (n,):
         raise ConfigParseError(f"point {x!r} does not have dimension {n}")
     return p
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Open ball; an open interval when n = 1."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ConfigParseError(f"ball radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +53,25 @@ class DisconnectedConfig:
     def separation(self) -> float:
         return math.dist(self.x1, self.x2)  # no overflow in the square
 
-    def ball1(self) -> Ball:
-        return Ball(self.x1, self.r)
+    @property
+    def domain(self) -> list[tuple[float, float]]:
+        """The solved domain B_2r(x1) u B_2r(x2), intervals left to right."""
+        if self.n != 1:
+            raise UnsupportedDimension(
+                f"meshing implemented for n = 1, got n = {self.n}")
+        r2 = 2.0 * self.r
+        return sorted((c - r2, c + r2)
+                      for c in (float(self.x1[0]), float(self.x2[0])))
 
-    def ball2(self) -> Ball:
-        return Ball(self.x2, self.r)
+
+def complement(intervals) -> list[tuple[float, float]]:
+    """Components of R minus a union of disjoint open intervals, left to
+    right; a gap under 1e-14 of the span (touching intervals) is none."""
+    ivs = sorted(intervals)
+    span = ivs[-1][1] - ivs[0][0]
+    ends = [-np.inf, *(e for iv in ivs for e in iv), np.inf]
+    return [(a, b) for a, b in zip(ends[::2], ends[1::2])
+            if b - a > 1e-14 * span]
 
 
 def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> DisconnectedConfig:
@@ -82,7 +82,6 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
     Both inequalities are non-strict.  unsafe=True skips the checks and
     stamps the config.
     """
-    n = int(n)
     r = float(r)
     R = float(R)
     if not r > 0:
@@ -124,9 +123,9 @@ class Mesh1D:
     def ncells(self) -> int:
         return self.centers.size
 
-    def cells_in(self, ball: Ball) -> np.ndarray:
-        """Indices of cells whose center lies in the (open) ball."""
-        return np.nonzero(np.abs(self.centers - ball.center[0]) < ball.radius)[0]
+    def cells_in(self, center: float, radius: float) -> np.ndarray:
+        """Indices of cells whose center lies in B_radius(center), open."""
+        return np.nonzero(np.abs(self.centers - center) < radius)[0]
 
 
 def mesh_intervals(intervals, N: int) -> Mesh1D:
@@ -158,12 +157,8 @@ def mesh_intervals(intervals, N: int) -> Mesh1D:
 
 
 def mesh_over(config: DisconnectedConfig, N: int) -> Mesh1D:
-    """Mesh over B_2r(x1) u B_2r(x2) with N uniform cells per interval."""
-    if config.n != 1:
-        raise UnsupportedDimension(f"meshing implemented for n = 1, got n = {config.n}")
-    a1, a2 = float(config.x1[0]), float(config.x2[0])
-    r2 = 2.0 * config.r
-    return mesh_intervals([(a1 - r2, a1 + r2), (a2 - r2, a2 + r2)], N)
+    """Mesh over the config's domain with N uniform cells per interval."""
+    return mesh_intervals(config.domain, N)
 
 
 def config_from_text(text: str, **overrides,

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigParseError, EmptySample, NoPositiveC0
-from .geometry import Ball, DisconnectedConfig, mesh_intervals, mesh_over
+from .geometry import (DisconnectedConfig, complement, mesh_intervals,
+                       mesh_over)
 from .kernel import Kernel, make_kernel
 from .operator import (
     PointFunction,
     barrier_w1,
     barrier_w2,
     eval_L,
+    indicator,
     piecewise_constant,
     segment_tail,
 )
-from .solver1d import (GridFunction, _data_segments, _exterior_components,
-                       assemble, solve)
+from .solver1d import GridFunction, assemble, solve
 
 DEFAULT_SAMPLES = 20
 DEFAULT_MASSES = (1.0, 10.0, 100.0, 1000.0)
@@ -90,12 +91,11 @@ class HarnackReport:
 CSV_COLUMNS = ("s", "sample_id", "sup", "inf", "avg", "tail", "C_estimate")
 
 
-def _ball_values(u: GridFunction, ball: Ball) -> np.ndarray:
-    idx = u.mesh.cells_in(ball)
+def _ball_values(u: GridFunction, center: float, r: float) -> np.ndarray:
+    idx = u.mesh.cells_in(center, r)
     if idx.size == 0:
         raise EmptySample(
-            f"no cell centers in ball at {float(ball.center[0]):g} "
-            f"radius {ball.radius:g}")
+            f"no cell centers in ball at {center:g} radius {r:g}")
     return u.values[idx]
 
 
@@ -109,7 +109,7 @@ def _tail_of_negative(u: GridFunction, config: DisconnectedConfig,
     cells = zip(mesh.lo[keep].tolist(), mesh.hi[keep].tolist(),
                 (-u.values[keep]).tolist())
     data = [(lo, hi, -v) for lo, hi, v in
-            _data_segments(u.exterior, _exterior_components(mesh)) if v < 0.0]
+            u.exterior.segments_in(complement(mesh.intervals)) if v < 0.0]
     return (config.r / R) ** (2.0 * s) \
         * segment_tail([*cells, *data], 0.0, R, s)
 
@@ -118,8 +118,8 @@ def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
                    kernel_tag: str = "", seed: int = 0,
                    N: int | None = None, sample_id: int = 0) -> HarnackReport:
     """Reduce one solved sample to a HarnackReport."""
-    v2 = _ball_values(u, config.ball2())
-    v1 = _ball_values(u, config.ball1())
+    v2 = _ball_values(u, float(config.x2[0]), config.r)
+    v1 = _ball_values(u, float(config.x1[0]), config.r)
     sup = float(v2.max())
     avg = float(v2.mean())
     inf_ = float(v1.min())
@@ -136,11 +136,9 @@ def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
 # -- data families ------------------------------------------------------------
 
 def _data_gaps(config: DisconnectedConfig):
-    """Components of B_R minus the solved domain, left to right."""
-    x_lo, x_hi = sorted((float(config.x1[0]), float(config.x2[0])))
-    r, R = config.r, config.R
-    gaps = [(-R, x_lo - 2.0 * r), (x_lo + 2.0 * r, x_hi - 2.0 * r),
-            (x_hi + 2.0 * r, R)]
+    """The solved domain's complement clipped to B_R, left to right."""
+    R = config.R
+    gaps = [(max(a, -R), min(b, R)) for a, b in complement(config.domain)]
     return [(a, b) for a, b in gaps if b - a > 1e-12 * R]
 
 
@@ -157,26 +155,22 @@ def random_nonneg_data(config: DisconnectedConfig, rng,
 
 def mass_near_x2_data(config: DisconnectedConfig, mass: float,
                       label: str | None = None) -> PointFunction:
-    """Unit baseline on B_R minus the domain plus mass on (x2+2r, x2+3r).
+    """Unit baseline on B_R minus the domain plus mass on the window 2r to
+    3r past x2, away from x1; its parts beyond B_R carry the mass alone.
 
     The baseline keeps inf over B_r(x1) at order one independently of the
     mass, so the ratio genuinely tests how much of the concentrated datum
     leaks across the gap; a pure multiple of one indicator would leave the
     ratio exactly unchanged by linearity.
     """
-    x_hi = max(float(config.x1[0]), float(config.x2[0]))
-    r, R = config.r, config.R
-    w_lo, w_hi = x_hi + 2.0 * r, x_hi + 3.0 * r
-    pieces = []
-    for a, b in _data_gaps(config):
-        cuts = sorted({a, b, min(max(w_lo, a), b), min(max(w_hi, a), b)})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
-            v = 1.0 + (mass if (lo >= w_lo and hi <= w_hi) else 0.0)
-            pieces.append((lo, hi, v))
-    if w_hi > R:  # window sticking out past B_R carries no baseline
-        pieces.append((max(w_lo, R), w_hi, float(mass)))
+    x1, x2, r, R = float(config.x1[0]), float(config.x2[0]), config.r, config.R
+    window = [(x2 + 2.0 * r, x2 + 3.0 * r) if x2 >= x1
+              else (x2 - 3.0 * r, x2 - 2.0 * r)]
+    base = piecewise_constant([(a, b, 1.0) for a, b in _data_gaps(config)])
+    beyond = indicator(*window[0]).segments_in(complement([(-R, R)]))
+    pieces = [*base.segments_in(complement(window)),
+              *((lo, hi, 1.0 + mass) for lo, hi, _ in base.segments_in(window)),
+              *((lo, hi, float(mass)) for lo, hi, _ in beyond)]
     return piecewise_constant(pieces, label=label or f"mass{mass:g}")
 
 

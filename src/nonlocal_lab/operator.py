@@ -88,6 +88,12 @@ class PointFunction:
             segs += [(-np.inf, -fr, v), (fr, np.inf, v)]
         return segs
 
+    def segments_in(self, intervals) -> list[tuple[float, float, float]]:
+        """Nonzero segments clipped to the intervals, interval by interval."""
+        segs = [seg for seg in self.segments() if seg[2] != 0.0]
+        return [(bot, top, v) for lo, hi in intervals for a, b, v in segs
+                if (top := min(hi, b)) > (bot := max(lo, a))]
+
 
 def constant(c: float) -> PointFunction:
     c = float(c)

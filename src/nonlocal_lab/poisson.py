@@ -211,6 +211,8 @@ def check_poisson_bounds(pk: PoissonKernelBall, sample_x,
     """
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_x]
     zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in sample_z]
+    if not xs or not zs:
+        raise ConfigParseError("the bounds need an x and a z sample")
     for x in xs:
         if not math.dist(x, pk._center()) < 0.5 * pk.r:
             raise DomainViolation(

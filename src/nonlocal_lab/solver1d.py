@@ -28,8 +28,8 @@ two intervals.  W_ij depends on the pair through its gap alone, so it is
 the overlap mass of two cells plus the curvature coupling, computed once
 per distinct gap; every block of cells from intervals p <= q is Toeplitz
 and is given by one generating vector over its index offsets.  An
-exterior segment (E, and B, whose data segments are clipped to the
-exterior components) is one overlap mass over all cells, which share its
+exterior segment (E: components of geometry.complement; B: each datum's
+segments_in them) is one overlap mass over all cells, which share its
 error estimate e, so a segment adds m e plus its cells' truncation
 remainders to the assembly error.  General pair kernels take a nested
 adaptive quadrature per cell and segment whose inner cell mass is one
@@ -75,7 +75,7 @@ from .errors import (
     ConfigParseError,
     SingularSystem,
 )
-from .geometry import Mesh1D
+from .geometry import Mesh1D, complement
 from .kernel import Kernel, phi
 from .operator import PointFunction
 from .quadrature import check_tol, integrate
@@ -264,25 +264,6 @@ class GridFunction:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise SingularSystem("solution contains non-finite values")
-
-
-def _exterior_components(mesh: Mesh1D) -> list[tuple[float, float]]:
-    ivs = sorted(mesh.intervals)
-    span = ivs[-1][1] - ivs[0][0]
-    comps = [(-np.inf, ivs[0][0])]
-    for (_, a_hi), (b_lo, _) in zip(ivs[:-1], ivs[1:]):
-        if b_lo - a_hi > 1e-14 * span:
-            comps.append((a_hi, b_lo))
-    comps.append((ivs[-1][1], np.inf))
-    return comps
-
-
-def _data_segments(g: PointFunction, comps) -> list[tuple[float, float, float]]:
-    """g's nonzero segments clipped to the exterior components, component
-    by component."""
-    return [(max(lo, a), min(hi, b), v) for lo, hi in comps
-            for a, b, v in g.segments()
-            if v != 0.0 and min(hi, b) > max(lo, a)]
 
 
 def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
@@ -551,12 +532,13 @@ def _weighted_mass(m: int, segs, mass) -> tuple[np.ndarray, float]:
     """Sum of v mass(a, b) over v-weighted exterior segments (a, b, v) in
     their order, per cell, and of |v| times their error bounds; the
     exterior mass E is the case v = 1 on every exterior component."""
+    parts = [(v, *mass(a, b)) for a, b, v in segs]
     M = np.zeros(m)
     err_acc = 0.0
-    for a, b, v in segs:
-        val, e = mass(a, b)
-        M += v * val
-        err_acc += abs(v) * e
+    with np.errstate(over="ignore", invalid="ignore"):  # assemble checks b
+        for v, val, e in parts:
+            M += v * val
+            err_acc += abs(v) * e
     return M, err_acc
 
 
@@ -596,7 +578,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     if float(np.max(mesh.widths)) - h > 1e-12 * scale:
         raise ConfigParseError("assembly needs a uniform cell width")
     gamma = BAND_FRACTION * h
-    comps = _exterior_components(mesh)
+    comps = complement(ivs)
     span = ivs[-1][1] - ivs[0][0]
     # the band moments take lengths up to the span to the power 3 - 2s
     if not span < np.finfo(float).max ** (1.0 / (3.0 - 2.0 * kernel.s)):
@@ -611,9 +593,10 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     data_err = 0.0
     for j, g in enumerate(data):
         if g.is_constant:
-            B[:, j] = float(g(np.zeros(1))[0]) * E
+            with np.errstate(over="ignore"):  # b is checked below
+                B[:, j] = float(g(np.zeros(1))[0]) * E
         else:
-            B[:, j], e = _weighted_mass(m, _data_segments(g, comps), mass)
+            B[:, j], e = _weighted_mass(m, g.segments_in(comps), mass)
             data_err = max(data_err, e)
 
     if toeplitz:
@@ -621,7 +604,10 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     else:
         op = _system_matrix(
             W if isinstance(W, np.ndarray) else _toeplitz_fill(W, m), E)
-    b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B
+    if not np.isfinite(b).all():
+        raise ConfigParseError("the data and rhs overflow the float range")
     return LinearSystem(operator=op, rhs=b if block else b[:, 0], mesh=mesh,
                         kernel=kernel, exterior=data if block else exterior,
                         exterior_mass=2.0 * E,
@@ -685,11 +671,16 @@ def solve(system: LinearSystem):
     one preconditioned conjugate-gradient run (_cg) over all columns.
     Either way each column's normwise backward error, its max-norm
     residual over |A| |u| + |b| (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 7), must stay within 1e-10.  A one-datum
+    Numerical Algorithms, ch. 7), must stay within 1e-10; both scale b by
+    a power of two, exactly, so that neither overflows.  A one-datum
     system gives one GridFunction; a block system (m x k rhs) gives a
     list of k GridFunctions, each carrying its own datum as exterior.
     """
-    a, b = system.operator, system.rhs
+    a = system.operator
+    b = np.abs(system.rhs)
+    bmax = np.max(b, axis=0)
+    t = np.ldexp(1.0, np.frexp(bmax)[1] - 1)
+    np.divide(system.rhs, t, out=b)  # b / t, in the buffer of |b|
     if isinstance(a, ToeplitzOperator):
         u, _, resid = _cg(a, b)
         diag = a.diag
@@ -702,13 +693,15 @@ def solve(system: LinearSystem):
         diag = np.diagonal(a)
     # row i of |A| sums to diag_i + 2 sum_j W_ij = 2 diag_i - 2 E_i
     anorm = float(np.max(2.0 * diag - system.exterior_mass))
-    scale = anorm * np.max(np.abs(u), axis=0) + np.max(np.abs(b), axis=0)
-    for j, (res, sc) in enumerate(zip(resid.tolist(),
-                                      np.atleast_1d(scale).tolist())):
+    scale = anorm * np.max(np.abs(u), axis=0) + bmax / t
+    rows = np.column_stack(np.atleast_1d(resid, scale, t)).tolist()
+    for j, (res, sc, tj) in enumerate(rows):
         if not res <= 1e-10 * sc:
             where = f" in column {j}" if b.ndim == 2 else ""
-            raise SingularSystem(f"residual {res:.2e} > 1e-10 (|A| |u| + "
-                                 f"|b|) = {1e-10 * sc:.2e}{where}")
+            raise SingularSystem(f"residual {res * tj:.2e} > 1e-10 (|A| |u| "
+                                 f"+ |b|) = {1e-10 * sc * tj:.2e}{where}")
+    with np.errstate(over="ignore"):  # GridFunction refuses a non-finite u
+        u *= t
     if b.ndim == 1:
         return GridFunction(mesh=system.mesh, values=u,
                             exterior=system.exterior)

@@ -167,6 +167,9 @@ class TestExitCodes:
         # the barrier check needs a translation-invariant kernel
         "harnack sweep --kernel general --N 8 --samples 2 --s-grid 0.5",
         "poisson bounds --s 0.5 --x-samples=a",
+        # no sample on one side leaves no ratio to bound
+        "poisson bounds --s 0.5 --x-samples= --z-samples 2",
+        "poisson bounds --s 0.5 --z-samples=",
         "harnack run --s 0.5 --config {missing}",
         "harnack barrier --s 0.5 --grid 0",
         "harnack run --s 0.5 --seed=-1",
@@ -257,6 +260,22 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
         assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,code", [
+        ("solve1d --s 0.5 --N 4 --data far:1e308,2", 0),
+        ("solve1d --s 0.5 --N 4 --data const:1e308", 3),
+        ("solve1d --s 0.5 --N 4 --data pieces:1,2,1e308;2,3,-1e308", 3),
+        ("harnack run --s 0.5 --N 16 --data mass --masses 1e308", 3),
+        ("solve1d --s 0.5 --N 2048 --rhs 1e308 --data indicator:1,3", 0),
+        ("solve1d --s 0.5 --N 4 --rhs 1e308 --data indicator:1,3", 0),
+        # the scaled solve is finite, the solution itself is not
+        ("solve1d --s 0.9 --N 4 --rhs 1e307 --domain=-30,30", 4),
+    ])
+    def test_finite_data_near_the_float_limit(self, argv, code):
+        # a solve under a backward-error check that did not overflow, or
+        # a data mass past the float range refused with one error line;
+        # a RuntimeWarning fails the test
+        check_json_contract(argv.split(), (code,))
 
     @pytest.mark.parametrize("argv", KERNEL_COMMANDS)
     def test_lam_is_not_a_flag(self, argv):
@@ -520,8 +539,8 @@ POISSON_FLAGS = {"--s": ("0.01", "0.25", "0.5", "0.9"),
                  "--r": (None, "1", "2"), "--center": (None, "0", "0.5"),
                  "--x": (None, "0", "0.3"), "--z": (None, "2", "5"),
                  "--tol": (None, "1e-8", "1e-4"),
-                 "--x-samples": (None, "0", "-0.4,0.4"),
-                 "--z-samples": (None, "2,3", "8", "1e150")}
+                 "--x-samples": (None, "", "0", "-0.4,0.4"),
+                 "--z-samples": (None, "", "2,3", "8", "1e150")}
 
 
 def draw_flags(draw, argv, flags):

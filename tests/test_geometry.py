@@ -9,7 +9,7 @@ from nonlocal_lab.errors import (
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import (
-    Ball,
+    complement,
     config_from_text,
     make_disconnected_config,
     mesh_over,
@@ -23,9 +23,10 @@ def corollary_config():
 class TestConfigValidation:
     def test_reference_two_interval_config(self):
         cfg = corollary_config()
-        b1, b2 = cfg.ball1(), cfg.ball2()
-        assert (b1.center[0] - b1.radius, b1.center[0] + b1.radius) == (-3.0, -1.0)
-        assert (b2.center[0] - b2.radius, b2.center[0] + b2.radius) == (1.0, 3.0)
+        x1, x2, r = cfg.x1[0], cfg.x2[0], cfg.r
+        assert (x1 - r, x1 + r) == (-3.0, -1.0)
+        assert (x2 - r, x2 + r) == (1.0, 3.0)
+        assert cfg.domain == [(-4.0, 0.0), (0.0, 4.0)]
         assert cfg.checked
 
     def test_too_close_centers_rejected(self):
@@ -64,9 +65,31 @@ def test_valid_configs_have_disjoint_2r_balls(x1, r, sep_frac):
     x2 = x1 + sep
     R = 4.0 * (max(abs(x1), abs(x2)) + 2.0 * r) + 1.0
     cfg = make_disconnected_config(n=1, x1=x1, x2=x2, r=r, R=R)
-    b1, b2 = Ball(cfg.x1, 2 * cfg.r), Ball(cfg.x2, 2 * cfg.r)
+    (_, b1_hi), (b2_lo, _) = cfg.domain
     # open 2r-balls must not intersect (touching allowed)
-    assert b1.center[0] + b1.radius <= b2.center[0] - b2.radius + 1e-12
+    assert b1_hi <= b2_lo + 1e-12
+
+
+class TestLayout:
+    def test_domain_runs_left_to_right_whichever_ball_is_x1(self):
+        cfg = make_disconnected_config(n=1, x1=3.0, x2=-3.0, r=1.0, R=20.0)
+        assert cfg.domain == [(-5.0, -1.0), (1.0, 5.0)]
+        assert mesh_over(cfg, 4).intervals == ((-5.0, -1.0), (1.0, 5.0))
+
+    def test_domain_needs_n_one(self):
+        cfg = make_disconnected_config(n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0),
+                                       r=1.0, R=20.0)
+        with pytest.raises(UnsupportedDimension):
+            cfg.domain
+
+    @pytest.mark.parametrize("intervals,gaps", [
+        ([(-1.0, 1.0)], []),
+        ([(0.0, 4.0), (-4.0, 0.0)], []),  # touching: no middle component
+        ([(-5.0, -1.0), (1.0, 5.0)], [(-1.0, 1.0)]),
+    ])
+    def test_complement(self, intervals, gaps):
+        lo, hi = min(intervals)[0], max(intervals)[1]
+        assert complement(intervals) == [(-np.inf, lo), *gaps, (hi, np.inf)]
 
 
 class TestMesh:
@@ -98,7 +121,7 @@ class TestMesh:
 
     def test_cells_in_ball_uses_open_centers(self):
         mesh = mesh_over(corollary_config(), N=4)
-        idx = mesh.cells_in(Ball(np.array([-2.0]), 1.0))
+        idx = mesh.cells_in(-2.0, 1.0)
         assert np.allclose(mesh.centers[idx], [-2.5, -1.5])
 
 

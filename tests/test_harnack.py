@@ -33,7 +33,7 @@ from nonlocal_lab.harnack import (
     s_sweep,
 )
 from nonlocal_lab.kernel import make_kernel
-from nonlocal_lab.operator import barrier_w1, barrier_w2, constant
+from nonlocal_lab.operator import barrier_w1, barrier_w2, constant, eval_L
 from nonlocal_lab.solver1d import assemble, solve
 
 CFG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
@@ -207,6 +207,29 @@ class TestDataFamilies:
         assert g(np.array([4.25]))[0] == pytest.approx(8.0)
         assert g(np.array([4.75]))[0] == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("R,unsafe", [(16.0, False), (4.5, True)])
+    def test_mass_window_lies_past_x2_away_from_x1(self, R, unsafe):
+        # with x2 left of x1 the window is (x2 - 3r, x2 - 2r), and the
+        # whole datum is the mirror image of the reference's, past -R too
+        ref, mirror = (make_disconnected_config(
+            n=1, x1=x1, x2=-x1, r=1.0, R=R, unsafe=unsafe)
+            for x1 in (-2.0, 2.0))
+        g = mass_near_x2_data(mirror, 7.0)
+        assert g(np.array([-4.25]))[0] == pytest.approx(8.0)
+        assert g(np.array([4.25]))[0] == pytest.approx(1.0)
+        assert list(g.pieces) == sorted(
+            (-hi, -lo, v) for lo, hi, v in mass_near_x2_data(ref, 7.0).pieces)
+
+    def test_data_stay_inside_B_R(self):
+        # the middle gap (0, 28) of this unsafe layout reaches past R = 16:
+        # the data cover the domain's complement clipped to B_R
+        cfg = make_disconnected_config(n=1, x1=-2.0, x2=30.0, r=1.0, R=16.0,
+                                       unsafe=True)
+        g = random_nonneg_data(cfg, np.random.default_rng(0))
+        assert (g.pieces[0][0], g.pieces[-1][1]) == (-16.0, 16.0)
+        assert {(lo, hi) for lo, hi, _ in g.pieces} >= {(-16.0, -14.5),
+                                                        (14.0, 16.0)}
+
     def test_far_negative_values(self):
         g = far_negative_data(CFG, np.random.default_rng(0), magnitude=2.0)
         assert g(np.array([17.0]))[0] == -2.0
@@ -368,6 +391,56 @@ def test_barrier_translated_s09_matches_untranslated():
                                    R=16.0)
     shifted = barrier_combination_check(frac(0.9), cfg)["c0_max"]
     assert shifted == barrier_combination_check(frac(0.9), CFG)["c0_max"]
+
+
+@pytest.mark.parametrize("family,s", [("frac", 0.5), ("ti", 0.75)])
+@pytest.mark.parametrize("x1,R", [(-2.0, 16.0), (-3.0, 20.0)])
+class TestMirrorImage:
+    """y -> -y maps the layout (x1, x2) onto (-x1, -x2), each family's
+    data onto the mirrored layout's and the grid of B_r(x1) onto itself
+    reversed, so every reported number comes back."""
+
+    @staticmethod
+    def layouts(x1, R):
+        return [make_disconnected_config(n=1, x1=c, x2=-c, r=1.0, R=R)
+                for c in (x1, -x1)]
+
+    def test_mass_family(self, x1, R, family, s):
+        kernel = make_kernel(family, 1, s)
+        ref, mirror = (disconnected_harnack_experiment(
+            s, kernel, cfg, "mass-near-x2", N=64)
+            for cfg in self.layouts(x1, R))
+        for a, b in zip(ref, mirror):
+            for key in ("sup", "inf", "avg", "C_estimate"):
+                assert getattr(b, key) == pytest.approx(getattr(a, key),
+                                                        rel=1e-12)
+
+    def test_localized_mp(self, x1, R, family, s):
+        kernel = make_kernel(family, 1, s)
+        ref, mirror = (localized_mp_check(kernel, cfg, s,
+                                          far_negative_data(cfg), N=64)
+                       for cfg in self.layouts(x1, R))
+        for key in ("min_u", "C_empirical"):
+            assert mirror[key] == pytest.approx(ref[key], rel=1e-12)
+
+    def test_barrier_combination(self, x1, R, family, s):
+        kernel = make_kernel(family, 1, s)
+        layouts = self.layouts(x1, R)
+        ref, mirror = (barrier_combination_check(kernel, cfg)
+                       for cfg in layouts)
+        assert mirror["c0_max"] == ref["c0_max"]
+        np.testing.assert_allclose(mirror["Lw1"][::-1], ref["Lw1"],
+                                   rtol=1e-12, atol=0.0)
+        # L w2 is an adaptive quadrature: the reversed grid is the mirror
+        # only to the last bit, and the second difference 2u(x) - u(x+z)
+        # - u(x-z) rounds its terms in the other order, so the two agree
+        # within their error bounds (up to 1.8e-8 apart, 3.6e-10 relative,
+        # for the TI kernel), not to 1e-12
+        ref_err, mirror_err = (eval_L(kernel, barrier_w2(cfg), res["grid"],
+                                      tol=harnack.BARRIER_TOL).error_bound
+                               for cfg, res in zip(layouts, (ref, mirror)))
+        assert np.all(np.abs(mirror["Lw2"][::-1] - ref["Lw2"])
+                      <= ref_err + mirror_err[::-1])
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ from nonlocal_lab.errors import (
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import (
+    complement,
     make_disconnected_config,
     mesh_intervals,
     mesh_over,
@@ -51,8 +52,6 @@ from nonlocal_lab.solver1d import (
     LinearSystem,
     _band_moment,
     _couplings,
-    _data_segments,
-    _exterior_components,
     _overlap_mass,
     _segment_mass,
     assemble,
@@ -297,7 +296,7 @@ class TestStructure:
         m = mesh.ncells
         h = float(np.min(mesh.widths))
         gamma = BAND_FRACTION * h
-        comps = _exterior_components(mesh)
+        comps = complement(mesh.intervals)
         span = mesh.intervals[-1][1] - mesh.intervals[0][0]
         estimates = []
 
@@ -538,11 +537,11 @@ class TestBlock:
         # 20 data of one family share their piece edges: a datum-by-datum
         # data mass would compute 20 x distinct segment masses
         mesh = mesh_over(TWO_BALLS, 256)
-        comps = _exterior_components(mesh)
+        comps = complement(mesh.intervals)
         make = (random_nonneg_data if family == "random-nonneg"
                 else far_negative_data)
         rng = np.random.default_rng(0)  # the experiment's draws at seed 0
-        per_datum = [_data_segments(make(TWO_BALLS, rng), comps)
+        per_datum = [make(TWO_BALLS, rng).segments_in(comps)
                      for _ in range(20)]
         assert sum(map(len, per_datum)) == 20 * distinct
         computed = []
@@ -614,6 +613,37 @@ class TestBlock:
         assert isinstance(system.operator, np.ndarray) == (N < dense_max)
         u = solve(system)
         assert -0.6 < u.values.min() and u.values.max() < 0.0
+
+    @pytest.mark.parametrize("N", [4, 2048], ids=["lu", "cg"])
+    def test_rhs_near_the_float_limit_solves(self, N):
+        # |A| |u| overflows at rhs 1e308, so the check runs on b and u
+        # scaled by a power of two; by linearity u is 1e308 times the
+        # unit-load solution plus the O(1) response to the datum
+        kernel = fractional_kernel(1, 0.5)
+        u = solve(assemble(kernel, unit_mesh(N), G13, rhs=1e308)).values
+        unit = solve(assemble(kernel, unit_mesh(N), constant(0.0), rhs=1.0))
+        np.testing.assert_allclose(u, 1e308 * unit.values, rtol=1e-10)
+
+    def test_wrong_solution_near_the_float_limit_is_caught(self,
+                                                          monkeypatch):
+        # unscaled, the bound 1e-10 (|A| |u| + |b|) is inf and would pass
+        # any residual
+        solve_exact = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve_exact(a, b) * (1.0 + 1e-6))
+        system = assemble(fractional_kernel(1, 0.5), unit_mesh(), G13,
+                          rhs=1e308)
+        with pytest.raises(SingularSystem, match="residual"):
+            solve(system)
+
+    @pytest.mark.parametrize("g", [
+        constant(1e308),
+        piecewise_constant([(1.0, 2.0, 1e308), (2.0, 3.0, -1e308)]),
+    ], ids=["const", "pieces"])
+    def test_data_mass_past_the_float_range_is_refused(self, g):
+        # the data masses overflow to inf or nan, which no solve can take
+        with pytest.raises(ConfigParseError, match="float range"):
+            assemble(fractional_kernel(1, 0.5), unit_mesh(), g)
 
 # two-ball meshes B_2r(x1) u B_2r(x2) with r = 1: touching, separated on
 # the lattice of 32 cells per ball, and separated off it
@@ -844,7 +874,7 @@ class TestSegments:
         mesh = mesh_intervals([(-1.0, 0.0), (0.5, 1.5)], 4)
         g = piecewise_constant([(-2.0, 2.5, 0.5)], far_value=-1.0,
                                far_radius=3.0)
-        assert _data_segments(g, _exterior_components(mesh)) == [
+        assert g.segments_in(complement(mesh.intervals)) == [
             (-2.0, -1.0, 0.5), (-np.inf, -3.0, -1.0), (0.0, 0.5, 0.5),
             (1.5, 2.5, 0.5), (3.0, np.inf, -1.0)]
 
