@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigParseError, LabError, UnsupportedDimension
+from .errors import ConfigError, ConfigParseError, LabError
 from .geometry import config_from_text, mesh_intervals
 from .harnack import (
     CSV_COLUMNS,
@@ -37,10 +37,14 @@ from .poisson import (
     poisson_eval,
     poisson_extend,
 )
-from .solver1d import assemble, check_vector_budget, solve
+from .solver1d import (MATRIX_BUDGET_BYTES, assemble, check_vector_budget,
+                       solve)
 
 FAMILIES = {"random": "random-nonneg", "mass": "mass-near-x2",
             "farneg": "far-negative"}
+# peak memory per matrix entry of solve1d --dump-matrix: the float, the
+# nested lists and the JSON text (201 MB at 1,024 cells, 699 MB at 2,048)
+DUMP_ENTRY_BYTES = 170
 
 
 # -- emission -----------------------------------------------------------------
@@ -108,13 +112,9 @@ def _build_config(args):
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigParseError(f"config file: {exc}") from None
     cfg, file_N = config_from_text(text, **flags)
-    if cfg.n != 1:
-        raise UnsupportedDimension(
-            f"config file has n = {cfg.n}; the experiments run for n = 1 only")
     N = getattr(args, "N", None)
     if N is None:
         N = file_N if file_N is not None else 256
-    check_vector_budget(2 * N)  # the two-ball mesh, before it is built
     return cfg, N
 
 
@@ -165,7 +165,7 @@ def _cmd_evalL(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
-    pk = PoissonKernelBall(n=1, s=args.s, r=args.r, center=(args.center,))
+    pk = PoissonKernelBall(n=1, s=args.s, r=args.r, center=args.center)
     if args.action == "eval":
         payload = {"s": args.s, "r": args.r, "x": args.x, "z": args.z,
                    "value": poisson_eval(pk, args.x, args.z)}
@@ -174,11 +174,9 @@ def _cmd_poisson(args) -> int:
         payload = {"s": args.s, "r": args.r, "x": args.x, "data": args.data,
                    "value": res.value, "error_bound": res.error_bound}
     else:
-        rep = check_poisson_bounds(pk, _floats(args.x_samples),
-                                   _floats(args.z_samples))
-        payload = {"s": args.s, "r": args.r, "min_ratio": rep.min_ratio,
-                   "max_ratio": rep.max_ratio, "spread": rep.spread,
-                   "n_samples": rep.n_samples}
+        payload = {"s": args.s, "r": args.r,
+                   **check_poisson_bounds(pk, _floats(args.x_samples),
+                                          _floats(args.z_samples))}
     _emit(json_text(payload), args.out)
     return 0
 
@@ -186,7 +184,13 @@ def _cmd_poisson(args) -> int:
 def _cmd_solve1d(args) -> int:
     kernel = make_kernel(args.kernel, 1, args.s)
     intervals = _parse_domain(args.domain)
-    check_vector_budget(len(intervals) * args.N)  # before the mesh is built
+    m = len(intervals) * args.N
+    check_vector_budget(m)  # before the mesh is built
+    if args.dump_matrix and DUMP_ENTRY_BYTES * m * m > MATRIX_BUDGET_BYTES:
+        raise ConfigError(
+            f"--dump-matrix of {m} cells takes about "
+            f"{DUMP_ENTRY_BYTES * m * m / 2**20:.0f} MiB, over the "
+            f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
     mesh = mesh_intervals(intervals, args.N)
     system = assemble(kernel, mesh, parse_data(args.data), rhs=args.rhs,
                       tol=args.tol)

@@ -1,12 +1,13 @@
-"""The two-ball layout: configurations, domain, complement, 1d meshes.
+"""The two-ball layout on the line: configurations, domain, complement,
+1d meshes.
 
-Points are numpy arrays of shape (n,); n = 1 throughout the solver stack,
-but configurations validate in any dimension.
+The lab is one-dimensional.  Each input object checks n = 1 once, when it
+is built (check_line), and a point is one number, given as a number or a
+one-element sequence (coordinate).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,50 +19,55 @@ from .errors import (
     UnsupportedDimension,
 )
 
-def _point(x, n: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.shape != (n,):
-        raise ConfigParseError(f"point {x!r} does not have dimension {n}")
-    return p
+
+def check_line(n) -> int:
+    """n as an int; UnsupportedDimension for any n but 1."""
+    if int(n) != 1:
+        raise UnsupportedDimension(f"the lab runs on the line, got n = {n}")
+    return 1
+
+
+def coordinate(x) -> float:
+    """A point of the line: a number or a one-element sequence."""
+    if np.shape(x) not in ((), (1,)):
+        raise ConfigParseError(f"point {x!r} is not a point of the line")
+    return float(np.ravel(x)[0])
 
 
 @dataclass(frozen=True)
 class DisconnectedConfig:
     """Two reference balls B_r(x1), B_r(x2) inside B_{R/2}(0).
 
-    Validation enforces 4r <= |x1 - x2| <= 8r and containment of both
-    2r-balls in B_{R/2}(0), which makes the 2r-balls disjoint.  A config
-    built with unsafe=True skips both checks but is stamped `checked=False`
-    and every report downstream carries the stamp.
+    n must be 1, checked before the centers; x1 and x2 are kept as
+    one-element tuples.  Validation enforces 4r <= |x1 - x2| <= 8r and
+    containment of both 2r-balls in B_{R/2}(0), which makes the 2r-balls
+    disjoint.  A config built with unsafe=True skips both checks but is
+    stamped `checked=False` and every report downstream carries the stamp.
     """
 
     n: int
-    x1: np.ndarray
-    x2: np.ndarray
+    x1: tuple[float]
+    x2: tuple[float]
     r: float
     R: float
     checked: bool = field(default=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_line(self.n))
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "R", float(self.R))
-        object.__setattr__(self, "x1", _point(self.x1, self.n))
-        object.__setattr__(self, "x2", _point(self.x2, self.n))
+        object.__setattr__(self, "x1", (coordinate(self.x1),))
+        object.__setattr__(self, "x2", (coordinate(self.x2),))
 
     @property
     def separation(self) -> float:
-        return math.dist(self.x1, self.x2)  # no overflow in the square
+        return abs(self.x1[0] - self.x2[0])
 
     @property
     def domain(self) -> list[tuple[float, float]]:
         """The solved domain B_2r(x1) u B_2r(x2), intervals left to right."""
-        if self.n != 1:
-            raise UnsupportedDimension(
-                f"meshing implemented for n = 1, got n = {self.n}")
         r2 = 2.0 * self.r
-        return sorted((c - r2, c + r2)
-                      for c in (float(self.x1[0]), float(self.x2[0])))
+        return sorted((c - r2, c + r2) for c in (self.x1[0], self.x2[0]))
 
 
 def complement(intervals) -> list[tuple[float, float]]:
@@ -97,11 +103,10 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
         raise SeparationViolation(
             f"|x1 - x2| = {d:g} outside [4r, 8r] = [{4 * r:g}, {8 * r:g}]"
         )
-    for x in (cfg.x1, cfg.x2):
-        if math.hypot(*x) + 2.0 * r > R / 2.0 + tol:
+    for (c,) in (cfg.x1, cfg.x2):
+        if abs(c) + 2.0 * r > R / 2.0 + tol:
             raise ContainmentViolation(
-                f"B_2r({np.array2string(x)}) not contained in B_R/2(0) with R = {R:g}"
-            )
+                f"B_2r({c:g}) not contained in B_R/2(0) with R = {R:g}")
     return cfg
 
 
@@ -164,7 +169,9 @@ def mesh_over(config: DisconnectedConfig, N: int) -> Mesh1D:
 def config_from_text(text: str, **overrides,
                      ) -> tuple[DisconnectedConfig, int | None]:
     """Parse the flat key=value format, with the overrides of x1, x2, r or
-    R applied before it is validated; returns (config, N or None)."""
+    R applied before it is validated; returns (config, N or None).  The
+    keys are n, x1, x2, r, R, N and unsafe, each at most once; unsafe is
+    true/false/1/0/yes/no in any case."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,8 +179,17 @@ def config_from_text(text: str, **overrides,
             continue
         if "=" not in line:
             raise ConfigParseError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in ("n", "x1", "x2", "r", "R", "N", "unsafe"):
+            raise ConfigParseError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigParseError(f"line {lineno}: repeated key {key!r}")
+        if key == "unsafe" and val.lower() not in ("true", "false", "1", "0",
+                                                   "yes", "no"):
+            raise ConfigParseError(
+                f"line {lineno}: unsafe = {val!r} is not one of "
+                f"true/false/1/0/yes/no")
+        values[key] = val
     missing = [k for k in ("n", "x1", "x2", "r", "R") if k not in values]
     if missing:
         raise ConfigParseError(f"missing keys: {', '.join(missing)}")

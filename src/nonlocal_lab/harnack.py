@@ -30,7 +30,7 @@ from .operator import (
     piecewise_constant,
     segment_tail,
 )
-from .solver1d import GridFunction, assemble, solve
+from .solver1d import GridFunction, assemble, check_vector_budget, solve
 
 DEFAULT_SAMPLES = 20
 DEFAULT_MASSES = (1.0, 10.0, 100.0, 1000.0)
@@ -197,8 +197,12 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
     Families: random-nonneg (seeded cellwise uniform on B_R minus the
     domain), mass-near-x2 (saturation scan over `masses`), far-negative
     (random inside, -1 beyond B_R).  All samples are drawn up front from
-    one generator and solved together on one assembled operator.
+    one generator and solved together on one assembled operator; the
+    memory budget of the 2N cells and the data is checked before either
+    is made.
     """
+    check_vector_budget(2 * N, len(masses) if data_family == "mass-near-x2"
+                        else samples)
     rng = np.random.default_rng(seed)
     if data_family == "random-nonneg":
         data = [random_nonneg_data(config, rng, label=f"rand{i}")
@@ -229,7 +233,9 @@ def aggregate_c_max(reports) -> float:
 
 def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
                        far_data: PointFunction, N: int = 256) -> dict:
-    """Solve on B_r(x1) alone and bound the dip by the negative tail."""
+    """Solve on B_r(x1) alone and bound the dip by the negative tail; the
+    memory budget of the N cells is checked before the mesh is built."""
+    check_vector_budget(N)
     x1, r = float(config.x1[0]), config.r
     mesh = mesh_intervals([(x1 - r, x1 + r)], N)
     u = solve(assemble(kernel, mesh, far_data))
@@ -245,10 +251,12 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
     the operator evaluated at tolerance BARRIER_TOL.
 
     Both operator profiles are evaluated on the whole grid at once;
-    linearity then turns the scan over c0 into a vector comparison.
+    linearity then turns the scan over c0 into a vector comparison.  A
+    grid of 1 or 2 points samples only the rim of B_r(x1), where w2 = 0,
+    so every c0 would pass; from 3 points on, one lies within r/2 of x1.
     """
-    if not grid >= 1:
-        raise ConfigParseError(f"the grid needs at least 1 point, got {grid}")
+    if not grid >= 3:
+        raise ConfigParseError(f"the grid needs at least 3 points, got {grid}")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     lw1 = eval_L(kernel, barrier_w1(config), xs, tol=BARRIER_TOL).value
@@ -265,20 +273,21 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
 def s_sweep(kernel_family: str, config: DisconnectedConfig, s_grid,
             data_family: str = "random-nonneg", seed: int = 0,
             N: int = 128, samples: int = 8, grid: int = 101) -> dict:
-    """Aggregate constants per order: table rows (s, C_max, c0_max).
+    """Aggregate constants per order: table rows (s, C_max, c0_max), with
+    each order's reports and barrier_combination_check result.
 
     Each order's barrier check runs before its solves, so a kernel the
     check cannot take (the general family) fails before any assembly."""
     if len(s_grid) == 0:
         raise ConfigParseError("the s grid is empty")
-    table, reports = [], {}
+    table, reports, barriers = [], {}, {}
     for s in s_grid:
         s = float(s)
         k = make_kernel(kernel_family, config.n, s)
-        c0 = barrier_combination_check(k, config, grid=grid)["c0_max"]
+        barriers[s] = barrier_combination_check(k, config, grid=grid)
         reps = disconnected_harnack_experiment(
             s, k, config, data_family, seed=seed, N=N, samples=samples)
         table.append({"s": s, "C_max": aggregate_c_max(reps),
-                      "c0_max": c0})
+                      "c0_max": barriers[s]["c0_max"]})
         reports[s] = reps
-    return {"table": table, "reports": reports}
+    return {"table": table, "reports": reports, "barriers": barriers}

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParseError, DiagonalEvaluation, UnsupportedDimension
+from .errors import ConfigParseError, DiagonalEvaluation
+from .geometry import check_line
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,10 @@ def phi(t, s: float):
     return t ** (-2.0 * s) / (2.0 * s)
 
 
-def _check_line(n: int) -> None:
-    if n != 1:
-        raise UnsupportedDimension(f"kernels are implemented for n = 1 only, "
-                                   f"got n = {n}")
-
-
 def fractional_kernel(n: int, s: float) -> Kernel:
     """|x-y|^(-1-2s), exactly (lam = 1).  The kernels live on the line, so
     any n but 1 raises UnsupportedDimension."""
-    _check_line(n)
+    check_line(n)
     return Kernel(s=float(s))
 
 
@@ -140,7 +135,7 @@ def general_demo_kernel(s: float) -> Kernel:
 def make_kernel(family: str, n: int, s: float) -> Kernel:
     """Factory behind the CLI flags --kernel {frac|ti|general}; any n but 1
     raises UnsupportedDimension."""
-    _check_line(n)
+    check_line(n)
     if family == "frac":
         return fractional_kernel(n, s)
     if family == "ti":

@@ -4,8 +4,8 @@ The kernel has a closed form on balls (Blumenthal, Getoor & Ray 1961);
 integrating exterior data against it solves the exterior-data problem
 without a mesh, which makes it the reference route the discrete solver is
 checked against.  Both routes take piecewise-constant data, and
-``poisson_extend`` reads them only through their segments.  The formula is
-valid in every dimension; the extension is computed on the line only.
+``poisson_extend`` reads them only through their segments.  Like the rest
+of the lab, the kernel lives on the line.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError, DomainViolation, UnsupportedDimension
+from .errors import ConfigParseError, DomainViolation
+from .geometry import check_line, coordinate
 from .kernel import phi
 from .operator import (
     MAX_TRUNCATION,
@@ -28,57 +29,46 @@ from .operator import (
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
 
-def poisson_constant(n: int, s: float) -> float:
-    """Normalizing constant Gamma(n/2) pi^(-n/2-1) sin(s pi)."""
-    if n < 1:
-        raise ConfigParseError(f"dimension must be >= 1, got {n}")
+def poisson_constant(s: float) -> float:
+    """Normalizing constant of the line, Gamma(1/2) pi^(-3/2) sin(s pi)."""
     if not 0.0 < s < 1.0:
         raise ConfigParseError(f"s must lie in (0, 1), got {s}")
-    return math.gamma(0.5 * n) * math.pi ** (-0.5 * n - 1.0) * math.sin(s * math.pi)
+    return math.gamma(0.5) * math.pi ** -1.5 * math.sin(s * math.pi)
 
 
 @dataclass(frozen=True)
 class PoissonKernelBall:
-    """Ball B_r(center) together with the kernel data (n, s).
+    """Interval B_r(center) of the line together with the order s.
 
     Defined for x strictly inside and y strictly outside the closed ball;
-    values are nonnegative.  center is a scalar for n = 1, else a length-n
-    sequence.
+    values are nonnegative.  n must be 1 and is checked first; center is
+    a number or a one-element sequence, kept as a number.
     """
 
     n: int
     s: float
     r: float
-    center: float | tuple[float, ...] = 0.0
+    center: float = 0.0
 
     def __post_init__(self):
-        poisson_constant(self.n, self.s)  # checks n and s
+        object.__setattr__(self, "n", check_line(self.n))
+        poisson_constant(self.s)  # checks s
         if not (0.0 < self.r and 0.0 < self.r * self.r < np.inf):
             raise ConfigParseError(f"radius must be positive with a "
                                    f"positive finite square, got {self.r}")
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.shape != (self.n,):
-            raise ConfigParseError(
-                f"center has {c.shape[0]} coordinates for dimension {self.n}")
+        object.__setattr__(self, "center", coordinate(self.center))
 
     @property
     def constant(self) -> float:
-        return poisson_constant(self.n, self.s)
-
-    def _center(self) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.center, dtype=float))
+        return poisson_constant(self.s)
 
     def inside_gap(self, x) -> float:
-        """r^2 - |x - center|^2, positive iff x is strictly inside;
-        DomainViolation where the square is not finite."""
-        return _gap(self.r, math.dist(np.atleast_1d(np.asarray(x, dtype=float)),
-                                      self._center()), x)
-
-
-def _gap(r: float, d: float, x) -> float:  # inside_gap at |x - center| = d
-    if not d * d < np.inf:
-        raise DomainViolation(f"|x - center|^2 is not finite at x = {x}")
-    return (r - d) * (r + d)  # exact next to the sphere
+        """r^2 - |x - center|^2 at a number x, positive iff x is strictly
+        inside; DomainViolation where the square is not finite."""
+        d = abs(x - self.center)
+        if not d * d < np.inf:
+            raise DomainViolation(f"|x - center|^2 is not finite at x = {x}")
+        return (self.r - d) * (self.r + d)  # exact next to the sphere
 
 
 def _pair(pk: PoissonKernelBall, x, y) -> tuple[float, float, float]:
@@ -89,14 +79,13 @@ def _pair(pk: PoissonKernelBall, x, y) -> tuple[float, float, float]:
     yg = -pk.inside_gap(y)
     if not yg > 0.0:
         raise DomainViolation(f"y = {y} is not strictly outside the closed ball")
-    return xg, yg, math.dist(np.atleast_1d(np.asarray(y, dtype=float)),
-                             np.atleast_1d(np.asarray(x, dtype=float)))
+    return xg, yg, abs(y - x)
 
 
 def poisson_eval(pk: PoissonKernelBall, x, y) -> float:
-    """Kernel value at (x inside, y outside); exact formula, any dimension."""
+    """Kernel value at (x inside, y outside), by the exact formula."""
     xg, yg, dist = _pair(pk, x, y)
-    return pk.constant * xg ** pk.s * yg ** (-pk.s) * dist ** (-pk.n)
+    return pk.constant * xg ** pk.s * yg ** (-pk.s) * dist ** -1
 
 
 def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
@@ -119,9 +108,6 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     of overflow at any radius.  v stops at V = MAX_TRUNCATION, which moves that
     factor by at most 3/V and reads no data.
     """
-    if pk.n != 1:
-        raise UnsupportedDimension(
-            "exterior quadrature is implemented for n = 1 only")
     check_tol(tol)
     if not g.piecewise:
         raise ConfigParseError(
@@ -129,8 +115,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
             f"piecewise-constant exterior data")
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
-    c = float(pk._center()[0])
-    r, s = pk.r, pk.s
+    c, r, s = pk.center, pk.r, pk.s
     m, expo = _smooth_power(s), 2.0 - 2.0 * s
     beta = m / expo  # t = tau^beta on the band
     # (kind, side, v, lo, hi, reach) of the band (0) and far (1) integral
@@ -148,7 +133,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                               f"({max(va, 2.0) * r:g}, {vb * r:g})"))
     jobs, jamp = [], []
     for x in xs:
-        gap = _gap(r, abs(x - c), x)  # math.dist is |x - c| on the line
+        gap = pk.inside_gap(x)
         if not gap > 0.0:
             raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
         amp = (pk.constant * gap ** s, pk.constant * (gap / (r * r)) ** s)
@@ -181,46 +166,35 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
                              for row in rows], shape)
 
 
-@dataclass(frozen=True)
-class PoissonBoundsReport:
-    """Extremes of P(x, z) |x-z|^(n+2s) / r^2s over the sampled windows."""
-
-    min_ratio: float
-    max_ratio: float
-    n_samples: int
-
-    @property
-    def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
-
-
 def bound_ratio(pk: PoissonKernelBall, x, z) -> float:
-    """P(x, z) |x-z|^(n+2s) / r^2s for one admissible pair, as
+    """P(x, z) |x-z|^(1+2s) / r^2s for one admissible pair, as
     C (gap_x / r^2)^s (|z - x|^2 / gap_z)^s, finite at any distance."""
     xg, zg, dist = _pair(pk, x, z)
     return pk.constant * (xg / pk.r ** 2) ** pk.s * (dist * dist / zg) ** pk.s
 
 
 def check_poisson_bounds(pk: PoissonKernelBall, sample_x,
-                         sample_z) -> PoissonBoundsReport:
-    """Two-sided comparability of the kernel with r^2s |x-z|^(-n-2s).
+                         sample_z) -> dict:
+    """Two-sided comparability of the kernel with r^2s |x-z|^(-1-2s): the
+    extremes of bound_ratio over all sample pairs, as min_ratio,
+    max_ratio, their quotient spread and the pair count n_samples.
 
-    Samples must respect the interior window |x - center| < r/2 and the
-    exterior window |z - center| >= 2r; anything else is rejected, the
-    comparison only holds there.
+    Samples are numbers and must respect the interior window
+    |x - center| < r/2 and the exterior window |z - center| >= 2r;
+    anything else is rejected, the comparison only holds there.
     """
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_x]
-    zs = [np.atleast_1d(np.asarray(z, dtype=float)) for z in sample_z]
+    xs, zs = [float(x) for x in sample_x], [float(z) for z in sample_z]
     if not xs or not zs:
         raise ConfigParseError("the bounds need an x and a z sample")
     for x in xs:
-        if not math.dist(x, pk._center()) < 0.5 * pk.r:
+        if not abs(x - pk.center) < 0.5 * pk.r:
             raise DomainViolation(
                 f"sample x = {x} leaves the interior window |x-c| < r/2")
     for z in zs:
-        if not math.dist(z, pk._center()) >= 2.0 * pk.r:
+        if not abs(z - pk.center) >= 2.0 * pk.r:
             raise DomainViolation(
                 f"sample z = {z} enters the exterior window guard |z-c| >= 2r")
     ratios = [bound_ratio(pk, x, z) for x in xs for z in zs]
-    return PoissonBoundsReport(min_ratio=min(ratios), max_ratio=max(ratios),
-                               n_samples=len(ratios))
+    lo, hi = min(ratios), max(ratios)
+    return {"min_ratio": lo, "max_ratio": hi, "spread": hi / lo,
+            "n_samples": len(ratios)}

@@ -65,7 +65,7 @@ def check_poisson_normalization() -> CriterionResult:
 
 def check_closed_forms() -> CriterionResult:
     """2: normalization constant and an arccos-form extension value."""
-    e1 = abs(poisson_constant(1, 0.5) - 1.0 / math.pi)
+    e1 = abs(poisson_constant(0.5) - 1.0 / math.pi)
     pk = PoissonKernelBall(n=1, s=0.5, r=1.0, center=(0.0,))
     val = poisson_extend(pk, indicator(1.0, 3.0), 0.0).value
     e2 = abs(val - math.acos(1.0 / 3.0) / math.pi)
@@ -172,7 +172,11 @@ def check_mass_saturation(seed: int = 0) -> CriterionResult:
 
 
 def check_nonrobustness_sweep(seed: int = 0) -> CriterionResult:
-    """7: constants degenerate monotonically as s -> 1, in a tight band."""
+    """7: constants degenerate monotonically as s -> 1, in a tight band.
+
+    The gate takes c0_max from C0_GRID.  The detail adds the exact band,
+    from the largest c0 on the same x grid (min -L w1 / L w2 where
+    L w2 > 0), and its two factors, each at its order's own minimiser."""
     s_grid = (0.5, 0.7, 0.9, 0.95)
     out = s_sweep("frac", STANDARD, s_grid, data_family="random-nonneg",
                   seed=seed, N=128, samples=8, grid=101)
@@ -183,10 +187,21 @@ def check_nonrobustness_sweep(seed: int = 0) -> CriterionResult:
     quot = [c0[i] / (1.0 - s) for i, s in enumerate(s_grid[:3])]
     band = max(quot) / min(quot)
     ok = inc and dec and band <= 5.0
+    parts = []  # (-L w1, (1 - s) L w2) at each order's minimiser
+    for s in s_grid[:3]:
+        lw1, lw2 = out["barriers"][s]["Lw1"], out["barriers"][s]["Lw2"]
+        pos = np.flatnonzero(lw2 > 0.0)
+        i = pos[np.argmin(-lw1[pos] / lw2[pos])]
+        parts.append((-lw1[i], (1.0 - s) * lw2[i]))
+    exact = [a / b for a, b in parts]
+    hi, lo = int(np.argmax(exact)), int(np.argmin(exact))
     return CriterionResult(
         7, "non-robustness sweep", ok,
         f"C_max increasing {inc}, c0_max decreasing {dec}, "
-        f"c0/(1-s) band = {band:.4g} (limit 5)")
+        f"c0/(1-s) band = {band:.4g} (limit 5), exact band = "
+        f"{exact[hi] / exact[lo]:.4g}: from s = {s_grid[hi]:g} to "
+        f"{s_grid[lo]:g}, -L w1 falls {parts[hi][0] / parts[lo][0]:.4g}x "
+        f"and (1-s) L w2 rises {parts[lo][1] / parts[hi][1]:.4g}x")
 
 
 def check_localized_mp_stability() -> CriterionResult:

@@ -93,10 +93,13 @@ DENSE_MAX_CELLS = 1024
 # vectors of m for k data (m <= 729,000 cells for one datum): assembly
 # peaks at 110-130 of them for the TI family (its vector-valued coupling
 # integral) and 20-26 for the fractional one, and each column of the
-# conjugate gradients at 16
+# conjugate gradients at 16.  Each datum also holds DATUM_BYTES of Python
+# objects from its draw to its report (about 3.5 kB for a random-nonneg
+# sample at N = 4, which peaks at 5.0 kB a sample with its vectors)
 MATRIX_BUDGET_BYTES = 1 << 30
 ASSEMBLY_VECTORS = 160
 CG_VECTORS = 24
+DATUM_BYTES = 4096
 # conjugate gradients stop at this max-norm residual relative to each
 # column's rhs, and raise SingularSystem after CG_MAX_ITER iterations
 CG_TOL = 1e-13
@@ -500,13 +503,14 @@ def _check_dense_budget(m: int) -> None:
 
 def check_vector_budget(m: int, k: int = 1) -> None:
     """ConfigError if the Toeplitz path's working vectors for m cells and
-    k data exceed the budget.  At k = 1 that path is the leanest, so a
-    mesh refused here fits no solver path and need not be built."""
-    need = 8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k)
+    k data, with the data's own objects, exceed the budget.  That path is
+    the leanest, so a mesh and data refused here fit no solver path and
+    need not be built."""
+    need = 8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k) + DATUM_BYTES * k
     if need > MATRIX_BUDGET_BYTES:
         raise ConfigError(
             f"{m} cells and {k} data need about "
-            f"{need / 2**20:.3g} MiB of working vectors, over the "
+            f"{need / 2**20:.3g} MiB of working vectors and data, over the "
             f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 

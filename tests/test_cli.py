@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_lab import cli, solver1d
+from nonlocal_lab import cli, harnack, solver1d
 from nonlocal_lab.errors import EmptySample
 from nonlocal_lab.harnack import CSV_COLUMNS
 
@@ -122,6 +122,42 @@ class TestExitCodes:
         assert run_main(argv + ["--dump-matrix"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_budget_refuses_before_anything_is_built(self, capsys,
+                                                     monkeypatch):
+        # the samples' data and the JSON of a dumped matrix count, and
+        # neither a datum nor a coupling is made past the budget
+        def fail(*args, **kwargs):
+            raise AssertionError("built past the budget")
+
+        monkeypatch.setattr(solver1d, "_couplings", fail)
+        monkeypatch.setattr(harnack, "random_nonneg_data", fail)
+        for argv in ("harnack run --s 0.5 --N 4 --samples 100000000",
+                     "solve1d --s 0.5 --N 4096 --dump-matrix"):
+            assert run_main(argv.split()) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "budget" in err
+
+    def test_budget_counts_the_cells_a_command_meshes(self, capsys,
+                                                      monkeypatch, tmp_path):
+        # mp meshes N cells and run 2N; evalL and barrier mesh none, so
+        # they take any N from a config file
+        one = 8 * 64 * (solver1d.ASSEMBLY_VECTORS + solver1d.CG_VECTORS)
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES",
+                            one + solver1d.DATUM_BYTES)
+        assert run_main("harnack mp --s 0.5 --N 64".split()) == 0
+        assert run_main("harnack run --s 0.5 --N 32 --samples 1".split()) == 0
+        capsys.readouterr()
+        assert run_main("harnack run --s 0.5 --N 64 --samples 1".split()) == 3
+        assert "budget" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 16\n"
+                       "N = 1000000000000\n")
+        for argv in ("evalL --s 0.5 --barrier w1 --x -2",
+                     "harnack barrier --s 0.5 --grid 5"):
+            assert run_main([*argv.split(), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
     def test_fifty_thousand_cells(self, tmp_path):
         out = tmp_path / "u.json"
         assert run_main(["solve1d", "--s", "0.5", "--N", "50000",
@@ -172,6 +208,10 @@ class TestExitCodes:
         "poisson bounds --s 0.5 --z-samples=",
         "harnack run --s 0.5 --config {missing}",
         "harnack barrier --s 0.5 --grid 0",
+        # one or two points sample only the rim of B_r(x1), where w2 = 0
+        "harnack barrier --s 0.5 --grid 1",
+        "harnack barrier --s 0.5 --grid 2",
+        "harnack sweep --s-grid 0.5 --N 8 --samples 2 --grid 1",
         "harnack run --s 0.5 --seed=-1",
         "harnack sweep --seed=-1",
         "selftest --seed=-1",
@@ -199,6 +239,10 @@ class TestExitCodes:
         # a config file with a 2-d point at n = 1, and with n = x
         "harnack run --s 0.5 --config {point_2d}",
         "harnack run --s 0.5 --config {n_x}",
+        # an unknown key, a repeated key and an unsafe value misspelt
+        "harnack run --s 0.5 --config {unknown_key}",
+        "harnack run --s 0.5 --config {repeated_key}",
+        "harnack run --s 0.5 --config {unsafe_ture}",
         # points too far out for the barrier's breaks
         "evalL --s 0.5 --barrier w2 --x 1e17",
         "evalL --s 0.5 --barrier w2 --x 1e300",
@@ -209,7 +253,10 @@ class TestExitCodes:
     def test_malformed_numbers_are_three(self, argv, capsys, tmp_path):
         paths = {"missing": tmp_path / "missing.cfg"}
         for name, head in (("point_2d", "n = 1\nx1 = -2, 0\n"),
-                           ("n_x", "n = x\nx1 = -2\n")):
+                           ("n_x", "n = x\nx1 = -2\n"),
+                           ("unknown_key", "n = 1\nx1 = -2\nsamples = 3\n"),
+                           ("repeated_key", "n = 1\nx1 = -2\nR = 6\n"),
+                           ("unsafe_ture", "n = 1\nx1 = -2\nunsafe = ture\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(head + "x2 = 2\nr = 1\nR = 16\n")
         argv = argv.format(**paths).split()
@@ -518,13 +565,16 @@ class TestConfigFile:
         assert json.loads(out.read_text())["tail_term"] > 0.0
 
     def test_dimension_other_than_one_is_named(self, tmp_path, capsys):
+        # the dimension is checked before the centers, so a layout that
+        # also breaks the separation rule (x2 = 1, 0) names n as well
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("n = 2\nx1 = -2, 0\nx2 = 2, 0\nr = 1\nR = 16\n")
-        code = run_main(["harnack", "run", "--config", str(cfg), "--s", "0.5",
-                         "--samples", "2", "--N", "8"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "n = 2" in err and "does not have dimension" not in err
+        for x2 in ("2, 0", "1, 0"):
+            cfg.write_text(f"n = 2\nx1 = -2, 0\nx2 = {x2}\nr = 1\nR = 16\n")
+            code = run_main(["harnack", "run", "--config", str(cfg), "--s",
+                             "0.5", "--samples", "2", "--N", "8"])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "n = 2" in err and "does not have dimension" not in err
 
 
 # -- JSON contract of evalL and poisson --------------------------------------

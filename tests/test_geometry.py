@@ -33,9 +33,19 @@ class TestConfigValidation:
         with pytest.raises(SeparationViolation):
             make_disconnected_config(n=1, x1=0.0, x2=1.0, r=1.0, R=16.0)
 
-    def test_two_dimensional_config_accepted(self):
-        cfg = make_disconnected_config(n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0), r=1.0, R=20.0)
-        assert cfg.separation == pytest.approx(6.0)
+    def test_two_dimensional_config_refused(self):
+        # the dimension is checked before the centers: these also break
+        # the separation rule, and the error names n
+        with pytest.raises(UnsupportedDimension, match="n = 2"):
+            make_disconnected_config(n=2, x1=(-1.0, 0.0), x2=(1.0, 0.0),
+                                     r=1.0, R=20.0)
+
+    def test_point_must_be_a_number(self):
+        cfg = make_disconnected_config(n=1, x1=(-3.0,), x2=3.0, r=1.0, R=20.0)
+        assert cfg.x1 == (-3.0,) and cfg.separation == 6.0
+        with pytest.raises(ConfigParseError, match="point of the line"):
+            make_disconnected_config(n=1, x1=(-3.0, 0.0), x2=3.0, r=1.0,
+                                     R=20.0)
 
     def test_separation_equality_accepted(self):
         # non-strict bounds: |x1 - x2| = 4r is fine
@@ -77,10 +87,9 @@ class TestLayout:
         assert mesh_over(cfg, 4).intervals == ((-5.0, -1.0), (1.0, 5.0))
 
     def test_domain_needs_n_one(self):
-        cfg = make_disconnected_config(n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0),
-                                       r=1.0, R=20.0)
         with pytest.raises(UnsupportedDimension):
-            cfg.domain
+            make_disconnected_config(n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0),
+                                     r=1.0, R=20.0).domain
 
     @pytest.mark.parametrize("intervals,gaps", [
         ([(-1.0, 1.0)], []),
@@ -115,9 +124,9 @@ class TestMesh:
             assert total == pytest.approx(b - a, rel=1e-15)
 
     def test_dimension_guard(self):
-        cfg = make_disconnected_config(n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0), r=1.0, R=20.0)
         with pytest.raises(UnsupportedDimension):
-            mesh_over(cfg, N=8)
+            mesh_over(make_disconnected_config(
+                n=2, x1=(-3.0, 0.0), x2=(3.0, 0.0), r=1.0, R=20.0), N=8)
 
     def test_cells_in_ball_uses_open_centers(self):
         mesh = mesh_over(corollary_config(), N=4)
@@ -153,3 +162,20 @@ class TestConfigSerialization:
     def test_malformed_line_reported(self):
         with pytest.raises(ConfigParseError, match="line 2"):
             config_from_text("n = 1\nwhat even is this\n")
+
+    @pytest.mark.parametrize("line,why", [
+        ("samples = 3", "unknown key 'samples'"),
+        ("R = 6", "repeated key 'R'"),
+        ("unsafe = ture", "unsafe = 'ture'"),
+    ], ids=["unknown", "repeated", "unsafe-spelling"])
+    def test_bad_key_reported_with_its_line(self, line, why):
+        text = "n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 16\n" + line + "\n"
+        with pytest.raises(ConfigParseError, match=f"line 6: {why}"):
+            config_from_text(text)
+
+    @pytest.mark.parametrize("flag,unsafe", [
+        ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("NO", False), ("0", False)])
+    def test_unsafe_spellings(self, flag, unsafe):
+        text = f"n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 16\nunsafe = {flag}\n"
+        assert config_from_text(text)[0].checked is not unsafe

@@ -42,23 +42,27 @@ ORACLE_S = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95]
 
 class TestConstant:
     def test_line_half_order_is_one_over_pi(self):
-        assert poisson_constant(1, 0.5) == pytest.approx(1.0 / math.pi, abs=1e-12)
-
-    def test_plane_half_order_is_one_over_pi_squared(self):
-        assert poisson_constant(2, 0.5) == pytest.approx(1.0 / math.pi ** 2, abs=1e-12)
+        assert poisson_constant(0.5) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
     def test_vanishes_toward_zero_order(self):
-        assert 0.0 < poisson_constant(1, 1e-9) < 1e-8
+        assert 0.0 < poisson_constant(1e-9) < 1e-8
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(UnsupportedDimension, match="n = 0"):
+            PoissonKernelBall(n=0, s=0.5, r=1.0)
         with pytest.raises(ConfigParseError):
-            poisson_constant(0, 0.5)
-        with pytest.raises(ConfigParseError):
-            poisson_constant(1, 1.0)
+            poisson_constant(1.0)
         with pytest.raises(ConfigParseError):
             PoissonKernelBall(n=1, s=0.5, r=-1.0)
         with pytest.raises(ConfigParseError):
+            PoissonKernelBall(n=1, s=0.5, r=1.0, center=(0.0, 0.0))
+        # n is checked before the center
+        with pytest.raises(UnsupportedDimension, match="n = 2"):
             PoissonKernelBall(n=2, s=0.5, r=1.0, center=0.0)
+
+    def test_center_is_a_number(self):
+        pk = PoissonKernelBall(n=1, s=0.5, r=1.0, center=(4.0,))
+        assert pk.center == 4.0 and pk == PoissonKernelBall(1, 0.5, 1.0, 4.0)
 
 
 class TestEval:
@@ -66,15 +70,6 @@ class TestEval:
         # c * (1-0)^s * (2-1)^(-s) * (sqrt2)^(-1) = 1/(pi sqrt2)
         val = poisson_eval(UNIT, 0.0, math.sqrt(2.0))
         assert val == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)), abs=1e-12)
-
-    def test_plane_formula(self):
-        pk = PoissonKernelBall(n=2, s=0.25, r=1.0, center=(0.0, 0.0))
-        x = (0.3, 0.0)
-        y = (0.0, 2.0)
-        dist = math.hypot(0.3, 2.0)
-        want = (poisson_constant(2, 0.25) * (1 - 0.09) ** 0.25
-                * (4.0 - 1.0) ** -0.25 / dist ** 2)
-        assert poisson_eval(pk, x, y) == pytest.approx(want, rel=1e-14)
 
     def test_even_in_y_from_the_center(self):
         for y in (1.5, 2.0, 7.0):
@@ -182,9 +177,10 @@ class TestExtend:
                 poisson_extend(UNIT, g, 0.0)
 
     def test_quadrature_only_on_the_line(self):
-        pk = PoissonKernelBall(n=2, s=0.5, r=1.0, center=(0.0, 0.0))
         with pytest.raises(UnsupportedDimension):
-            poisson_extend(pk, constant(1.0), (0.0, 0.0))
+            poisson_extend(PoissonKernelBall(n=2, s=0.5, r=1.0,
+                                             center=(0.0, 0.0)),
+                           constant(1.0), (0.0, 0.0))
 
     def test_evaluation_point_must_be_inside(self):
         with pytest.raises(DomainViolation):
@@ -308,7 +304,9 @@ class TestBounds:
         want = poisson_eval(UNIT, 0.0, z) * z ** 2
         assert bound_ratio(UNIT, 0.0, z) == pytest.approx(want, rel=1e-14)
         rep = check_poisson_bounds(UNIT, [0.0], [z])
-        assert rep.min_ratio == rep.max_ratio == pytest.approx(want, rel=1e-14)
+        assert rep["min_ratio"] == rep["max_ratio"] == pytest.approx(
+            want, rel=1e-14)
+        assert rep["spread"] == 1.0
 
     @pytest.mark.parametrize("s", [0.25, 0.9])
     def test_far_samples_stay_finite(self, s):
@@ -316,18 +314,18 @@ class TestBounds:
         # ratio tends to C (1 - x^2)^s as z grows, at r = 1
         pk = PoissonKernelBall(n=1, s=s, r=1.0)
         rep = check_poisson_bounds(pk, [0.3], [1e150])
-        want = poisson_constant(1, s) * (1.0 - 0.3 ** 2) ** s
-        assert rep.min_ratio == pytest.approx(want, rel=1e-14)
+        want = poisson_constant(s) * (1.0 - 0.3 ** 2) ** s
+        assert rep["min_ratio"] == pytest.approx(want, rel=1e-14)
 
     def test_grid_ratios_finite_and_tame(self):
         xs = np.linspace(-0.49, 0.49, 50)
         zs = np.concatenate([np.linspace(-10.0, -2.0, 25),
                              np.linspace(2.0, 10.0, 25)])
         rep = check_poisson_bounds(UNIT, xs, zs)
-        assert np.isfinite(rep.min_ratio) and rep.min_ratio > 0.0
-        assert np.isfinite(rep.max_ratio)
-        assert rep.spread < 100.0
-        assert rep.n_samples == 2500
+        assert np.isfinite(rep["min_ratio"]) and rep["min_ratio"] > 0.0
+        assert np.isfinite(rep["max_ratio"])
+        assert rep["spread"] < 100.0
+        assert rep["n_samples"] == 2500
 
     def test_ratios_invariant_under_rescaling(self):
         big = PoissonKernelBall(n=1, s=0.3, r=2.0)
@@ -336,8 +334,8 @@ class TestBounds:
         zs = np.array([2.5, 4.0, 9.0])
         a = check_poisson_bounds(small, xs, zs)
         b = check_poisson_bounds(big, 2.0 * xs, 2.0 * zs)
-        assert a.min_ratio == pytest.approx(b.min_ratio, rel=1e-12)
-        assert a.max_ratio == pytest.approx(b.max_ratio, rel=1e-12)
+        assert a["min_ratio"] == pytest.approx(b["min_ratio"], rel=1e-12)
+        assert a["max_ratio"] == pytest.approx(b["max_ratio"], rel=1e-12)
 
     def test_window_hypotheses_enforced(self):
         with pytest.raises(DomainViolation):
@@ -346,7 +344,7 @@ class TestBounds:
             check_poisson_bounds(UNIT, [0.0], [1.9])  # z inside the guard
         # the closed exterior window starts exactly at 2r
         rep = check_poisson_bounds(UNIT, [0.0], [2.0])
-        assert rep.n_samples == 1
+        assert rep["n_samples"] == 1
 
 
 class TestArrayPoints:
