@@ -10,6 +10,7 @@ assertion failure, 2 usage, 3 config, 4 numeric failure.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import ConfigError, ConfigParseError, LabError
 from .geometry import config_from_text, mesh_intervals
@@ -42,16 +43,13 @@ from .solver1d import (MATRIX_BUDGET_BYTES, assemble, check_vector_budget,
 
 FAMILIES = {"random": "random-nonneg", "mass": "mass-near-x2",
             "farneg": "far-negative"}
-# peak memory per matrix entry of solve1d --dump-matrix: the float, the
-# nested lists and the JSON text (201 MB at 1,024 cells, 699 MB at 2,048)
-DUMP_ENTRY_BYTES = 170
+# peak memory per matrix entry of solve1d --dump-matrix: the float and the
+# nested lists, the JSON text being written as it is encoded (peak RSS
+# 224 MiB at 2,048 cells, 56 B an entry)
+DUMP_ENTRY_BYTES = 56
 
 
 # -- emission -----------------------------------------------------------------
-
-def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
 
 def csv_text(header, rows) -> str:
     lines = [",".join(header)]
@@ -61,12 +59,17 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(output, out: str | None) -> None:
+    """Write text as it is, or a payload as JSON with sorted keys, indent
+    2 and a final newline, encoded piece by piece so that the text of a
+    dumped matrix is never held whole."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out
+          else nullcontext(sys.stdout)) as fh:
+        if isinstance(output, str):
+            fh.write(output)
+        else:
+            json.dump(output, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 # -- shared flag groups -------------------------------------------------------
@@ -158,9 +161,9 @@ def _cmd_evalL(args) -> int:
     kernel = make_kernel(args.kernel, 1, args.s)
     barrier = barrier_w1(config) if args.barrier == "w1" else barrier_w2(config)
     res = eval_L(kernel, barrier, args.x, tol=args.tol)
-    _emit(json_text({"barrier": args.barrier, "s": args.s, "x": args.x,
-                     "kernel": kernel.tag(), "value": res.value,
-                     "error_bound": res.error_bound}), args.out)
+    _emit({"barrier": args.barrier, "s": args.s, "x": args.x,
+           "kernel": kernel.tag(), "value": res.value,
+           "error_bound": res.error_bound}, args.out)
     return 0
 
 
@@ -177,7 +180,7 @@ def _cmd_poisson(args) -> int:
         payload = {"s": args.s, "r": args.r,
                    **check_poisson_bounds(pk, _floats(args.x_samples),
                                           _floats(args.z_samples))}
-    _emit(json_text(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -208,7 +211,7 @@ def _cmd_solve1d(args) -> int:
     if args.dump_matrix:
         payload["matrix"] = system.matrix.tolist()
         payload["rhs"] = system.rhs.tolist()
-    _emit(json_text(payload), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -221,8 +224,8 @@ def _cmd_harnack_run(args) -> int:
     if args.format == "csv":
         _emit(csv_text(CSV_COLUMNS, (r.csv_row() for r in reports)), args.out)
         return 0
-    _emit(json_text({"C_max": aggregate_c_max(reports),
-                     "reports": [r.as_dict() for r in reports]}), args.out)
+    _emit({"C_max": aggregate_c_max(reports),
+           "reports": [r.as_dict() for r in reports]}, args.out)
     return 0
 
 
@@ -236,7 +239,7 @@ def _cmd_harnack_sweep(args) -> int:
                 for r in out["reports"][s])
         _emit(csv_text(CSV_COLUMNS, rows), args.out)
         return 0
-    _emit(json_text({"table": out["table"]}), args.out)
+    _emit({"table": out["table"]}, args.out)
     return 0
 
 
@@ -245,8 +248,8 @@ def _cmd_harnack_mp(args) -> int:
     kernel = make_kernel(args.kernel, 1, args.s)
     far = far_negative_data(config, None, magnitude=args.magnitude)
     res = localized_mp_check(kernel, config, args.s, far, N=N)
-    _emit(json_text({"s": args.s, "R_over_r": config.R / config.r,
-                     "magnitude": args.magnitude, **res}), args.out)
+    _emit({"s": args.s, "R_over_r": config.R / config.r,
+           "magnitude": args.magnitude, **res}, args.out)
     return 0
 
 
@@ -254,11 +257,11 @@ def _cmd_harnack_barrier(args) -> int:
     config, _ = _build_config(args)
     kernel = make_kernel(args.kernel, 1, args.s)
     res = barrier_combination_check(kernel, config, grid=args.grid)
-    _emit(json_text({"s": args.s, "kernel": kernel.tag(),
-                     "c0_max": res["c0_max"],
-                     "grid_points": int(args.grid),
-                     "Lw1_min": float(res["Lw1"].min()),
-                     "Lw2_max": float(res["Lw2"].max())}), args.out)
+    _emit({"s": args.s, "kernel": kernel.tag(),
+           "c0_max": res["c0_max"],
+           "grid_points": int(args.grid),
+           "Lw1_min": float(res["Lw1"].min()),
+           "Lw2_max": float(res["Lw2"].max())}, args.out)
     return 0
 
 

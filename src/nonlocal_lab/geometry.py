@@ -171,8 +171,9 @@ def config_from_text(text: str, **overrides,
     """Parse the flat key=value format, with the overrides of x1, x2, r or
     R applied before it is validated; returns (config, N or None).  The
     keys are n, x1, x2, r, R, N and unsafe, each at most once; unsafe is
-    true/false/1/0/yes/no in any case."""
+    true/false/1/0/yes/no in any case.  An error in a line names it."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,19 +190,25 @@ def config_from_text(text: str, **overrides,
             raise ConfigParseError(
                 f"line {lineno}: unsafe = {val!r} is not one of "
                 f"true/false/1/0/yes/no")
-        values[key] = val
+        values[key], lines[key] = val, lineno
     missing = [k for k in ("n", "x1", "x2", "r", "R") if k not in values]
     if missing:
         raise ConfigParseError(f"missing keys: {', '.join(missing)}")
-    try:
-        n = int(values["n"])
-        x1 = [float(v) for v in values["x1"].split(",")]
-        x2 = [float(v) for v in values["x2"].split(",")]
-        r = float(values["r"])
-        R = float(values["R"])
-        N = int(values["N"]) if "N" in values else None
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
+
+    def parse(key, kind=float):
+        try:
+            return kind(values[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigParseError(f"line {lines[key]}: {key} = "
+                                   f"{values[key]!r} is not {what}") from None
+
+    def floats(text):
+        return [float(v) for v in text.split(",")]
+
+    n, x1, x2 = parse("n", int), parse("x1", floats), parse("x2", floats)
+    r, R = parse("r"), parse("R")
+    N = parse("N", int) if "N" in values else None
     unsafe = values.get("unsafe", "false").lower() in ("true", "1", "yes")
     geometry = {"x1": x1, "x2": x2, "r": r, "R": R, **overrides}
     return make_disconnected_config(n, **geometry, unsafe=unsafe), N

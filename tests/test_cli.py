@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from nonlocal_lab import cli, harnack, solver1d
 from nonlocal_lab.errors import EmptySample
+from nonlocal_lab.geometry import mesh_intervals
 from nonlocal_lab.harnack import CSV_COLUMNS
+from nonlocal_lab.kernel import fractional_kernel
+from nonlocal_lab.operator import indicator
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -132,7 +135,7 @@ class TestExitCodes:
         monkeypatch.setattr(solver1d, "_couplings", fail)
         monkeypatch.setattr(harnack, "random_nonneg_data", fail)
         for argv in ("harnack run --s 0.5 --N 4 --samples 100000000",
-                     "solve1d --s 0.5 --N 4096 --dump-matrix"):
+                     "solve1d --s 0.5 --N 4379 --dump-matrix"):
             assert run_main(argv.split()) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
@@ -243,6 +246,9 @@ class TestExitCodes:
         "harnack run --s 0.5 --config {unknown_key}",
         "harnack run --s 0.5 --config {repeated_key}",
         "harnack run --s 0.5 --config {unsafe_ture}",
+        # a value that is no number: the error names its key and line
+        "harnack run --s 0.5 --config {x1_x}",
+        "harnack run --s 0.5 --config {N_1e3}",
         # points too far out for the barrier's breaks
         "evalL --s 0.5 --barrier w2 --x 1e17",
         "evalL --s 0.5 --barrier w2 --x 1e300",
@@ -256,7 +262,9 @@ class TestExitCodes:
                            ("n_x", "n = x\nx1 = -2\n"),
                            ("unknown_key", "n = 1\nx1 = -2\nsamples = 3\n"),
                            ("repeated_key", "n = 1\nx1 = -2\nR = 6\n"),
-                           ("unsafe_ture", "n = 1\nx1 = -2\nunsafe = ture\n")):
+                           ("unsafe_ture", "n = 1\nx1 = -2\nunsafe = ture\n"),
+                           ("x1_x", "n = 1\nx1 = x\n"),
+                           ("N_1e3", "n = 1\nx1 = -2\nN = 1e3\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(head + "x2 = 2\nr = 1\nR = 16\n")
         argv = argv.format(**paths).split()
@@ -390,6 +398,25 @@ class TestSolve1d:
         d = json.loads(out.read_text())
         assert len(d["matrix"]) == 8 and len(d["matrix"][0]) == 8
         assert len(d["rhs"]) == 8
+
+    def test_dump_matrix_streams_the_json_text(self, tmp_path, capsys):
+        # written as it is encoded, the dump is byte for byte the text
+        # json.dumps gives, in a file and on stdout alike
+        argv = ["solve1d", "--s", "0.5", "--N", "8", "--domain=-1,1",
+                "--data", "indicator:1,3", "--dump-matrix"]
+        out = tmp_path / "sys.json"
+        assert run_main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_main(argv) == 0
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        d = json.loads(text)
+        assert text == json.dumps(d, sort_keys=True, indent=2) + "\n"
+        system = solver1d.assemble(fractional_kernel(1, 0.5),
+                                   mesh_intervals([(-1.0, 1.0)], 8),
+                                   indicator(1.0, 3.0))
+        assert d["matrix"] == system.matrix.tolist()
+        assert d["rhs"] == system.rhs.tolist()
 
 
 class TestHarnackCommands:

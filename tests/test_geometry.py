@@ -173,6 +173,15 @@ class TestConfigSerialization:
         with pytest.raises(ConfigParseError, match=f"line 6: {why}"):
             config_from_text(text)
 
+    @pytest.mark.parametrize("tail,why", [
+        ("R = x\n", "line 5: R = 'x' is not a number"),
+        ("R = 16\nN = 1e3\n", "line 6: N = '1e3' is not an integer"),
+    ], ids=["R", "N"])
+    def test_bad_value_reported_with_its_key_and_line(self, tail, why):
+        text = "n = 1\nx1 = -2\nx2 = 2\nr = 1\n" + tail
+        with pytest.raises(ConfigParseError, match=why):
+            config_from_text(text)
+
     @pytest.mark.parametrize("flag,unsafe", [
         ("TRUE", True), ("Yes", True), ("1", True),
         ("false", False), ("NO", False), ("0", False)])
