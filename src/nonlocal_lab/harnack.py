@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigParseError, EmptySample, NoPositiveC0
-from .geometry import (DisconnectedConfig, complement, mesh_intervals,
-                       mesh_over)
+from .geometry import (DisconnectedConfig, Mesh1D, complement,
+                       mesh_intervals, mesh_over)
 from .kernel import Kernel, make_kernel
 from .operator import (
     PointFunction,
@@ -91,46 +91,56 @@ class HarnackReport:
 CSV_COLUMNS = ("s", "sample_id", "sup", "inf", "avg", "tail", "C_estimate")
 
 
-def _ball_values(u: GridFunction, center: float, r: float) -> np.ndarray:
-    idx = u.mesh.cells_in(center, r)
-    if idx.size == 0:
-        raise EmptySample(
-            f"no cell centers in ball at {center:g} radius {r:g}")
-    return u.values[idx]
+def _negative_tail(mesh: Mesh1D, config: DisconnectedConfig, s: float):
+    """u -> (r/R)^(2s) Tail(u_-; 0, R) for solutions u on the mesh, over
+    u's negative cells reaching past R (the others add exactly +0.0), then
+    its data clipped to the mesh's complement, as segments."""
+    R, comps = config.R, complement(mesh.intervals)
+    past = (mesh.lo < -R) | (mesh.hi > R)
+    scale = (config.r / R) ** (2.0 * s)
+
+    def tail(u: GridFunction) -> float:
+        keep = (u.values < 0.0) & past
+        cells = zip(mesh.lo[keep].tolist(), mesh.hi[keep].tolist(),
+                    (-u.values[keep]).tolist())
+        data = [(lo, hi, -v) for lo, hi, v in u.exterior.segments_in(comps)
+                if v < 0.0]
+        return scale * segment_tail([*cells, *data], 0.0, R, s)
+
+    return tail
 
 
-def _tail_of_negative(u: GridFunction, config: DisconnectedConfig,
-                      s: float) -> float:
-    """(r/R)^(2s) Tail(u_-; 0, R) of the solution on R, over its negative
-    cells reaching past R (the others add exactly +0.0) and then its
-    exterior data clipped to the exterior components, as segments."""
-    mesh, R = u.mesh, config.R
-    keep = (u.values < 0.0) & ((mesh.lo < -R) | (mesh.hi > R))
-    cells = zip(mesh.lo[keep].tolist(), mesh.hi[keep].tolist(),
-                (-u.values[keep]).tolist())
-    data = [(lo, hi, -v) for lo, hi, v in
-            u.exterior.segments_in(complement(mesh.intervals)) if v < 0.0]
-    return (config.r / R) ** (2.0 * s) \
-        * segment_tail([*cells, *data], 0.0, R, s)
+def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
+              kernel_tag: str, seed: int, N: int | None):
+    """(u, sample_id) -> HarnackReport for solutions u on the mesh; the
+    cells of B_r(x2) and B_r(x1) and the tail's geometry are found once."""
+    in2, in1 = (mesh.cells_in(float(x[0]), config.r)
+                for x in (config.x2, config.x1))
+    for idx, x in ((in2, config.x2), (in1, config.x1)):
+        if idx.size == 0:
+            raise EmptySample(f"no cell centers in ball at {float(x[0]):g} "
+                              f"radius {config.r:g}")
+    tail = _negative_tail(mesh, config, s)
+    N = mesh.ncells if N is None else int(N)
+
+    def report(u: GridFunction, sample_id: int) -> HarnackReport:
+        v2, inf_ = u.values[in2], float(u.values[in1].min())
+        sup, tail_term = float(v2.max()), tail(u)
+        den = inf_ + tail_term
+        return HarnackReport(
+            config=config, s=float(s), kernel=kernel_tag, sup=sup, inf=inf_,
+            avg=float(v2.mean()), tail_term=tail_term, seed=seed, N=N,
+            C_estimate=sup / den if den > 0.0 else "trivial",
+            sample_id=sample_id)
+
+    return report
 
 
 def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
                    kernel_tag: str = "", seed: int = 0,
                    N: int | None = None, sample_id: int = 0) -> HarnackReport:
     """Reduce one solved sample to a HarnackReport."""
-    v2 = _ball_values(u, float(config.x2[0]), config.r)
-    v1 = _ball_values(u, float(config.x1[0]), config.r)
-    sup = float(v2.max())
-    avg = float(v2.mean())
-    inf_ = float(v1.min())
-    tail_term = _tail_of_negative(u, config, s)
-    den = inf_ + tail_term
-    c_est = sup / den if den > 0.0 else "trivial"
-    return HarnackReport(config=config, s=float(s), kernel=kernel_tag,
-                         sup=sup, inf=inf_, avg=avg, tail_term=tail_term,
-                         C_estimate=c_est, seed=seed,
-                         N=u.mesh.ncells if N is None else int(N),
-                         sample_id=sample_id)
+    return _reporter(u.mesh, config, s, kernel_tag, seed, N)(u, sample_id)
 
 
 # -- data families ------------------------------------------------------------
@@ -142,15 +152,24 @@ def _data_gaps(config: DisconnectedConfig):
     return [(a, b) for a, b in gaps if b - a > 1e-12 * R]
 
 
+def _random_family(config: DisconnectedConfig, rng, labels,
+                   **far) -> list[PointFunction]:
+    """One datum per label, uniform [0,1] on SUBCELLS_PER_GAP pieces of
+    each gap, drawn as one (data, pieces) array: the stream of one datum
+    at a time."""
+    edges = [np.linspace(a, b, SUBCELLS_PER_GAP + 1).tolist()
+             for a, b in _data_gaps(config)]
+    pieces = [piece for e in edges for piece in zip(e[:-1], e[1:])]
+    values = rng.uniform(0.0, 1.0, (len(labels), len(pieces))).tolist()
+    return [piecewise_constant([(*piece, v) for piece, v in zip(pieces, row)],
+                               label=label, **far)
+            for row, label in zip(values, labels)]
+
+
 def random_nonneg_data(config: DisconnectedConfig, rng,
                        label: str = "rand") -> PointFunction:
     """Cellwise-constant uniform [0,1] values on B_R minus the domain."""
-    pieces = []
-    for a, b in _data_gaps(config):
-        edges = np.linspace(a, b, SUBCELLS_PER_GAP + 1)
-        vals = rng.uniform(0.0, 1.0, SUBCELLS_PER_GAP)
-        pieces.extend(zip(edges[:-1], edges[1:], vals))
-    return piecewise_constant(pieces, label=label)
+    return _random_family(config, rng, [label])[0]
 
 
 def mass_near_x2_data(config: DisconnectedConfig, mass: float,
@@ -178,11 +197,10 @@ def far_negative_data(config: DisconnectedConfig, rng=None,
                       magnitude: float = 1.0,
                       label: str = "farneg") -> PointFunction:
     """Random nonnegative inside B_R, constant -magnitude beyond it."""
-    pieces = []
-    if rng is not None:
-        pieces = list(random_nonneg_data(config, rng).pieces)
-    return piecewise_constant(pieces, far_value=-float(magnitude),
-                              far_radius=config.R, label=label)
+    far = {"far_value": -float(magnitude), "far_radius": config.R}
+    if rng is None:
+        return piecewise_constant([], label=label, **far)
+    return _random_family(config, rng, [label], **far)[0]
 
 
 def disconnected_harnack_experiment(s: float, kernel: Kernel,
@@ -197,29 +215,27 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
     Families: random-nonneg (seeded cellwise uniform on B_R minus the
     domain), mass-near-x2 (saturation scan over `masses`), far-negative
     (random inside, -1 beyond B_R).  All samples are drawn up front from
-    one generator and solved together on one assembled operator; the
-    memory budget of the 2N cells and the data is checked before either
-    is made.
+    one generator, as one array, and solved together on one operator; the
+    memory budget of the 2N cells and the data is checked first.
     """
     check_vector_budget(2 * N, len(masses) if data_family == "mass-near-x2"
                         else samples)
-    rng = np.random.default_rng(seed)
+    rng, ids = np.random.default_rng(seed), range(samples)
     if data_family == "random-nonneg":
-        data = [random_nonneg_data(config, rng, label=f"rand{i}")
-                for i in range(samples)]
+        data = _random_family(config, rng, [f"rand{i}" for i in ids])
     elif data_family == "mass-near-x2":
         data = [mass_near_x2_data(config, m) for m in masses]
     elif data_family == "far-negative":
-        data = [far_negative_data(config, rng, label=f"farneg{i}")
-                for i in range(samples)]
+        data = _random_family(config, rng, [f"farneg{i}" for i in ids],
+                              far_value=-1.0, far_radius=config.R)
     else:
         raise ConfigParseError(f"unknown data family {data_family!r}")
     if not data:
         raise ConfigParseError(f"the {data_family} family yields no data")
-    solutions = solve(assemble(kernel, mesh_over(config, N), data))
-    return [harnack_report(u, config, s, kernel_tag=kernel.tag(), seed=seed,
-                           N=N, sample_id=i)
-            for i, u in enumerate(solutions)]
+    mesh = mesh_over(config, N)
+    solutions = solve(assemble(kernel, mesh, data))
+    report = _reporter(mesh, config, s, kernel.tag(), seed, N)
+    return [report(u, i) for i, u in enumerate(solutions)]
 
 
 def aggregate_c_max(reports) -> float:
@@ -240,7 +256,7 @@ def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
     mesh = mesh_intervals([(x1 - r, x1 + r)], N)
     u = solve(assemble(kernel, mesh, far_data))
     min_u = float(u.values.min())
-    tail_term = _tail_of_negative(u, config, s)
+    tail_term = _negative_tail(mesh, config, s)(u)
     c_emp = -min_u / tail_term if (min_u < 0.0 and tail_term > 0.0) else 0.0
     return {"min_u": min_u, "tail_term": tail_term, "C_empirical": c_emp}
 

@@ -31,6 +31,7 @@ bounds |u''| for the cancellation guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,7 +93,8 @@ class PointFunction:
         """Nonzero segments clipped to the intervals, interval by interval."""
         segs = [seg for seg in self.segments() if seg[2] != 0.0]
         return [(bot, top, v) for lo, hi in intervals for a, b, v in segs
-                if (top := min(hi, b)) > (bot := max(lo, a))]
+                if a < hi and lo < b  # cheap test first, implied by the next
+                and (top := min(hi, b)) > (bot := max(lo, a))]
 
 
 def constant(c: float) -> PointFunction:
@@ -113,9 +115,10 @@ def piecewise_constant(pieces, far_value: float = 0.0,
                        far_radius: float | None = None,
                        label: str = "pw") -> PointFunction:
     pieces = tuple(sorted((float(lo), float(hi), float(v)) for lo, hi, v in pieces))
-    if np.isnan([far_value, far_radius or 0.0, *np.ravel(pieces)]).any():
+    if any(map(math.isnan, [far_value, far_radius or 0.0,
+                            *(x for piece in pieces for x in piece)])):
         raise DomainViolation(f"{label}: NaN in the pieces or the far part")
-    if not np.isfinite([far_value, *(v for _, _, v in pieces)]).all():
+    if not all(map(math.isfinite, [far_value, *(v for _, _, v in pieces)])):
         raise DomainViolation(f"{label}: the values must be finite")
     if not all(hi > lo for lo, hi, _ in pieces):
         raise DomainViolation(f"{label}: every piece needs hi > lo")

@@ -31,12 +31,13 @@ and is given by one generating vector over its index offsets.  An
 exterior segment (E: components of geometry.complement; B: each datum's
 segments_in them) is one overlap mass over all cells, which share its
 error estimate e, so a segment adds m e plus its cells' truncation
-remainders to the assembly error.  General pair kernels take a nested
-adaptive quadrature per cell and segment whose inner cell mass is one
+remainders to the assembly error; the fractional closed form takes ten
+segments per array call.  General pair kernels take a nested adaptive
+quadrature per cell and segment whose inner cell mass is one
 vector-valued integral over all nodes of a batch of outer panels; at
 s = 1/2 on (-1, 1), with the datum 0, the indicator of (1, 3) or four
-unit pieces, a 4-cell mesh assembles in 0.33-0.51 s, 8 cells in
-0.65-1.03 s and 16 cells in 1.25-1.80 s (one core of a shared 2-vCPU
+unit pieces, a 4-cell mesh assembles in 0.26-0.31 s, 8 cells in
+0.52-0.54 s and 16 cells in 1.02-1.36 s (one core of a shared 2-vCPU
 x86-64 virtual machine).
 
 The system matrix A = diag(2 (row sums of W + E)) - 2 W takes one of two
@@ -64,16 +65,17 @@ takes one datum or a sequence of them: a sequence builds the operator
 once and gives an m x k right-hand side, which solve() handles with one
 factorization or one conjugate-gradient run, checking each column's
 backward error.  E and each column sum the masses of their clipped
-exterior segments, and one assemble() call computes the mass of each
-distinct segment once: the data of an experiment family share their
-piece edges.  Every column still sums its own segments in its own order,
-so it equals the single-datum assembly bit for bit.
+exterior segments.  One assemble() call computes each distinct
+segment's mass once, and sums the columns whose segments share a layout
+(the data of an experiment family share their pieces) as one m x k
+block, segment by segment in order, so each column equals the
+single-datum assembly bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -137,7 +139,7 @@ def _banded_mass(s: float, d0, h: float, width: float, gamma: float):
 
     int over the cell of phi(max(distance, gamma)) for a segment of the
     given width (may be inf) whose near edge sits d0 from the cell edge;
-    vectorized in d0.
+    vectorized in d0 and the width, which broadcast together.
     """
     def beyond(d):  # the cell against everything from d past its edge on
         lo = np.maximum(d, gamma)
@@ -145,7 +147,8 @@ def _banded_mass(s: float, d0, h: float, width: float, gamma: float):
                 + (lo - d) * phi(np.asarray(gamma), s))
 
     d0 = np.asarray(d0, dtype=float)
-    far = beyond(d0 + width) if np.isfinite(width) else 0.0
+    with np.errstate(invalid="ignore"):  # the far side of an infinite width
+        far = np.where(np.isfinite(width), beyond(d0 + width), 0.0)
     return beyond(d0) - far
 
 
@@ -514,49 +517,48 @@ def _check_dense_budget(m: int) -> None:
             f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
-def check_vector_budget(m: int, k: int = 1) -> None:
+def check_vector_budget(m: int, k: int = 1, segments: int = 0) -> None:
     """ConfigError if the Toeplitz path's working vectors for m cells and
-    k data, with the data's own objects, exceed the budget.  That path is
-    the leanest, so a mesh and data refused here fit no solver path and
-    need not be built."""
-    need = 8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k) + DATUM_BYTES * k
+    k data, with the data's own objects and one mass vector per distinct
+    exterior segment, exceed the budget.  That path is the leanest, so a
+    mesh and data refused here fit no solver path and need not be
+    built."""
+    need = (8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k + segments)
+            + DATUM_BYTES * k)
     if need > MATRIX_BUDGET_BYTES:
         raise ConfigError(
-            f"{m} cells and {k} data need about "
-            f"{need / 2**20:.3g} MiB of working vectors and data, over the "
-            f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+            f"{m} cells, {k} data and {segments} exterior segments need "
+            f"about {need / 2**20:.3g} MiB of working vectors and data, "
+            f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
-def _segment_mass(kernel: Kernel, mesh: Mesh1D, a: float, b: float, h: float,
-                  gamma: float, span: float, tol: float,
-                  ) -> tuple[np.ndarray, float]:
-    """Banded kernel mass of the exterior segment (a, b) per cell, and the
-    error bound accumulated over its entries.  A translation-invariant
-    segment is one overlap integral over all cells, each cell charged the
-    shared estimate."""
-    # edge distance of every cell to the segment, 0 when they touch
-    d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
-    if kernel.family != "general":
-        val, e, rem = _overlap_mass(kernel, d0, h, b - a, gamma, span, tol)
-        return val, mesh.ncells * e + float(np.sum(rem))
-    val, e, rem = np.array([
-        _cell_segment_quadrature(kernel, lo, h, (a, b), gamma, span, tol)
-        for lo in mesh.lo.tolist()]).T
-    return val, float(np.sum(e + rem))
-
-
-def _weighted_mass(m: int, segs, mass) -> tuple[np.ndarray, float]:
-    """Sum of v mass(a, b) over v-weighted exterior segments (a, b, v) in
-    their order, per cell, and of |v| times their error bounds; the
-    exterior mass E is the case v = 1 on every exterior component."""
-    parts = [(v, *mass(a, b)) for a, b, v in segs]
-    M = np.zeros(m)
-    err_acc = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # assemble checks b
-        for v, val, e in parts:
-            M += v * val
-            err_acc += abs(v) * e
-    return M, err_acc
+def _segment_masses(kernel: Kernel, mesh: Mesh1D, segs, h: float,
+                    gamma: float, span: float, tol: float) -> list:
+    """(banded mass per cell, error bound over its entries) of each
+    exterior segment (a, b), ten at a time: the fractional closed form in
+    one array call (peak 8.1 vectors a segment, within ASSEMBLY_VECTORS),
+    a TI segment as one overlap integral over all cells, each charged the
+    shared estimate, and a general one cell by cell."""
+    out = []
+    for at in range(0, len(segs), 10):
+        a, b = np.array(segs[at:at + 10]).T[:, :, None]
+        # edge distance of every cell to the segment, 0 when they touch
+        d0 = np.maximum(0.0, np.maximum(a - mesh.hi, mesh.lo - b))
+        if kernel.family == "fractional":
+            out += [(v, 0.0) for v in _banded_mass(kernel.s, d0, h, b - a,
+                                                   gamma)]
+            continue
+        for d, (lo, hi) in zip(d0, segs[at:at + 10]):
+            if kernel.family != "general":
+                v, e, rem = _overlap_mass(kernel, d, h, hi - lo, gamma, span,
+                                          tol)
+                out.append((v, mesh.ncells * e + float(np.sum(rem))))
+            else:
+                v, e, rem = np.array([_cell_segment_quadrature(
+                    kernel, p, h, (lo, hi), gamma, span, tol)
+                    for p in mesh.lo.tolist()]).T
+                out.append((v, float(np.sum(e + rem))))
+    return out
 
 
 def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
@@ -568,34 +570,40 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     (m x k), each column equal bit for bit to the single-datum assembly.
     The mass of each distinct exterior segment is computed once per call
     and shared by E and every column.  A datum that is not piecewise
-    constant raises ConfigParseError before any coupling is computed.
-    rhs, the source f, is one constant shared by all columns.
+    constant (ConfigParseError), or data whose segment masses exceed the
+    memory budget, fail before any coupling is computed.  rhs, the source
+    f, is one constant shared by all columns.
     """
     check_tol(tol)
     if not np.isfinite(rhs):
         raise ConfigParseError(f"rhs must be finite, got {rhs}")
     block = not isinstance(exterior, PointFunction)
     data = tuple(exterior) if block else (exterior,)
-    for g in data:
-        if not g.piecewise:
-            raise ConfigParseError(
-                f"{g.label} is a bare callable; assembly needs "
-                f"piecewise-constant exterior data")
-
     m = mesh.ncells
+    ivs = mesh.intervals
+    comps = complement(ivs)
+    # the columns whose clipped segments share a layout form one block;
+    # E's column, 1 on every component, comes after the data's
+    blocks = {tuple(comps): ([len(data)], [[1.0] * len(comps)])}
+    for j, g in enumerate(data):
+        if not g.is_constant:
+            segs = g.segments_in(comps)
+            cols, vals = blocks.setdefault(
+                tuple([(a, b) for a, b, _ in segs]), ([], []))
+            cols.append(j)
+            vals.append([v for _, _, v in segs])
+    distinct = list(dict.fromkeys(seg for layout in blocks for seg in layout))
     toeplitz = kernel.family != "general" and m > DENSE_MAX_CELLS
     if not toeplitz:
         _check_dense_budget(m)
     else:
-        check_vector_budget(m, len(data))
+        check_vector_budget(m, len(data), len(distinct))
     h = float(np.min(mesh.widths))
-    ivs = mesh.intervals
     # cell edges carry rounding relative to the coordinates, not to h
     scale = max(h, abs(ivs[0][0]), abs(ivs[-1][1]))
     if float(np.max(mesh.widths)) - h > 1e-12 * scale:
         raise ConfigParseError("assembly needs a uniform cell width")
     gamma = BAND_FRACTION * h
-    comps = complement(ivs)
     span = ivs[-1][1] - ivs[0][0]
     # the band moments take lengths up to the span to the power 3 - 2s
     if not span < np.finfo(float).max ** (1.0 / (3.0 - 2.0 * kernel.s)):
@@ -605,20 +613,22 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     mirrored = (kernel.family != "general" and m % 2 == 0
                 and float(np.ptp(mesh.lo + mesh.hi[::-1])) <= 1e-14 * scale)
     W, err_acc = _couplings(kernel, mesh, h, gamma, span, tol)
-    # one mass per distinct segment, shared by E and every datum
-    mass = cache(lambda a, b: _segment_mass(kernel, mesh, a, b, h, gamma,
-                                            span, tol))
-    E, e = _weighted_mass(m, [(lo, hi, 1.0) for lo, hi in comps], mass)
-    err_acc += e
-    B = np.zeros((m, len(data)))
-    data_err = 0.0
-    for j, g in enumerate(data):
-        if g.is_constant:
-            with np.errstate(over="ignore"):  # b is checked below
+    # one mass per distinct segment; a block's columns sum theirs in order
+    masses = dict(zip(distinct, _segment_masses(kernel, mesh, distinct, h,
+                                                gamma, span, tol)))
+    B, errs = np.zeros((m, len(data) + 1)), np.zeros(len(data) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # b is checked below
+        for layout, (cols, vals) in blocks.items():
+            M = np.zeros((m, len(cols)))
+            for seg, v in zip(layout, np.array(vals).T):
+                M += masses[seg][0][:, None] * v
+                errs[cols] += np.abs(v) * masses[seg][1]
+            B[:, cols] = M
+        E = B[:, -1].copy()
+        for j, g in enumerate(data):
+            if g.is_constant:
                 B[:, j] = float(g(np.zeros(1))[0]) * E
-        else:
-            B[:, j], e = _weighted_mass(m, g.segments_in(comps), mass)
-            data_err = max(data_err, e)
+    err_acc = err_acc + float(errs[-1]) + float(errs[:-1].max(initial=0.0))
 
     if toeplitz:
         op = ToeplitzOperator(W, E)
@@ -626,13 +636,13 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
         op = _system_matrix(
             W if isinstance(W, np.ndarray) else _toeplitz_fill(W, m), E)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B
+        b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B[:, :-1]
     if not np.isfinite(b).all():
         raise ConfigParseError("the data and rhs overflow the float range")
     return LinearSystem(operator=op, rhs=b if block else b[:, 0], mesh=mesh,
                         kernel=kernel, exterior=data if block else exterior,
                         exterior_mass=2.0 * E,
-                        assembly_error=err_acc + data_err, mirrored=mirrored)
+                        assembly_error=err_acc, mirrored=mirrored)
 
 
 def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,

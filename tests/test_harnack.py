@@ -133,6 +133,48 @@ class TestReportShape:
         assert len(calls) == 1
         assert [r.sample_id for r in reps] == list(range(5))
 
+    @pytest.mark.parametrize("family,draw,tag", [
+        ("random-nonneg", random_nonneg_data, "rand"),
+        ("far-negative", far_negative_data, "farneg")])
+    def test_experiment_draws_and_reports_like_one_by_one(self, monkeypatch,
+                                                          family, draw, tag):
+        # the data drawn as one array are the data drawn sample by sample
+        # from one generator, and each report is harnack_report of its own
+        # solution, bit for bit
+        seen = {}
+
+        def keeping_assemble(kernel, mesh, data, *args, **kwargs):
+            seen["data"] = data
+            return assemble(kernel, mesh, data, *args, **kwargs)
+
+        def keeping_solve(system):
+            seen["solutions"] = solve(system)
+            return seen["solutions"]
+
+        monkeypatch.setattr(harnack, "assemble", keeping_assemble)
+        monkeypatch.setattr(harnack, "solve", keeping_solve)
+        reps = disconnected_harnack_experiment(
+            0.75, frac(0.75), CFG, family, seed=11, N=32, samples=6)
+        rng = np.random.default_rng(11)
+        want = [draw(CFG, rng, label=f"{tag}{i}") for i in range(6)]
+        assert [(g.pieces, g.far_value, g.far_radius, g.label, g.breaks,
+                 g.sup_bound) for g in seen["data"]] \
+            == [(g.pieces, g.far_value, g.far_radius, g.label, g.breaks,
+                 g.sup_bound) for g in want]
+        for i, (rep, u) in enumerate(zip(reps, seen["solutions"])):
+            one = harnack_report(u, CFG, 0.75, kernel_tag=frac(0.75).tag(),
+                                 seed=11, N=32, sample_id=i)
+            assert repr(rep.as_dict()) == repr(one.as_dict())
+
+    def test_far_negative_data_is_the_random_datum_with_a_far_part(self):
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        g = far_negative_data(CFG, rng_a, magnitude=2.5, label="f")
+        inside = random_nonneg_data(CFG, rng_b)
+        assert g.pieces == inside.pieces and g.label == "f"
+        assert (g.far_value, g.far_radius) == (-2.5, CFG.R)
+        assert g.sup_bound == 2.5
+        assert far_negative_data(CFG).pieces == ()
+
     @staticmethod
     def _tail_terms(data, s=0.5):
         solutions = solve(assemble(frac(s), mesh_over(CFG, 64), data))

@@ -53,7 +53,7 @@ from nonlocal_lab.solver1d import (
     _band_moment,
     _couplings,
     _overlap_mass,
-    _segment_mass,
+    _segment_masses,
     assemble,
     solve,
 )
@@ -330,8 +330,8 @@ class TestStructure:
         per_pair = e_w + e_band * near[which]
         assert err == pytest.approx(float(per_pair.sum()), rel=1e-12, abs=0.0)
         # the assembly adds the exterior mass's bound, one per component
-        err_ext = sum(_segment_mass(k, mesh, lo, hi, h, gamma, span,
-                                    ASSEMBLY_TOL)[1] for lo, hi in comps)
+        err_ext = sum(e for _, e in _segment_masses(k, mesh, comps, h, gamma,
+                                                    span, ASSEMBLY_TOL))
         system = assemble(k, mesh, constant(1.0))
         assert system.assembly_error == pytest.approx(err + err_ext,
                                                       rel=1e-12, abs=0.0)
@@ -546,11 +546,11 @@ class TestBlock:
         assert sum(map(len, per_datum)) == 20 * distinct
         computed = []
 
-        def counting(kernel, mesh, a, b, *args):
-            computed.append((a, b))
-            return _segment_mass(kernel, mesh, a, b, *args)
+        def counting(kernel, mesh, segs, *args):
+            computed.extend(segs)
+            return _segment_masses(kernel, mesh, segs, *args)
 
-        monkeypatch.setattr(solver1d, "_segment_mass", counting)
+        monkeypatch.setattr(solver1d, "_segment_masses", counting)
         disconnected_harnack_experiment(0.5, fractional_kernel(1, 0.5),
                                         TWO_BALLS, family, N=256, samples=20)
         assert len(computed) == len(set(computed))
@@ -779,6 +779,28 @@ class TestToeplitzRoute:
         monkeypatch.setattr(solver1d, "_couplings", no_couplings)
         with pytest.raises(ConfigError, match="working vectors"):
             assemble(fractional_kernel(1, 0.5), unit_mesh(m), G13)
+
+    def test_memory_budget_counts_the_exterior_segments(self, monkeypatch):
+        # every distinct exterior segment holds one mass vector of m cells:
+        # at 40,000 cells a datum of 4,000 pieces needs about 1.25 GiB and
+        # is refused before any coupling or mass is computed, while ten
+        # pieces pass the check
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(solver1d, "_couplings", reached)
+        monkeypatch.setattr(solver1d, "_segment_masses", reached)
+        mesh, k = unit_mesh(40_000), fractional_kernel(1, 0.5)
+        many = piecewise_constant([(1.0 + i, 2.0 + i, 1.0)
+                                   for i in range(4000)])
+        with pytest.raises(ConfigError, match="4002 exterior segments"):
+            assemble(k, mesh, many)
+        with pytest.raises(Reached):
+            assemble(k, mesh, piecewise_constant([(1.0 + i, 2.0 + i, 1.0)
+                                                  for i in range(10)]))
 
     def test_hundred_thousand_cells_in_linear_memory(self):
         # a dense matrix of 100,000 cells would take 80 GB
