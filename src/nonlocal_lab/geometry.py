@@ -39,10 +39,10 @@ class DisconnectedConfig:
     """Two reference balls B_r(x1), B_r(x2) inside B_{R/2}(0).
 
     n must be 1, checked before the centers; x1 and x2 are kept as
-    one-element tuples.  Validation enforces 4r <= |x1 - x2| <= 8r and
-    containment of both 2r-balls in B_{R/2}(0), which makes the 2r-balls
-    disjoint.  A config built with unsafe=True skips both checks but is
-    stamped `checked=False` and every report downstream carries the stamp.
+    one-element tuples.  Every construction, replace() too, checks r > 0,
+    0 < R < inf and, unless checked=False, 4r <= |x1 - x2| <= 8r and that
+    both 2r-balls lie in B_{R/2}(0) (non-strict; the 2r-balls are then
+    disjoint).  Every report downstream carries the checked stamp.
     """
 
     n: int
@@ -53,11 +53,28 @@ class DisconnectedConfig:
     checked: bool = field(default=True)
 
     def __post_init__(self):
+        r, R = float(self.r), float(self.R)
+        if not r > 0:
+            raise ConfigParseError(f"r must be positive, got {r}")
+        if not 0 < R < np.inf:
+            raise ConfigParseError(f"R must be positive and finite, got {R}")
         object.__setattr__(self, "n", check_line(self.n))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "R", float(self.R))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "x1", (coordinate(self.x1),))
         object.__setattr__(self, "x2", (coordinate(self.x2),))
+        if not self.checked:
+            return
+        d = self.separation
+        tol = 1e-12 * max(r, 1.0)
+        if not (4.0 * r - tol <= d <= 8.0 * r + tol):
+            raise SeparationViolation(
+                f"|x1 - x2| = {d:g} outside [4r, 8r] = [{4 * r:g}, {8 * r:g}]"
+            )
+        for (c,) in (self.x1, self.x2):
+            if abs(c) + 2.0 * r > R / 2.0 + tol:
+                raise ContainmentViolation(
+                    f"B_2r({c:g}) not contained in B_R/2(0) with R = {R:g}")
 
     @property
     def separation(self) -> float:
@@ -81,33 +98,8 @@ def complement(intervals) -> list[tuple[float, float]]:
 
 
 def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> DisconnectedConfig:
-    """Validate and build a two-ball configuration.
-
-    Raises SeparationViolation if |x1 - x2| is outside [4r, 8r] and
-    ContainmentViolation if either B_{2r}(x_i) is not inside B_{R/2}(0).
-    Both inequalities are non-strict.  unsafe=True skips the checks and
-    stamps the config.
-    """
-    r = float(r)
-    R = float(R)
-    if not r > 0:
-        raise ConfigParseError(f"r must be positive, got {r}")
-    if not 0 < R < np.inf:
-        raise ConfigParseError(f"R must be positive and finite, got {R}")
-    cfg = DisconnectedConfig(n=n, x1=x1, x2=x2, r=r, R=R, checked=not unsafe)
-    if unsafe:
-        return cfg
-    d = cfg.separation
-    tol = 1e-12 * max(r, 1.0)
-    if not (4.0 * r - tol <= d <= 8.0 * r + tol):
-        raise SeparationViolation(
-            f"|x1 - x2| = {d:g} outside [4r, 8r] = [{4 * r:g}, {8 * r:g}]"
-        )
-    for (c,) in (cfg.x1, cfg.x2):
-        if abs(c) + 2.0 * r > R / 2.0 + tol:
-            raise ContainmentViolation(
-                f"B_2r({c:g}) not contained in B_R/2(0) with R = {R:g}")
-    return cfg
+    """DisconnectedConfig(n, x1, x2, r, R, checked=not unsafe)."""
+    return DisconnectedConfig(n=n, x1=x1, x2=x2, r=r, R=R, checked=not unsafe)
 
 
 @dataclass(frozen=True)

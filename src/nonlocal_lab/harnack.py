@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError, EmptySample, NoPositiveC0
+from .errors import ConfigError, ConfigParseError, EmptySample, NoPositiveC0
 from .geometry import (DisconnectedConfig, Mesh1D, complement,
                        mesh_intervals, mesh_over)
 from .kernel import Kernel, make_kernel
@@ -30,13 +30,17 @@ from .operator import (
     piecewise_constant,
     segment_tail,
 )
-from .solver1d import GridFunction, assemble, check_vector_budget, solve
+from .solver1d import (MATRIX_BUDGET_BYTES, GridFunction, assemble,
+                       check_vector_budget, solve)
 
 DEFAULT_SAMPLES = 20
 DEFAULT_MASSES = (1.0, 10.0, 100.0, 1000.0)
 SUBCELLS_PER_GAP = 8  # resolution of the random piecewise data
 C0_GRID = np.geomspace(1e-4, 10.0, 81)
 BARRIER_TOL = 1e-8
+# peak memory of a barrier check per grid point: 12.9-13.0 kB fractional,
+# 14.5-19.1 kB TI at 0.1 <= s <= 0.99 (tracemalloc, 2,001-8,001 points)
+BARRIER_POINT_BYTES = 20480
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,8 @@ class HarnackReport:
     sup and avg run over cell centers in B_r(x2), inf over B_r(x1);
     tail_term is (r/R)^(2s) times the tail of the negative part at the
     origin with cutoff R.  C_estimate is sup / (inf + tail_term), or the
-    string "trivial" when that denominator vanishes.
+    string "trivial" when that denominator vanishes.  N is the mesh's
+    cells per interval.
     """
 
     config: DisconnectedConfig
@@ -111,7 +116,7 @@ def _negative_tail(mesh: Mesh1D, config: DisconnectedConfig, s: float):
 
 
 def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
-              kernel_tag: str, seed: int, N: int | None):
+              kernel_tag: str, seed: int):
     """(u, sample_id) -> HarnackReport for solutions u on the mesh; the
     cells of B_r(x2) and B_r(x1) and the tail's geometry are found once."""
     in2, in1 = (mesh.cells_in(float(x[0]), config.r)
@@ -121,7 +126,7 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
             raise EmptySample(f"no cell centers in ball at {float(x[0]):g} "
                               f"radius {config.r:g}")
     tail = _negative_tail(mesh, config, s)
-    N = mesh.ncells if N is None else int(N)
+    N = mesh.ncells // len(mesh.intervals)
 
     def report(u: GridFunction, sample_id: int) -> HarnackReport:
         v2, inf_ = u.values[in2], float(u.values[in1].min())
@@ -138,9 +143,9 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
 
 def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
                    kernel_tag: str = "", seed: int = 0,
-                   N: int | None = None, sample_id: int = 0) -> HarnackReport:
+                   sample_id: int = 0) -> HarnackReport:
     """Reduce one solved sample to a HarnackReport."""
-    return _reporter(u.mesh, config, s, kernel_tag, seed, N)(u, sample_id)
+    return _reporter(u.mesh, config, s, kernel_tag, seed)(u, sample_id)
 
 
 # -- data families ------------------------------------------------------------
@@ -234,7 +239,7 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
         raise ConfigParseError(f"the {data_family} family yields no data")
     mesh = mesh_over(config, N)
     solutions = solve(assemble(kernel, mesh, data))
-    report = _reporter(mesh, config, s, kernel.tag(), seed, N)
+    report = _reporter(mesh, config, s, kernel.tag(), seed)
     return [report(u, i) for i, u in enumerate(solutions)]
 
 
@@ -270,9 +275,14 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
     linearity then turns the scan over c0 into a vector comparison.  A
     grid of 1 or 2 points samples only the rim of B_r(x1), where w2 = 0,
     so every c0 would pass; from 3 points on, one lies within r/2 of x1.
+    A grid past the memory budget fails before any operator value.
     """
     if not grid >= 3:
         raise ConfigParseError(f"the grid needs at least 3 points, got {grid}")
+    if BARRIER_POINT_BYTES * grid > MATRIX_BUDGET_BYTES:
+        raise ConfigError(f"a grid of {grid} points needs about "
+                          f"{BARRIER_POINT_BYTES * grid / 2**20:.0f} MiB, "
+                          f"over the {MATRIX_BUDGET_BYTES >> 20} MiB budget")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     lw1 = eval_L(kernel, barrier_w1(config), xs, tol=BARRIER_TOL).value

@@ -48,7 +48,8 @@ fails with ConfigError before anything is allocated.  A radial kernel on
 an even number of cells that mirror about the mesh midpoint (every single
 interval, and two balls of one radius) gives an A that commutes with the
 reversal of the cells, and the dense solve then takes two LU solves of
-half the size (_solve_mirrored), a quarter of the flops; its values lie
+half the size (_solve_mirrored), a quarter of the flops, which solve()
+decides from the system's kernel and mesh; its values lie
 within about 2e-13 (relative) of plain LU's.  Above DENSE_MAX_CELLS a
 translation-invariant system keeps only its block generating vectors and
 E (ToeplitzOperator, O(m) storage) and is solved by conjugate gradients
@@ -166,11 +167,7 @@ class LinearSystem:
     assembly_error bounds the quadrature and truncation error accumulated
     over the entries of A and of any one column of b; it is zero for the
     closed-form path.  A block system has an m x k rhs and a tuple of k
-    exterior data, one per column.  mirrored, set by assemble() for a
-    radial kernel on an even number of cells that mirror about the mesh
-    midpoint, says that A commutes with the reversal of the cells, and
-    solve() then splits a dense A in two; a system built by hand keeps
-    the default False and plain LU.
+    exterior data, one per column.
     """
 
     operator: np.ndarray | ToeplitzOperator
@@ -180,7 +177,6 @@ class LinearSystem:
     exterior: PointFunction | tuple[PointFunction, ...]
     exterior_mass: np.ndarray
     assembly_error: float
-    mirrored: bool = False
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -310,8 +306,6 @@ def _cell_segment_quadrature(kernel: Kernel, p: float, h: float,
         rem = kernel.lam * h * float(
             phi(np.asarray(hi - (p + h)), kernel.s))
     z0 = max(lo, p + gamma)  # the band removes x <= z - gamma entirely below
-    if hi <= z0:
-        return 0.0, 0.0, rem
     # once a truncation remainder is on the books, resolving the quadrature
     # far below it buys nothing and oscillating tails exhaust the panel
     # budget; a quarter of the remainder keeps the total bound's order
@@ -608,10 +602,6 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     # the band moments take lengths up to the span to the power 3 - 2s
     if not span < np.finfo(float).max ** (1.0 / (3.0 - 2.0 * kernel.s)):
         raise ConfigParseError(f"a domain of span {span:g} overflows assembly")
-    # a radial kernel on cells that mirror about the mesh midpoint gives an
-    # A that commutes with the reversal of the cells
-    mirrored = (kernel.family != "general" and m % 2 == 0
-                and float(np.ptp(mesh.lo + mesh.hi[::-1])) <= 1e-14 * scale)
     W, err_acc = _couplings(kernel, mesh, h, gamma, span, tol)
     # one mass per distinct segment; a block's columns sum theirs in order
     masses = dict(zip(distinct, _segment_masses(kernel, mesh, distinct, h,
@@ -642,7 +632,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     return LinearSystem(operator=op, rhs=b if block else b[:, 0], mesh=mesh,
                         kernel=kernel, exterior=data if block else exterior,
                         exterior_mass=2.0 * E,
-                        assembly_error=err_acc, mirrored=mirrored)
+                        assembly_error=err_acc)
 
 
 def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,
@@ -715,7 +705,7 @@ def solve(system: LinearSystem):
     """Solve A u = b with an explicit backward-error check per column.
 
     A dense operator takes one LU factorization, or two of half the size
-    when the system is mirrored (_solve_mirrored); a ToeplitzOperator
+    when its kernel and mesh mirror it (_solve_mirrored); a ToeplitzOperator
     takes one preconditioned conjugate-gradient run (_cg) over all
     columns.  Either way each column's normwise backward error, its
     max-norm residual over |A| |u| + |b| on the whole A (Higham, Accuracy
@@ -734,9 +724,14 @@ def solve(system: LinearSystem):
         u, _, resid = _cg(a, b)
         diag = a.diag
     else:
+        # a radial kernel on an even number of cells that mirror about the
+        # mesh midpoint gives an A that commutes with the cells' reversal
+        mesh, ivs = system.mesh, system.mesh.intervals
+        edge = max(float(np.min(mesh.widths)), abs(ivs[0][0]), abs(ivs[-1][1]))
+        mirrored = (system.kernel.family != "general" and mesh.ncells % 2 == 0
+                    and float(np.ptp(mesh.lo + mesh.hi[::-1])) <= 1e-14 * edge)
         try:
-            u = (_solve_mirrored(a, b) if system.mirrored
-                 else np.linalg.solve(a, b))
+            u = _solve_mirrored(a, b) if mirrored else np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
         resid = np.atleast_1d(np.max(np.abs(a @ u - b), axis=0))

@@ -127,18 +127,21 @@ class TestExitCodes:
 
     def test_budget_refuses_before_anything_is_built(self, capsys,
                                                      monkeypatch):
-        # the samples' data, the JSON of a dumped matrix and a datum's
-        # exterior segments count, and neither a datum nor a coupling is
-        # made past the budget
+        # the samples' data, the JSON of a dumped matrix, a datum's
+        # exterior segments and the barrier grid count, and neither a
+        # datum, a coupling nor an operator value is made past the budget
         def fail(*args, **kwargs):
             raise AssertionError("built past the budget")
 
         monkeypatch.setattr(solver1d, "_couplings", fail)
         monkeypatch.setattr(harnack, "_random_family", fail)
+        monkeypatch.setattr(harnack, "eval_L", fail)
         pieces = ";".join(f"{1 + i},{2 + i},1" for i in range(4000))
         for argv in ("harnack run --s 0.5 --N 4 --samples 100000000",
                      "solve1d --s 0.5 --N 9880 --dump-matrix",
-                     f"solve1d --s 0.5 --N 40000 --data pieces:{pieces}"):
+                     f"solve1d --s 0.5 --N 40000 --data pieces:{pieces}",
+                     "harnack barrier --s 0.5 --grid 1000000",
+                     "harnack sweep --grid 1000000"):
             assert run_main(argv.split()) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from nonlocal_lab.errors import (
     UnsupportedDimension,
 )
 from nonlocal_lab.geometry import (
+    DisconnectedConfig,
     complement,
     config_from_text,
     make_disconnected_config,
@@ -63,6 +66,25 @@ class TestConfigValidation:
     def test_bad_radius_rejected(self):
         with pytest.raises(ConfigParseError):
             make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=-1.0, R=16.0)
+
+    def test_direct_construction_checks(self):
+        # a config stamped checked has passed every check, however built
+        with pytest.raises(SeparationViolation):
+            DisconnectedConfig(n=1, x1=0.0, x2=1.0, r=1.0, R=16.0)
+        assert not DisconnectedConfig(n=1, x1=0.0, x2=1.0, r=1.0, R=16.0,
+                                      checked=False).checked
+        # r and R are checked whatever the stamp
+        for r, R in ((-1.0, 16.0), (1.0, float("nan"))):
+            for checked in (True, False):
+                with pytest.raises(ConfigParseError):
+                    DisconnectedConfig(n=1, x1=0.0, x2=8.0, r=r, R=R,
+                                       checked=checked)
+
+    def test_replace_checks_again(self):
+        cfg = corollary_config()
+        with pytest.raises(ContainmentViolation):
+            dataclasses.replace(cfg, R=4.0)
+        assert dataclasses.replace(cfg, R=4.0, checked=False).R == 4.0
 
 
 @given(

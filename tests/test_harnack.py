@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from nonlocal_lab import harnack, quadrature
 from nonlocal_lab.errors import (
+    ConfigError,
     ConfigParseError,
     EmptySample,
     NoPositiveC0,
@@ -163,8 +164,27 @@ class TestReportShape:
                  g.sup_bound) for g in want]
         for i, (rep, u) in enumerate(zip(reps, seen["solutions"])):
             one = harnack_report(u, CFG, 0.75, kernel_tag=frac(0.75).tag(),
-                                 seed=11, N=32, sample_id=i)
+                                 seed=11, sample_id=i)
             assert repr(rep.as_dict()) == repr(one.as_dict())
+
+    @pytest.mark.parametrize("family", ["random-nonneg", "mass-near-x2",
+                                        "far-negative"])
+    def test_report_of_each_solution_is_the_experiments(self, monkeypatch,
+                                                        family):
+        # harnack_report reads N off the mesh: its cells per ball
+        solutions = []
+
+        def keeping_solve(system):
+            solutions.extend(solve(system))
+            return solutions
+
+        monkeypatch.setattr(harnack, "solve", keeping_solve)
+        reps = disconnected_harnack_experiment(
+            0.5, frac(0.5), CFG, family, seed=2, N=16, samples=3)
+        assert len(reps) == len(solutions) and reps[0].N == 16
+        for rep, u in zip(reps, solutions):
+            assert harnack_report(u, CFG, 0.5, kernel_tag=frac(0.5).tag(),
+                                  seed=2, sample_id=rep.sample_id) == rep
 
     def test_far_negative_data_is_the_random_datum_with_a_far_part(self):
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
@@ -528,6 +548,22 @@ class TestSweep:
             s_sweep(family, CFG, grid, N=8, samples=2)
         assert calls == []
 
+    def test_barrier_grid_past_the_budget_refused_first(self, monkeypatch):
+        # the budget is checked before any operator value or assembly
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(harnack, "eval_L", reached)
+        monkeypatch.setattr(harnack, "assemble", reached)
+        most = harnack.MATRIX_BUDGET_BYTES // harnack.BARRIER_POINT_BYTES
+        with pytest.raises(Reached):
+            s_sweep("frac", CFG, (0.5,), N=8, samples=2, grid=most)
+        with pytest.raises(ConfigError, match="budget"):
+            s_sweep("frac", CFG, (0.5,), N=8, samples=2, grid=most + 1)
+
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        s=st.floats(min_value=0.2, max_value=0.85))
@@ -535,7 +571,7 @@ def test_report_invariants_on_random_draws(seed, s):
     k = frac(s)
     g = random_nonneg_data(CFG, np.random.default_rng(seed))
     u = solve(assemble(k, mesh_over(CFG, 32), g))
-    rep = harnack_report(u, CFG, s, kernel_tag=k.tag(), seed=seed, N=32)
+    rep = harnack_report(u, CFG, s, kernel_tag=k.tag(), seed=seed)
     assert rep.sup >= rep.avg >= 0.0
     assert rep.inf >= 0.0
     assert rep.tail_term == 0.0

@@ -589,8 +589,9 @@ class TestBlock:
         # the exterior mass that makes 2 diag - exterior_mass the row
         # sums of |a|, as in an assembled system
         mass = 2.0 * np.diagonal(a) - np.sum(np.abs(a), axis=1)
+        # the general kernel keeps solve() off the mirrored split
         system = LinearSystem(operator=a, rhs=b, mesh=unit_mesh(n),
-                              kernel=fractional_kernel(1, 0.5),
+                              kernel=general_demo_kernel(0.5),
                               exterior=(G13, G13), exterior_mass=mass,
                               assembly_error=0.0)
         with pytest.raises(SingularSystem, match="column 0"):
@@ -652,15 +653,30 @@ MIRRORED_MESHES = {"two-balls": lambda: mesh_over(TWO_BALLS, 256),
                    "one": lambda: unit_mesh(1024)}
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The matrices solve() hands to _solve_mirrored, in order."""
+    seen = []
+    split = solver1d._solve_mirrored
+
+    def spy(a, b):
+        seen.append(a)
+        return split(a, b)
+
+    monkeypatch.setattr(solver1d, "_solve_mirrored", spy)
+    return seen
+
+
 class TestMirroredSolve:
     """A radial kernel on a mesh that mirrors about its midpoint gives a
     matrix that commutes with the reversal of the cells; the dense solve
-    splits it into two half-size systems."""
+    reads that off the system's kernel and mesh and splits the matrix
+    into two half-size systems."""
 
     @pytest.mark.parametrize("case", sorted(MIRRORED_MESHES))
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("family", ["frac", "ti"])
-    def test_split_matches_plain_lu(self, family, s, case):
+    def test_split_matches_plain_lu(self, splits, family, s, case):
         kernel = (fractional_kernel(1, s) if family == "frac"
                   else ti_demo_kernel(s))
         rng = np.random.default_rng(11)
@@ -674,18 +690,17 @@ class TestMirroredSolve:
         for system, u in ((one, solve(one).values),
                           (block, np.stack([v.values for v in solve(block)],
                                            axis=1))):
-            assert system.mirrored
             ref = np.linalg.solve(a, system.rhs)
             # both routes are backward stable, so they part by up to
             # cond(A) eps (2.3e-12 at s = 0.75 on 1,024 cells); measured
             # 8.6e-14 at one BLAS thread and 1.7e-13 at two, each within
             # 1.4e-13 of the iteratively refined solution
             assert np.max(np.abs(u - ref)) <= 5e-13 * np.max(np.abs(ref))
+        assert len(splits) == 2 and all(m is a for m in splits)
 
-    @pytest.mark.parametrize("case", ["general", "odd", "asymmetric",
-                                      "hand-built"])
-    def test_plain_lu_elsewhere(self, case):
-        # the flag is off and the solve is LU's, bit for bit
+    @pytest.mark.parametrize("case", ["general", "odd", "asymmetric"])
+    def test_plain_lu_elsewhere(self, splits, case):
+        # no split, and the solve is LU's, bit for bit
         kernel, mesh = fractional_kernel(1, 0.5), unit_mesh(4)
         if case == "general":
             kernel = general_demo_kernel(0.5)
@@ -694,23 +709,32 @@ class TestMirroredSolve:
         elif case == "asymmetric":
             mesh = mesh_intervals([(-5.0, -4.0), (-1.0, 0.0), (0.5, 1.5)], 8)
         system = assemble(kernel, mesh, G13)
-        if case == "hand-built":
-            assert system.mirrored
-            fields = {f.name: getattr(system, f.name)
-                      for f in dataclasses.fields(system)
-                      if f.name != "mirrored"}
-            system = LinearSystem(**fields)
-        assert not system.mirrored
         u = solve(system).values
+        assert splits == []
         assert np.array_equal(u, np.linalg.solve(system.matrix, system.rhs))
 
-    def test_residual_checked_against_the_whole_matrix(self):
-        # a split that read a matrix not mirrored would solve another
-        # system; the backward-error check on the full A refuses it
+    def test_hand_built_system_takes_the_split(self, splits):
+        # a radial system built by hand on a mirrored mesh splits as the
+        # assembled one does
+        assembled = assemble(fractional_kernel(1, 0.5), unit_mesh(4), G13)
+        system = LinearSystem(
+            operator=assembled.operator, rhs=assembled.rhs,
+            mesh=assembled.mesh, kernel=assembled.kernel, exterior=G13,
+            exterior_mass=assembled.exterior_mass, assembly_error=0.0)
+        assert np.array_equal(solve(system).values,
+                              solve(assembled).values)
+        assert len(splits) == 2
+
+    def test_residual_checked_against_the_whole_matrix(self, splits):
+        # the asymmetric domain's system on a mirrored mesh of as many
+        # cells forces the split on a matrix that is not mirrored, which
+        # solves another system; the backward-error check on the full A
+        # refuses it
         mesh = mesh_intervals([(-5.0, -4.0), (-1.0, 0.0), (0.5, 1.5)], 8)
         system = assemble(fractional_kernel(1, 0.5), mesh, G13)
         with pytest.raises(SingularSystem, match="residual"):
-            solve(dataclasses.replace(system, mirrored=True))
+            solve(dataclasses.replace(system, mesh=unit_mesh(24)))
+        assert len(splits) == 1
 
 
 # two-ball meshes B_2r(x1) u B_2r(x2) with r = 1: touching, separated on
