@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .errors import ConfigError, ConfigParseError, LabError
+from .errors import ConfigParseError, LabError
 from .geometry import config_from_text, mesh_intervals
 from .harnack import (
     CSV_COLUMNS,
@@ -38,15 +38,10 @@ from .poisson import (
     poisson_eval,
     poisson_extend,
 )
-from .solver1d import (MATRIX_BUDGET_BYTES, assemble, check_vector_budget,
-                       solve)
+from .solver1d import assemble, check_budget, check_vector_budget, solve
 
 FAMILIES = {"random": "random-nonneg", "mass": "mass-near-x2",
             "farneg": "far-negative"}
-# peak memory per matrix entry of solve1d --dump-matrix: the float, with
-# each row's list and JSON text made as it is written (peak RSS of the
-# process 160.9 MiB at 4,096 cells, 10.05 B an entry)
-DUMP_ENTRY_BYTES = 11
 
 
 # -- emission -----------------------------------------------------------------
@@ -190,11 +185,8 @@ def _cmd_solve1d(args) -> int:
     intervals = _parse_domain(args.domain)
     m = len(intervals) * args.N
     check_vector_budget(m)  # before the mesh is built
-    if args.dump_matrix and DUMP_ENTRY_BYTES * m * m > MATRIX_BUDGET_BYTES:
-        raise ConfigError(
-            f"--dump-matrix of {m} cells takes about "
-            f"{DUMP_ENTRY_BYTES * m * m / 2**20:.0f} MiB, over the "
-            f"{MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    if args.dump_matrix and args.format == "json":
+        check_budget(8 * m * m, f"{m} x {m} dumped matrix entries")
     mesh = mesh_intervals(intervals, args.N)
     system = assemble(kernel, mesh, parse_data(args.data), rhs=args.rhs,
                       tol=args.tol)
@@ -248,7 +240,7 @@ def _cmd_harnack_mp(args) -> int:
     config, N = _build_config(args)
     kernel = make_kernel(args.kernel, 1, args.s)
     far = far_negative_data(config, None, magnitude=args.magnitude)
-    res = localized_mp_check(kernel, config, args.s, far, N=N)
+    res = localized_mp_check(kernel, config, far, N=N)
     _emit({"s": args.s, "R_over_r": config.R / config.r,
            "magnitude": args.magnitude, **res}, args.out)
     return 0
@@ -268,9 +260,9 @@ def _cmd_harnack_barrier(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    payload, text = run_selftest(seed=args.seed)
+    passed, text = run_selftest(seed=args.seed)
     _emit(text, args.out)
-    return 0 if payload["all_passed"] else 1
+    return 0 if passed else 1
 
 
 def parse_args(argv=None) -> argparse.Namespace:

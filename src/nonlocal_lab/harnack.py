@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConfigParseError, EmptySample, NoPositiveC0
+from .errors import ConfigParseError, EmptySample, NoPositiveC0
 from .geometry import (DisconnectedConfig, Mesh1D, complement,
                        mesh_intervals, mesh_over)
 from .kernel import Kernel, make_kernel
@@ -30,7 +30,7 @@ from .operator import (
     piecewise_constant,
     segment_tail,
 )
-from .solver1d import (MATRIX_BUDGET_BYTES, GridFunction, assemble,
+from .solver1d import (GridFunction, assemble, check_budget,
                        check_vector_budget, solve)
 
 DEFAULT_SAMPLES = 20
@@ -221,8 +221,11 @@ def disconnected_harnack_experiment(s: float, kernel: Kernel,
     domain), mass-near-x2 (saturation scan over `masses`), far-negative
     (random inside, -1 beyond B_R).  All samples are drawn up front from
     one generator, as one array, and solved together on one operator; the
-    memory budget of the 2N cells and the data is checked first.
+    memory budget of the 2N cells and the data is checked first.  s must
+    be the kernel's order (ConfigParseError).
     """
+    if s != kernel.s:
+        raise ConfigParseError(f"s = {s} is not the kernel's order {kernel.s}")
     check_vector_budget(2 * N, len(masses) if data_family == "mass-near-x2"
                         else samples)
     rng, ids = np.random.default_rng(seed), range(samples)
@@ -252,7 +255,7 @@ def aggregate_c_max(reports) -> float:
     return float(max(vals))
 
 
-def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
+def localized_mp_check(kernel: Kernel, config: DisconnectedConfig,
                        far_data: PointFunction, N: int = 256) -> dict:
     """Solve on B_r(x1) alone and bound the dip by the negative tail; the
     memory budget of the N cells is checked before the mesh is built."""
@@ -261,7 +264,7 @@ def localized_mp_check(kernel: Kernel, config: DisconnectedConfig, s: float,
     mesh = mesh_intervals([(x1 - r, x1 + r)], N)
     u = solve(assemble(kernel, mesh, far_data))
     min_u = float(u.values.min())
-    tail_term = _negative_tail(mesh, config, s)(u)
+    tail_term = _negative_tail(mesh, config, kernel.s)(u)
     c_emp = -min_u / tail_term if (min_u < 0.0 and tail_term > 0.0) else 0.0
     return {"min_u": min_u, "tail_term": tail_term, "C_empirical": c_emp}
 
@@ -279,10 +282,7 @@ def barrier_combination_check(kernel: Kernel, config: DisconnectedConfig,
     """
     if not grid >= 3:
         raise ConfigParseError(f"the grid needs at least 3 points, got {grid}")
-    if BARRIER_POINT_BYTES * grid > MATRIX_BUDGET_BYTES:
-        raise ConfigError(f"a grid of {grid} points needs about "
-                          f"{BARRIER_POINT_BYTES * grid / 2**20:.0f} MiB, "
-                          f"over the {MATRIX_BUDGET_BYTES >> 20} MiB budget")
+    check_budget(BARRIER_POINT_BYTES * grid, f"{grid} barrier grid points")
     x1, r = float(config.x1[0]), config.r
     xs = np.linspace(x1 - r, x1 + r, int(grid))
     lw1 = eval_L(kernel, barrier_w1(config), xs, tol=BARRIER_TOL).value

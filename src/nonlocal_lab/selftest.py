@@ -47,10 +47,6 @@ class CriterionResult:
     passed: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"number": self.number, "name": self.name,
-                "passed": self.passed, "detail": self.detail}
-
 
 def check_poisson_normalization() -> CriterionResult:
     """1: the kernel integrates to one inside the ball."""
@@ -212,12 +208,12 @@ def check_localized_mp_stability() -> CriterionResult:
     for R in (8.0, 16.0, 32.0):
         config = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=R)
         far = far_negative_data(config, None, magnitude=1.0)
-        outs[R] = localized_mp_check(kernel, config, s, far, N=256)
+        outs[R] = localized_mp_check(kernel, config, far, N=256)
     cs = [outs[R]["C_empirical"] for R in (8.0, 16.0, 32.0)]
     ratio = max(cs) / min(cs)
     config = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
     far2 = far_negative_data(config, None, magnitude=2.0)
-    o2 = localized_mp_check(kernel, config, s, far2, N=256)
+    o2 = localized_mp_check(kernel, config, far2, N=256)
     ref = 2.0 * outs[16.0]["min_u"]
     reldev = abs(o2["min_u"] - ref) / abs(ref)
     ok = ratio < 3.0 and reldev < 1e-8
@@ -252,7 +248,8 @@ def render_report(results, seed: int) -> str:
 
 
 def run_selftest(seed: int = 0) -> tuple:
-    """Run everything twice; the rerun feeds the reproducibility check."""
+    """(all criteria passed, the report), run twice; the rerun feeds the
+    reproducibility check."""
     first = run_criteria(seed)
     second = run_criteria(seed)
     t1 = render_report(first, seed)
@@ -261,8 +258,4 @@ def run_selftest(seed: int = 0) -> tuple:
         9, "reproducibility", t1 == t2,
         "second run byte-identical" if t1 == t2 else "reports differ")
     results = first + [repro]
-    text = render_report(results, seed)
-    payload = {"seed": seed,
-               "all_passed": all(res.passed for res in results),
-               "results": [res.as_dict() for res in results]}
-    return payload, text
+    return all(res.passed for res in results), render_report(results, seed)

@@ -96,10 +96,11 @@ ASSEMBLY_TOL = 1e-10
 # largest translation-invariant system solved densely; larger ones take
 # the O(m) Toeplitz form and conjugate gradients
 DENSE_MAX_CELLS = 1024
-# memory the solver may take: 1 GiB.  A dense m x m float64 matrix must
-# fit (m <= 11585 cells), checked by assemble() on the dense path and when
-# the dense view of a Toeplitz system is built; LU adds one copy of it,
-# the mirrored split two half-size matrices, half of one copy.
+# memory a run may take, 1 GiB, read only by check_budget().  A dense
+# m x m float64 matrix must fit (m <= 11585 cells), checked by assemble()
+# on the dense path, by the dense view of a Toeplitz system and by solve1d
+# before a JSON --dump-matrix; LU adds one copy of it, the mirrored split
+# two half-size matrices, half of one copy.
 # A Toeplitz system must fit ASSEMBLY_VECTORS + CG_VECTORS k float64
 # vectors of m for k data (m <= 729,000 cells for one datum): assembly
 # peaks at 110-130 of them for the TI family (its vector-valued coupling
@@ -264,7 +265,8 @@ class ToeplitzOperator:
 
     def dense(self) -> np.ndarray:
         """A as a dense array, equal bit for bit to the dense assembly."""
-        _check_dense_budget(self.m)
+        check_budget(8 * self.m ** 2, f"{self.m} x {self.m} dense matrix "
+                     "entries")
         return _system_matrix(_toeplitz_fill(self.blocks, self.m), self.E)
 
 
@@ -503,12 +505,12 @@ def _system_matrix(W: np.ndarray, E: np.ndarray) -> np.ndarray:
     return W
 
 
-def _check_dense_budget(m: int) -> None:
-    """ConfigError if an m x m float64 matrix exceeds the budget."""
-    if 8 * m * m > MATRIX_BUDGET_BYTES:
-        raise ConfigError(
-            f"{m} cells need a {8 * m * m / 2**20:.0f} MiB dense matrix, "
-            f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+def check_budget(need: int, what: str) -> None:
+    """ConfigError if need bytes, the allocation `what` names, exceed the
+    memory budget."""
+    if need > MATRIX_BUDGET_BYTES:
+        raise ConfigError(f"{what} need about {need / 2**20:.6g} MiB, over "
+                          f"the {MATRIX_BUDGET_BYTES / 2**20:.6g} MiB budget")
 
 
 def check_vector_budget(m: int, k: int = 1, segments: int = 0) -> None:
@@ -517,13 +519,9 @@ def check_vector_budget(m: int, k: int = 1, segments: int = 0) -> None:
     exterior segment, exceed the budget.  That path is the leanest, so a
     mesh and data refused here fit no solver path and need not be
     built."""
-    need = (8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k + segments)
-            + DATUM_BYTES * k)
-    if need > MATRIX_BUDGET_BYTES:
-        raise ConfigError(
-            f"{m} cells, {k} data and {segments} exterior segments need "
-            f"about {need / 2**20:.3g} MiB of working vectors and data, "
-            f"over the {MATRIX_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    check_budget(8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k + segments)
+                 + DATUM_BYTES * k, f"the working vectors and data of {m} "
+                 f"cells, {k} data and {segments} exterior segments")
 
 
 def _segment_masses(kernel: Kernel, mesh: Mesh1D, segs, h: float,
@@ -589,7 +587,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     distinct = list(dict.fromkeys(seg for layout in blocks for seg in layout))
     toeplitz = kernel.family != "general" and m > DENSE_MAX_CELLS
     if not toeplitz:
-        _check_dense_budget(m)
+        check_budget(8 * m * m, f"{m} x {m} dense matrix entries")
     else:
         check_vector_budget(m, len(data), len(distinct))
     h = float(np.min(mesh.widths))

@@ -138,7 +138,7 @@ class TestExitCodes:
         monkeypatch.setattr(harnack, "eval_L", fail)
         pieces = ";".join(f"{1 + i},{2 + i},1" for i in range(4000))
         for argv in ("harnack run --s 0.5 --N 4 --samples 100000000",
-                     "solve1d --s 0.5 --N 9880 --dump-matrix",
+                     "solve1d --s 0.5 --N 11586 --dump-matrix",
                      f"solve1d --s 0.5 --N 40000 --data pieces:{pieces}",
                      "harnack barrier --s 0.5 --grid 1000000",
                      "harnack sweep --grid 1000000"):
@@ -150,7 +150,8 @@ class TestExitCodes:
     def test_budget_counts_the_cells_a_command_meshes(self, capsys,
                                                       monkeypatch, tmp_path):
         # mp meshes N cells and run 2N; evalL and barrier mesh none, so
-        # they take any N from a config file
+        # they take any N from a config file, and the barrier grid counts
+        # against the same budget
         one = 8 * 64 * (solver1d.ASSEMBLY_VECTORS + solver1d.CG_VECTORS)
         monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES",
                             one + solver1d.DATUM_BYTES)
@@ -163,9 +164,47 @@ class TestExitCodes:
         cfg.write_text("n = 1\nx1 = -2\nx2 = 2\nr = 1\nR = 16\n"
                        "N = 1000000000000\n")
         for argv in ("evalL --s 0.5 --barrier w1 --x -2",
-                     "harnack barrier --s 0.5 --grid 5"):
+                     "harnack barrier --s 0.5 --grid 4"):
             assert run_main([*argv.split(), "--config", str(cfg)]) == 0
         capsys.readouterr()
+        assert harnack.BARRIER_POINT_BYTES * 5 > one + solver1d.DATUM_BYTES
+        assert run_main(["harnack", "barrier", "--s", "0.5", "--grid", "5",
+                         "--config", str(cfg)]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site,argv,budget,what", [
+        ("assemble", "solve1d --s 0.5 --N 512", 2**20,
+         "512 x 512 dense matrix"),
+        ("dense-view", "solve1d --s 0.5 --N 256 --dump-matrix", 2**19 - 1,
+         "256 x 256 dense matrix"),
+        ("vectors", "solve1d --s 0.5 --N 4096", 2**20, "working vectors"),
+        ("barrier", "harnack barrier --s 0.5 --grid 101", 2**20,
+         "101 barrier grid points"),
+        ("dump", "solve1d --s 0.5 --N 256 --dump-matrix", 2**19 - 1,
+         "256 x 256 dumped matrix")],
+        ids=["assemble", "dense-view", "vectors", "barrier", "dump"])
+    def test_every_refusal_site_follows_the_budget(self, site, argv, budget,
+                                                   what, capsys, monkeypatch):
+        # the dense view of a Toeplitz system is reached with the dump's
+        # own charge, made before the mesh, lifted
+        monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", budget)
+        if site == "dense-view":
+            monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+            monkeypatch.setattr(cli, "check_budget", lambda need, what: None)
+        assert run_main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err and what in err
+
+    @pytest.mark.parametrize("N", [10000, 11586])
+    def test_csv_run_is_not_charged_for_a_dump(self, N, tmp_path):
+        # CSV output writes no matrix, so --dump-matrix charges it nothing,
+        # also past the 11,585 cells a JSON dump takes
+        out = tmp_path / "u.csv"
+        assert run_main(["solve1d", "--s", "0.5", "--N", str(N),
+                         "--dump-matrix", "--format", "csv",
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == N + 1
 
     def test_fifty_thousand_cells(self, tmp_path):
         out = tmp_path / "u.json"

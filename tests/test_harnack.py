@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nonlocal_lab import harnack, quadrature
+from nonlocal_lab import harnack, quadrature, solver1d
 from nonlocal_lab.errors import (
     ConfigError,
     ConfigParseError,
@@ -235,6 +235,20 @@ class TestReportShape:
         with pytest.raises(ConfigParseError):
             disconnected_harnack_experiment(0.5, frac(0.5), CFG, "bogus")
 
+    @pytest.mark.parametrize("family", ["random-nonneg", "mass-near-x2",
+                                        "far-negative"])
+    def test_order_other_than_the_kernel_refused_first(self, family,
+                                                       monkeypatch):
+        # a report would carry s under another order's kernel tag, with
+        # its tail at the wrong order; nothing is drawn or assembled
+        def fail(*args, **kwargs):
+            raise AssertionError("drawn or assembled")
+
+        for name in ("_random_family", "mass_near_x2_data", "assemble"):
+            monkeypatch.setattr(harnack, name, fail)
+        with pytest.raises(ConfigParseError, match="kernel's order 0.5"):
+            disconnected_harnack_experiment(0.75, frac(0.5), CFG, family)
+
     @pytest.mark.parametrize("family,kw", [
         ("random-nonneg", {"samples": 0}), ("far-negative", {"samples": 0}),
         ("mass-near-x2", {"masses": ()})])
@@ -327,7 +341,7 @@ class TestLocalizedMP:
         for R, want in MP_C_S025_N256.items():
             cfg = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=R)
             out = localized_mp_check(
-                k, cfg, 0.25, far_negative_data(cfg, None), N=256)
+                k, cfg, far_negative_data(cfg, None), N=256)
             cs[R] = out["C_empirical"]
             assert cs[R] == pytest.approx(want, rel=1e-10)
         assert max(cs.values()) / min(cs.values()) < 3.0
@@ -335,14 +349,24 @@ class TestLocalizedMP:
     def test_dip_linear_in_magnitude(self):
         k = frac(0.25)
         outs = [localized_mp_check(
-            k, CFG, 0.25, far_negative_data(CFG, None, magnitude=m), N=64)
+            k, CFG, far_negative_data(CFG, None, magnitude=m), N=64)
             for m in (1.0, 2.0)]
         assert outs[1]["min_u"] == pytest.approx(2.0 * outs[0]["min_u"],
                                                  rel=1e-12)
 
     def test_zero_far_data_gives_zeros(self):
-        out = localized_mp_check(frac(0.25), CFG, 0.25, constant(0.0), N=16)
+        out = localized_mp_check(frac(0.25), CFG, constant(0.0), N=16)
         assert out == {"min_u": 0.0, "tail_term": 0.0, "C_empirical": 0.0}
+
+    @pytest.mark.parametrize("family,s", [("frac", 0.5), ("frac", 0.25),
+                                          ("ti", 0.75)])
+    def test_tail_takes_the_kernel_order(self, family, s):
+        # -1 beyond R and 0 inside has Tail(u_-; 0, R) = 1/s, so the tail
+        # term is (r/R)^(2s) / s at the kernel's own order
+        out = localized_mp_check(make_kernel(family, 1, s), CFG,
+                                 far_negative_data(CFG, None), N=64)
+        assert out["tail_term"] == pytest.approx(
+            (CFG.r / CFG.R) ** (2.0 * s) / s, rel=1e-12, abs=0.0)
 
 
 def glued_negative_tail(u, config, s):
@@ -399,7 +423,7 @@ class TestTailOutsideCutoff:
         cfg = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=2.5,
                                        unsafe=True)
         far = far_negative_data(cfg, None)
-        out = localized_mp_check(frac(s), cfg, s, far, N=64)
+        out = localized_mp_check(frac(s), cfg, far, N=64)
         x1, r = float(cfg.x1[0]), cfg.r
         u = solve(assemble(frac(s), mesh_intervals([(x1 - r, x1 + r)], 64),
                            far))
@@ -479,8 +503,8 @@ class TestMirrorImage:
 
     def test_localized_mp(self, x1, R, family, s):
         kernel = make_kernel(family, 1, s)
-        ref, mirror = (localized_mp_check(kernel, cfg, s,
-                                          far_negative_data(cfg), N=64)
+        ref, mirror = (localized_mp_check(kernel, cfg, far_negative_data(cfg),
+                                          N=64)
                        for cfg in self.layouts(x1, R))
         for key in ("min_u", "C_empirical"):
             assert mirror[key] == pytest.approx(ref[key], rel=1e-12)
@@ -558,7 +582,7 @@ class TestSweep:
 
         monkeypatch.setattr(harnack, "eval_L", reached)
         monkeypatch.setattr(harnack, "assemble", reached)
-        most = harnack.MATRIX_BUDGET_BYTES // harnack.BARRIER_POINT_BYTES
+        most = solver1d.MATRIX_BUDGET_BYTES // harnack.BARRIER_POINT_BYTES
         with pytest.raises(Reached):
             s_sweep("frac", CFG, (0.5,), N=8, samples=2, grid=most)
         with pytest.raises(ConfigError, match="budget"):

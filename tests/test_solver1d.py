@@ -4,7 +4,9 @@ The assembled couplings are verified against direct scipy double integrals
 first; everything else (structure, principles, convergence) builds on them.
 """
 
+import ast
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -457,6 +459,35 @@ class TestStructure:
         monkeypatch.setattr(solver1d, "_couplings", no_couplings)
         with pytest.raises(ConfigError, match="budget"):
             assemble(fractional_kernel(1, 0.5), unit_mesh(16), G13)
+
+    def test_budget_holds_the_largest_dense_matrix(self):
+        # 1 GiB holds 11,585^2 float64 entries and not 11,586^2
+        solver1d.check_budget(8 * 11585 ** 2, "11585 x 11585 entries")
+        with pytest.raises(ConfigError,
+                           match="^11586 x 11586 entries need .* budget$"):
+            solver1d.check_budget(8 * 11586 ** 2, "11586 x 11586 entries")
+
+    def test_one_owner_of_the_memory_budget(self):
+        # no module but solver1d names the budget; only check_budget reads
+        # it, and it is the one place that raises the memory ConfigError
+        src = pathlib.Path(solver1d.__file__).parent
+        readers, raisers = set(), []
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.stem != "solver1d":
+                assert "MATRIX_BUDGET_BYTES" not in text, path.name
+            for fn in ast.walk(ast.parse(text)):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if getattr(node, "id", None) == "MATRIX_BUDGET_BYTES":
+                        readers.add(fn.name)
+                    if isinstance(node, ast.Raise) and getattr(
+                            getattr(node.exc, "func", None), "id",
+                            None) == "ConfigError":
+                        raisers.append(f"{path.stem}.{fn.name}")
+        assert readers == {"check_budget"}
+        assert raisers == ["solver1d.check_budget"]
 
     def test_singular_matrix_raises(self):
         system = assemble(fractional_kernel(1, 0.5), unit_mesh(), G13)
