@@ -22,11 +22,13 @@ quadratic model c2 z^2 against the model mass int_0^z_lo z^2 K(z) dz: in
 v = z^(2-2s), the power law's closed form z_lo^(2-2s)/(2-2s) times the
 factor's mean over (0, z_lo^(2-2s)), which is 1 without a factor.
 
-Exterior data are piecewise constant on both routes to the Dirichlet
-problem, the collocation solver and `poisson_extend`, and their tails
-have a closed form (`segment_tail`).  The only other functions eval_L
-takes are bounded C^2 ones, such as the barrier w2, whose hess_bound
-bounds |u''| for the cancellation guard.
+Exterior data are PointFunctions, piecewise constant by type: the only
+data both routes to the Dirichlet problem take, the collocation solver
+and `poisson_extend`, with a closed-form tail (`segment_tail`).  A datum
+is its pieces and far part alone; its values, breaks, bound and segments
+derive from them, so every route reads one function.  The only other
+function eval_L takes is a SmoothProfile, bounded and C^2 like the barrier
+w2, whose hess_bound bounds |u''| for the cancellation guard.
 """
 
 from __future__ import annotations
@@ -47,113 +49,112 @@ MAX_TRUNCATION = 1e150  # float-safe cap of every far-field distance
 
 @dataclass(frozen=True)
 class PointFunction:
-    """A pure function R -> R with declared structure (n = 1).
+    """Piecewise-constant data on R (n = 1): value v on each open (lo, hi)
+    of pieces, far_value for |y| >= far_radius, zero elsewhere.
 
-    Exactly one evaluation semantic: `fn` (vectorized).  pieces/far_value
-    describe piecewise-constant functions exactly: value v on each open
-    (lo, hi), far_value for |y| >= far_radius, zero elsewhere; segments()
-    lists them as the (lo, hi, v) segments the numerics read.  Functions
-    that are not piecewise constant leave pieces empty and far_radius None.
+    Every construction, replace() included, checks and sorts the pieces
+    and derives once what the numerics read: breaks (all edges), sup_bound,
+    is_constant and the (lo, hi, v) segments.  No pieces and no far part
+    is the zero datum, in constant(0.0)'s form.
     """
 
-    fn: Callable
-    sup_bound: float | None = None
     pieces: tuple = ()  # ((lo, hi, value), ...), disjoint
     far_value: float = 0.0
     far_radius: float | None = None  # None: no far part (far_value must be 0)
-    breaks: tuple = ()  # all edges of a piecewise-constant function
-    hess_bound: float | None = None  # u is C^2 on R with sup |u''| <= this
+    label: str = "pw"
+
+    def __post_init__(self):
+        label, fv, fr = self.label, float(self.far_value), self.far_radius
+        pieces = tuple(sorted((float(lo), float(hi), float(v))
+                              for lo, hi, v in self.pieces))
+        if any(map(math.isnan, [fv, fr or 0.0,
+                                *(x for piece in pieces for x in piece)])):
+            raise DomainViolation(f"{label}: NaN in the pieces or the far part")
+        if not all(map(math.isfinite, [fv, *(v for _, _, v in pieces)])):
+            raise DomainViolation(f"{label}: the values must be finite")
+        if not all(hi > lo for lo, hi, _ in pieces):
+            raise DomainViolation(f"{label}: every piece needs hi > lo")
+        for (l0, h0, _), (l1, h1, _) in zip(pieces, pieces[1:]):
+            if l1 < h0:
+                raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
+        if fv != 0.0 and fr is None:
+            raise DomainViolation("far_value needs far_radius")
+        if not pieces and fr is None:
+            fr = 0.0
+        if fr is not None:
+            # the far halves must not overlap each other or any piece
+            if fr < 0:
+                raise DomainViolation(f"far_radius {fr:g} is negative")
+            if any(lo < -fr or hi > fr for lo, hi, _ in pieces):
+                raise DomainViolation("pieces must lie inside the far radius")
+        far = ((-np.inf, -fr, fv), (fr, np.inf, fv)) if fv != 0.0 else ()
+        self.__dict__.update(
+            pieces=pieces, far_value=fv, far_radius=fr,
+            breaks=tuple(sorted({e for lo, hi, _ in pieces for e in (lo, hi)}
+                                | ({-fr, fr} if fr else set()))),
+            sup_bound=max([abs(v) for _, _, v in pieces] + [abs(fv)]),
+            is_constant=not pieces and fr == 0.0, _segments=pieces + far)
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros_like(y)
+        if self.far_radius is not None:
+            out[np.abs(y) >= self.far_radius] = self.far_value
+        for lo, hi, v in self.pieces:
+            out[(y > lo) & (y < hi)] = v
+        return out
+
+    def segments(self) -> list[tuple[float, float, float]]:
+        """The pieces, then the far part as (-inf, -far_radius, v) and
+        (far_radius, inf, v): the (lo, hi, v) segments on which the
+        function takes the value v."""
+        return list(self._segments)
+
+    def segments_in(self, intervals) -> list[tuple[float, float, float]]:
+        """Nonzero segments clipped to the intervals, interval by interval."""
+        return [(bot, top, v) for lo, hi in intervals
+                for a, b, v in self._segments
+                if v != 0.0 and a < hi and lo < b  # cheap tests first
+                and (top := min(hi, b)) > (bot := max(lo, a))]
+
+
+piecewise_constant = PointFunction
+
+
+def piecewise_data(g) -> PointFunction:
+    """g, if it is piecewise-constant data; else ConfigParseError, before
+    any integral of a route to the Dirichlet problem."""
+    if not isinstance(g, PointFunction):
+        raise ConfigParseError(f"{g.label} is not piecewise-constant data")
+    return g
+
+
+@dataclass(frozen=True)
+class SmoothProfile:
+    """A bounded C^2 function on R (n = 1), given by `fn` (vectorized):
+    |u| <= sup_bound and |u''| <= hess_bound everywhere; breaks are the
+    joins of its pieces, which the near field keeps its stencils within."""
+
+    fn: Callable
+    sup_bound: float
+    hess_bound: float
+    breaks: tuple = ()
     label: str = "u"
 
     def __call__(self, y):
         return self.fn(np.asarray(y, dtype=float))
 
-    @property
-    def piecewise(self) -> bool:
-        return bool(self.pieces) or self.far_radius is not None
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.pieces and self.far_radius == 0.0
-
-    def segments(self) -> list[tuple[float, float, float]]:
-        """The pieces, then the far part as (-inf, -far_radius, v) and
-        (far_radius, inf, v): the (lo, hi, v) segments on which a
-        piecewise-constant function takes the value v."""
-        if not self.piecewise:
-            raise ConfigParseError(
-                f"{self.label} is a bare callable, not piecewise data")
-        segs = list(self.pieces)
-        if self.far_value != 0.0:
-            fr, v = self.far_radius, self.far_value
-            segs += [(-np.inf, -fr, v), (fr, np.inf, v)]
-        return segs
-
-    def segments_in(self, intervals) -> list[tuple[float, float, float]]:
-        """Nonzero segments clipped to the intervals, interval by interval."""
-        segs = [seg for seg in self.segments() if seg[2] != 0.0]
-        return [(bot, top, v) for lo, hi in intervals for a, b, v in segs
-                if a < hi and lo < b  # cheap test first, implied by the next
-                and (top := min(hi, b)) > (bot := max(lo, a))]
-
 
 def constant(c: float) -> PointFunction:
     c = float(c)
-    return piecewise_constant([], far_value=c, far_radius=0.0,
-                              label=f"const({c:g})")
+    return PointFunction((), far_value=c, far_radius=0.0, label=f"const({c:g})")
 
 
 def indicator(lo: float, hi: float, label: str | None = None) -> PointFunction:
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise DomainViolation(f"empty indicator ({lo}, {hi})")
-    return piecewise_constant([(lo, hi, 1.0)],
-                              label=label or f"chi({lo:g},{hi:g})")
-
-
-def piecewise_constant(pieces, far_value: float = 0.0,
-                       far_radius: float | None = None,
-                       label: str = "pw") -> PointFunction:
-    pieces = tuple(sorted((float(lo), float(hi), float(v)) for lo, hi, v in pieces))
-    if any(map(math.isnan, [far_value, far_radius or 0.0,
-                            *(x for piece in pieces for x in piece)])):
-        raise DomainViolation(f"{label}: NaN in the pieces or the far part")
-    if not all(map(math.isfinite, [far_value, *(v for _, _, v in pieces)])):
-        raise DomainViolation(f"{label}: the values must be finite")
-    if not all(hi > lo for lo, hi, _ in pieces):
-        raise DomainViolation(f"{label}: every piece needs hi > lo")
-    for (l0, h0, _), (l1, h1, _) in zip(pieces, pieces[1:]):
-        if l1 < h0 - 1e-15:
-            raise DomainViolation(f"overlapping pieces ({l0},{h0}) and ({l1},{h1})")
-    if far_value != 0.0 and far_radius is None:
-        raise DomainViolation("far_value needs far_radius")
-    if not pieces and far_radius is None:
-        far_radius = 0.0  # the zero datum, in constant(0.0)'s form
-    if far_radius is not None:
-        # the far halves must not overlap each other or any piece
-        if far_radius < 0:
-            raise DomainViolation(f"far_radius {far_radius:g} is negative")
-        for lo, hi, _ in pieces:
-            if lo < -far_radius - 1e-12 or hi > far_radius + 1e-12:
-                raise DomainViolation("pieces must lie inside the far radius")
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        if far_radius is not None:
-            out[np.abs(y) >= far_radius] = far_value
-        for lo, hi, v in pieces:
-            out[(y > lo) & (y < hi)] = v
-        return out
-
-    vals = [abs(v) for _, _, v in pieces] + [abs(far_value)]
-    brk = sorted({e for lo, hi, _ in pieces for e in (lo, hi)}
-                 | ({-far_radius, far_radius} if far_radius else set()))
-    return PointFunction(
-        fn=fn, sup_bound=max(vals), pieces=pieces,
-        far_value=float(far_value), far_radius=far_radius,
-        breaks=tuple(brk), label=label,
-    )
+    return PointFunction(((lo, hi, 1.0),), label=label or f"chi({lo:g},{hi:g})")
 
 
 # -- barriers ---------------------------------------------------------------
@@ -167,7 +168,7 @@ def barrier_w1(config: DisconnectedConfig) -> PointFunction:
 W2_HESS_CONSTANT = 240.0  # documented bound: |w2''| <= 240 / r^2 (sharp value ~23.09 / r^2)
 
 
-def barrier_w2(config: DisconnectedConfig) -> PointFunction:
+def barrier_w2(config: DisconnectedConfig) -> SmoothProfile:
     """Radial C^2 cutoff: 1 on B_{r/2}(x1), 0 outside B_r(x1).
 
     Profile q(t) = 1 - (6t^5 - 15t^4 + 10t^3) on t = clip(2|x-x1|/r - 1, 0, 1);
@@ -181,10 +182,9 @@ def barrier_w2(config: DisconnectedConfig) -> PointFunction:
         t = np.clip(2.0 * d / r - 1.0, 0.0, 1.0)
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
-    return PointFunction(
-        fn=fn, sup_bound=1.0,
-        breaks=(x1 - r, x1 - r / 2.0, x1 + r / 2.0, x1 + r),
-        hess_bound=W2_HESS_CONSTANT / (r * r), label="w2",
+    return SmoothProfile(
+        fn=fn, sup_bound=1.0, hess_bound=W2_HESS_CONSTANT / (r * r),
+        breaks=(x1 - r, x1 - r / 2.0, x1 + r / 2.0, x1 + r), label="w2",
     )
 
 
@@ -202,7 +202,7 @@ class Estimate:
     def of_rows(cls, rows: list, shape: tuple) -> "Estimate":
         """One estimate from per-point (value, error_bound) rows."""
         return cls(*(np.array(rows, dtype=float).reshape(-1, 2).T
-                     if shape else rows[0]))
+                     .reshape(2, *shape) if shape else rows[0]))
 
 
 def _far_distance(p, s: float, cap: float):
@@ -229,50 +229,46 @@ def _by_kind(kinds, fns):
     return f
 
 
-def eval_L(kernel: Kernel, u: PointFunction, x,
+def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
            tol: float = DEFAULT_TOL) -> Estimate:
     """Lu(x) with its error bound.
 
-    x is a float or a 1-d array of points, and the result's fields take
-    its shape.  Set-up is array work: all points are checked, two calls of
+    x is a float or an array of points, and the result's fields take its
+    shape.  Set-up is array work: all points are checked, two calls of
     u give every Richardson stencil, and one integrate_many call runs all
     integrals; each point's numbers are those of a call at it alone.
 
-    Translation-invariant kernels use the symmetrized near field (valid for
-    C^2 functions and exactly zero where u is locally constant); general
-    kernels require u locally constant near x.  The far field runs to
-    infinity in the tail-mass coordinate (see the module docstring).
-    Raises DomainViolation for a u that is neither piecewise constant nor
-    C^2 with a sup_bound and for points the floats cannot resolve, and
-    UnsupportedKernel when no valid path exists.
+    u's type picks the path.  Piecewise data need no near field: it is
+    exactly zero where u is locally constant.  A SmoothProfile takes the
+    symmetrized near field, which needs a translation-invariant kernel
+    (else UnsupportedKernel).  The far field runs to infinity in the
+    tail-mass coordinate (see the module docstring).  Raises
+    DomainViolation for points the floats cannot resolve.
     """
     check_tol(tol)
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     if not np.isfinite(xs).all():
         raise DomainViolation(f"eval_L needs finite points, got x = {x}")
-    if u.is_constant:
+    piecewise = isinstance(u, PointFunction)
+    if piecewise and u.is_constant:
         return Estimate.of_rows([(0.0, 0.0)] * len(xs), shape)
 
-    if not u.piecewise and None in (u.hess_bound, u.sup_bound):
-        raise DomainViolation(
-            f"{u.label} is neither piecewise constant nor declared C^2 "
-            f"(hess_bound) and bounded (sup_bound)")
     uxs = u(np.array(xs)).tolist()
     lam = kernel.lam
-    if not u.piecewise and kernel.family == "general":
+    if not piecewise and kernel.family == "general":
         raise UnsupportedKernel(
             "the symmetrized near field needs a translation-invariant kernel")
-    m2 = u.hess_bound
+    m2 = None if piecewise else u.hess_bound
     s = kernel.s
     alpha = 1.0 / (2.0 - 2.0 * s)
     beta = _smooth_power(s) * alpha  # z = tau^beta on the near field's tail
     eps = np.finfo(float).eps
     fin = [b for b in u.breaks if np.isfinite(b)]
-    exact = kernel.family == "fractional" and u.piecewise
+    exact = kernel.family == "fractional" and piecewise
 
     def d2(x, ux, z):
-        return 2.0 * ux - u.fn(x + z) - u.fn(x - z)
+        return 2.0 * ux - u(x + z) - u(x - z)
 
     # one job per integral, in the order a point's own call takes them:
     # (model mass,) near field, right and left far field
@@ -280,7 +276,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
     jobs, kinds, jx, jux, points, zlo = [], [], [], [], [], []
     for x, ux in zip(xs, uxs):
         # near field on (0, rho)
-        if u.piecewise:
+        if piecewise:
             # u is constant on (x - 2 rho, x + 2 rho); near field vanishes there
             rho = 0.5 * min((abs(b - x) for b in u.breaks), default=np.inf)
             near = None
@@ -347,7 +343,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
 
     # the Richardson stencils of all points, once every point is checked
     a = [[None] * len(xs)] * 2
-    if not u.piecewise:
+    if not piecewise:
         z, xa, uxa = np.array(zlo), np.array(xs), np.array(uxs)
         a = [(d2(xa, uxa, k * z) / (k * k * z * z)).tolist() for k in (1.0, 2.0)]
     jx, jux, kinds = np.array(jx), np.array(jux), np.array(kinds, dtype=int)
@@ -369,7 +365,7 @@ def eval_L(kernel: Kernel, u: PointFunction, x,
         hit = np.isin(y, u.breaks)
         y[hit] = np.nextafter(y[hit], y[hit] + side[hit] * np.sign(
             d[hit] - side[hit] * (y[hit] - x[hit])))
-        return (jux[j] - u.fn(y)) * kernel.factor(x, y)
+        return (jux[j] - u(y)) * kernel.factor(x, y)
 
     # the far field's halves share one integrand
     results = iter(integrate_many(_by_kind(

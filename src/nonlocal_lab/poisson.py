@@ -25,6 +25,7 @@ from .operator import (
     _by_kind,
     _far_distance,
     _smooth_power,
+    piecewise_data,
 )
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
@@ -109,10 +110,7 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     factor by at most 3/V and reads no data.
     """
     check_tol(tol)
-    if not g.piecewise:
-        raise ConfigParseError(
-            f"{g.label} is a bare callable; poisson_extend needs "
-            f"piecewise-constant exterior data")
+    piecewise_data(g)
     shape = np.shape(x)
     xs = np.ravel(np.asarray(x, dtype=float)).tolist()
     c, r, s = pk.center, pk.r, pk.s

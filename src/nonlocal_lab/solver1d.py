@@ -87,7 +87,7 @@ from .errors import (
 )
 from .geometry import Mesh1D, complement
 from .kernel import Kernel, phi
-from .operator import PointFunction
+from .operator import PointFunction, SmoothProfile, piecewise_data
 from .quadrature import check_tol, integrate
 
 BAND_FRACTION = 0.25
@@ -569,8 +569,8 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     check_tol(tol)
     if not np.isfinite(rhs):
         raise ConfigParseError(f"rhs must be finite, got {rhs}")
-    block = not isinstance(exterior, PointFunction)
-    data = tuple(exterior) if block else (exterior,)
+    block = not isinstance(exterior, (PointFunction, SmoothProfile))
+    data = tuple(map(piecewise_data, exterior if block else (exterior,)))
     m = mesh.ncells
     ivs = mesh.intervals
     comps = complement(ivs)
@@ -615,7 +615,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
         E = B[:, -1].copy()
         for j, g in enumerate(data):
             if g.is_constant:
-                B[:, j] = float(g(np.zeros(1))[0]) * E
+                B[:, j] = g.far_value * E
     err_acc = err_acc + float(errs[-1]) + float(errs[:-1].max(initial=0.0))
 
     if toeplitz:

@@ -24,6 +24,7 @@ from nonlocal_lab.kernel import (
 from nonlocal_lab.operator import (
     MAX_TRUNCATION,
     PointFunction,
+    SmoothProfile,
     barrier_w1,
     barrier_w2,
     constant,
@@ -32,6 +33,7 @@ from nonlocal_lab.operator import (
     piecewise_constant,
     segment_tail,
 )
+from nonlocal_lab.poisson import PoissonKernelBall, poisson_extend
 from nonlocal_lab.quadrature import DEFAULT_TOL
 
 CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
@@ -39,10 +41,6 @@ CONFIG = make_disconnected_config(n=1, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 # closed form for L(chi_(1,3))(-2) at s = 1/4:
 # -2 * int_1^3 (y+2)^(-3/2) dy = 4 (5^(-1/2) - 3^(-1/2))
 W1_SPOT_S025 = 4.0 * (5.0 ** -0.5 - 3.0 ** -0.5)
-
-# u(y) = y: a bare callable that grows, so it declares no sup_bound
-LINEAR = PointFunction(lambda y: y)
-
 
 def ball1_grid(npts=101):
     return np.linspace(-3.0, -1.0, npts)
@@ -104,9 +102,12 @@ class TestEvalErrors:
             eval_L(fractional_kernel(1, 0.5), barrier_w1(CONFIG), 1.0)
 
     def test_undeclared_structure_rejected(self):
-        u = PointFunction(lambda y: np.abs(y))
-        with pytest.raises(DomainViolation):
-            eval_L(fractional_kernel(1, 0.9), u, 0.5)
+        # a bare callable is neither data, which are their pieces, nor a
+        # smooth profile, which declares its bounds: neither can be built
+        with pytest.raises(TypeError):
+            PointFunction(lambda y: np.abs(y))
+        with pytest.raises(TypeError, match="hess_bound"):
+            SmoothProfile(lambda y: np.abs(y))
 
     def test_general_kernel_needs_locally_constant_u(self):
         with pytest.raises(UnsupportedKernel):
@@ -125,10 +126,10 @@ class TestEvalErrors:
             eval_L(general_demo_kernel(0.6), barrier_w1(CONFIG), 2.4)
 
     def test_growth_incompatible_with_order(self):
-        # C^2 but unbounded: no far-field remainder bounds its tail
-        with pytest.raises(DomainViolation, match="sup_bound"):
-            eval_L(fractional_kernel(1, 0.75), replace(LINEAR, hess_bound=0.0),
-                   0.5)
+        # C^2 but unbounded: no far-field remainder bounds its tail, and a
+        # smooth profile without a sup_bound cannot be built
+        with pytest.raises(TypeError, match="sup_bound"):
+            SmoothProfile(lambda y: y, hess_bound=0.0)
 
 
 def quad_tail(value, edges, x0, r, s):
@@ -177,8 +178,8 @@ class TestTail:
         assert u.segments() == [(-2.0, -1.0, -3.0), (1.0, 2.0, 5.0),
                                 (-np.inf, -8.0, -1.0), (8.0, np.inf, -1.0)]
         assert piecewise_constant([]).segments() == []
-        with pytest.raises(ConfigParseError):
-            LINEAR.segments()
+        # a smooth profile is no datum: it has no segments
+        assert not hasattr(barrier_w2(CONFIG), "segments")
 
     @pytest.mark.parametrize("pieces,far_radius", [([], -1.0),
                                                    ([(1.0, 2.0, 1.0)], 0.0)],
@@ -225,9 +226,7 @@ class TestTail:
                                                   label="chi(-1,3)")),
     ], ids=["const", "const-negative", "indicator"])
     def test_constant_and_indicator_are_piecewise_forms(self, u, pw):
-        for f in fields(u):
-            if f.name not in ("fn", "hess_bound"):
-                assert getattr(u, f.name) == getattr(pw, f.name), f.name
+        assert u == pw
         y = np.concatenate([np.linspace(-5.0, 5.0, 101),
                             [-1.0, 0.0, 3.0, -np.inf, np.inf]])
         assert np.array_equal(u(y), pw(y))
@@ -243,6 +242,82 @@ class TestTail:
         edges = [e for lo, hi, _ in segs for e in (lo, hi)]
         assert segment_tail(segs, x0, 1.0, s) == pytest.approx(
             quad_tail(value, edges, x0, 1.0, s), rel=1e-12)
+
+
+class TestDataArePieces:
+    """A datum is its pieces and far part: its function, breaks, bound and
+    segments derive from them, on every construction."""
+
+    def test_fields_are_the_pieces(self):
+        assert [f.name for f in fields(PointFunction)] == [
+            "pieces", "far_value", "far_radius", "label"]
+
+    def test_replaced_pieces_move_both_routes(self):
+        # the function follows the replaced pieces: L and P of chi(1, 2)
+        g = replace(indicator(1.0, 3.0), pieces=((1.0, 2.0, 1.0),))
+        k, pk = fractional_kernel(1, 0.5), PoissonKernelBall(n=1, s=0.5, r=1.0)
+        for route, op in ((eval_L, k), (poisson_extend, pk)):
+            assert route(op, g, 0.0) == route(op, indicator(1.0, 2.0), 0.0)
+        assert (g.breaks, g.sup_bound) == ((1.0, 2.0), 1.0)
+
+    def test_a_function_beside_the_pieces_is_refused(self):
+        with pytest.raises(TypeError):
+            PointFunction(fn=np.zeros_like, pieces=((1.0, 3.0, 1.0),))
+
+    def test_replace_checks_again(self):
+        with pytest.raises(DomainViolation, match="hi > lo"):
+            replace(indicator(1.0, 3.0), pieces=((3.0, 1.0, 1.0),))
+        with pytest.raises(DomainViolation, match="far_value needs"):
+            replace(indicator(1.0, 3.0), far_value=1.0)
+
+    @pytest.mark.parametrize("pieces,far_radius", [
+        ([(-1.0, 1e-16, 1.0), (0.0, 1.0, 2.0)], None),
+        ([(0.0, 1e-13, 5.0)], 0.0), ([(-8.0 - 1e-14, -1.0, 1.0)], 8.0)],
+        ids=["pieces", "far-radius-0", "far-radius-8"])
+    def test_overlap_by_any_amount_is_refused(self, pieces, far_radius):
+        # an overlap of 1e-16 or 1e-13 would be counted twice by the
+        # segments' readers, and once by the function
+        far = {} if far_radius is None else {"far_value": 1.0,
+                                             "far_radius": far_radius}
+        with pytest.raises(DomainViolation):
+            piecewise_constant(pieces, **far)
+        # touching stays allowed
+        touching = piecewise_constant([(-8.0, -1.0, 1.0), (-1.0, 8.0, 2.0)],
+                                      far_value=1.0, far_radius=8.0)
+        assert touching.breaks == (-8.0, -1.0, 8.0)
+
+
+@given(edges=st.lists(st.floats(-20.0, 20.0), max_size=10, unique=True),
+       values=st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+       far=st.none() | st.tuples(st.floats(-5.0, 5.0),
+                                 st.sampled_from([-1e-13, 0.0, 0.5, 3.0])))
+def test_value_is_the_one_segment_containing_y(edges, values, far):
+    """Off the breaks, u(y) is the value of the one segment of segments()
+    that contains y, or 0 if none does; a far radius that cuts into a
+    piece, by however little, is refused."""
+    e = sorted(edges)
+    pieces = [(a, b, v) for a, b, v in zip(e[::2], e[1::2], values)]
+    far_part = {}
+    if far is not None:
+        reach = max(map(abs, e), default=0.0)
+        far_part = {"far_value": far[0],
+                    "far_radius": max(reach + far[1], 0.0)}
+    try:
+        u = piecewise_constant(pieces, **far_part)
+    except DomainViolation:
+        assert far is not None and far_part["far_radius"] < reach
+        return
+    # three points in every interval between neighbouring breaks
+    ends = [-30.0, *u.breaks, 30.0]
+    ys = [a + t * (b - a) for a, b in zip(ends, ends[1:]) if b > a
+          for t in (0.25, 0.5, 0.75)]
+    segs = u.segments()
+    for y in ys:
+        if y in u.breaks or abs(y) == u.far_radius:
+            continue
+        hits = [v for lo, hi, v in segs if lo < y < hi]
+        assert len(hits) <= 1, y
+        assert u(np.array([y]))[0] == (hits[0] if hits else 0.0), y
 
 
 class TestBarriers:
@@ -514,13 +589,17 @@ def tail_datum(segs, x0, r):
          for lo, hi in ((a, min(b, x0 - r)), (max(a, x0 + r), b)) if hi > lo])
 
 
-def recording(u, seen):
-    """u whose fn appends every evaluation point to seen."""
-    def fn(y):
-        seen.append(np.array(y, dtype=float, copy=True).ravel())
-        return u.fn(y)
+def recording(monkeypatch, u, seen):
+    """u, whose type's __call__ now appends every evaluation point to
+    seen."""
+    call = type(u).__call__
 
-    return replace(u, fn=fn)
+    def spy(self, y):
+        seen.append(np.array(y, dtype=float, copy=True).ravel())
+        return call(self, y)
+
+    monkeypatch.setattr(type(u), "__call__", spy)
+    return u
 
 
 def farthest(seen, center):
@@ -543,29 +622,30 @@ class TestCompactWork:
         general_demo_kernel(0.75),
     ], ids=["frac", "ti", "general"])
     @pytest.mark.parametrize("x", [-2.5, -1.5])
-    def test_eval_L_w1(self, kernel, x):
+    def test_eval_L_w1(self, monkeypatch, kernel, x):
         seen = []
         w1 = barrier_w1(CONFIG)
-        res = eval_L(kernel, recording(w1, seen), x)
+        res = eval_L(kernel, recording(monkeypatch, w1, seen), x)
         assert_read_past_the_reach(seen, x, 3.0 - x)
         want, allow = piecewise_oracle(kernel, w1, x)
         assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("x", [-2.9, -2.3, -1.6])
-    def test_eval_L_w2_fractional(self, x):
+    def test_eval_L_w2_fractional(self, monkeypatch, x):
         seen = []
         k = fractional_kernel(1, 0.75)
-        res = eval_L(k, recording(barrier_w2(CONFIG), seen), x)
+        res = eval_L(k, recording(monkeypatch, barrier_w2(CONFIG), seen), x)
         assert_read_past_the_reach(seen, x, abs(x + 2.0) + 1.0)
         want, allow = w2_oracle(k, CONFIG, x)
         assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("x0", [-5.0, 0.0, 2.0])
-    def test_tail(self, x0):
+    def test_tail(self, monkeypatch, x0):
         # eval_L's route to the tail of data on (-1, 3)
         seen = []
         w = tail_datum([(-1.0, 3.0, 1.0)], x0, 0.5)
-        res = eval_L(fractional_kernel(1, 0.4), recording(w, seen), x0)
+        res = eval_L(fractional_kernel(1, 0.4), recording(monkeypatch, w, seen),
+                     x0)
         assert_read_past_the_reach(seen, x0,
                                    max(abs(-1.0 - x0), abs(3.0 - x0)))
         # no clip charge: what is left is the quadrature estimate, halved
@@ -642,6 +722,21 @@ class TestArrayPoints:
         res = eval_L(fractional_kernel(1, 0.5), barrier_w2(CONFIG),
                      np.array([]))
         assert res.value.shape == (0,)
+
+    @pytest.mark.parametrize("route,op,u", [
+        (eval_L, fractional_kernel(1, 0.5), barrier_w2(CONFIG)),
+        (eval_L, ti_demo_kernel(0.5), barrier_w1(CONFIG)),
+        (poisson_extend, PoissonKernelBall(n=1, s=0.5, r=1.0),
+         indicator(1.0, 3.0))], ids=["eval_L-w2", "eval_L-w1", "poisson"])
+    def test_fields_take_the_shape_of_x(self, route, op, u):
+        xs = np.array([[-0.5, -0.2], [0.3, 0.6]])
+        if route is eval_L:
+            xs = xs - 2.0  # inside B_1(x1)
+        got, flat = route(op, u, xs), route(op, u, xs.ravel())
+        for field in FIELDS:
+            assert getattr(got, field).shape == (2, 2)
+            assert np.array_equal(getattr(got, field).ravel(),
+                                  getattr(flat, field))
 
 
 def w2_mpmath(s, x, config=CONFIG, ti=False):

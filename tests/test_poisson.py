@@ -1,7 +1,6 @@
 """Ball kernel: closed-form values, extension quadrature, two-sided bounds."""
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -18,10 +17,11 @@ from nonlocal_lab.errors import (
     DomainViolation,
     UnsupportedDimension,
 )
-from nonlocal_lab.geometry import mesh_intervals
+from nonlocal_lab.geometry import make_disconnected_config, mesh_intervals
 from nonlocal_lab.kernel import phi
 from nonlocal_lab.operator import (
     PointFunction,
+    barrier_w2,
     constant,
     indicator,
     piecewise_constant,
@@ -166,15 +166,17 @@ class TestExtend:
         assert abs(got.value - sum(terms)) <= 1e-15 * sum(map(abs, terms))
 
     def test_growth_must_pair_with_the_order(self, monkeypatch):
-        # growing or not, a bare callable datum fails before any integral
+        # a function that is not piecewise-constant data, such as the
+        # smooth barrier w2, fails before any integral
         def no_integrals(*args):
-            raise AssertionError("integrals run for a bare callable")
+            raise AssertionError("integrals run for a smooth profile")
 
         monkeypatch.setattr(poisson, "integrate_many", no_integrals)
-        for g in (PointFunction(lambda y: y),
-                  PointFunction(np.cos, sup_bound=1.0)):
-            with pytest.raises(ConfigParseError, match="bare callable"):
-                poisson_extend(UNIT, g, 0.0)
+        w2 = barrier_w2(make_disconnected_config(n=1, x1=-2.0, x2=2.0,
+                                                 r=1.0, R=16.0))
+        with pytest.raises(ConfigParseError,
+                           match="w2 is not piecewise-constant data"):
+            poisson_extend(UNIT, w2, 0.0)
 
     def test_quadrature_only_on_the_line(self):
         with pytest.raises(UnsupportedDimension):
@@ -270,13 +272,13 @@ class TestCompactData:
 
     @pytest.mark.parametrize("support,T", [((-6.0, 2.5), 5.5), ((0.6, 1.2), 2.0)])
     def test_no_evaluation_beyond_the_reach(self, monkeypatch, support, T):
-        # the data enter through their segments only: g.fn is never read,
+        # the data enter through their segments only: g is never called,
         # and no far-band integral runs past the reach T = max(reach, 2r)
         # from the center, phi(T) in the tail-mass coordinate
         g = piecewise_constant([(*support, 0.7)])
         jobs = []
 
-        def fn(y):
+        def pointwise(self, y):
             raise AssertionError("poisson_extend read the datum pointwise")
 
         def spy(f, js):
@@ -284,8 +286,9 @@ class TestCompactData:
             return integrate_many(f, js)
 
         monkeypatch.setattr(poisson, "integrate_many", spy)
+        monkeypatch.setattr(PointFunction, "__call__", pointwise)
         pk = PoissonKernelBall(n=1, s=0.4, r=1.0, center=-0.5)
-        res = poisson_extend(pk, replace(g, fn=fn), -0.2)
+        res = poisson_extend(pk, g, -0.2)
         assert jobs and all(job[0] >= phi(T, 0.4) for job in jobs if job[5])
         want, allow = quad_extension(pk, g, -0.2)
         assert abs(res.value - want) <= res.error_bound + allow

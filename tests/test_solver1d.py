@@ -40,7 +40,7 @@ from nonlocal_lab.kernel import (
     ti_demo_kernel,
 )
 from nonlocal_lab.operator import (
-    PointFunction,
+    barrier_w2,
     constant,
     eval_L,
     indicator,
@@ -400,11 +400,12 @@ class TestStructure:
         assert np.max(np.abs(u2.values - 2.0 * u1.values)) < 1e-12
 
     def test_zero_datum_is_the_zero_constant(self, monkeypatch):
-        # pieces: with no pieces is constant(0.0), not a bare callable
-        # whose data mass takes a nested quadrature per cell: its data
-        # part adds no integrate call to those of the operator part
+        # pieces: with no pieces is constant(0.0), whose data mass takes
+        # no quadrature: its data part adds no integrate call to those of
+        # the operator part
         g = piecewise_constant([])
-        assert g.piecewise and g.is_constant
+        assert g.is_constant
+        assert dataclasses.replace(g, label="const(0)") == constant(0.0)
         calls = []
 
         def counting(*args, **kwargs):
@@ -441,10 +442,12 @@ class TestStructure:
             assemble(fractional_kernel(2, 0.5), unit_mesh(), G13)
 
     def test_growing_data_rejected(self):
-        # a growing datum is a bare callable, rejected in a block as well
-        with pytest.raises(ConfigParseError, match="bare callable"):
+        # a function that is not piecewise-constant data is rejected in a
+        # block as well
+        with pytest.raises(ConfigParseError,
+                           match="w2 is not piecewise-constant data"):
             assemble(fractional_kernel(1, 0.25), unit_mesh(),
-                     [G13, PointFunction(lambda y: y)])
+                     [G13, barrier_w2(TWO_BALLS)])
 
     def test_memory_budget_guard(self, monkeypatch):
         # the default budget holds a 4096-cell matrix; past a budget,
@@ -1024,14 +1027,15 @@ class TestSegments:
             (1.5, 2.5, 0.5), (3.0, np.inf, -1.0)]
 
     def test_bare_callable_data_rejected(self, monkeypatch):
-        # a datum without segments fails before any coupling is computed
+        # a function without segments fails before any coupling is computed
         def no_couplings(*args):
-            raise AssertionError("couplings built for a bare callable")
+            raise AssertionError("couplings built for a smooth profile")
 
         monkeypatch.setattr(solver1d, "_couplings", no_couplings)
-        g = PointFunction(lambda y: np.exp(-np.abs(y)), sup_bound=1.0)
-        with pytest.raises(ConfigParseError, match="bare callable"):
-            assemble(fractional_kernel(1, 0.6), unit_mesh(), g)
+        with pytest.raises(ConfigParseError,
+                           match="w2 is not piecewise-constant data"):
+            assemble(fractional_kernel(1, 0.6), unit_mesh(),
+                     barrier_w2(TWO_BALLS))
 
 
 @given(
