@@ -141,11 +141,11 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
     return report
 
 
-def harnack_report(u: GridFunction, config: DisconnectedConfig, s: float,
-                   kernel_tag: str = "", seed: int = 0,
-                   sample_id: int = 0) -> HarnackReport:
-    """Reduce one solved sample to a HarnackReport."""
-    return _reporter(u.mesh, config, s, kernel_tag, seed)(u, sample_id)
+def harnack_report(u: GridFunction, config: DisconnectedConfig,
+                   s: float) -> HarnackReport:
+    """Reduce one solved sample to a HarnackReport, with an empty kernel
+    tag, seed 0 and sample_id 0."""
+    return _reporter(u.mesh, config, s, "", 0)(u, 0)
 
 
 # -- data families ------------------------------------------------------------
@@ -177,8 +177,8 @@ def random_nonneg_data(config: DisconnectedConfig, rng,
     return _random_family(config, rng, [label])[0]
 
 
-def mass_near_x2_data(config: DisconnectedConfig, mass: float,
-                      label: str | None = None) -> PointFunction:
+def mass_near_x2_data(config: DisconnectedConfig,
+                      mass: float) -> PointFunction:
     """Unit baseline on B_R minus the domain plus mass on the window 2r to
     3r past x2, away from x1; its parts beyond B_R carry the mass alone.
 
@@ -195,7 +195,7 @@ def mass_near_x2_data(config: DisconnectedConfig, mass: float,
     pieces = [*base.segments_in(complement(window)),
               *((lo, hi, 1.0 + mass) for lo, hi, _ in base.segments_in(window)),
               *((lo, hi, float(mass)) for lo, hi, _ in beyond)]
-    return piecewise_constant(pieces, label=label or f"mass{mass:g}")
+    return piecewise_constant(pieces, label=f"mass{mass:g}")
 
 
 def far_negative_data(config: DisconnectedConfig, rng=None,

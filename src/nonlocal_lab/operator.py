@@ -53,9 +53,9 @@ class PointFunction:
     of pieces, far_value for |y| >= far_radius, zero elsewhere.
 
     Every construction, replace() included, checks and sorts the pieces
-    and derives once what the numerics read: breaks (all edges), sup_bound,
-    is_constant and the (lo, hi, v) segments.  No pieces and no far part
-    is the zero datum, in constant(0.0)'s form.
+    and derives once what the numerics read: breaks (where it jumps),
+    sup_bound, is_constant (no breaks) and the (lo, hi, v) segments.  No
+    pieces and no far part is the zero datum, in constant(0.0)'s form.
     """
 
     pieces: tuple = ()  # ((lo, hi, value), ...), disjoint
@@ -88,12 +88,14 @@ class PointFunction:
             if any(lo < -fr or hi > fr for lo, hi, _ in pieces):
                 raise DomainViolation("pieces must lie inside the far radius")
         far = ((-np.inf, -fr, fv), (fr, np.inf, fv)) if fv != 0.0 else ()
+        # the datum jumps at its nonzero pieces' edges and far part's radius
+        breaks = {e for lo, hi, v in pieces if v != 0.0 for e in (lo, hi)}
+        breaks |= {-fr, fr} if far and fr else set()
         self.__dict__.update(
             pieces=pieces, far_value=fv, far_radius=fr,
-            breaks=tuple(sorted({e for lo, hi, _ in pieces for e in (lo, hi)}
-                                | ({-fr, fr} if fr else set()))),
+            breaks=tuple(sorted(breaks)),
             sup_bound=max([abs(v) for _, _, v in pieces] + [abs(fv)]),
-            is_constant=not pieces and fr == 0.0, _segments=pieces + far)
+            is_constant=not breaks, _segments=pieces + far)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

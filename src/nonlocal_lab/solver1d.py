@@ -40,23 +40,21 @@ unit pieces, a 4-cell mesh assembles in 0.26-0.31 s, 8 cells in
 0.52-0.54 s and 16 cells in 1.02-1.36 s (one core of a shared 2-vCPU
 x86-64 virtual machine).
 
-The system matrix A = diag(2 (row sums of W + E)) - 2 W takes one of two
-forms.  General kernels, and the translation-invariant families up to
-DENSE_MAX_CELLS cells, fill it as a dense m x m array and solve it by LU;
-the dense matrix may take at most MATRIX_BUDGET_BYTES, and a larger mesh
-fails with ConfigError before anything is allocated.  A radial kernel on
-an even number of cells that mirror about the mesh midpoint (every single
-interval, and two balls of one radius) gives an A that commutes with the
-reversal of the cells, and the dense solve then takes two LU solves of
-half the size (_solve_mirrored), a quarter of the flops, which solve()
-decides from the system's kernel and mesh; its values lie
-within about 2e-13 (relative) of plain LU's.  Above DENSE_MAX_CELLS a
-translation-invariant system keeps only its block generating vectors and
-E (ToeplitzOperator, O(m) storage) and is solved by conjugate gradients
-with FFT products and a block-diagonal Strang circulant preconditioner
-(Chan & Strang, SIAM J. Sci. Stat. Comput. 10, 1989), which converges in
-tens of iterations at any m; the dense matrix is then built only when
-LinearSystem.matrix is read.
+The system matrix A = diag(2 (row sums of W + E)) - 2 W takes its
+kernel's form: a dense m x m array for a general kernel, refused with
+ConfigError before allocation past MATRIX_BUDGET_BYTES, and for a
+translation-invariant one its block generating vectors and E
+(ToeplitzOperator, O(m) storage) at any m, whose dense matrix, the same
+bit for bit, is built and charged to the budget only when
+LinearSystem.matrix is read.  solve() alone picks the method: LU up to
+DENSE_MAX_CELLS cells, and above them conjugate gradients with FFT
+products and a block-diagonal Strang circulant preconditioner (Chan &
+Strang, SIAM J. Sci. Stat. Comput. 10, 1989), which converge in tens of
+iterations at any m.  A radial kernel on an even number of cells that
+mirror about the mesh midpoint (every single interval, and two balls of
+one radius) gives an A that commutes with the reversal of the cells, and
+LU then takes two solves of half the size (_solve_mirrored), a quarter
+of the flops, within about 2e-13 (relative) of plain LU's values.
 
 Assembly has two parts.  The operator part, built once per (kernel,
 mesh), holds the couplings W, the exterior mass E and their assembly
@@ -93,14 +91,14 @@ from .quadrature import check_tol, integrate
 BAND_FRACTION = 0.25
 EXTERIOR_TRUNCATION_FACTOR = 1e4
 ASSEMBLY_TOL = 1e-10
-# largest translation-invariant system solved densely; larger ones take
-# the O(m) Toeplitz form and conjugate gradients
+# largest system solve() takes by LU; a larger translation-invariant one
+# takes conjugate gradients on its O(m) Toeplitz form
 DENSE_MAX_CELLS = 1024
 # memory a run may take, 1 GiB, read only by check_budget().  A dense
 # m x m float64 matrix must fit (m <= 11585 cells), checked by assemble()
-# on the dense path, by the dense view of a Toeplitz system and by solve1d
-# before a JSON --dump-matrix; LU adds one copy of it, the mirrored split
-# two half-size matrices, half of one copy.
+# for a general kernel, by the dense view of a Toeplitz system and by
+# solve1d before a JSON --dump-matrix; LU adds one copy of it, the
+# mirrored split two half-size matrices, half of one copy.
 # A Toeplitz system must fit ASSEMBLY_VECTORS + CG_VECTORS k float64
 # vectors of m for k data (m <= 729,000 cells for one datum): assembly
 # peaks at 110-130 of them for the TI family (its vector-valued coupling
@@ -162,9 +160,9 @@ class LinearSystem:
 
     A has positive diagonal and nonpositive off-diagonal entries, and every
     row's dominance slack equals the exterior-coupling mass (exterior_mass
-    = 2 E_i).  operator holds A: a dense m x m array, or a
-    ToeplitzOperator in O(m) for a large translation-invariant system,
-    whose dense form is built on the first read of matrix.
+    = 2 E_i).  operator holds A in its kernel's form: a dense m x m array
+    for a general kernel, else a ToeplitzOperator in O(m), whose dense
+    form is built on the first read of matrix.
     assembly_error bounds the quadrature and truncation error accumulated
     over the entries of A and of any one column of b; it is zero for the
     closed-form path.  A block system has an m x k rhs and a tuple of k
@@ -183,9 +181,8 @@ class LinearSystem:
     def matrix(self) -> np.ndarray:
         """A as a dense m x m array, built once for a ToeplitzOperator and
         refused with ConfigError past MATRIX_BUDGET_BYTES."""
-        if isinstance(self.operator, np.ndarray):
-            return self.operator
-        return self.operator.dense()
+        op = self.operator
+        return op if isinstance(op, np.ndarray) else op.dense()
 
 
 class ToeplitzOperator:
@@ -514,11 +511,11 @@ def check_budget(need: int, what: str) -> None:
 
 
 def check_vector_budget(m: int, k: int = 1, segments: int = 0) -> None:
-    """ConfigError if the Toeplitz path's working vectors for m cells and
-    k data, with the data's own objects and one mass vector per distinct
-    exterior segment, exceed the budget.  That path is the leanest, so a
-    mesh and data refused here fit no solver path and need not be
-    built."""
+    """ConfigError if the working vectors of a Toeplitz system's assembly
+    and conjugate gradients for m cells and k data, with the data's own
+    objects and one mass vector per distinct exterior segment, exceed the
+    budget.  Every other path also holds a dense matrix, so a mesh and
+    data refused here fit no solver path and need not be built."""
     check_budget(8 * m * (ASSEMBLY_VECTORS + CG_VECTORS * k + segments)
                  + DATUM_BYTES * k, f"the working vectors and data of {m} "
                  f"cells, {k} data and {segments} exterior segments")
@@ -585,8 +582,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
             cols.append(j)
             vals.append([v for _, _, v in segs])
     distinct = list(dict.fromkeys(seg for layout in blocks for seg in layout))
-    toeplitz = kernel.family != "general" and m > DENSE_MAX_CELLS
-    if not toeplitz:
+    if kernel.family == "general":
         check_budget(8 * m * m, f"{m} x {m} dense matrix entries")
     else:
         check_vector_budget(m, len(data), len(distinct))
@@ -618,11 +614,8 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
                 B[:, j] = g.far_value * E
     err_acc = err_acc + float(errs[-1]) + float(errs[:-1].max(initial=0.0))
 
-    if toeplitz:
-        op = ToeplitzOperator(W, E)
-    else:
-        op = _system_matrix(
-            W if isinstance(W, np.ndarray) else _toeplitz_fill(W, m), E)
+    op = (_system_matrix(W, E) if kernel.family == "general"
+          else ToeplitzOperator(W, E))
     with np.errstate(over="ignore", invalid="ignore"):
         b = (float(rhs) * mesh.widths)[:, None] + 2.0 * B[:, :-1]
     if not np.isfinite(b).all():
@@ -649,12 +642,12 @@ def _general_band_m2(kernel: Kernel, p_i: float, h: float, cell_j, gamma,
 
 
 def _cg(op: ToeplitzOperator, b: np.ndarray):
-    """Preconditioned conjugate gradients on all columns of b at once,
-    with per-column step lengths.  Returns (u shaped like b, iterations,
-    max-norm residual |b - A u| per column).  A column stops once its
-    updated residual is within CG_TOL of its own rhs; SingularSystem
-    after CG_MAX_ITER iterations."""
-    B = np.atleast_2d(b.T)
+    """Preconditioned conjugate gradients on all columns of b (m x k) at
+    once, with per-column step lengths.  Returns (u shaped like b,
+    iterations).  A column stops once its updated residual is within
+    CG_TOL of its own rhs; SingularSystem after CG_MAX_ITER
+    iterations."""
+    B = b.T
     X = np.zeros_like(B)
     R = B.copy()
     tol = CG_TOL * np.max(np.abs(B), axis=1)
@@ -679,8 +672,7 @@ def _cg(op: ToeplitzOperator, b: np.ndarray):
         beta = np.divide(rz, rz_old, where=active, out=np.zeros_like(rz))
         D = Z + beta[:, None] * D
         it += 1
-    resid = np.max(np.abs(B - op.apply(X)), axis=1)
-    return (X.T if b.ndim == 2 else X[0]), it, resid
+    return X.T, it
 
 
 def _solve_mirrored(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -702,51 +694,53 @@ def _solve_mirrored(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve(system: LinearSystem):
     """Solve A u = b with an explicit backward-error check per column.
 
-    A dense operator takes one LU factorization, or two of half the size
-    when its kernel and mesh mirror it (_solve_mirrored); a ToeplitzOperator
+    The one reader of DENSE_MAX_CELLS: a ToeplitzOperator of more cells
     takes one preconditioned conjugate-gradient run (_cg) over all
-    columns.  Either way each column's normwise backward error, its
-    max-norm residual over |A| |u| + |b| on the whole A (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 7), must stay within
-    1e-10; both scale b by a power of two, exactly, so that neither
-    overflows.  A one-datum
-    system gives one GridFunction; a block system (m x k rhs) gives a
-    list of k GridFunctions, each carrying its own datum as exterior.
+    columns, any other system one LU factorization of its matrix, or two
+    of half the size when its kernel and mesh mirror it (_solve_mirrored).
+    Each column's normwise backward error, its max-norm residual over
+    |A| |u| + |b| on the whole A (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 7), is then checked through the operator
+    within 1e-10, on b scaled by a power of two, exactly, so that nothing
+    overflows.  A one-datum system gives one GridFunction; a block system
+    (m x k rhs) gives a list of k GridFunctions, each with its datum.
     """
-    a = system.operator
-    b = np.abs(system.rhs)
+    op, mesh = system.operator, system.mesh
+    rhs = system.rhs.reshape(mesh.ncells, -1)
+    b = np.abs(rhs)
     bmax = np.max(b, axis=0)
     t = np.ldexp(1.0, np.frexp(bmax)[1] - 1)
-    np.divide(system.rhs, t, out=b)  # b / t, in the buffer of |b|
-    if isinstance(a, ToeplitzOperator):
-        u, _, resid = _cg(a, b)
-        diag = a.diag
+    np.divide(rhs, t, out=b)  # b / t, in the buffer of |b|
+    toeplitz = isinstance(op, ToeplitzOperator)
+    if toeplitz and mesh.ncells > DENSE_MAX_CELLS:
+        u, _ = _cg(op, b)
     else:
         # a radial kernel on an even number of cells that mirror about the
         # mesh midpoint gives an A that commutes with the cells' reversal
-        mesh, ivs = system.mesh, system.mesh.intervals
+        ivs = mesh.intervals
         edge = max(float(np.min(mesh.widths)), abs(ivs[0][0]), abs(ivs[-1][1]))
         mirrored = (system.kernel.family != "general" and mesh.ncells % 2 == 0
                     and float(np.ptp(mesh.lo + mesh.hi[::-1])) <= 1e-14 * edge)
+        a = system.matrix
         try:
             u = _solve_mirrored(a, b) if mirrored else np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
-        resid = np.atleast_1d(np.max(np.abs(a @ u - b), axis=0))
-        diag = np.diagonal(a)
+    au = op.apply(u.T).T if toeplitz else op @ u
+    diag = op.diag if toeplitz else np.diagonal(op)
     # row i of |A| sums to diag_i + 2 sum_j W_ij = 2 diag_i - 2 E_i
     anorm = float(np.max(2.0 * diag - system.exterior_mass))
     scale = anorm * np.max(np.abs(u), axis=0) + bmax / t
-    rows = np.column_stack(np.atleast_1d(resid, scale, t)).tolist()
-    for j, (res, sc, tj) in enumerate(rows):
+    resid = np.max(np.abs(au - b), axis=0)
+    for j, (res, sc, tj) in enumerate(zip(resid, scale, t)):
         if not res <= 1e-10 * sc:
-            where = f" in column {j}" if b.ndim == 2 else ""
+            where = f" in column {j}" if system.rhs.ndim == 2 else ""
             raise SingularSystem(f"residual {res * tj:.2e} > 1e-10 (|A| |u| "
                                  f"+ |b|) = {1e-10 * sc * tj:.2e}{where}")
     with np.errstate(over="ignore"):  # GridFunction refuses a non-finite u
         u *= t
-    if b.ndim == 1:
-        return GridFunction(mesh=system.mesh, values=u,
+    if system.rhs.ndim == 1:
+        return GridFunction(mesh=mesh, values=u[:, 0],
                             exterior=system.exterior)
-    return [GridFunction(mesh=system.mesh, values=col, exterior=g)
+    return [GridFunction(mesh=mesh, values=col, exterior=g)
             for col, g in zip(u.T.copy(), system.exterior)]

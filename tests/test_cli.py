@@ -151,12 +151,13 @@ class TestExitCodes:
                                                       monkeypatch, tmp_path):
         # mp meshes N cells and run 2N; evalL and barrier mesh none, so
         # they take any N from a config file, and the barrier grid counts
-        # against the same budget
-        one = 8 * 64 * (solver1d.ASSEMBLY_VECTORS + solver1d.CG_VECTORS)
+        # against the same budget.  mp's 64 cells hold four exterior
+        # segments, two of the ball's complement and two of the far datum
+        one = 8 * 64 * (solver1d.ASSEMBLY_VECTORS + solver1d.CG_VECTORS + 4)
         monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES",
                             one + solver1d.DATUM_BYTES)
         assert run_main("harnack mp --s 0.5 --N 64".split()) == 0
-        assert run_main("harnack run --s 0.5 --N 32 --samples 1".split()) == 0
+        assert run_main("harnack run --s 0.5 --N 16 --samples 1".split()) == 0
         capsys.readouterr()
         assert run_main("harnack run --s 0.5 --N 64 --samples 1".split()) == 3
         assert "budget" in capsys.readouterr().err
@@ -173,7 +174,7 @@ class TestExitCodes:
         assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("site,argv,budget,what", [
-        ("assemble", "solve1d --s 0.5 --N 512", 2**20,
+        ("assemble", "solve1d --kernel general --s 0.5 --N 512", 2**20,
          "512 x 512 dense matrix"),
         ("dense-view", "solve1d --s 0.5 --N 256 --dump-matrix", 2**19 - 1,
          "256 x 256 dense matrix"),

@@ -5,6 +5,8 @@ report pipeline (solve, reduce, aggregate) against regressions, while
 the property tests pin the invariants every report must satisfy.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,8 +165,9 @@ class TestReportShape:
             == [(g.pieces, g.far_value, g.far_radius, g.label, g.breaks,
                  g.sup_bound) for g in want]
         for i, (rep, u) in enumerate(zip(reps, seen["solutions"])):
-            one = harnack_report(u, CFG, 0.75, kernel_tag=frac(0.75).tag(),
-                                 seed=11, sample_id=i)
+            one = dataclasses.replace(harnack_report(u, CFG, 0.75),
+                                      kernel=frac(0.75).tag(), seed=11,
+                                      sample_id=i)
             assert repr(rep.as_dict()) == repr(one.as_dict())
 
     @pytest.mark.parametrize("family", ["random-nonneg", "mass-near-x2",
@@ -183,8 +186,9 @@ class TestReportShape:
             0.5, frac(0.5), CFG, family, seed=2, N=16, samples=3)
         assert len(reps) == len(solutions) and reps[0].N == 16
         for rep, u in zip(reps, solutions):
-            assert harnack_report(u, CFG, 0.5, kernel_tag=frac(0.5).tag(),
-                                  seed=2, sample_id=rep.sample_id) == rep
+            assert dataclasses.replace(
+                harnack_report(u, CFG, 0.5), kernel=frac(0.5).tag(), seed=2,
+                sample_id=rep.sample_id) == rep
 
     def test_far_negative_data_is_the_random_datum_with_a_far_part(self):
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
@@ -595,7 +599,8 @@ def test_report_invariants_on_random_draws(seed, s):
     k = frac(s)
     g = random_nonneg_data(CFG, np.random.default_rng(seed))
     u = solve(assemble(k, mesh_over(CFG, 32), g))
-    rep = harnack_report(u, CFG, s, kernel_tag=k.tag(), seed=seed)
+    rep = dataclasses.replace(harnack_report(u, CFG, s), kernel=k.tag(),
+                              seed=seed)
     assert rep.sup >= rep.avg >= 0.0
     assert rep.inf >= 0.0
     assert rep.tail_term == 0.0

@@ -260,6 +260,25 @@ class TestDataArePieces:
             assert route(op, g, 0.0) == route(op, indicator(1.0, 2.0), 0.0)
         assert (g.breaks, g.sup_bound) == ((1.0, 2.0), 1.0)
 
+    @pytest.mark.parametrize("g,ref", [
+        (piecewise_constant([(1.0, 2.0, 1.0)], far_radius=5.0),
+         indicator(1.0, 2.0)),
+        (piecewise_constant([(1.0, 2.0, 1.0), (3.0, 4.0, 0.0)]),
+         indicator(1.0, 2.0)),
+        (piecewise_constant([], far_radius=5.0), constant(0.0)),
+    ], ids=["zero-far-part", "zero-piece", "zero-far-only"])
+    def test_zero_parts_are_no_breaks(self, g, ref):
+        # a zero far part or a zero-valued piece is no jump of the datum:
+        # both routes read it as the datum without it, bit for bit, also
+        # on the edges of the zero parts, which a break would refuse
+        assert (g.breaks, g.is_constant) == (ref.breaks, ref.is_constant)
+        pk = PoissonKernelBall(n=1, s=0.5, r=1.0)
+        for k in (fractional_kernel(1, 0.5), ti_demo_kernel(0.5)):
+            for x in (-5.0, 0.0, 3.0, 3.5, 4.0, 5.0):
+                assert eval_L(k, g, x) == eval_L(k, ref, x)
+        for x in (0.0, 0.5):
+            assert poisson_extend(pk, g, x) == poisson_extend(pk, ref, x)
+
     def test_a_function_beside_the_pieces_is_refused(self):
         with pytest.raises(TypeError):
             PointFunction(fn=np.zeros_like, pieces=((1.0, 3.0, 1.0),))

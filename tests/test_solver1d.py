@@ -450,18 +450,19 @@ class TestStructure:
                      [G13, barrier_w2(TWO_BALLS)])
 
     def test_memory_budget_guard(self, monkeypatch):
-        # the default budget holds a 4096-cell matrix; past a budget,
-        # assemble fails before it builds any m x m array
+        # the default budget holds a 4096-cell matrix; past a budget, the
+        # assembly of a general kernel, which fills the dense matrix,
+        # fails before it builds any m x m array
         assert 8 * 4096 ** 2 <= solver1d.MATRIX_BUDGET_BYTES
         monkeypatch.setattr(solver1d, "MATRIX_BUDGET_BYTES", 8 * 8 * 8)
-        assemble(fractional_kernel(1, 0.5), unit_mesh(8), G13)
+        assemble(general_demo_kernel(0.5), unit_mesh(8), G13)
 
         def no_couplings(*args):
             raise AssertionError("couplings built past the budget")
 
         monkeypatch.setattr(solver1d, "_couplings", no_couplings)
         with pytest.raises(ConfigError, match="budget"):
-            assemble(fractional_kernel(1, 0.5), unit_mesh(16), G13)
+            assemble(general_demo_kernel(0.5), unit_mesh(16), G13)
 
     def test_budget_holds_the_largest_dense_matrix(self):
         # 1 GiB holds 11,585^2 float64 entries and not 11,586^2
@@ -491,6 +492,23 @@ class TestStructure:
                         raisers.append(f"{path.stem}.{fn.name}")
         assert readers == {"check_budget"}
         assert raisers == ["solver1d.check_budget"]
+
+    def test_one_reader_of_dense_max_cells(self):
+        # assemble gives a system the form its kernel gives it; solve()
+        # alone reads the size at which LU gives way to CG
+        src = pathlib.Path(solver1d.__file__).parent
+        readers = set()
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.stem != "solver1d":
+                assert "DENSE_MAX_CELLS" not in text, path.name
+            for fn in ast.walk(ast.parse(text)):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if getattr(node, "id", None) == "DENSE_MAX_CELLS":
+                        readers.add(fn.name)
+        assert readers == {"solve"}
 
     def test_singular_matrix_raises(self):
         system = assemble(fractional_kernel(1, 0.5), unit_mesh(), G13)
@@ -640,12 +658,12 @@ class TestBlock:
         # far data of -0.6 beyond 6 give a rhs far below A u: the
         # residual is 2.4e-10 (CG) and 2.0e-10 (LU) of max |b|, but its
         # backward error stays near 1e-15 on both paths
-        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", dense_max)
         system = assemble(fractional_kernel(1, 0.9),
                           mesh_intervals([(-4.0, 0.0), (0.0, 4.0)], N),
                           piecewise_constant([], far_value=-0.6,
                                              far_radius=6.0))
-        assert isinstance(system.operator, np.ndarray) == (N < dense_max)
+        assert isinstance(system.operator, solver1d.ToeplitzOperator)
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", dense_max)
         u = solve(system)
         assert -0.6 < u.values.min() and u.values.max() < 0.0
 
@@ -730,7 +748,8 @@ class TestMirroredSolve:
             # 8.6e-14 at one BLAS thread and 1.7e-13 at two, each within
             # 1.4e-13 of the iteratively refined solution
             assert np.max(np.abs(u - ref)) <= 5e-13 * np.max(np.abs(ref))
-        assert len(splits) == 2 and all(m is a for m in splits)
+        assert len(splits) == 2
+        assert all(np.array_equal(m, a) for m in splits)
 
     @pytest.mark.parametrize("case", ["general", "odd", "asymmetric"])
     def test_plain_lu_elsewhere(self, splits, case):
@@ -786,7 +805,7 @@ TOEPLITZ_MESHES = {
 
 class TestToeplitzRoute:
     """Conjugate gradients on the O(m) Toeplitz form against the dense LU
-    at the same size, with DENSE_MAX_CELLS lowered below it."""
+    of the same system, with DENSE_MAX_CELLS lowered below its size."""
 
     @pytest.mark.parametrize("s,rel", [(0.25, 1e-10), (0.5, 1e-10),
                                        (0.75, 1e-10), (0.9, 1e-9)])
@@ -795,20 +814,39 @@ class TestToeplitzRoute:
     def test_cg_matches_dense_lu(self, monkeypatch, family, case, s, rel):
         k = fractional_kernel(1, s) if family == "frac" else ti_demo_kernel(s)
         mesh = TOEPLITZ_MESHES[case]()
-        dense = assemble(k, mesh, block_data())
-        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
         system = assemble(k, mesh, block_data())
-        assert isinstance(dense.operator, np.ndarray)
         assert isinstance(system.operator, solver1d.ToeplitzOperator)
-        # the same data part, and a dense view equal to the dense assembly
-        assert np.array_equal(system.rhs, dense.rhs)
-        assert np.array_equal(system.exterior_mass, dense.exterior_mass)
-        assert system.assembly_error == dense.assembly_error
-        assert np.array_equal(system.matrix, dense.matrix)
         assert system.matrix is system.matrix
-        for u, ref in zip(solve(system), solve(dense)):
+        dense = solve(system)
+
+        def no_lu(*args):
+            raise AssertionError("LU above DENSE_MAX_CELLS")
+
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+        monkeypatch.setattr(np.linalg, "solve", no_lu)
+        for u, ref in zip(solve(system), dense):
             scale = np.max(np.abs(ref.values))
             assert np.max(np.abs(u.values - ref.values)) <= rel * scale
+
+    @pytest.mark.parametrize("m", [8, 1024, 2048])
+    @pytest.mark.parametrize("mesh", ["one", "two-balls"])
+    @pytest.mark.parametrize("family", ["frac", "ti"])
+    def test_form_follows_the_kernel(self, monkeypatch, family, mesh, m):
+        # a translation-invariant system keeps the O(m) form at any size,
+        # and assemble fills no dense matrix for it
+        def no_fill(*args):
+            raise AssertionError("dense matrix filled in assemble")
+
+        monkeypatch.setattr(solver1d, "_toeplitz_fill", no_fill)
+        k = (fractional_kernel(1, 0.5) if family == "frac"
+             else ti_demo_kernel(0.5))
+        system = assemble(k, unit_mesh(m) if mesh == "one"
+                          else mesh_over(TWO_BALLS, m // 2), G13)
+        assert system.mesh.ncells == m
+        assert isinstance(system.operator, solver1d.ToeplitzOperator)
+
+    def test_general_kernel_is_dense(self, general_system):
+        assert isinstance(general_system.operator, np.ndarray)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
@@ -866,14 +904,15 @@ class TestToeplitzRoute:
         try:
             system = assemble(fractional_kernel(1, 0.5), unit_mesh(100_000),
                               G13)
-            u, iterations, resid = solver1d._cg(system.operator,
-                                                system.rhs)
+            u, iterations = solver1d._cg(system.operator,
+                                         system.rhs[:, None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100e6
         assert iterations <= 25  # 17 measured
-        assert resid[0] <= 1e-13 * np.max(np.abs(system.rhs))
+        resid = np.max(np.abs(system.rhs - system.operator.apply(u.T)[0]))
+        assert resid <= 1e-13 * np.max(np.abs(system.rhs))
         assert 0.0 < u.min() and u.max() < 1.0
 
 
