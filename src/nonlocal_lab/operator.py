@@ -10,12 +10,13 @@ which is absolutely convergent for C^2 functions (|D2| <= |u''| z^2).  The
 far field |y - x| > rho runs to infinity, each half in the tail-mass
 coordinate p = phi(d) = d^(-2s)/(2s) of d = |y - x|: dp = -d^(-1-2s) dd
 maps (rho, inf) onto (0, phi(rho)) and leaves the bounded integrand
-(u(x) - u(y)) times the kernel's factor k(x, y) d^(1+2s) (Kernel.factor),
-piecewise constant in p, so integrated exactly, for the fractional kernel
-and piecewise-constant u.  Distances stop at the float-safe
-MAX_TRUNCATION, exactly for that kernel and u constant beyond, else as one
-charged term; `poisson_extend` integrates its far band in the same
-coordinate, on the kernel alone, and stops at the same distance.
+(u(x) - u(y)) times the kernel's factor k(x, y) d^(1+2s) (Kernel.factor).
+Distances stop at the float-safe MAX_TRUNCATION as one charged term, and
+`poisson_extend` integrates its far band the same way, on the kernel alone.
+Under the fractional kernel piecewise u needs neither: Lu(x) sums
+2 (u(x) - v_R) (phi(d_near) - phi(d_far)) over the regions R between its
+breaks, where it is v_R, with phi(inf) = 0; by parts, that is the sum of
+2 sign(b - x) (u(b-) - u(b+)) phi(|b - x|) over the finite breaks b.
 
 Below a reliability floor z_lo the near field of a C^2 function is the
 quadratic model c2 z^2 against the model mass int_0^z_lo z^2 K(z) dz: in
@@ -231,6 +232,29 @@ def _by_kind(kinds, fns):
     return f
 
 
+def _piecewise_fractional_L(s: float, u: PointFunction, xs: list,
+                            shape: tuple) -> Estimate:
+    """L u at the points xs by the closed form of the module docstring.  The
+    bound, (breaks + 8) eps times the sum of the terms' sizes, covers the
+    rounding of every term and of their sum."""
+    fin = np.array([b for b in u.breaks if np.isfinite(b)])
+    with np.errstate(over="ignore"):
+        dist = fin - np.array(xs)[:, None]
+    gap = np.abs(dist)
+    for x, d, over in zip(xs, gap.min(1, initial=np.inf), np.isinf(gap).any(1)):
+        if not 0.5 * d >= 1.0 / MAX_TRUNCATION:
+            raise DomainViolation(f"x = {x:g} sits on a break of {u.label}")
+        if over:
+            raise DomainViolation(f"x = {x:g} is too far out for {u.label}")
+    # u(b-) - u(b+) at each break b
+    jump = sum(v * (fin == hi) - v * (fin == lo) for lo, hi, v in u.segments())
+    terms = 2.0 * np.sign(dist) * jump * phi(gap, s)
+    # summed break by break, so that each point's bits are its own
+    value, size = (sum(t.T, np.zeros(len(xs))) for t in (terms, abs(terms)))
+    bound = (fin.size + 8) * np.finfo(float).eps * size
+    return Estimate.of_rows(np.stack([value, bound], -1).tolist(), shape)
+
+
 def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
            tol: float = DEFAULT_TOL) -> Estimate:
     """Lu(x) with its error bound.
@@ -240,12 +264,12 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
     u give every Richardson stencil, and one integrate_many call runs all
     integrals; each point's numbers are those of a call at it alone.
 
-    u's type picks the path.  Piecewise data need no near field: it is
-    exactly zero where u is locally constant.  A SmoothProfile takes the
-    symmetrized near field, which needs a translation-invariant kernel
-    (else UnsupportedKernel).  The far field runs to infinity in the
-    tail-mass coordinate (see the module docstring).  Raises
-    DomainViolation for points the floats cannot resolve.
+    u's type picks the path.  Piecewise data need no near field, which is
+    zero where u is locally constant, and under the fractional kernel are a
+    closed form.  A SmoothProfile takes the symmetrized near field, which
+    needs a translation-invariant kernel (else UnsupportedKernel).  The far
+    field runs to infinity in the tail-mass coordinate (see the module
+    docstring).  Raises DomainViolation for points the floats cannot resolve.
     """
     check_tol(tol)
     shape = np.shape(x)
@@ -255,6 +279,8 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
     piecewise = isinstance(u, PointFunction)
     if piecewise and u.is_constant:
         return Estimate.of_rows([(0.0, 0.0)] * len(xs), shape)
+    if piecewise and kernel.family == "fractional":
+        return _piecewise_fractional_L(kernel.s, u, xs, shape)
 
     uxs = u(np.array(xs)).tolist()
     lam = kernel.lam
@@ -266,8 +292,6 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
     alpha = 1.0 / (2.0 - 2.0 * s)
     beta = _smooth_power(s) * alpha  # z = tau^beta on the near field's tail
     eps = np.finfo(float).eps
-    fin = [b for b in u.breaks if np.isfinite(b)]
-    exact = kernel.family == "fractional" and piecewise
 
     def d2(x, ux, z):
         return 2.0 * ux - u(x + z) - u(x - z)
@@ -339,8 +363,7 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
         jx += [x] * (len(jobs) - len(jx))
         jux += [ux] * (len(jobs) - len(jux))
         # the clip's charge: twice the integrand's envelope on both halves
-        clip = 0.0 if exact and all(abs(b - x) < MAX_TRUNCATION for b in fin) \
-            else 8.0 * (abs(ux) + u.sup_bound) * lam * phi(MAX_TRUNCATION, s)
+        clip = 8.0 * (abs(ux) + u.sup_bound) * lam * phi(MAX_TRUNCATION, s)
         points.append((near, clip))
 
     # the Richardson stencils of all points, once every point is checked

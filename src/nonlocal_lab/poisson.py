@@ -103,11 +103,13 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     into a factor sinh(t)^(1-2s), and integrates in tau = t^((2-2s)/m), m =
     ceil(2 - 2s) as in eval_L's near field: sinh(t)^(1-2s) dt = m alpha tau^(m-1)
     (sinh(t)/t)^(1-2s) dtau, alpha = 1/(2-2s), with t^2 = tau^(m/(1-s)) a power
-    >= 2, is C^2 down to tau = 0 for every s.  The far band runs to infinity in
-    eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r, with the
-    integrand r P v^(1+2s) = amp_x r^(-2s) (1 - 1/v^2)^(-s) r v / |z - x|, free
-    of overflow at any radius.  v stops at V = MAX_TRUNCATION, which moves that
-    factor by at most 3/V and reads no data.
+    >= 2, is C^2 down to tau = 0 for every s.  A band job starts from panels
+    graded toward the sphere, where 1/|z - x| peaks: breaks at 1/4 and 1/2 of
+    its tau-range, so most converge in one round.  The far band runs to
+    infinity in eval_L's tail-mass coordinate p = phi(v), v = |z - center| / r,
+    with the integrand r P v^(1+2s) = amp_x r^(-2s) (1 - 1/v^2)^(-s) r v /
+    |z - x|, free of overflow at any radius.  v stops at V = MAX_TRUNCATION,
+    which moves that factor by at most 3/V and reads no data.
     """
     check_tol(tol)
     piecewise_data(g)
@@ -116,18 +118,19 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
     c, r, s = pk.center, pk.r, pk.s
     m, expo = _smooth_power(s), 2.0 - 2.0 * s
     beta = m / expo  # t = tau^beta on the band
-    # (kind, side, v, lo, hi, reach) of the band (0) and far (1) integral
-    # of each nonzero segment side outside the ball, v = |z - c| / r > 1
+    # (kind, side, v, lo, hi, breaks, reach) of the band (0) and far (1)
+    # integral of each nonzero segment side outside the ball, v = |z - c| / r
     parts = []
     for lo, hi, v in g.segments():
         a, b = (lo - c) / r, (hi - c) / r
         for side, va, vb in ((1.0, a, b), (-1.0, -b, -a)):
             va = max(va, 1.0)
             if v != 0.0 and va < min(vb, 2.0):
-                parts.append((0, side, v, math.acosh(va) ** (expo / m),
-                              math.acosh(min(vb, 2.0)) ** (expo / m), None))
+                t0, t1 = (math.acosh(w) ** (expo / m) for w in (va, min(vb, 2)))
+                parts.append((0, side, v, t0, t1, (t0 + 0.25 * (t1 - t0),
+                                                   t0 + 0.5 * (t1 - t0)), None))
             if v != 0.0 and max(va, 2.0) < vb:
-                parts.append((1, side, v, phi(vb, s), phi(max(va, 2.0), s),
+                parts.append((1, side, v, phi(vb, s), phi(max(va, 2.0), s), (),
                               f"({max(va, 2.0) * r:g}, {vb * r:g})"))
     jobs, jamp = [], []
     for x in xs:
@@ -135,8 +138,8 @@ def poisson_extend(pk: PoissonKernelBall, g: PointFunction, x,
         if not gap > 0.0:
             raise DomainViolation(f"x = {x:g} is not strictly inside the ball")
         amp = (pk.constant * gap ** s, pk.constant * (gap / (r * r)) ** s)
-        for kind, _, _, lo, hi, reach in parts:
-            jobs.append((lo, hi, tol, (), None, reach and
+        for kind, _, _, lo, hi, breaks, reach in parts:
+            jobs.append((lo, hi, tol, breaks, None, reach and
                          f"the far band at x = {x:g}, |z - c| in {reach}"))
             jamp.append(amp[kind])
     kinds, jside = (np.array([p[i] for p in parts] * len(xs)) for i in (0, 1))

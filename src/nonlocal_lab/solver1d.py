@@ -213,23 +213,26 @@ class ToeplitzOperator:
         self.nfft = 1 << (2 * nmax - 2).bit_length()
         index = {a: p for p, (a, _) in enumerate(self.spans)}
         self.spectra = [[None] * len(self.spans) for _ in self.spans]
-        diagonal = {}
         for rows, cols, v in self.blocks:
             p, q = index[rows.start], index[cols.start]
             n_p, n_q = rows.stop - rows.start, cols.stop - cols.start
             self.spectra[p][q] = self._spectrum(v, n_p, n_q)
-            if p == q:
-                diagonal[p] = v
-            else:
+            if p != q:
                 self.spectra[q][p] = self._spectrum(v[::-1], n_q, n_p)
         self.diag = 2.0 * (self._couple(np.ones((1, self.m)))[0] + E)
-        self.eig = []
-        for p, (a, b) in enumerate(self.spans):
-            n = b - a
-            k = np.arange(n)
-            col = -2.0 * diagonal[p][n - 1 + np.minimum(k, n - k)]
-            col[0] = self.diag[a + n // 2]
-            self.eig.append(np.fft.rfft(col).real)
+
+    @cached_property
+    def eig(self) -> list:
+        """The Strang circulants' spectra; only CG reads them, on demand."""
+        eig = []
+        for rows, cols, v in self.blocks:
+            if rows == cols:
+                a, n = rows.start, rows.stop - rows.start
+                k = np.arange(n)
+                col = -2.0 * v[n - 1 + np.minimum(k, n - k)]
+                col[0] = self.diag[a + n // 2]
+                eig.append(np.fft.rfft(col).real)
+        return eig
 
     def _spectrum(self, v, n_r: int, n_c: int) -> np.ndarray:
         """Spectrum of the circulant whose leading n_r x n_c block is the

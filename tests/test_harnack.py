@@ -448,8 +448,8 @@ class TestBarrierCombination:
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
     def test_one_lock_step_quadrature_per_profile(self, s, monkeypatch):
-        # both profiles are one integrate_many call each over the grid;
-        # the rule is looked up as a module global on every round
+        # L w1 is a closed form and L w2 one integrate_many call over the
+        # grid; the rule is looked up as a module global on every round
         calls = []
         rule = quadrature.gk_panel
 

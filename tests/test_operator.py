@@ -16,6 +16,7 @@ from nonlocal_lab.errors import (
 from nonlocal_lab.geometry import make_disconnected_config
 from nonlocal_lab.harnack import BARRIER_TOL
 from nonlocal_lab.kernel import (
+    Kernel,
     fractional_kernel,
     general_demo_kernel,
     make_kernel,
@@ -531,7 +532,8 @@ ROUTE_DATA = {
                                      (4.0, np.inf, 2.0)]),
     "pieces+far": piecewise_constant([(1.0, 2.0, 3.0)], far_value=-1.0,
                                      far_radius=5.0),
-    # a break past every float-safe distance cap: the clip is charged
+    # a break past every float-safe distance cap: the quadrature route
+    # charges the clip
     "beyondcap": piecewise_constant([(1.0, 1e200, 1.0)]),
 }
 # w1 vanishes at the first five points and is 1 at 1.4 and 2.4 (the
@@ -576,8 +578,7 @@ class TestCompactRoute:
             res = eval_L(kernel, u, x)
             want, allow = piecewise_oracle(kernel, u, x)
             if kernel.family == "fractional" and barrier != "beyondcap":
-                # GK15 is exact on the piecewise-constant p-integrand, and
-                # the distance clip charges nothing: the bound is rounding
+                # the closed form's bound is rounding alone
                 assert res.error_bound <= max(1e-6, 1e-12 * abs(want))
         assert abs(res.value - want) <= res.error_bound + allow
 
@@ -632,8 +633,10 @@ def assert_read_past_the_reach(seen, x, reach):
 
 
 class TestCompactWork:
-    """Far fields run to infinity: u is read past its reach, no node goes
-    past the distance cap, and the value meets the second route."""
+    """Far fields run to infinity: under the TI and general kernels u is
+    read past its reach and no node goes past the distance cap; under the
+    fractional kernel L of piecewise data is a closed form, which runs no
+    quadrature.  The value meets the second route."""
 
     @pytest.mark.parametrize("kernel", [
         fractional_kernel(1, 0.25),
@@ -641,11 +644,14 @@ class TestCompactWork:
         general_demo_kernel(0.75),
     ], ids=["frac", "ti", "general"])
     @pytest.mark.parametrize("x", [-2.5, -1.5])
-    def test_eval_L_w1(self, monkeypatch, kernel, x):
+    def test_eval_L_w1(self, monkeypatch, panel_count, kernel, x):
         seen = []
         w1 = barrier_w1(CONFIG)
         res = eval_L(kernel, recording(monkeypatch, w1, seen), x)
-        assert_read_past_the_reach(seen, x, 3.0 - x)
+        if kernel.family == "fractional":
+            assert panel_count() == 0
+        else:
+            assert_read_past_the_reach(seen, x, 3.0 - x)
         want, allow = piecewise_oracle(kernel, w1, x)
         assert abs(res.value - want) <= res.error_bound + allow
 
@@ -659,20 +665,114 @@ class TestCompactWork:
         assert abs(res.value - want) <= res.error_bound + allow
 
     @pytest.mark.parametrize("x0", [-5.0, 0.0, 2.0])
-    def test_tail(self, monkeypatch, x0):
+    def test_tail(self, panel_count, x0):
         # eval_L's route to the tail of data on (-1, 3)
-        seen = []
         w = tail_datum([(-1.0, 3.0, 1.0)], x0, 0.5)
-        res = eval_L(fractional_kernel(1, 0.4), recording(monkeypatch, w, seen),
-                     x0)
-        assert_read_past_the_reach(seen, x0,
-                                   max(abs(-1.0 - x0), abs(3.0 - x0)))
-        # no clip charge: what is left is the quadrature estimate, halved
-        # like the value on the way to the tail
+        res = eval_L(fractional_kernel(1, 0.4), w, x0)
+        assert panel_count() == 0
+        # the closed form's bound is rounding alone, halved like the value
+        # on the way to the tail
         assert 0.5 * res.error_bound < 1e-9
         exact = segment_tail(w.segments(), x0, 0.5, 0.4)
         assert abs(-0.5 * 0.5 ** 0.8 * res.value - exact) \
             <= 0.5 * 0.5 ** 0.8 * res.error_bound
+
+
+def unit_profile_kernel(s):
+    """The fractional kernel entered as a TI kernel of profile 1: eval_L
+    takes its quadrature route for piecewise data."""
+    return Kernel(s, profile=lambda d: np.ones_like(d))
+
+
+def mp_piecewise_L(s, u, x):
+    """L u(x) for the fractional kernel by mpmath at 30 digits, segment by
+    segment: 2 [u(x) M_out - sum_S v_S M_S], M_out the kernel mass outside
+    the interval of constancy (a, b) around x and M_S that of each nonzero
+    segment S outside it."""
+    a = max((e for e in u.breaks if e < x), default=-np.inf)
+    b = min((e for e in u.breaks if e > x), default=np.inf)
+    ux = float(u(np.array([x]))[0])
+    with mpmath.workdps(30):
+        s, xm = mpmath.mpf(s), mpmath.mpf(x)
+
+        def phi_mp(d):
+            return 0 if mpmath.isinf(d) else d ** (-2 * s) / (2 * s)
+
+        def mass(lo, hi):
+            near, far = sorted(abs(mpmath.mpf(e) - xm) for e in (lo, hi))
+            return phi_mp(near) - phi_mp(far)
+
+        total = ux * (mass(-np.inf, a) + mass(b, np.inf))
+        total -= sum((v * mass(lo, hi) for lo, hi, v in u.segments()
+                      if v != 0.0 and (hi <= a or lo >= b)), 0)
+        return 2 * total
+
+
+CLOSED_S = (0.01, 0.25, 0.5, 0.75, 0.99)
+CLOSED_DATA = {
+    "far": piecewise_constant([(1.0, 2.0, 3.0)], far_value=-1.0,
+                              far_radius=5.0),
+    "touching": piecewise_constant([(-2.0, -1.0, 1.0), (-1.0, 0.5, -2.0),
+                                    (0.5, 3.0, 0.5)]),
+    "thin": piecewise_constant([(-3.0 - 1e-10, -3.0, -2.0),
+                                (1.0, 1.0 + 1e-10, 1.0)]),
+}
+
+
+def closed_points(u):
+    """Points inside, between and past the pieces, and within 1e-8 of the
+    outermost breaks."""
+    return np.array([-30.0, -2.5, 0.0, 2.5, 7.0,
+                     u.breaks[0] - 1e-8, u.breaks[-1] + 1e-8])
+
+
+class TestClosedFormL:
+    """L of piecewise data under the fractional kernel is the closed form
+    over the regions between breaks: against the quadrature route of the
+    same kernel, an mpmath oracle, and with no distance cap."""
+
+    @pytest.mark.parametrize("data", sorted(CLOSED_DATA))
+    @pytest.mark.parametrize("s", CLOSED_S)
+    def test_against_the_quadrature_route(self, s, data):
+        u = CLOSED_DATA[data]
+        xs = closed_points(u)
+        closed = eval_L(fractional_kernel(1, s), u, xs)
+        quad_route = eval_L(unit_profile_kernel(s), u, xs)
+        assert np.all(np.abs(closed.value - quad_route.value)
+                      <= closed.error_bound + quad_route.error_bound)
+
+    @pytest.mark.parametrize("data", sorted(CLOSED_DATA))
+    @pytest.mark.parametrize("s", CLOSED_S)
+    def test_against_mpmath_within_its_own_bound(self, s, data):
+        u = CLOSED_DATA[data]
+        xs = closed_points(u)
+        got = eval_L(fractional_kernel(1, s), u, xs)
+        for x, value, bound in zip(xs, got.value, got.error_bound):
+            want = mp_piecewise_L(s, u, float(x))
+            assert value != 0.0 and bound > 0.0
+            assert abs(mpmath.mpf(value) - want) <= bound, x
+        assert_points_alone(fractional_kernel(1, s), u, xs)
+
+    def test_far_part_past_every_distance_cap(self):
+        # both far halves start at 1e200: L u(0) = 2 (0 - 1) 2 phi(1e200)
+        res = eval_L(fractional_kernel(1, 0.001),
+                     piecewise_constant([], far_value=1.0, far_radius=1e200),
+                     0.0)
+        with mpmath.workdps(30):
+            s = mpmath.mpf(0.001)
+            exact = -4 * mpmath.mpf(1e200) ** (-2 * s) / (2 * s)
+        assert res.value == -796.2143411069945
+        assert abs(mpmath.mpf(res.value) - exact) <= res.error_bound < 1e-9
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.9])
+    def test_no_quadrature(self, panel_count, s):
+        eval_L(fractional_kernel(1, s), barrier_w1(CONFIG), ball1_grid())
+        assert panel_count() == 0
+
+    def test_distance_past_the_floats_is_refused(self):
+        u = piecewise_constant([(-1e308, 0.0, 1.0)])
+        with pytest.raises(DomainViolation, match="too far out"):
+            eval_L(fractional_kernel(1, 0.5), u, 1e308)
 
 
 FIELDS = ("value", "error_bound")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from nonlocal_lab import poisson
+from nonlocal_lab import poisson, quadrature
 from nonlocal_lab.cli import parse_data
 from nonlocal_lab.errors import (
     ConfigParseError,
@@ -467,11 +467,37 @@ class TestBelowOneHalf:
         res = poisson_extend(PoissonKernelBall(n=1, s=0.75, r=1.0),
                              parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
         assert (res.value, res.error_bound) == (0.7239600688217906,
-                                                1.2285086416541608e-13)
+                                                1.1370659200209863e-13)
 
     def test_band_path_at_a_quarter_is_pinned(self):
         # m = 2: the band integrates in tau = t^(3/4)
         res = poisson_extend(PoissonKernelBall(n=1, s=0.25, r=1.0),
                              parse_data("pieces:-4,-1.5,2;1,3,1"), 0.3)
-        assert (res.value, res.error_bound) == (0.5555654624448217,
-                                                2.7213202831506795e-11)
+        assert (res.value, res.error_bound) == (0.5555654624448974,
+                                                4.1040936468613006e-13)
+
+
+class TestOneRound:
+    """A band job starts from panels graded toward the sphere, where
+    1/|z - x| peaks, so a one-point extension converges in the first
+    round of its lock-step quadrature."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_one_point_calls_take_one_round(self, monkeypatch, s):
+        rounds = []
+        rule = quadrature.gk_panel
+
+        def counted(f, a, b):
+            rounds[-1] += 1
+            return rule(f, a, b)
+
+        monkeypatch.setattr(quadrature, "gk_panel", counted)
+        # the four pieces next to the unit ball of the benchmark's data
+        g = piecewise_constant([(-3.0, -2.0, 0.5), (-2.0, -1.0, 1.5),
+                                (1.0, 2.0, 2.5), (2.0, 3.0, 1.0)])
+        pk = PoissonKernelBall(n=1, s=s, r=1.0)
+        for x in mesh_intervals([(-1.0, 1.0)], 128).centers:
+            rounds.append(0)
+            poisson_extend(pk, g, float(x))
+        assert min(rounds) >= 1
+        assert sum(n == 1 for n in rounds) >= 0.95 * len(rounds)

@@ -845,6 +845,15 @@ class TestToeplitzRoute:
         assert system.mesh.ncells == m
         assert isinstance(system.operator, solver1d.ToeplitzOperator)
 
+    def test_lu_solve_builds_no_preconditioner(self, monkeypatch):
+        # the Strang spectra are built on first use, which only CG makes
+        system = assemble(fractional_kernel(1, 0.5), unit_mesh(64), G13)
+        solve(system)
+        assert "eig" not in vars(system.operator)
+        monkeypatch.setattr(solver1d, "DENSE_MAX_CELLS", 16)
+        solve(system)
+        assert len(vars(system.operator)["eig"]) == 1
+
     def test_general_kernel_is_dense(self, general_system):
         assert isinstance(general_system.operator, np.ndarray)
 
