@@ -1,5 +1,5 @@
 """The two-ball layout on the line: configurations, domain, complement,
-1d meshes.
+1d meshes (a mesh is its intervals and N cells per interval).
 
 The lab is one-dimensional.  Each input object checks n = 1 once, when it
 is built (check_line), and a point is one number, given as a number or a
@@ -104,17 +104,31 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform cell partitions of a union of disjoint open intervals.
-
-    centers/widths/lo/hi are flat arrays over all cells, interval by
-    interval in ascending order.
-    """
+    """N uniform cells on each of disjoint open intervals: a mesh is its
+    intervals and N.  Every construction, replace() too, checks N >= 4 and
+    the sorted intervals, then derives once the flat cell arrays lo, hi,
+    centers and widths: interval p, counted from 0 left to right, holds
+    the cells p*N up to (p+1)*N."""
 
     intervals: tuple
-    centers: np.ndarray
-    widths: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    N: int
+
+    def __post_init__(self):
+        N = int(self.N)
+        if N < 4:
+            raise ConfigParseError(f"N must be at least 4, got {N}")
+        ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
+        for (a, b) in ivs:
+            if not b > a:
+                raise ConfigParseError(f"degenerate interval ({a}, {b})")
+        for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
+            if a1 < b0:
+                raise ConfigParseError(f"overlapping intervals ({a0},{b0}) and ({a1},{b1})")
+        edges = [np.linspace(a, b, N + 1) for a, b in ivs]
+        lo = np.concatenate([e[:-1] for e in edges])
+        hi = np.concatenate([e[1:] for e in edges])
+        self.__dict__.update(intervals=ivs, N=N, lo=lo, hi=hi,
+                             centers=0.5 * (lo + hi), widths=hi - lo)
 
     @property
     def ncells(self) -> int:
@@ -125,32 +139,7 @@ class Mesh1D:
         return np.nonzero(np.abs(self.centers - center) < radius)[0]
 
 
-def mesh_intervals(intervals, N: int) -> Mesh1D:
-    """Tile each open interval (a, b) with N uniform cells."""
-    N = int(N)
-    if N < 4:
-        raise ConfigParseError(f"N must be at least 4, got {N}")
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    for (a, b) in ivs:
-        if not b > a:
-            raise ConfigParseError(f"degenerate interval ({a}, {b})")
-    for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-        if a1 < b0:
-            raise ConfigParseError(f"overlapping intervals ({a0},{b0}) and ({a1},{b1})")
-    lo, hi = [], []
-    for a, b in ivs:
-        edges = np.linspace(a, b, N + 1)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
-    lo = np.concatenate(lo)
-    hi = np.concatenate(hi)
-    return Mesh1D(
-        intervals=tuple(ivs),
-        centers=0.5 * (lo + hi),
-        widths=hi - lo,
-        lo=lo,
-        hi=hi,
-    )
+mesh_intervals = Mesh1D
 
 
 def mesh_over(config: DisconnectedConfig, N: int) -> Mesh1D:

@@ -126,7 +126,6 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
             raise EmptySample(f"no cell centers in ball at {float(x[0]):g} "
                               f"radius {config.r:g}")
     tail = _negative_tail(mesh, config, s)
-    N = mesh.ncells // len(mesh.intervals)
 
     def report(u: GridFunction, sample_id: int) -> HarnackReport:
         v2, inf_ = u.values[in2], float(u.values[in1].min())
@@ -134,7 +133,7 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
         den = inf_ + tail_term
         return HarnackReport(
             config=config, s=float(s), kernel=kernel_tag, sup=sup, inf=inf_,
-            avg=float(v2.mean()), tail_term=tail_term, seed=seed, N=N,
+            avg=float(v2.mean()), tail_term=tail_term, seed=seed, N=mesh.N,
             C_estimate=sup / den if den > 0.0 else "trivial",
             sample_id=sample_id)
 

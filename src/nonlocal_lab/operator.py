@@ -269,7 +269,10 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
     closed form.  A SmoothProfile takes the symmetrized near field, which
     needs a translation-invariant kernel (else UnsupportedKernel).  The far
     field runs to infinity in the tail-mass coordinate (see the module
-    docstring).  Raises DomainViolation for points the floats cannot resolve.
+    docstring) and stops at MAX_TRUNCATION: the bound adds to the
+    quadrature's estimate a charge for that cap and, for piecewise u, one
+    for the rounding of the breaks' positions in p (see the README).
+    Raises DomainViolation for points the floats cannot resolve.
     """
     check_tol(tol)
     shape = np.shape(x)
@@ -362,9 +365,18 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
         kinds += [RIGHT, LEFT]
         jx += [x] * (len(jobs) - len(jx))
         jux += [ux] * (len(jobs) - len(jux))
-        # the clip's charge: twice the integrand's envelope on both halves
-        clip = 8.0 * (abs(ux) + u.sup_bound) * lam * phi(MAX_TRUNCATION, s)
-        points.append((near, clip))
+        # the clip's charge: twice the integrand's envelope on both halves;
+        # piecewise u breaking within half the cap is u(x -+ cap) past it,
+        # where only the factor is misread, and each break's p rounds by eps
+        envelope = (abs(ux) + u.sup_bound) * lam
+        clip = 8.0 * envelope * phi(MAX_TRUNCATION, s)
+        if piecewise:
+            dists = np.array([abs(b - x) for b in u.breaks])
+            if dists.max() <= MAX_TRUNCATION / 2.0:
+                ucap = u(np.array([x - MAX_TRUNCATION, x + MAX_TRUNCATION]))
+                clip = 4.0 * lam * phi(MAX_TRUNCATION, s) * np.abs(ux - ucap).sum()
+            clip += 4.0 * eps * envelope * phi(dists, s).sum()
+        points.append((near, float(clip)))
 
     # the Richardson stencils of all points, once every point is checked
     a = [[None] * len(xs)] * 2

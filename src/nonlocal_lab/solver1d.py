@@ -414,12 +414,10 @@ def _toeplitz_gaps(mesh: Mesh1D, h: float):
     the gap of cells i in interval p and j in interval q >= p depends on
     j - i alone: every block is Toeplitz, one gap per index offset, read
     off its first column (bottom up) and first row.  A diagonal block is
-    symmetric and keeps the offsets j - i >= 1 only.  Yields
-    (rows, cols, gaps) per block p <= q."""
-    c = mesh.centers
-    bounds = [*np.searchsorted(c, [lo for lo, _ in mesh.intervals]).tolist(),
-              mesh.ncells]
-    spans = list(zip(bounds[:-1], bounds[1:]))
+    symmetric and keeps the offsets j - i >= 1 only.  Interval p holds the
+    cells p*N to (p+1)*N.  Yields (rows, cols, gaps) per block p <= q."""
+    c, N = mesh.centers, mesh.N
+    spans = [(p * N, (p + 1) * N) for p in range(len(mesh.intervals))]
     for p, (p0, p1) in enumerate(spans):
         for q0, q1 in spans[p:]:
             if q0 == p0:

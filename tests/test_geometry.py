@@ -12,11 +12,16 @@ from nonlocal_lab.errors import (
 )
 from nonlocal_lab.geometry import (
     DisconnectedConfig,
+    Mesh1D,
     complement,
     config_from_text,
     make_disconnected_config,
+    mesh_intervals,
     mesh_over,
 )
+from nonlocal_lab.kernel import fractional_kernel
+from nonlocal_lab.operator import indicator
+from nonlocal_lab.solver1d import assemble, solve
 
 
 def corollary_config():
@@ -154,6 +159,43 @@ class TestMesh:
         mesh = mesh_over(corollary_config(), N=4)
         idx = mesh.cells_in(-2.0, 1.0)
         assert np.allclose(mesh.centers[idx], [-2.5, -1.5])
+
+
+def solved(mesh):
+    return solve(assemble(fractional_kernel(1, 0.5), mesh,
+                          indicator(1.0, 3.0))).values
+
+
+class TestMeshIsIntervalsAndN:
+    """A mesh is its intervals and N: its cell arrays derive from them, on
+    every construction."""
+
+    def test_fields_are_the_intervals_and_n(self):
+        assert [f.name for f in dataclasses.fields(Mesh1D)] == ["intervals", "N"]
+
+    @pytest.mark.parametrize("ivs", [((-2.0, 2.0),), ((-1.0, 0.5),)])
+    def test_replaced_intervals_solve_like_a_fresh_mesh(self, ivs):
+        mesh = dataclasses.replace(mesh_intervals([(-1.0, 1.0)], 8),
+                                   intervals=ivs)
+        assert np.array_equal(solved(mesh), solved(mesh_intervals(ivs, 8)))
+
+    def test_replaced_n_rederives_the_cells(self):
+        ivs = [(1.0, 5.0), (-5.0, -1.0)]
+        mesh = dataclasses.replace(mesh_intervals(ivs, 8), N=16)
+        fresh = mesh_intervals(ivs, 16)
+        assert (mesh.N, mesh.ncells) == (16, 32)
+        for name in ("lo", "hi", "centers", "widths"):
+            assert np.array_equal(getattr(mesh, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("change,message", [
+        ({"intervals": ((-1.0, 1.0), (0.5, 2.0))},
+         r"overlapping intervals \(-1.0,1.0\) and \(0.5,2.0\)"),
+        ({"intervals": ((1.0, 1.0),)}, r"degenerate interval \(1.0, 1.0\)"),
+        ({"N": 3}, "N must be at least 4, got 3"),
+    ], ids=["overlapping", "degenerate", "N3"])
+    def test_replace_checks_again(self, change, message):
+        with pytest.raises(ConfigParseError, match=message):
+            dataclasses.replace(mesh_intervals([(-1.0, 1.0)], 8), **change)
 
 
 class TestConfigSerialization:

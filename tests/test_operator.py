@@ -514,6 +514,38 @@ class TestClosedFormBounds:
             assert abs(res.value - exact) <= res.error_bound
 
 
+def mp_w1_L(kernel, x):
+    """L w1(x) = -2 int_1^3 k(x, y) dy for x < 1 under the TI or general
+    demo kernel, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        s, x = mpmath.mpf(kernel.s), mpmath.mpf(x)
+
+        def factor(y):
+            if kernel.family == "general":
+                return 1 + mpmath.sin(x + y) ** 2 / 2
+            return 1 + (y - x) ** 2 / (2 * (1 + (y - x) ** 2))
+
+        return -2 * mpmath.quad(lambda y: factor(y) * (y - x) ** (-1 - 2 * s),
+                                [1, 2, 3])
+
+
+class TestSmallOrderBounds:
+    """The quadrature route's bound on piecewise data stays honest and
+    small down to s = 0.001: w1 vanishes past the distance cap on both
+    sides, and the rounding of each break's position phi(|b - x|) in p,
+    of order 100 at these orders, is charged."""
+
+    @pytest.mark.parametrize("kernel", [ti_demo_kernel, general_demo_kernel],
+                             ids=["ti", "general"])
+    @pytest.mark.parametrize("s", [0.001, 0.003, 0.01, 0.03, 0.1, 0.5, 0.9])
+    def test_w1_against_mpmath(self, kernel, s):
+        k, xs = kernel(s), ball1_grid(11)[1:-1]
+        res = eval_L(k, barrier_w1(CONFIG), xs, tol=1e-8)
+        for x, value, bound in zip(xs, res.value, res.error_bound):
+            assert abs(mpmath.mpf(value) - mp_w1_L(k, x)) <= bound, x
+            assert bound <= 1e-7, x
+
+
 ROUTE_KERNELS = {
     "frac0.3": fractional_kernel(1, 0.3),
     "frac0.8": fractional_kernel(1, 0.8),
