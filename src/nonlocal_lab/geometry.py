@@ -21,8 +21,8 @@ from .errors import (
 
 
 def check_line(n) -> int:
-    """n as an int; UnsupportedDimension for any n but 1."""
-    if int(n) != 1:
+    """n as an int; UnsupportedDimension for any n but 1 (1.5 included)."""
+    if n != 1:
         raise UnsupportedDimension(f"the lab runs on the line, got n = {n}")
     return 1
 
@@ -105,16 +105,18 @@ def make_disconnected_config(n, x1, x2, r, R, unsafe: bool = False) -> Disconnec
 @dataclass(frozen=True)
 class Mesh1D:
     """N uniform cells on each of disjoint open intervals: a mesh is its
-    intervals and N.  Every construction, replace() too, checks N >= 4 and
-    the sorted intervals, then derives once the flat cell arrays lo, hi,
-    centers and widths: interval p, counted from 0 left to right, holds
-    the cells p*N up to (p+1)*N."""
+    intervals and N.  Every construction, replace() too, checks that N is
+    an integer >= 4 and the sorted intervals, then derives once the flat,
+    read-only cell arrays lo, hi, centers and widths: interval p, counted
+    from 0 left to right, holds the cells p*N up to (p+1)*N."""
 
     intervals: tuple
     N: int
 
     def __post_init__(self):
         N = int(self.N)
+        if N != self.N:
+            raise ConfigParseError(f"N must be an integer, got {self.N}")
         if N < 4:
             raise ConfigParseError(f"N must be at least 4, got {N}")
         ivs = tuple(sorted((float(a), float(b)) for a, b in self.intervals))
@@ -127,8 +129,10 @@ class Mesh1D:
         edges = [np.linspace(a, b, N + 1) for a, b in ivs]
         lo = np.concatenate([e[:-1] for e in edges])
         hi = np.concatenate([e[1:] for e in edges])
-        self.__dict__.update(intervals=ivs, N=N, lo=lo, hi=hi,
-                             centers=0.5 * (lo + hi), widths=hi - lo)
+        cells = dict(lo=lo, hi=hi, centers=0.5 * (lo + hi), widths=hi - lo)
+        for a in cells.values():
+            a.flags.writeable = False
+        self.__dict__.update(intervals=ivs, N=N, **cells)
 
     @property
     def ncells(self) -> int:

@@ -49,9 +49,9 @@ class HarnackReport:
 
     sup and avg run over cell centers in B_r(x2), inf over B_r(x1);
     tail_term is (r/R)^(2s) times the tail of the negative part at the
-    origin with cutoff R.  C_estimate is sup / (inf + tail_term), or the
-    string "trivial" when that denominator vanishes.  N is the mesh's
-    cells per interval.
+    origin with cutoff R.  C_estimate derives from them: sup / (inf +
+    tail_term), or the string "trivial" when that denominator is not
+    positive.  N is the mesh's cells per interval.
     """
 
     config: DisconnectedConfig
@@ -61,10 +61,14 @@ class HarnackReport:
     inf: float
     avg: float
     tail_term: float
-    C_estimate: float | str
     seed: int
     N: int
     sample_id: int = 0
+
+    @property
+    def C_estimate(self) -> float | str:
+        den = self.inf + self.tail_term
+        return self.sup / den if den > 0.0 else "trivial"
 
     def as_dict(self) -> dict:
         return {
@@ -129,13 +133,10 @@ def _reporter(mesh: Mesh1D, config: DisconnectedConfig, s: float,
 
     def report(u: GridFunction, sample_id: int) -> HarnackReport:
         v2, inf_ = u.values[in2], float(u.values[in1].min())
-        sup, tail_term = float(v2.max()), tail(u)
-        den = inf_ + tail_term
         return HarnackReport(
-            config=config, s=float(s), kernel=kernel_tag, sup=sup, inf=inf_,
-            avg=float(v2.mean()), tail_term=tail_term, seed=seed, N=mesh.N,
-            C_estimate=sup / den if den > 0.0 else "trivial",
-            sample_id=sample_id)
+            config=config, s=float(s), kernel=kernel_tag,
+            sup=float(v2.max()), inf=inf_, avg=float(v2.mean()),
+            tail_term=tail(u), seed=seed, N=mesh.N, sample_id=sample_id)
 
     return report
 

@@ -28,20 +28,19 @@ data both routes to the Dirichlet problem take, the collocation solver
 and `poisson_extend`, with a closed-form tail (`segment_tail`).  A datum
 is its pieces and far part alone; its values, breaks, bound and segments
 derive from them, so every route reads one function.  The only other
-function eval_L takes is a SmoothProfile, bounded and C^2 like the barrier
-w2, whose hess_bound bounds |u''| for the cancellation guard.
+function eval_L takes is the smooth barrier w2, a SmoothCutoff: its center
+and radius, from which its bounds and joins derive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigParseError, DomainViolation, UnsupportedKernel
-from .geometry import DisconnectedConfig
+from .geometry import DisconnectedConfig, coordinate
 from .kernel import Kernel, phi
 from .quadrature import DEFAULT_TOL, check_tol, integrate_many
 
@@ -132,22 +131,6 @@ def piecewise_data(g) -> PointFunction:
     return g
 
 
-@dataclass(frozen=True)
-class SmoothProfile:
-    """A bounded C^2 function on R (n = 1), given by `fn` (vectorized):
-    |u| <= sup_bound and |u''| <= hess_bound everywhere; breaks are the
-    joins of its pieces, which the near field keeps its stencils within."""
-
-    fn: Callable
-    sup_bound: float
-    hess_bound: float
-    breaks: tuple = ()
-    label: str = "u"
-
-    def __call__(self, y):
-        return self.fn(np.asarray(y, dtype=float))
-
-
 def constant(c: float) -> PointFunction:
     c = float(c)
     return PointFunction((), far_value=c, far_radius=0.0, label=f"const({c:g})")
@@ -168,27 +151,39 @@ def barrier_w1(config: DisconnectedConfig) -> PointFunction:
     return indicator(x2 - config.r, x2 + config.r, label="w1")
 
 
-W2_HESS_CONSTANT = 240.0  # documented bound: |w2''| <= 240 / r^2 (sharp value ~23.09 / r^2)
+@dataclass(frozen=True)
+class SmoothCutoff:
+    """The smooth barrier w2: a radial C^2 cutoff, 1 on B_{r/2}(center)
+    and 0 outside B_r(center), with its joins as breaks.
 
-
-def barrier_w2(config: DisconnectedConfig) -> SmoothProfile:
-    """Radial C^2 cutoff: 1 on B_{r/2}(x1), 0 outside B_r(x1).
-
-    Profile q(t) = 1 - (6t^5 - 15t^4 + 10t^3) on t = clip(2|x-x1|/r - 1, 0, 1);
+    Profile q(t) = 1 - (6t^5 - 15t^4 + 10t^3) on t = clip(2|y-c|/r - 1, 0, 1);
     q' and q'' vanish at t = 0 and t = 1, so w2 is C^2 across the joins.
+    Every construction, replace() included, checks the center and
+    0 < r < inf and derives sup_bound = 1 and the documented
+    hess_bound = 240 / r^2 >= |w2''| (sharp value ~23.09 / r^2).
     """
-    x1 = float(config.x1[0])
-    r = config.r
 
-    def fn(y):
-        d = np.minimum(np.abs(np.asarray(y, dtype=float) - x1), r)  # 2d stays finite
-        t = np.clip(2.0 * d / r - 1.0, 0.0, 1.0)
+    center: float
+    r: float
+
+    def __post_init__(self):
+        c, r = coordinate(self.center), float(self.r)
+        if not 0.0 < r < np.inf:
+            raise ConfigParseError(f"r must be positive and finite, got {r}")
+        self.__dict__.update(
+            center=c, r=r, sup_bound=1.0, hess_bound=240.0 / (r * r),
+            breaks=(c - r, c - r / 2.0, c + r / 2.0, c + r), label="w2")
+
+    def __call__(self, y):
+        d = np.minimum(np.abs(np.asarray(y, dtype=float) - self.center),
+                       self.r)  # 2d stays finite
+        t = np.clip(2.0 * d / self.r - 1.0, 0.0, 1.0)
         return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
-    return SmoothProfile(
-        fn=fn, sup_bound=1.0, hess_bound=W2_HESS_CONSTANT / (r * r),
-        breaks=(x1 - r, x1 - r / 2.0, x1 + r / 2.0, x1 + r), label="w2",
-    )
+
+def barrier_w2(config: DisconnectedConfig) -> SmoothCutoff:
+    """The smooth barrier on B_r(x1)."""
+    return SmoothCutoff(config.x1[0], config.r)
 
 
 # -- operator evaluation ----------------------------------------------------
@@ -255,7 +250,7 @@ def _piecewise_fractional_L(s: float, u: PointFunction, xs: list,
     return Estimate.of_rows(np.stack([value, bound], -1).tolist(), shape)
 
 
-def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
+def eval_L(kernel: Kernel, u: PointFunction | SmoothCutoff, x,
            tol: float = DEFAULT_TOL) -> Estimate:
     """Lu(x) with its error bound.
 
@@ -266,7 +261,7 @@ def eval_L(kernel: Kernel, u: PointFunction | SmoothProfile, x,
 
     u's type picks the path.  Piecewise data need no near field, which is
     zero where u is locally constant, and under the fractional kernel are a
-    closed form.  A SmoothProfile takes the symmetrized near field, which
+    closed form.  The smooth barrier takes the symmetrized near field, which
     needs a translation-invariant kernel (else UnsupportedKernel).  The far
     field runs to infinity in the tail-mass coordinate (see the module
     docstring) and stops at MAX_TRUNCATION: the bound adds to the

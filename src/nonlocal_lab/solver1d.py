@@ -34,11 +34,8 @@ error estimate e, so a segment adds m e plus its cells' truncation
 remainders to the assembly error; the fractional closed form takes ten
 segments per array call.  General pair kernels take a nested adaptive
 quadrature per cell and segment whose inner cell mass is one
-vector-valued integral over all nodes of a batch of outer panels; at
-s = 1/2 on (-1, 1), with the datum 0, the indicator of (1, 3) or four
-unit pieces, a 4-cell mesh assembles in 0.26-0.31 s, 8 cells in
-0.52-0.54 s and 16 cells in 1.02-1.36 s (one core of a shared 2-vCPU
-x86-64 virtual machine).
+vector-valued integral over all nodes of a batch of outer panels, so its
+cost grows about linearly with the cells.
 
 The system matrix A = diag(2 (row sums of W + E)) - 2 W takes its
 kernel's form: a dense m x m array for a general kernel, refused with
@@ -85,7 +82,7 @@ from .errors import (
 )
 from .geometry import Mesh1D, complement
 from .kernel import Kernel, phi
-from .operator import PointFunction, SmoothProfile, piecewise_data
+from .operator import PointFunction, SmoothCutoff, piecewise_data
 from .quadrature import check_tol, integrate
 
 BAND_FRACTION = 0.25
@@ -272,13 +269,17 @@ class ToeplitzOperator:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Cellwise-constant solution with its exterior data attached."""
+    """Cellwise-constant solution with its exterior data attached: one
+    value per cell of the mesh (else ConfigParseError)."""
 
     mesh: Mesh1D
     values: np.ndarray
     exterior: PointFunction
 
     def __post_init__(self):
+        if np.shape(self.values) != (self.mesh.ncells,):
+            raise ConfigParseError(f"{np.shape(self.values)} values on a mesh "
+                                   f"of {self.mesh.ncells} cells")
         if not np.all(np.isfinite(self.values)):
             raise SingularSystem("solution contains non-finite values")
 
@@ -567,7 +568,7 @@ def assemble(kernel: Kernel, mesh: Mesh1D, exterior, rhs=0.0,
     check_tol(tol)
     if not np.isfinite(rhs):
         raise ConfigParseError(f"rhs must be finite, got {rhs}")
-    block = not isinstance(exterior, (PointFunction, SmoothProfile))
+    block = not isinstance(exterior, (PointFunction, SmoothCutoff))
     data = tuple(map(piecewise_data, exterior if block else (exterior,)))
     m = mesh.ncells
     ivs = mesh.intervals

@@ -19,7 +19,7 @@ from nonlocal_lab.geometry import (
     mesh_intervals,
     mesh_over,
 )
-from nonlocal_lab.kernel import fractional_kernel
+from nonlocal_lab.kernel import fractional_kernel, make_kernel
 from nonlocal_lab.operator import indicator
 from nonlocal_lab.solver1d import assemble, solve
 
@@ -196,6 +196,34 @@ class TestMeshIsIntervalsAndN:
     def test_replace_checks_again(self, change, message):
         with pytest.raises(ConfigParseError, match=message):
             dataclasses.replace(mesh_intervals([(-1.0, 1.0)], 8), **change)
+
+    @pytest.mark.parametrize("N", [8.9, 4.5, 3.5])
+    def test_non_integral_n_refused(self, N):
+        # int() would truncate 8.9 to 8 cells
+        with pytest.raises(ConfigParseError, match="N must be an integer"):
+            mesh_intervals([(-1.0, 1.0)], N)
+        assert mesh_intervals([(-1.0, 1.0)], 8.0) == mesh_intervals([(-1.0, 1.0)], 8)
+
+    @pytest.mark.parametrize("name", ["lo", "hi", "centers", "widths"])
+    def test_cell_arrays_are_read_only(self, name):
+        mesh = mesh_intervals([(-1.0, 1.0)], 8)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mesh, name)[0] = 5.0
+        assert np.array_equal(getattr(mesh, name),
+                              getattr(mesh_intervals([(-1.0, 1.0)], 8), name))
+
+
+class TestNonIntegralDimension:
+    # int(n) would read 1.9 and 1.5 as the line
+    @pytest.mark.parametrize("n", [1.9, 1.5, 0.5])
+    def test_kernel_refuses(self, n):
+        with pytest.raises(UnsupportedDimension, match=f"n = {n}"):
+            make_kernel("frac", n, 0.5)
+
+    @pytest.mark.parametrize("n", [1.9, 1.5, 0.5])
+    def test_config_refuses(self, n):
+        with pytest.raises(UnsupportedDimension, match=f"n = {n}"):
+            make_disconnected_config(n=n, x1=-2.0, x2=2.0, r=1.0, R=16.0)
 
 
 class TestConfigSerialization:

@@ -112,6 +112,18 @@ class TestReportShape:
         assert d["kernel"] == "fractional(s=0.5,lam=1)"
         assert d["seed"] == 7 and d["N"] == 64
 
+    def test_c_estimate_derives_from_sup_inf_and_tail(self, random_batch):
+        rep = random_batch[0]
+        assert "C_estimate" not in {f.name for f in dataclasses.fields(rep)}
+        assert rep.C_estimate == rep.sup / (rep.inf + rep.tail_term)
+        assert dataclasses.replace(rep, sup=10.0).C_estimate \
+            == 10.0 / (rep.inf + rep.tail_term)
+        for inf in (-rep.tail_term, -1.0):
+            flat = dataclasses.replace(rep, inf=inf)
+            assert flat.C_estimate == "trivial"
+            assert flat.as_dict()["C_estimate"] == flat.csv_row()[-1] \
+                == "trivial"
+
     def test_csv_row_matches_columns(self, random_batch):
         row = random_batch[1].csv_row()
         assert len(row) == len(CSV_COLUMNS)

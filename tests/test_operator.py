@@ -25,7 +25,7 @@ from nonlocal_lab.kernel import (
 from nonlocal_lab.operator import (
     MAX_TRUNCATION,
     PointFunction,
-    SmoothProfile,
+    SmoothCutoff,
     barrier_w1,
     barrier_w2,
     constant,
@@ -103,12 +103,13 @@ class TestEvalErrors:
             eval_L(fractional_kernel(1, 0.5), barrier_w1(CONFIG), 1.0)
 
     def test_undeclared_structure_rejected(self):
-        # a bare callable is neither data, which are their pieces, nor a
-        # smooth profile, which declares its bounds: neither can be built
+        # a bare callable is neither data, which are their pieces, nor the
+        # smooth barrier, which is its center and radius: neither can be
+        # built from one
         with pytest.raises(TypeError):
             PointFunction(lambda y: np.abs(y))
-        with pytest.raises(TypeError, match="hess_bound"):
-            SmoothProfile(lambda y: np.abs(y))
+        with pytest.raises(TypeError):
+            SmoothCutoff(lambda y: np.abs(y))
 
     def test_general_kernel_needs_locally_constant_u(self):
         with pytest.raises(UnsupportedKernel):
@@ -127,10 +128,45 @@ class TestEvalErrors:
             eval_L(general_demo_kernel(0.6), barrier_w1(CONFIG), 2.4)
 
     def test_growth_incompatible_with_order(self):
-        # C^2 but unbounded: no far-field remainder bounds its tail, and a
-        # smooth profile without a sup_bound cannot be built
+        # C^2 but unbounded: no far-field remainder bounds its tail, and
+        # the one smooth function eval_L takes is the bounded cutoff, whose
+        # bounds no caller declares
+        with pytest.raises(TypeError, match="fn"):
+            SmoothCutoff(fn=lambda y: y, center=0.0, r=1.0)
         with pytest.raises(TypeError, match="sup_bound"):
-            SmoothProfile(lambda y: y, hess_bound=0.0)
+            replace(barrier_w2(CONFIG), sup_bound=np.inf)
+
+
+class TestSmoothCutoff:
+    """The smooth barrier is its center and radius: its bounds and joins
+    derive from them on every construction, replace() included."""
+
+    def test_fields_are_the_center_and_radius(self):
+        assert tuple(f.name for f in fields(SmoothCutoff)) == ("center", "r")
+
+    @pytest.mark.parametrize("change", [{"hess_bound": 1.0},
+                                        {"fn": np.abs},
+                                        {"breaks": ()}])
+    def test_declared_structure_cannot_be_replaced(self, change):
+        with pytest.raises(TypeError):
+            replace(barrier_w2(CONFIG), **change)
+
+    def test_replaced_center_is_the_shifted_barrier(self):
+        w2 = replace(barrier_w2(CONFIG), center=-1.5)
+        shifted = barrier_w2(make_disconnected_config(
+            n=1, x1=-1.5, x2=2.5, r=1.0, R=16.0))
+        ys = np.linspace(-3.0, 0.0, 301)
+        assert w2 == shifted and w2.breaks == shifted.breaks
+        assert np.array_equal(w2(ys), shifted(ys))
+
+    @pytest.mark.parametrize("center, r", [
+        (-2.0, 0.0), (-2.0, -1.0), (-2.0, np.inf), (-2.0, np.nan),
+        ((-2.0, 0.0), 1.0)])
+    def test_bad_center_or_radius_refused(self, center, r):
+        with pytest.raises(ConfigParseError):
+            SmoothCutoff(center, r)
+        with pytest.raises(ConfigParseError):
+            replace(barrier_w2(CONFIG), center=center, r=r)
 
 
 def quad_tail(value, edges, x0, r, s):
@@ -1018,17 +1054,12 @@ class TestPointSetUp:
             eval_L(k, w2, np.array([-2.5, x_bad, -1.5]))
         assert str(got.value) == str(want.value)
 
-    def test_stencils_evaluate_u_once_for_all_points(self):
-        w2 = barrier_w2(CONFIG)
-        calls = [0]
-
-        def counted(y):
-            calls[0] += 1
-            return w2.fn(y)
-
-        eval_L(fractional_kernel(1, 0.5), replace(w2, fn=counted),
+    def test_stencils_evaluate_u_once_for_all_points(self, monkeypatch):
+        seen = []
+        eval_L(fractional_kernel(1, 0.5),
+               recording(monkeypatch, barrier_w2(CONFIG), seen),
                ball1_grid(), tol=BARRIER_TOL)
         # u(x), two calls per stencil, then two per near-field round and one
         # per far-field round: 16 here, against 4 per point for the stencils
         # of a per-point set-up
-        assert calls[0] < 30
+        assert len(seen) < 30

@@ -51,6 +51,7 @@ from nonlocal_lab.quadrature import integrate
 from nonlocal_lab.solver1d import (
     ASSEMBLY_TOL,
     BAND_FRACTION,
+    GridFunction,
     LinearSystem,
     _band_moment,
     _couplings,
@@ -788,6 +789,15 @@ class TestMirroredSolve:
         with pytest.raises(SingularSystem, match="residual"):
             solve(dataclasses.replace(system, mesh=unit_mesh(24)))
         assert len(splits) == 1
+
+
+def test_grid_function_needs_one_value_per_cell():
+    # a mismatch would surface later as numpy's broadcast error in a report
+    with pytest.raises(ConfigParseError, match=r"\(3,\) values on a mesh of 16"):
+        GridFunction(mesh=unit_mesh(16), values=np.zeros(3), exterior=G13)
+    u = solve(assemble(fractional_kernel(1, 0.5), unit_mesh(16), G13))
+    with pytest.raises(ConfigParseError, match="mesh of 8 cells"):
+        dataclasses.replace(u, mesh=unit_mesh(8))
 
 
 # two-ball meshes B_2r(x1) u B_2r(x2) with r = 1: touching, separated on
